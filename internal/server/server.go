@@ -319,16 +319,44 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// bodySource adapts the request body to a stream.Source by content type:
-// JSON bodies stream batch objects directly; CSV bodies parse to one
+// maxIngestBody bounds one ingest request body. It sits above the
+// largest body any caller in this repository sends — a Theta-scale CSV
+// seed, P=4392 sensors × 1440 columns, is 114 MB — so a single request
+// cannot make the server buffer more than this (DESIGN.md §8).
+const maxIngestBody = 128 << 20
+
+// bodySource adapts the request body, at most limit bytes of it, to a
+// stream.Source (see decodeBody). A body over the limit fails with 413,
+// any other malformed body with 400.
+func bodySource(w http.ResponseWriter, r *http.Request, limit int64) (stream.Source, error) {
+	if r.ContentLength > limit {
+		return nil, fail(http.StatusRequestEntityTooLarge,
+			fmt.Errorf("ingest body of %d bytes is over the %d-byte limit", r.ContentLength, limit))
+	}
+	src, err := decodeBody(r.Header.Get("Content-Type"), http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return nil, fail(http.StatusRequestEntityTooLarge, fmt.Errorf("ingest body is over the %d-byte limit", limit))
+	case err != nil:
+		return nil, fail(http.StatusBadRequest, err)
+	}
+	return src, nil
+}
+
+// decodeBody decodes an ingest body by content type: a JSON body is read
+// into one buffer, sized from the Content-Length when the request has
+// one (size >= 0), and scanned batch by batch; a CSV body parses to one
 // matrix fed as a single batch.
-func bodySource(r *http.Request) (stream.Source, error) {
-	ct := r.Header.Get("Content-Type")
+func decodeBody(ct string, body io.Reader, size int64) (stream.Source, error) {
 	switch {
 	case strings.Contains(ct, "json"):
-		return stream.FromJSON(r.Body)
+		if size >= 0 {
+			body = sizedBody{body, int(size)}
+		}
+		return stream.FromJSON(body)
 	case ct == "" || strings.Contains(ct, "csv") || strings.Contains(ct, "text/plain"):
-		m, err := stream.ReadCSV(r.Body)
+		m, err := stream.ReadCSV(body)
 		if err != nil {
 			return nil, err
 		}
@@ -340,6 +368,16 @@ func bodySource(r *http.Request) (stream.Source, error) {
 		return nil, fmt.Errorf("unsupported Content-Type %q (want text/csv or application/json)", ct)
 	}
 }
+
+// sizedBody is a request body with a known Content-Length, exposed as
+// the Len method stream.FromJSON sizes its buffer by (it asks once,
+// before reading).
+type sizedBody struct {
+	io.Reader
+	n int
+}
+
+func (b sizedBody) Len() int { return b.n }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	id, err := tenantID(r)
@@ -356,9 +394,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// malformed input (ragged rows, non-finite values, bad syntax) fails
 	// here with nothing absorbed, and a slow client trickling its body
 	// cannot sit on the tenant lock starving stats/snapshot/shutdown.
-	src, err := bodySource(r)
+	src, err := bodySource(w, r, maxIngestBody)
 	if err != nil {
-		writeErr(w, fail(http.StatusBadRequest, err))
+		writeErr(w, err)
 		return
 	}
 	var batches []*mat.Dense

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -549,6 +550,78 @@ func TestIngestFailureAbsorptionContract(t *testing.T) {
 	}
 	if st.Steps != 32 {
 		t.Fatalf("steps after rejected ingest = %d want 32", st.Steps)
+	}
+}
+
+// ingestedSteps reads a tenant's absorbed column count from /stats.
+func (c *testClient) ingestedSteps(id string) int {
+	c.t.Helper()
+	var st TenantStatus
+	if err := json.Unmarshal(c.must("GET", "/v1/tenants/"+id+"/stats", "", nil, http.StatusOK), &st); err != nil {
+		c.t.Fatal(err)
+	}
+	return st.Steps
+}
+
+// TestIngestNullRejected: a null reading or a null row is a 400 with
+// nothing absorbed, not a 0 (or an empty row) fed to the analyzer.
+func TestIngestNullRejected(t *testing.T) {
+	data := bench.SCLogData(4, 64, 1)
+	s := New(Config{Workers: 1, DefaultInitialCols: 16})
+	c := newTestClient(t, s)
+	c.must("POST", "/v1/tenants/null", "application/json", nil, http.StatusCreated)
+	c.must("POST", "/v1/tenants/null/ingest", "application/json", jsonBody(t, data, 0, 24), http.StatusOK)
+	for _, body := range []string{
+		`{"data":[[1,2],[3,null],[5,6],[7,8]]}`,
+		`{"data":[null,[1],[2],[3]]}`,
+	} {
+		c.must("POST", "/v1/tenants/null/ingest", "application/json", []byte(body), http.StatusBadRequest)
+		if got := c.ingestedSteps("null"); got != 24 {
+			t.Fatalf("steps after %s = %d want 24", body, got)
+		}
+	}
+}
+
+// TestIngestBodyBound: an ingest body over maxIngestBody is refused with
+// 413 before anything is absorbed. One whose Content-Length announces
+// the excess is refused unread; a chunked one is cut off at the bound,
+// exercised here with a bound just below the body's size.
+func TestIngestBodyBound(t *testing.T) {
+	data := bench.SCLogData(4, 64, 1)
+	s := New(Config{Workers: 1, DefaultInitialCols: 16})
+	c := newTestClient(t, s)
+	c.must("POST", "/v1/tenants/big", "application/json", nil, http.StatusCreated)
+	c.must("POST", "/v1/tenants/big/ingest", "application/json", jsonBody(t, data, 0, 24), http.StatusOK)
+
+	req := httptest.NewRequest("POST", "/v1/tenants/big/ingest", bytes.NewReader(jsonBody(t, data, 24, 32)))
+	req.Header.Set("Content-Type", "application/json")
+	req.ContentLength = maxIngestBody + 1
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit Content-Length: status %d (%s)", rec.Code, rec.Body)
+	}
+	if got := c.ingestedSteps("big"); got != 24 {
+		t.Fatalf("steps after 413 = %d want 24", got)
+	}
+
+	for ct, body := range map[string][]byte{
+		"application/json": jsonBody(t, data, 24, 32),
+		"text/csv":         csvBody(t, data, 24, 32),
+	} {
+		for _, limit := range []int64{int64(len(body)) - 1, int64(len(body))} {
+			req := httptest.NewRequest("POST", "/v1/tenants/big/ingest", bytes.NewReader(body))
+			req.Header.Set("Content-Type", ct)
+			req.ContentLength = -1 // chunked: nothing to check before reading
+			_, err := bodySource(httptest.NewRecorder(), req, limit)
+			var he *httpError
+			switch over := limit < int64(len(body)); {
+			case over && (!errors.As(err, &he) || he.code != http.StatusRequestEntityTooLarge):
+				t.Fatalf("%s body of %d bytes, bound %d: err %v, want 413", ct, len(body), limit, err)
+			case !over && err != nil:
+				t.Fatalf("%s body of %d bytes, bound %d: %v", ct, len(body), limit, err)
+			}
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ package stream
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -400,93 +399,4 @@ func ReadCSV(r io.Reader) (*mat.Dense, error) {
 		}
 	}
 	return out, nil
-}
-
-// JSONBatch is the wire form of one JSON ingest batch: Data[i] holds
-// sensor i's values for the batch's consecutive time steps. A body may
-// concatenate any number of batch objects back to back (chunked ingest);
-// JSONSource yields them in order.
-type JSONBatch struct {
-	Data [][]float64 `json:"data"`
-}
-
-// JSONSource adapts a stream of JSONBatch objects to the Source
-// interface. Decode errors latch and end the stream; check Err after
-// exhaustion (Pump does this itself).
-type JSONSource struct {
-	dec  *json.Decoder
-	rows int
-	next *mat.Dense
-	err  error
-}
-
-// FromJSON opens a JSON batch stream, eagerly decoding the first batch so
-// the row count is known up front. An input with no batches at all is an
-// error — there is nothing to size the stream by.
-func FromJSON(r io.Reader) (*JSONSource, error) {
-	s := &JSONSource{dec: json.NewDecoder(r)}
-	s.next = s.decode()
-	if s.err != nil {
-		return nil, s.err
-	}
-	if s.next == nil {
-		return nil, errors.New("stream: JSON source holds no batches")
-	}
-	s.rows = s.next.R
-	return s, nil
-}
-
-// Rows returns P, fixed by the first batch.
-func (s *JSONSource) Rows() int { return s.rows }
-
-// Err returns the decode error that ended the stream, if any.
-func (s *JSONSource) Err() error { return s.err }
-
-// Next yields the next decoded batch.
-func (s *JSONSource) Next() (*mat.Dense, bool) {
-	if s.next == nil {
-		return nil, false
-	}
-	out := s.next
-	s.next = s.decode()
-	if s.next != nil && s.next.R != s.rows {
-		s.err = fmt.Errorf("stream: JSON batch has %d rows, want %d", s.next.R, s.rows)
-		s.next = nil
-	}
-	return out, true
-}
-
-// decode reads one batch object, returning nil at end of stream or on a
-// latched error.
-func (s *JSONSource) decode() *mat.Dense {
-	if s.err != nil {
-		return nil
-	}
-	var b JSONBatch
-	if err := s.dec.Decode(&b); err != nil {
-		if err != io.EOF {
-			s.err = fmt.Errorf("stream: %w", err)
-		}
-		return nil
-	}
-	if len(b.Data) == 0 {
-		s.err = errors.New("stream: JSON batch has no rows")
-		return nil
-	}
-	c := len(b.Data[0])
-	m := mat.NewDense(len(b.Data), c)
-	for i, row := range b.Data {
-		if len(row) != c {
-			s.err = fmt.Errorf("stream: ragged JSON batch: row %d has %d values, want %d", i, len(row), c)
-			return nil
-		}
-		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				s.err = fmt.Errorf("stream: JSON batch row %d col %d: non-finite value %v", i, j, v)
-				return nil
-			}
-			m.Set(i, j, v)
-		}
-	}
-	return m
 }

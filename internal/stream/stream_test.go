@@ -2,11 +2,15 @@ package stream
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"imrdmd/internal/bench"
 	"imrdmd/internal/core"
 	"imrdmd/internal/mat"
 )
@@ -371,5 +375,191 @@ func TestJSONSourceErrors(t *testing.T) {
 	}
 	if src.Err() == nil {
 		t.Fatal("row-count change not surfaced")
+	}
+	for _, body := range []string{
+		`{"data":[]}`,                     // no rows
+		`{"data":null}`,                   // no rows either
+		`{"data":[[1e400]]}`,              // out of float64 range
+		`{"data":[[1,"2"]]}`,              // not a number
+		`{"data":[[1]]}x`,                 // trailing garbage
+		`{"data":[[1],[2]]}{"data":[[3]]`, // truncated second batch
+		`{"data":[[01]]}`,                 // leading zero
+	} {
+		if _, err := drainJSON([]byte(body)); err == nil {
+			t.Errorf("%s accepted", body)
+		}
+	}
+	// A null reading is rejected with a named error instead of decoding
+	// to 0 (a null value) or to an empty row (a null row).
+	for _, body := range []string{`{"data":[[1,null,3]]}`, `{"data":[null,[1]]}`} {
+		if _, err := drainJSON([]byte(body)); !errors.Is(err, errJSONNull) {
+			t.Errorf("%s: err = %v, want the null error", body, err)
+		}
+	}
+}
+
+// TestJSONSourceKeys: keys match "data" the way encoding/json matches
+// them — after unescaping, case-insensitively, last one winning — and
+// values under other keys are skipped.
+func TestJSONSourceKeys(t *testing.T) {
+	for _, body := range []string{
+		`{"DATA":[[7]]}`,
+		`{"d\u0061ta":[[7]]}`,
+		`{"data":[[1,2],[3]],"Data":[[7]]}`,
+		`{"x":{"y":[1,"]",null,true]},"data":[[7]],"z":-1.5e-3}`,
+	} {
+		got, err := drainJSON([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if len(got) != 1 || got[0].R != 1 || got[0].C != 1 || got[0].Data[0] != 7 {
+			t.Fatalf("%s decoded to %v", body, got)
+		}
+	}
+	if _, err := drainJSON([]byte(`{"dat\u0061x":[[7]]}`)); err == nil {
+		t.Fatal("a key that is not data filled the batch")
+	}
+}
+
+// drainJSON decodes body with FromJSON and a full Next loop, returning
+// every batch yielded and the error that ended the stream.
+func drainJSON(body []byte) ([]*mat.Dense, error) {
+	src, err := FromJSON(bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	var out []*mat.Dense
+	for {
+		b, ok := src.Next()
+		if !ok {
+			return out, src.Err()
+		}
+		out = append(out, b)
+	}
+}
+
+// refJSON is the reflection decoder FromJSON replaced — encoding/json
+// into a JSONBatch per object, then the shape and row-count checks —
+// kept as the reference FuzzFromJSON holds the scanner to. It returns
+// what drainJSON would: the batches yielded and the error that ended
+// the stream.
+func refJSON(body []byte) ([]*mat.Dense, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var out []*mat.Dense
+	for {
+		var b JSONBatch
+		if err := dec.Decode(&b); err == io.EOF {
+			if len(out) == 0 {
+				return nil, errors.New("no batches")
+			}
+			return out, nil
+		} else if err != nil {
+			return out, err
+		}
+		if len(b.Data) == 0 {
+			return out, errors.New("no rows")
+		}
+		m := mat.NewDense(len(b.Data), len(b.Data[0]))
+		for i, row := range b.Data {
+			if len(row) != m.C {
+				return out, errors.New("ragged")
+			}
+			for j, v := range row {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return out, errors.New("non-finite")
+				}
+				m.Set(i, j, v)
+			}
+		}
+		if len(out) > 0 && m.R != out[0].R {
+			return out, errors.New("row count changed")
+		}
+		out = append(out, m)
+	}
+}
+
+// benchBody is one JSON ingest body of the repository benchmark's shape:
+// the SC-Log series at P=200, columns 2000–2040.
+func benchBody(tb testing.TB) []byte {
+	tb.Helper()
+	sl := bench.SCLogData(200, 2040, 1).ColSlice(2000, 2040)
+	rows := make([][]float64, sl.R)
+	for i := range rows {
+		rows[i] = sl.Row(i)
+	}
+	body, err := json.Marshal(JSONBatch{Data: rows})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// FuzzFromJSON holds FromJSON to refJSON: on every input both accept or
+// both reject, yield the same batches (shapes and Float64bits) before
+// stopping, and so differ only where FromJSON rejects a null that
+// encoding/json would have decoded as 0 or as an empty row.
+func FuzzFromJSON(f *testing.F) {
+	for _, body := range []string{
+		// TestJSONSourceBatches and TestJSONSourceErrors.
+		`{"data":[[1,2],[3,4]]}{"data":[[5],[6]]}` + "\n" + `{"data":[[7,8,9],[10,11,12]]}`,
+		``, `{"data":[[1,2],[3]]}`, `{"data":[[1],[2]]}{"data":[[3]]}`,
+		`{"data":[]}`, `{"data":null}`, `{"data":[[1e400]]}`, `{"data":[[1,"2"]]}`,
+		`{"data":[[1],[2]]}{"data":[[3]]`, `{"data":[[1,null,3]]}`, `{"data":[null,[1]]}`,
+		// Number grammar edges.
+		`{"data":[[-0]]}`, `{"data":[[5e-324]]}`, `{"data":[[1.7976931348623157e308]]}`,
+		`{"data":[[1E+2]]}`, `{"data":[[01]]}`, `{"data":[[1.]]}`, `{"data":[[.5]]}`,
+		`{"data":[[+1]]}`, `{"data":[[NaN]]}`, `{"data":[[Infinity]]}`,
+		// Keys.
+		`{"data":[[1]]}`, `{"DATA":[[1]]}`, `{"d\u0041ta":[[1]]}`,
+		`{"meta":{"a":[{"b":null}],"c":"\"]"},"data":[[1,2]]}`,
+		`{"data":[[1,2],[3]],"data":[[4]]}`, `{"data":[[1]],"data":null}`,
+		// Trailing garbage.
+		`{"data":[[1]]}x`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Add(benchBody(f))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, gerr := drainJSON(body)
+		if errors.Is(gerr, errJSONNull) {
+			return
+		}
+		want, werr := refJSON(body)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("FromJSON err = %v, encoding/json err = %v", gerr, werr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("FromJSON yielded %d batches, encoding/json %d", len(got), len(want))
+		}
+		for k, w := range want {
+			g := got[k]
+			if g.R != w.R || g.C != w.C {
+				t.Fatalf("batch %d: %d×%d, want %d×%d", k, g.R, g.C, w.R, w.C)
+			}
+			for i := range w.Data {
+				if math.Float64bits(g.Data[i]) != math.Float64bits(w.Data[i]) {
+					t.Fatalf("batch %d value %d: %v, want %v", k, i, g.Data[i], w.Data[i])
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkFromJSON decodes one benchmark-shaped body (P=200, 40
+// columns): the stream.json_decode layer on its own.
+func BenchmarkFromJSON(b *testing.B) {
+	body := benchBody(b)
+	r := bytes.NewReader(body)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		r.Reset(body)
+		src, err := FromJSON(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if m, _ := src.Next(); m == nil || m.R != 200 || m.C != 40 {
+			b.Fatal("wrong batch")
+		}
 	}
 }
