@@ -346,8 +346,9 @@ func bodySource(w http.ResponseWriter, r *http.Request, limit int64) (stream.Sou
 
 // decodeBody decodes an ingest body by content type: a JSON body is read
 // into one buffer, sized from the Content-Length when the request has
-// one (size >= 0), and scanned batch by batch; a CSV body parses to one
-// matrix fed as a single batch.
+// one (size >= 0) up to stream.FromJSON's 1 MiB preallocation cap, and
+// scanned batch by batch; a CSV body parses to one matrix fed as a
+// single batch.
 func decodeBody(ct string, body io.Reader, size int64) (stream.Source, error) {
 	switch {
 	case strings.Contains(ct, "json"):

@@ -45,7 +45,7 @@ type JSONSource struct {
 // An input with no batches at all is an error — there is nothing to size
 // the stream by. When r reports its length with a Len() int method (as
 // bytes.Reader, strings.Reader and bytes.Buffer do), that length sizes
-// the body buffer.
+// the body buffer, up to 1 MiB.
 func FromJSON(r io.Reader) (*JSONSource, error) {
 	buf, err := readAll(r)
 	if err != nil {
@@ -63,12 +63,19 @@ func FromJSON(r io.Reader) (*JSONSource, error) {
 	return s, nil
 }
 
+// maxPrealloc caps the body buffer allocated before any byte arrives. A
+// length hint may be a client's Content-Length, so trusting it in full
+// would let a client that declares a large body and then stalls pin that
+// much memory; past the cap the buffer grows only as bytes are read.
+const maxPrealloc = 1 << 20
+
 // readAll is io.ReadAll with the first buffer sized from r's Len, when it
-// has one, so a body of known length is read with one allocation.
+// has one, up to maxPrealloc, so a body of known length under the cap is
+// read with one allocation.
 func readAll(r io.Reader) ([]byte, error) {
 	n := 512
 	if l, ok := r.(interface{ Len() int }); ok {
-		n = max(l.Len(), 0) + 1 // room for the read that reports EOF
+		n = min(max(l.Len(), 0), maxPrealloc) + 1 // room for the read that reports EOF
 	}
 	b := make([]byte, 0, n)
 	for {
@@ -234,28 +241,42 @@ func (d *jsonData) value(sc *jsonScanner, col int) error {
 // short. It is capped at one value per two bytes of the rows it walked,
 // the densest a JSON array of numbers can be, so no batch can make it
 // allocate more than four times the batch's own size.
+//
+// The walk stops at the first separator not followed by '[', so it never
+// leaves the rows of its own data array: a body's walks cover disjoint
+// spans and cost time linear in the body, however many "data" keys it
+// repeats.
 func sizeHint(b []byte) int {
 	rows, cols, end := 0, 0, 0
 	for {
-		i := bytes.IndexByte(b[end:], ']')
+		k := skipSpace(b, end)
+		if k == len(b) || b[k] != '[' {
+			break
+		}
+		i := bytes.IndexByte(b[k:], ']')
 		if i < 0 {
 			break
 		}
 		if rows == 0 {
-			cols = bytes.Count(b[:i], []byte{','}) + 1
+			cols = bytes.Count(b[k:k+i], []byte{','}) + 1
 		}
 		rows++
-		end += i + 1
-		k := end
-		for k < len(b) && isSpace(b[k]) {
-			k++
-		}
-		if k == len(b) || b[k] != ',' {
+		end = k + i + 1
+		if k = skipSpace(b, end); k == len(b) || b[k] != ',' {
 			break
 		}
 		end = k + 1
 	}
 	return min(rows*cols, end/2+1)
+}
+
+// skipSpace returns the offset of the first non-whitespace byte at or
+// after i.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && isSpace(b[i]) {
+		i++
+	}
+	return i
 }
 
 // isDataKey reports whether a raw (still escaped) object key names the
@@ -300,10 +321,8 @@ func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\
 // peek skips whitespace and returns the next byte, or 0 at the end of
 // the input.
 func (sc *jsonScanner) peek() byte {
-	for ; sc.i < len(sc.b); sc.i++ {
-		if c := sc.b[sc.i]; !isSpace(c) {
-			return c
-		}
+	if sc.i = skipSpace(sc.b, sc.i); sc.i < len(sc.b) {
+		return sc.b[sc.i]
 	}
 	return 0
 }

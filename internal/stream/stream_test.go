@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"imrdmd/internal/bench"
 	"imrdmd/internal/core"
@@ -478,11 +479,12 @@ func refJSON(body []byte) ([]*mat.Dense, error) {
 	}
 }
 
-// benchBody is one JSON ingest body of the repository benchmark's shape:
-// the SC-Log series at P=200, columns 2000–2040.
-func benchBody(tb testing.TB) []byte {
+// benchBody is one JSON ingest body in the repository benchmark's form:
+// the SC-Log series at p sensors, cols columns from column 2000 on. The
+// benchmark itself sends p=200, cols=40.
+func benchBody(tb testing.TB, p, cols int) []byte {
 	tb.Helper()
-	sl := bench.SCLogData(200, 2040, 1).ColSlice(2000, 2040)
+	sl := bench.SCLogData(p, 2000+cols, 1).ColSlice(2000, 2000+cols)
 	rows := make([][]float64, sl.R)
 	for i := range rows {
 		rows[i] = sl.Row(i)
@@ -492,6 +494,102 @@ func benchBody(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	return body
+}
+
+// TestFromJSONMatchesReference: FromJSON decodes the benchmark's P=200 ×
+// 40 body to the same bits as refJSON.
+func TestFromJSONMatchesReference(t *testing.T) {
+	body := benchBody(t, 200, 40)
+	got, err := drainJSON(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refJSON(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || len(want) != 1 || got[0].R != want[0].R || got[0].C != want[0].C {
+		t.Fatalf("decoded %d batches, reference %d", len(got), len(want))
+	}
+	for i, w := range want[0].Data {
+		if math.Float64bits(got[0].Data[i]) != math.Float64bits(w) {
+			t.Fatalf("value %d: %v, want %v", i, got[0].Data[i], w)
+		}
+	}
+}
+
+// TestSizeHintStaysInData: the row walk that sizes a batch stops at the
+// end of its own data array, so a body that repeats "data" keys is not
+// walked once per key.
+func TestSizeHintStaysInData(t *testing.T) {
+	for _, c := range []struct {
+		rest string // what follows a data array's opening '['
+		want int
+	}{
+		{`[1,2],[3,4]]`, 4},
+		{` [1,2] ,` + "\n" + ` [3,4] ]`, 4},
+		{`[1,2],[3,4]],"data":[[5,6],[7,8]]}`, 4},
+		{`],"data":[]}`, 0},
+		{`],"data":[],"data":[[1,2]]}`, 0},
+		{`[1],"x"]`, 1},
+		{`null]`, 0},
+		{``, 0},
+	} {
+		if got := sizeHint([]byte(c.rest)); got != c.want {
+			t.Errorf("sizeHint(%q) = %d, want %d", c.rest, got, c.want)
+		}
+	}
+}
+
+// TestJSONRepeatedDataKeys: a body of many empty "data" values decodes,
+// last one winning, in time linear in its size. A walk that ran on
+// through every later key would take about N²/2 steps, minutes at this N.
+func TestJSONRepeatedDataKeys(t *testing.T) {
+	const n = 200_000
+	body := "{" + strings.Repeat(`"data":[],`, n) + `"data":[[7]]}`
+	start := time.Now()
+	got, err := drainJSON([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].R != 1 || got[0].C != 1 || got[0].Data[0] != 7 {
+		t.Fatalf("decoded to %v", got)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("decoding %d repeated data keys took %v", n, d)
+	}
+}
+
+// lenReader is a reader that reports a length of its choosing, as a
+// request body reports its declared Content-Length.
+type lenReader struct {
+	io.Reader
+	n int
+}
+
+func (r lenReader) Len() int { return r.n }
+
+// TestReadAllCapsPrealloc: a length hint sizes the body buffer only up to
+// maxPrealloc, so a body that declares far more than it sends does not
+// get the declared size allocated, and a body over the cap still reads
+// in full.
+func TestReadAllCapsPrealloc(t *testing.T) {
+	b, err := readAll(lenReader{strings.NewReader("[[1]]"), 128 << 20})
+	if err != nil || string(b) != "[[1]]" {
+		t.Fatalf("readAll = %q, %v", b, err)
+	}
+	if cap(b) > maxPrealloc+1 {
+		t.Fatalf("a 5-byte body declared at 128 MiB got a %d-byte buffer", cap(b))
+	}
+	big := bytes.Repeat([]byte("0123456789"), 3*maxPrealloc/10)
+	b, err = readAll(lenReader{bytes.NewReader(big), len(big)})
+	if err != nil || !bytes.Equal(b, big) {
+		t.Fatalf("readAll of %d bytes returned %d bytes, %v", len(big), len(b), err)
+	}
+	b, err = readAll(bytes.NewReader(big[:100]))
+	if err != nil || !bytes.Equal(b, big[:100]) || cap(b) != 101 {
+		t.Fatalf("readAll of a 100-byte bytes.Reader: %d bytes in %d, %v", len(b), cap(b), err)
+	}
 }
 
 // FuzzFromJSON holds FromJSON to refJSON: on every input both accept or
@@ -518,7 +616,11 @@ func FuzzFromJSON(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
-	f.Add(benchBody(f))
+	// A small body of the benchmark's form. The full P=200 × 40 body is
+	// checked by TestFromJSONMatchesReference instead: as a seed, its
+	// 144 KB would make the fuzzer spend its time minimizing inputs grown
+	// from it rather than executing new ones.
+	f.Add(benchBody(f, 8, 4))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, gerr := drainJSON(body)
 		if errors.Is(gerr, errJSONNull) {
@@ -548,7 +650,7 @@ func FuzzFromJSON(f *testing.F) {
 // BenchmarkFromJSON decodes one benchmark-shaped body (P=200, 40
 // columns): the stream.json_decode layer on its own.
 func BenchmarkFromJSON(b *testing.B) {
-	body := benchBody(b)
+	body := benchBody(b, 200, 40)
 	r := bytes.NewReader(body)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
