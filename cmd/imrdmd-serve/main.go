@@ -1,8 +1,8 @@
 // Command imrdmd-serve runs the streaming ingestion service: a
 // long-lived HTTP server that many dashboards stream telemetry into,
 // each tenant owning an incremental I-mrDMD analyzer with its own
-// analysis options (Precision and Shards included) while every tenant's
-// kernels share one bounded worker pool.
+// analysis options (Precision included) while every tenant's kernels
+// share one bounded worker pool.
 //
 // Quick start:
 //
@@ -59,8 +59,8 @@ func main() {
 		fmt.Fprintf(w, `imrdmd-serve — streaming I-mrDMD ingestion service
 
 Per-tenant incremental analyzers behind a chunked HTTP ingest API.
-Tenants choose their own analysis options (precision tier, shard count,
-block-column width); all tenants share one bounded compute pool sized by
+Tenants choose their own analysis options (precision tier, block-column
+width, flat-horizon windows); all tenants share one bounded compute pool sized by
 -workers, so process concurrency does not grow with tenant count.
 
 Endpoints:
@@ -70,7 +70,7 @@ Endpoints:
   PUT    /v1/tenants/{id}           restore from a snapshot body
   DELETE /v1/tenants/{id}           drop the tenant
   POST   /v1/tenants/{id}/ingest    CSV or JSON column batches
-  GET    /v1/tenants/{id}/stats     ingest/shard/latency stats
+  GET    /v1/tenants/{id}/stats     ingest latency and resident-bytes stats
   GET    /v1/tenants/{id}/modes     retained mode and level counts
   GET    /v1/tenants/{id}/spectrum  per-mode spectrum points
   GET    /v1/tenants/{id}/error     grid reconstruction error + drift

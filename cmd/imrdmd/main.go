@@ -39,7 +39,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "compute-engine worker lanes (0 = GOMAXPROCS)")
 		blkCols   = flag.Int("block-columns", 8, "incremental-SVD block-column width (1 = column at a time, 0 = one block per batch)")
 		precision = flag.String("precision", "float64", `arithmetic tier: "float64" or "mixed"`)
-		shards    = flag.Int("shards", 1, "row-shard count for the streaming level-1 SVD (1 = unsharded)")
 		driftWin  = flag.Int("drift-window", 0, "trailing slow-grid columns compared for drift (0 = full grid, bit-stable)")
 		ampWin    = flag.Int("amp-window", 0, "trailing slow-grid columns used by the level-1 amplitude refit (0 = full width)")
 		coldHzn   = flag.Int("cold-horizon", 0, "columns kept in float64; older history demotes to float32 (0 = never demote)")
@@ -76,22 +75,7 @@ Performance knobs and how they interact:
                      kept-mode sets match float64 within SVHT tolerance.
                      The streaming level-1 SVD (the part -block-columns
                      chunks) keeps float64 arithmetic, so -precision and
-                     -block-columns compose independently (with -shards
-                     above 1, see below).
-  -shards S          Row-partitions the streaming level-1 SVD across S
-                     shards: each shard owns a slice of the sensor rows
-                     while the small Σ/V factors replicate, and every
-                     partial-fit update costs one q×w projection
-                     all-reduce between shards — the in-process form of
-                     the multi-node layout. 1 (default) is the unsharded
-                     path, bit-stable with prior releases; S > 1 must not
-                     exceed the sensor count and reproduces the unsharded
-                     results to 1e-8. Composes with -block-columns (each
-                     chunk is one collective) and with -precision mixed,
-                     where collectives ship float32 — half the bytes, and
-                     agreement with the unsharded mixed run loosens to
-                     screening accuracy (2e-5). Shard work fans out over
-                     the same -workers lanes.
+                     -block-columns compose independently.
   -drift-window K    Compares only the trailing K slow-grid columns when
                      measuring per-update level-1 drift, so the drift
                      check costs O(K) instead of O(T/stride) per batch.
@@ -145,7 +129,7 @@ Options:
 	a, err := imrdmd.New(imrdmd.Options{
 		DT: *dt, MaxLevels: *levels, MaxCycles: *cycles,
 		UseSVHT: *svht, Rank: *rank, Parallel: true, Workers: *workers,
-		BlockColumns: *blkCols, Precision: *precision, Shards: *shards,
+		BlockColumns: *blkCols, Precision: *precision,
 		DriftWindow: *driftWin, AmplitudeWindow: *ampWin, ColdHorizon: *coldHzn,
 	})
 	if err != nil {

@@ -22,10 +22,7 @@ import (
 // both precision tiers and streamed PartialFit), captured per PR so
 // regressions are diffable. Entries with an `_f32` / `_mixed` suffix run
 // the float32 screening tier; their GFLOPS against the f64 entries of the
-// same shape measure the mixed-precision speedup. Entries with a
-// `_shardsN` suffix run the streaming episode with the level-1 SVD
-// row-partitioned across N shards (N=1 is the unsharded baseline of the
-// scaling sweep).
+// same shape measure the mixed-precision speedup.
 type benchSnapshot struct {
 	GOOS         string                 `json:"goos"`
 	GOARCH       string                 `json:"goarch"`
@@ -323,30 +320,10 @@ func writeBenchJSON(path string, workers int) error {
 	mixedOpts.Precision = core.PrecisionMixed
 	snap.Benchmarks["partial_fit_mixed_sclog_t2000_x5"] = partialFit(data, mixedOpts)
 
-	// Shard-scaling sweep on the SC Log and GPU Metrics scenarios: the
-	// same episode with the streaming level-1 SVD row-partitioned. The
-	// in-process reducer puts no wire on the clock, so these entries
-	// price the phase split itself (payload build, collective sum,
-	// replicated refactor, per-shard rotations) against the unsharded
-	// shards1 baseline.
-	gpuData := bench.GPUData(200, 2200, 1)
+	// The same episode on the GPU Metrics scenario.
 	gpuOpts := opts
 	gpuOpts.DT = telemetry.PolarisGPU().SampleInterval
-	for _, s := range []int{1, 2, 4} {
-		if s == 1 {
-			// Shards=1 selects the identical unsharded path and options as
-			// the base sclog entry — record the sweep's baseline under its
-			// key without paying a duplicate episode.
-			snap.Benchmarks["partial_fit_sclog_shards1_t2000_x5"] = snap.Benchmarks["partial_fit_sclog_t2000_x5"]
-		} else {
-			so := opts
-			so.Shards = s
-			snap.Benchmarks[fmt.Sprintf("partial_fit_sclog_shards%d_t2000_x5", s)] = partialFit(data, so)
-		}
-		sg := gpuOpts
-		sg.Shards = s
-		snap.Benchmarks[fmt.Sprintf("partial_fit_gpu_shards%d_t2000_x5", s)] = partialFit(gpuData, sg)
-	}
+	snap.Benchmarks["partial_fit_gpu_t2000_x5"] = partialFit(bench.GPUData(200, 2200, 1), gpuOpts)
 
 	// End-to-end ingestion throughput through the streaming service: one
 	// tenant seeded with the SC Log scenario's first 2000 columns, then 50

@@ -28,21 +28,14 @@
 // SVHT decision keeps in float64 — roughly twice the kernel throughput
 // for the same kept-mode set (see DESIGN.md §6).
 //
-// Options.Shards row-partitions the streaming level-1 decomposition:
-// each shard owns a slice of the sensor rows while the small factors
-// replicate, and every PartialFit update costs exactly one projection
-// all-reduce between shards — the in-process form of the multi-node
-// scale-out, reproducing the unsharded results to 1e-8 (to screening
-// accuracy, 2e-5, when combined with "mixed" precision, whose
-// collectives ship float32 at half the bytes; see DESIGN.md §7).
-//
 // # Snapshot and restore
 //
 // Analyzer.Snapshot serializes the complete incremental state as a
 // versioned binary stream and Restore reconstructs it; the restored
 // analyzer continues PartialFit streams bit-compatibly with the
-// uninterrupted one, across both precision tiers and sharded or
-// unsharded level-1 state. This is what lets a long-running deployment
+// uninterrupted one, across both precision tiers. Snapshots from releases
+// that could row-shard the level-1 decomposition restore into the same
+// single update path. This is what lets a long-running deployment
 // survive restarts or migrate a stream between hosts:
 //
 //	var buf bytes.Buffer
@@ -53,7 +46,7 @@
 //
 // cmd/imrdmd-serve wraps the analyzer in a long-running HTTP service:
 // per-tenant analyzers (each with its own Options — per-tenant
-// Precision/Shards selection included) behind chunked CSV/JSON ingest,
+// Precision selection included) behind chunked CSV/JSON ingest,
 // query endpoints for modes/spectrum/reconstruction error, and
 // snapshot/restore endpoints backed by the same codec, with all
 // tenants' kernels bounded by one shared worker pool. See DESIGN.md §8.

@@ -72,27 +72,12 @@ type Options struct {
 	// prior releases. PrecisionMixed screens each window's SVD in the
 	// float32 tier (half the memory traffic, twice the SIMD width) and
 	// recomputes only the directions the SVHT decision keeps in float64;
-	// the streaming level-1 SVD stays float64 except that with Shards > 1
-	// its reduce payloads ship as float32 (see Shards). Kept-mode sets are
+	// the streaming level-1 SVD stays float64. Kept-mode sets are
 	// test-pinned to match float64 on the paper workloads; the decisions
 	// can diverge only when the decision-relevant spectrum sits below
 	// float32 visibility (~1e-6 of the window's largest singular value).
 	// See DESIGN.md §6 for when mixed mode is safe.
 	Precision string
-	// Shards row-partitions the streaming level-1 decomposition across
-	// this many shards: each shard owns a contiguous slice of the sensor
-	// rows while the small Σ/V factors replicate, and each PartialFit
-	// update costs exactly one q×w projection all-reduce between the
-	// shards — the in-process form of the multi-node scale-out (the
-	// transport seam is internal/shard's Reducer). 0 or 1 (the default)
-	// keeps the unsharded path, bit-identical to prior releases; counts
-	// above 1 must not exceed the sensor count (checked at InitialFit)
-	// and reproduce the unsharded decomposition to summation roundoff
-	// (test-pinned at 1e-8 on the paper workloads). Under PrecisionMixed
-	// the collective ships float32 payloads — half the bytes — and the
-	// agreement with the unsharded mixed run loosens to screening
-	// accuracy (test-pinned at 2e-5). See DESIGN.md §7.
-	Shards int
 	// DriftWindow bounds the drift measurement — the per-update comparison
 	// of old versus new level-1 slow reconstructions — to the trailing
 	// DriftWindow level-1 grid columns, making that stage O(window) instead
@@ -140,7 +125,6 @@ func (o Options) toCore() core.Options {
 		Workers:         o.Workers,
 		BlockColumns:    o.BlockColumns,
 		Precision:       o.Precision,
-		Shards:          o.Shards,
 		DriftWindow:     o.DriftWindow,
 		AmplitudeWindow: o.AmplitudeWindow,
 		ColdHorizon:     o.ColdHorizon,
@@ -203,8 +187,7 @@ func New(opts Options) (*Analyzer, error) {
 
 // Snapshot serializes the analyzer's complete incremental state — the
 // absorbed history, the multi-level window tree, the running level-1 SVD
-// (sharded or not) and every option and counter that shapes future
-// updates — as a versioned binary stream. A Restore of that stream
+// and every option and counter that shapes future updates — as a versioned binary stream. A Restore of that stream
 // continues PartialFit streams bit-compatibly with the uninterrupted
 // analyzer, which is what lets a long-running deployment survive process
 // restarts or migrate tenants between hosts (cmd/imrdmd-serve exposes
@@ -216,8 +199,8 @@ func (a *Analyzer) Snapshot(w io.Writer) error {
 }
 
 // Restore reconstructs an Analyzer from a Snapshot stream. The restored
-// analyzer carries the snapshot's Options (including Workers, Precision
-// and Shards) and is immediately ready for PartialFit. Streams from an
+// analyzer carries the snapshot's Options (including Workers and
+// Precision) and is immediately ready for PartialFit. Streams from an
 // unknown format version, truncated or corrupted input fail with a
 // descriptive error.
 func Restore(r io.Reader) (*Analyzer, error) {
@@ -238,7 +221,6 @@ func Restore(r io.Reader) (*Analyzer, error) {
 		Workers:         co.Workers,
 		BlockColumns:    co.BlockColumns,
 		Precision:       co.Precision,
-		Shards:          co.Shards,
 		DriftWindow:     co.DriftWindow,
 		AmplitudeWindow: co.AmplitudeWindow,
 		ColdHorizon:     co.ColdHorizon,

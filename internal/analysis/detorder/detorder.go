@@ -1,5 +1,5 @@
 // Package detorder protects the bit-stability contract of the kernel
-// path (internal/{mat,svd,shard,dmd}): the 1e-8/1e-12 equivalence pins
+// path (internal/{mat,svd,dmd}): the 1e-8/1e-12 equivalence pins
 // from PR 4 and PR 9 assume every reduction runs in a deterministic
 // order and nothing on the compute path consults a clock or an RNG.
 // Two finding classes:
@@ -25,13 +25,13 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "detorder",
 	Doc: "flags map-order-dependent numeric loops and clock/RNG use in the " +
-		"kernel packages (mat, svd, shard, dmd), protecting bit-stable reductions",
+		"kernel packages (mat, svd, dmd), protecting bit-stable reductions",
 	Run: run,
 }
 
 // kernelPackages are the package-path base names the determinism
 // contract covers.
-var kernelPackages = map[string]bool{"mat": true, "svd": true, "shard": true, "dmd": true}
+var kernelPackages = map[string]bool{"mat": true, "svd": true, "dmd": true}
 
 // forbiddenTimeFuncs are the wall-clock entry points; time.Duration
 // arithmetic and constants stay legal.

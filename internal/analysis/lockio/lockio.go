@@ -1,5 +1,5 @@
 // Package lockio enforces the PR-5/PR-6 latency contract on the service
-// packages (internal/server, internal/shard): a tenant or registry mutex
+// package (internal/server): a tenant or registry mutex
 // is never held across JSON/gob/xml marshaling, client I/O (request-body
 // reads, response writes), file-system access, or network calls. Every
 // one of those can stall for an unbounded time, and the tenant lock
@@ -28,13 +28,13 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "lockio",
 	Doc: "flags marshaling, client I/O, file-system, and network calls made " +
-		"while a sync.Mutex/RWMutex is held in internal/server and internal/shard",
+		"while a sync.Mutex/RWMutex is held in internal/server",
 	Run: run,
 }
 
 // scopedPackages are the package-path base names whose locks guard
-// latency-sensitive registries (the tenant map, the shard coordinator).
-var scopedPackages = map[string]bool{"server": true, "shard": true}
+// latency-sensitive registries (the tenant map).
+var scopedPackages = map[string]bool{"server": true}
 
 // expandDepth bounds the same-package call-graph walk: up to three
 // levels of helpers beneath the call made in the lock region (enough to

@@ -69,7 +69,7 @@ func lazyBorrow(ws *compute.Workspace, n int) {
 type holder struct{ b []float64 }
 
 // install stores its parameter: an escape helper, ownership moves with
-// the value (internal/shard Coordinator.install).
+// the value (as svd.Incremental.replaceFactors does with its factors).
 func (h *holder) install(b []float64) {
 	h.b = b
 }

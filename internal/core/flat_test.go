@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"imrdmd/internal/codec"
-	"imrdmd/internal/svd"
 )
 
 // PR 9 contract tests for the flat-horizon pipeline: the O(Δ) slow-grid
@@ -254,49 +253,7 @@ func TestV1SnapshotRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hand-encode the PR-8 (version 1) layout from the live state.
-	var buf bytes.Buffer
-	enc := codec.NewWriterVersion(&buf, 1)
-	o := inc.opts
-	enc.Float(o.DT)
-	enc.Int(o.MaxLevels)
-	enc.Int(o.MaxCycles)
-	enc.Int(o.NyquistFactor)
-	enc.Int(o.Rank)
-	enc.Bool(o.UseSVHT)
-	enc.Int(o.MinWindow)
-	enc.Bool(o.Parallel)
-	enc.Int(o.Workers)
-	enc.Int(o.BlockColumns)
-	enc.String(o.Precision)
-	enc.Int(o.Shards)
-	enc.Float(inc.DriftThreshold)
-	enc.Bool(inc.AsyncRecompute)
-	enc.Int(inc.p)
-	enc.Dense(inc.hist.Promote()) // v1: one flat f64 history matrix
-	enc.Int(inc.stride1)
-	enc.Dense(inc.sub1)
-	enc.Int(inc.nextSample)
-	encodeNode(enc, inc.level1)
-	enc.Int(len(inc.segments))
-	for _, seg := range inc.segments {
-		enc.Int(seg.start)
-		enc.Int(seg.end)
-		enc.Int(len(seg.nodes))
-		for _, nd := range seg.nodes {
-			encodeNode(enc, nd)
-		}
-	}
-	enc.Int(inc.updates)
-	enc.Int(inc.recomputes)
-	enc.Floats(inc.driftLogChrono())
-	enc.Int(isvdUnsharded)
-	inc.isvd.(*svd.Incremental).Encode(enc)
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := DecodeIncremental(&buf)
+	restored, err := DecodeIncremental(bytes.NewReader(encodeV1(t, inc)))
 	if err != nil {
 		t.Fatalf("v1 stream rejected: %v", err)
 	}
@@ -322,4 +279,52 @@ func TestV1SnapshotRestores(t *testing.T) {
 		t.Fatalf("post-restore drift %v != live %v (must be bit-identical)", sb.Drift, sa.Drift)
 	}
 	treesEqual(t, restored, inc)
+}
+
+// encodeV1 hand-encodes inc's live state in the version-1 layout (PR 8):
+// one flat f64 history matrix, no windowing options, the unsharded
+// level-1 payload.
+func encodeV1(t testing.TB, inc *Incremental) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := codec.NewWriterVersion(&buf, 1)
+	o := inc.opts
+	enc.Float(o.DT)
+	enc.Int(o.MaxLevels)
+	enc.Int(o.MaxCycles)
+	enc.Int(o.NyquistFactor)
+	enc.Int(o.Rank)
+	enc.Bool(o.UseSVHT)
+	enc.Int(o.MinWindow)
+	enc.Bool(o.Parallel)
+	enc.Int(o.Workers)
+	enc.Int(o.BlockColumns)
+	enc.String(o.Precision)
+	enc.Int(1) // shard count
+	enc.Float(inc.DriftThreshold)
+	enc.Bool(inc.AsyncRecompute)
+	enc.Int(inc.p)
+	enc.Dense(inc.hist.Promote()) // v1: one flat f64 history matrix
+	enc.Int(inc.stride1)
+	enc.Dense(inc.sub1)
+	enc.Int(inc.nextSample)
+	encodeNode(enc, inc.level1)
+	enc.Int(len(inc.segments))
+	for _, seg := range inc.segments {
+		enc.Int(seg.start)
+		enc.Int(seg.end)
+		enc.Int(len(seg.nodes))
+		for _, nd := range seg.nodes {
+			encodeNode(enc, nd)
+		}
+	}
+	enc.Int(inc.updates)
+	enc.Int(inc.recomputes)
+	enc.Floats(inc.driftLogChrono())
+	enc.Int(isvdUnsharded)
+	inc.isvd.Encode(enc)
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -9,20 +9,8 @@ import (
 	"imrdmd/internal/compute"
 	"imrdmd/internal/dmd"
 	"imrdmd/internal/mat"
-	"imrdmd/internal/shard"
 	"imrdmd/internal/svd"
 )
-
-// level1SVD is the running level-1 decomposition behind PartialFit: the
-// in-process svd.Incremental when Options.Shards ≤ 1 (bit-identical to
-// prior releases) or the row-sharded shard.Coordinator above it. The
-// mrDMD recursion consumes it through ResultView — the replicated Σ/V
-// spectrum plus the (in-process contiguous) sharded U.
-type level1SVD interface {
-	UpdateBlock(c *mat.Dense, w int)
-	AddRows(b *mat.Dense)
-	ResultView() *svd.Result
-}
 
 // Incremental is the I-mrDMD state machine (paper Algorithm 1, Fig. 1(c)).
 //
@@ -67,11 +55,10 @@ type Incremental struct {
 	// Options.ColdHorizon is set, float32 chunks for older columns.
 	hist *mat.TieredCols
 
-	stride1    int                // level-1 subsample stride, fixed at InitialFit
-	sub1       *mat.Dense         // level-1 subsampled snapshots
-	isvd       level1SVD          // running SVD of sub1's X part (all but last column)
-	coord      *shard.Coordinator // non-nil when Shards > 1 (isvd aliases it)
-	nextSample int                // next global column index on the level-1 grid
+	stride1    int              // level-1 subsample stride, fixed at InitialFit
+	sub1       *mat.Dense       // level-1 subsampled snapshots
+	isvd       *svd.Incremental // running SVD of sub1's X part (all but last column)
+	nextSample int              // next global column index on the level-1 grid
 
 	level1   *Node
 	segments []*segment
@@ -164,27 +151,7 @@ func (inc *Incremental) InitialFit(data *mat.Dense) error {
 		return fmt.Errorf("core: level-1 sample grid too small (%d columns)", ns)
 	}
 	seed := mat.ColSliceWith(inc.ws, inc.sub1, 0, ns-1)
-	if inc.opts.Shards > 1 {
-		if inc.opts.Shards > p {
-			mat.PutDense(inc.ws, seed)
-			return fmt.Errorf("core: Options.Shards = %d exceeds the %d sensor rows", inc.opts.Shards, p)
-		}
-		coord, err := shard.NewCoordinator(shard.Config{
-			Shards:    inc.opts.Shards,
-			MaxRank:   inc.rankCap(),
-			Payload32: inc.opts.Precision == PrecisionMixed,
-			Engine:    inc.eng,
-			Workspace: inc.ws,
-		}, seed)
-		if err != nil {
-			mat.PutDense(inc.ws, seed)
-			return err
-		}
-		inc.coord = coord
-		inc.isvd = coord
-	} else {
-		inc.isvd = svd.NewIncrementalWith(inc.eng, inc.ws, seed, inc.rankCap())
-	}
+	inc.isvd = svd.NewIncrementalWith(inc.eng, inc.ws, seed, inc.rankCap())
 	mat.PutDense(inc.ws, seed)
 
 	if err := inc.refreshLevel1(); err != nil {
@@ -811,18 +778,6 @@ func (inc *Incremental) Recomputes() int {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	return inc.recomputes
-}
-
-// ShardStats reports the sharded level-1 SVD's transport accounting
-// (collectives, payload sizes, bytes). ok is false when Shards ≤ 1 or
-// before InitialFit — the unsharded path has no transport seam.
-func (inc *Incremental) ShardStats() (st shard.Stats, ok bool) {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	if inc.coord == nil {
-		return shard.Stats{}, false
-	}
-	return inc.coord.Stats(), true
 }
 
 // DriftLog returns the drift measured at recent PartialFits, oldest

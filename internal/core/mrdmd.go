@@ -81,10 +81,7 @@ type Options struct {
 	// through the float32 screening tier and recomputes only the
 	// SVHT-kept directions in float64. The incremental level-1 SVD's
 	// arithmetic stays float64 — mixed mode affects per-window (subtree)
-	// decompositions — except that when Shards > 1 the sharded update's
-	// reduce payload narrows to float32 (half the collective bytes; the
-	// refactor of the kept directions stays float64, and agreement with
-	// the unsharded mixed run is at screening accuracy, 2e-5).
+	// decompositions only.
 	Precision string
 	// DriftWindow bounds PartialFit's drift measurement — the comparison
 	// of old vs new level-1 slow reconstructions — to the trailing
@@ -113,18 +110,6 @@ type Options struct {
 	// element). 0 (the default) keeps everything in float64, bit-stable
 	// with prior releases. See DESIGN.md §10.
 	ColdHorizon int
-	// Shards row-partitions the streaming level-1 SVD across this many
-	// shards (internal/shard): each shard owns a contiguous slice of the
-	// sensor rows of U while Σ/V replicate, and every PartialFit update
-	// costs one q×w projection all-reduce — the architecture of the
-	// multi-node scale-out, in-process for now. 0 or 1 (the default)
-	// keeps the unsharded path, bit-identical to prior releases; counts
-	// above 1 must not exceed the sensor-row count (checked at
-	// InitialFit). Shard results agree with the unsharded path to
-	// summation roundoff (test-pinned at 1e-8 on the paper workloads).
-	// Batch Decompose ignores the knob: only the persistent streaming
-	// state is sharded. See DESIGN.md §7.
-	Shards int
 	// Engine overrides the worker pool directly (advanced; takes
 	// precedence over Workers). Shared across calls, never closed here.
 	Engine *compute.Engine
@@ -147,9 +132,6 @@ func (o Options) Validate() error {
 	}
 	if o.BlockColumns < 0 {
 		return fmt.Errorf("core: Options.BlockColumns must be >= 0, got %d", o.BlockColumns)
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("core: Options.Shards must be >= 0, got %d (0 or 1 = unsharded)", o.Shards)
 	}
 	if o.DriftWindow < 0 {
 		return fmt.Errorf("core: Options.DriftWindow must be >= 0, got %d (0 = full grid)", o.DriftWindow)
@@ -188,9 +170,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Precision == "" {
 		o.Precision = PrecisionFloat64
-	}
-	if o.Shards <= 0 {
-		o.Shards = 1
 	}
 	return o
 }

@@ -9,20 +9,21 @@ import (
 	"imrdmd/internal/compute"
 	"imrdmd/internal/dmd"
 	"imrdmd/internal/mat"
-	"imrdmd/internal/shard"
 	"imrdmd/internal/svd"
 )
 
 // This file is the snapshot/restore layer of the I-mrDMD state machine:
 // the complete analyzer state — options, absorbed history, the level-1
-// sample grid, the multi-level window tree, the incremental SVD (sharded
-// or not) and every counter that phases future updates — serialized
-// through the internal/codec wire format. A decoded analyzer continues a
-// PartialFit stream bit-compatibly with the uninterrupted original, which
-// is what makes long-running tenants restartable and migratable (see
-// DESIGN.md §8).
+// sample grid, the multi-level window tree, the incremental SVD and every
+// counter that phases future updates — serialized through the
+// internal/codec wire format. A decoded analyzer continues a PartialFit
+// stream bit-compatibly with the uninterrupted original, which is what
+// makes long-running tenants restartable and migratable (see DESIGN.md
+// §8).
 
-// isvd kind tags written before the level-1 SVD payload.
+// isvd kind tags written before the level-1 SVD payload. Snapshot always
+// writes isvdUnsharded; isvdSharded streams come from releases that could
+// row-shard the level-1 SVD and decode into the same svd.Incremental.
 const (
 	isvdUnsharded = 0
 	isvdSharded   = 1
@@ -70,13 +71,8 @@ func (inc *Incremental) Snapshot(w io.Writer) error {
 	enc.Int(inc.updates)
 	enc.Int(inc.recomputes)
 	enc.Floats(inc.driftLogChrono())
-	if inc.coord != nil {
-		enc.Int(isvdSharded)
-		inc.coord.Encode(enc)
-	} else {
-		enc.Int(isvdUnsharded)
-		inc.isvd.(*svd.Incremental).Encode(enc)
-	}
+	enc.Int(isvdUnsharded)
+	inc.isvd.Encode(enc)
 	return enc.Close()
 }
 
@@ -172,26 +168,19 @@ func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, erro
 		driftPos:       len(driftLog) % driftLogCap,
 	}
 
-	kind := dec.Int()
-	switch kind {
+	switch kind := dec.Int(); kind {
 	case isvdUnsharded:
-		isvd, err := svd.DecodeIncrementalState(dec, eng, ws)
-		if err != nil {
-			return nil, err
-		}
-		inc.isvd = isvd
+		inc.isvd, err = svd.DecodeIncrementalState(dec, eng, ws)
 	case isvdSharded:
-		coord, err := shard.DecodeCoordinator(dec, eng, ws, nil)
-		if err != nil {
-			return nil, err
-		}
-		inc.coord = coord
-		inc.isvd = coord
+		inc.isvd, err = svd.DecodeLegacyShardedState(dec, eng, ws)
 	default:
 		if err := dec.Err(); err != nil {
 			return nil, err
 		}
 		return nil, fmt.Errorf("%w: unknown level-1 SVD kind %d", codec.ErrCorrupt, kind)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := dec.Close(); err != nil {
 		return nil, err
@@ -292,7 +281,7 @@ func encodeOptions(w *codec.Writer, o Options) {
 	w.Int(o.Workers)
 	w.Int(o.BlockColumns)
 	w.String(o.Precision)
-	w.Int(o.Shards)
+	w.Int(1) // retired shard-count slot: 1 keeps older readers on the unsharded path
 	w.Int(o.DriftWindow)
 	w.Int(o.AmplitudeWindow)
 	w.Int(o.ColdHorizon)
@@ -311,8 +300,8 @@ func decodeOptions(r *codec.Reader) Options {
 		Workers:       r.Int(),
 		BlockColumns:  r.Int(),
 		Precision:     r.String(),
-		Shards:        r.Int(),
 	}
+	r.Int() // retired shard-count slot (see encodeOptions), ignored
 	if r.Version() >= 2 {
 		o.DriftWindow = r.Int()
 		o.AmplitudeWindow = r.Int()

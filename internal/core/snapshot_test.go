@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"strconv"
+	"math"
 	"testing"
 
 	"imrdmd/internal/bench"
@@ -14,7 +14,7 @@ import (
 )
 
 // snapshotScenarios are the paper workloads the restore-equivalence
-// acceptance criterion runs against (same shapes as the shard sweeps).
+// acceptance criterion runs against.
 func snapshotScenarios() []struct {
 	name string
 	data *mat.Dense
@@ -27,6 +27,63 @@ func snapshotScenarios() []struct {
 	}{
 		{"sclog", bench.SCLogData(96, 1536, 1), 20},
 		{"gpu", bench.GPUData(96, 1536, 1), 1},
+	}
+}
+
+// streamScenario runs the streaming pipeline (initial fit + four partial
+// fits) over data with the given options and returns the analyzer.
+func streamScenario(t *testing.T, data *mat.Dense, opts core.Options) *core.Incremental {
+	t.Helper()
+	const initialT = 1024
+	inc := core.NewIncremental(opts)
+	if err := inc.InitialFit(data.ColSlice(0, initialT)); err != nil {
+		t.Fatal(err)
+	}
+	step := (data.C - initialT) / 4
+	for c := initialT; c < data.C; c += step {
+		hi := c + step
+		if hi > data.C {
+			hi = data.C
+		}
+		if _, err := inc.PartialFit(data.ColSlice(c, hi)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return inc
+}
+
+// compareTrees asserts that two decompositions of the same stream agree:
+// same node windows, same per-node mode counts, frequencies and powers
+// within relTol, and reconstruction errors within relTol of each other.
+func compareTrees(t *testing.T, label string, got, want *core.Incremental, relTol float64) {
+	t.Helper()
+	gt, wt := got.Tree(), want.Tree()
+	if len(gt.Nodes) != len(wt.Nodes) {
+		t.Fatalf("%s: %d nodes vs %d", label, len(gt.Nodes), len(wt.Nodes))
+	}
+	for i, wn := range wt.Nodes {
+		gn := gt.Nodes[i]
+		if gn.Level != wn.Level || gn.Start != wn.Start || gn.End != wn.End {
+			t.Fatalf("%s node %d: L%d [%d,%d) vs L%d [%d,%d)",
+				label, i, gn.Level, gn.Start, gn.End, wn.Level, wn.Start, wn.End)
+		}
+		if len(gn.Modes) != len(wn.Modes) {
+			t.Fatalf("%s node %d (L%d [%d,%d)): %d modes vs %d",
+				label, i, wn.Level, wn.Start, wn.End, len(gn.Modes), len(wn.Modes))
+		}
+		for j, wm := range wn.Modes {
+			gm := gn.Modes[j]
+			if d := math.Abs(gm.Freq - wm.Freq); d > relTol*(1+math.Abs(wm.Freq)) {
+				t.Fatalf("%s node %d mode %d: freq %v vs %v", label, i, j, gm.Freq, wm.Freq)
+			}
+			if d := math.Abs(gm.Power - wm.Power); d > relTol*(1+wm.Power) {
+				t.Fatalf("%s node %d mode %d: power %v vs %v", label, i, j, gm.Power, wm.Power)
+			}
+		}
+	}
+	ge, we := got.ReconError(), want.ReconError()
+	if d := math.Abs(ge - we); d > relTol*(1+we) {
+		t.Fatalf("%s: reconstruction error %v vs %v (rel %g > %g)", label, ge, we, d/(1+we), relTol)
 	}
 }
 
@@ -73,28 +130,19 @@ func interruptedScenario(t *testing.T, data *mat.Dense, opts core.Options) *core
 // TestSnapshotRestoreContinuesStream is the PR's acceptance criterion:
 // encode → decode → continue-streaming must match an uninterrupted run to
 // 1e-12 on the SC Log and GPU Metrics scenarios, across both precision
-// tiers and the unsharded/sharded level-1 paths. (The continuation is
-// bit-compatible by construction — the tolerance only pads float compare
-// plumbing.)
+// tiers. (The continuation is bit-compatible by construction — the
+// tolerance only pads float compare plumbing.)
 func TestSnapshotRestoreContinuesStream(t *testing.T) {
 	for _, sc := range snapshotScenarios() {
 		for _, prec := range []string{core.PrecisionFloat64, core.PrecisionMixed} {
-			for _, shards := range []int{1, 2} {
-				opts := core.Options{
-					DT: sc.dt, MaxLevels: 4, MaxCycles: 2, UseSVHT: true,
-					Parallel: true, BlockColumns: 8, Precision: prec, Shards: shards,
-				}
-				want := streamScenario(t, sc.data, opts)
-				got := interruptedScenario(t, sc.data, opts)
-				label := sc.name + "/" + prec + "/shards=" + strconv.Itoa(shards)
-				compareTrees(t, label, got, want, 1e-12)
-				if shards > 1 {
-					st, ok := got.ShardStats()
-					if !ok || st.Updates == 0 {
-						t.Fatalf("%s: restored sharded path not engaged (%+v, ok=%v)", label, st, ok)
-					}
-				}
+			opts := core.Options{
+				DT: sc.dt, MaxLevels: 4, MaxCycles: 2, UseSVHT: true,
+				Parallel: true, BlockColumns: 8, Precision: prec,
 			}
+			want := streamScenario(t, sc.data, opts)
+			got := interruptedScenario(t, sc.data, opts)
+			label := sc.name + "/" + prec
+			compareTrees(t, label, got, want, 1e-12)
 		}
 	}
 }

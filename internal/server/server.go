@@ -2,7 +2,7 @@
 // analyzer: a long-running HTTP server holding a registry of per-tenant
 // incremental analyzers that many dashboards stream against concurrently.
 // Each tenant picks its own analysis options — including the Precision
-// and Shards fidelity knobs — while every tenant's kernels run on one
+// fidelity knob — while every tenant's kernels run on one
 // bounded compute engine, so the process's concurrency is Workers-shaped
 // no matter how many tenants register. Chunked CSV/JSON ingest feeds the
 // stream plumbing (stream.Source → stream.Feeder), and the snapshot
@@ -26,7 +26,7 @@
 //	PUT    /v1/tenants/{id}           restore from a binary snapshot body
 //	DELETE /v1/tenants/{id}           drop the tenant
 //	POST   /v1/tenants/{id}/ingest    CSV (text/csv) or JSON batches (application/json)
-//	GET    /v1/tenants/{id}/stats     TenantStatus (incl. shard transport stats)
+//	GET    /v1/tenants/{id}/stats     TenantStatus (ingest latency, resident bytes)
 //	GET    /v1/tenants/{id}/modes     retained mode/level counts
 //	GET    /v1/tenants/{id}/spectrum  per-mode spectrum points (?since=<version> for deltas)
 //	GET    /v1/tenants/{id}/error     grid reconstruction error + drift

@@ -233,7 +233,8 @@ func TestServerColdTierStats(t *testing.T) {
 	}
 }
 
-// TestServerRejects pins the client-error surface: bad options, duplicate
+// TestServerRejects pins the client-error surface: bad options (including
+// the removed "shards" knob, now an unknown field), duplicate
 // ids, unknown tenants, malformed and non-finite ingest bodies, and the
 // tenant cap.
 func TestServerRejects(t *testing.T) {
@@ -244,6 +245,7 @@ func TestServerRejects(t *testing.T) {
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"block_columns":-1}`), http.StatusBadRequest)
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"initial_cols":1}`), http.StatusBadRequest)
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"unknown_knob":true}`), http.StatusBadRequest)
+	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"shards":2}`), http.StatusBadRequest)
 
 	c.must("POST", "/v1/tenants/a", "application/json", nil, http.StatusCreated)
 	c.must("POST", "/v1/tenants/a", "application/json", nil, http.StatusConflict)
@@ -259,7 +261,7 @@ func TestServerRejects(t *testing.T) {
 
 // TestServerConcurrentTenantsSnapshotRestore is the PR's server
 // acceptance criterion, run under -race in CI: two tenants with
-// independent Options (float64/unsharded vs mixed/sharded) ingest
+// independent Options (float64 vs mixed precision) ingest
 // concurrently against one engine; both are snapshotted, the process
 // "restarts" (a fresh Server), both restore and continue streaming; the
 // final spectra must match uninterrupted reference runs to 1e-12.
@@ -281,9 +283,9 @@ func TestServerConcurrentTenantsSnapshotRestore(t *testing.T) {
 			opts: TenantOptions{DT: 20, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, Parallel: true, BlockColumns: 8, InitialCols: seed},
 			body: "csv",
 		},
-		"gpu-mixed-sharded": {
+		"gpu-mixed": {
 			data: bench.GPUData(p, total, 1),
-			opts: TenantOptions{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, Parallel: true, BlockColumns: 8, Precision: core.PrecisionMixed, Shards: 2, InitialCols: seed},
+			opts: TenantOptions{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, Parallel: true, BlockColumns: 8, Precision: core.PrecisionMixed, InitialCols: seed},
 			body: "json",
 		},
 	}
@@ -317,8 +319,8 @@ func TestServerConcurrentTenantsSnapshotRestore(t *testing.T) {
 			ingestRange(c, id, 0, mid)
 		}(id)
 	}
-	// Metrics polling races the in-flight ingest — the shard.Stats
-	// synchronization this PR adds is what keeps this clean under -race.
+	// Stats polling races the in-flight ingest and must stay clean under
+	// -race.
 	pollDone := make(chan struct{})
 	var pollWg sync.WaitGroup
 	pollWg.Add(1)
@@ -373,9 +375,6 @@ func TestServerConcurrentTenantsSnapshotRestore(t *testing.T) {
 		}
 		if st.Steps != total {
 			t.Fatalf("%s: restored tenant absorbed %d steps, want %d", id, st.Steps, total)
-		}
-		if sc.opts.Shards > 1 && (st.Shard == nil || st.Shard.Updates == 0) {
-			t.Fatalf("%s: sharded transport stats missing after restore: %+v", id, st.Shard)
 		}
 	}
 }

@@ -12,13 +12,12 @@ import (
 	"imrdmd/internal/compute"
 	"imrdmd/internal/core"
 	"imrdmd/internal/mat"
-	"imrdmd/internal/shard"
 	"imrdmd/internal/stream"
 )
 
 // TenantOptions is the JSON configuration a tenant is created with — the
-// per-tenant knobs of the analyzer (the PR-3/PR-4 Precision and Shards
-// selections ride here) plus the seed width. Workers is deliberately
+// per-tenant knobs of the analyzer (the Precision selection rides here)
+// plus the seed width. Workers is deliberately
 // absent: every tenant's kernels run on the server's one bounded engine,
 // which is what keeps N tenants from spawning N worker pools.
 type TenantOptions struct {
@@ -32,7 +31,6 @@ type TenantOptions struct {
 	Parallel       bool    `json:"parallel,omitempty"`
 	BlockColumns   int     `json:"block_columns,omitempty"`
 	Precision      string  `json:"precision,omitempty"`
-	Shards         int     `json:"shards,omitempty"`
 	DriftThreshold float64 `json:"drift_threshold,omitempty"`
 	AsyncRecompute bool    `json:"async_recompute,omitempty"`
 	// DriftWindow / AmplitudeWindow / ColdHorizon are the flat-horizon
@@ -60,7 +58,6 @@ func (o TenantOptions) toCore(eng *compute.Engine) core.Options {
 		Parallel:        o.Parallel,
 		BlockColumns:    o.BlockColumns,
 		Precision:       o.Precision,
-		Shards:          o.Shards,
 		DriftWindow:     o.DriftWindow,
 		AmplitudeWindow: o.AmplitudeWindow,
 		ColdHorizon:     o.ColdHorizon,
@@ -150,7 +147,6 @@ func restoreTenant(id string, r io.Reader, eng *compute.Engine) (*tenant, error)
 		Parallel:        copts.Parallel,
 		BlockColumns:    copts.BlockColumns,
 		Precision:       copts.Precision,
-		Shards:          copts.Shards,
 		DriftWindow:     copts.DriftWindow,
 		AmplitudeWindow: copts.AmplitudeWindow,
 		ColdHorizon:     copts.ColdHorizon,
@@ -289,10 +285,6 @@ type TenantStatus struct {
 	RawColdCols   int   `json:"raw_cold_cols"`
 
 	Options TenantOptions `json:"options"`
-	// Shard carries the level-1 transport accounting when the tenant runs
-	// sharded (Options.Shards > 1) — the stats whose concurrent read path
-	// the coordinator guards.
-	Shard *shard.Stats `json:"shard,omitempty"`
 }
 
 // statusLocked snapshots the tenant summary for publication. Requires
@@ -318,9 +310,6 @@ func (t *tenant) statusLocked() TenantStatus {
 	ms := t.inc.MemStats()
 	st.ResidentBytes = ms.HotBytes + ms.ColdBytes
 	st.RawColdCols = ms.ColdCols
-	if ss, ok := t.inc.ShardStats(); ok {
-		st.Shard = &ss
-	}
 	return st
 }
 

@@ -55,9 +55,8 @@ func NewIncremental(first *mat.Dense, maxRank int) *Incremental {
 }
 
 // DefaultDropTol and DefaultReorthEvery are the incremental update
-// defaults both the unsharded constructor and shard.Coordinator install —
-// shared so the two paths cannot drift onto different truncation or
-// re-orthogonalization schedules (their agreement is test-pinned).
+// defaults NewIncrementalWith installs: the relative singular-value drop
+// threshold and the period of the exact re-orthogonalization of U.
 const (
 	DefaultDropTol     = 1e-10
 	DefaultReorthEvery = 8
@@ -117,7 +116,33 @@ func (inc *Incremental) UpdateBlock(c *mat.Dense, w int) {
 	if c.R != inc.U.R {
 		panic(fmt.Sprintf("svd: Incremental.Update row mismatch %d vs %d", c.R, inc.U.R))
 	}
-	EachUpdateBlock(inc.ws, c, w, inc.U.R, inc.update)
+	eachUpdateBlock(c, w, inc.U.R, inc.update)
+}
+
+// eachUpdateBlock partitions c into the block schedule UpdateBlock
+// absorbs and invokes fn on each block in order: chunks of w columns
+// (w ≤ 0, or w ≥ c.C, is a single chunk), each further split so no block
+// is wider than maxW — the row count, keeping the residual QR tall.
+// Blocks are zero-copy column views into c (stride = c.C); when the
+// schedule is a single block, c itself is passed through.
+func eachUpdateBlock(c *mat.Dense, w, maxW int, fn func(*mat.Dense)) {
+	if w <= 0 || w > c.C {
+		w = c.C
+	}
+	for j := 0; j < c.C; j += w {
+		hi := min(j+w, c.C)
+		blk := c
+		if j != 0 || hi != c.C {
+			blk = mat.ColsView(c, j, hi)
+		}
+		if blk.C > maxW {
+			for i := 0; i < blk.C; i += maxW {
+				fn(mat.ColsView(blk, i, min(i+maxW, blk.C)))
+			}
+		} else {
+			fn(blk)
+		}
+	}
 }
 
 // Update absorbs a new block of columns c (m×k). Blocks wider than the
@@ -200,8 +225,8 @@ func (inc *Incremental) replaceFactors(u *mat.Dense, s []float64, v *mat.Dense) 
 	inc.U, inc.S, inc.V = u, s, v
 }
 
-// truncate applies MaxRank and DropTol (the shared truncRank rule, so the
-// sharded plans and this path decide identically).
+// truncate applies MaxRank and DropTol (the truncRank rule AddRows also
+// decides by).
 func (inc *Incremental) truncate() {
 	rank := truncRank(inc.S, inc.MaxRank, inc.DropTol)
 	if rank == len(inc.S) {
@@ -210,6 +235,28 @@ func (inc *Incremental) truncate() {
 	u := mat.ColSliceWith(inc.ws, inc.U, 0, rank)
 	v := mat.ColSliceWith(inc.ws, inc.V, 0, rank)
 	inc.replaceFactors(u, inc.S[:rank], v)
+}
+
+// truncRank applies the incremental updates' retention rule to a
+// descending spectrum: cap at maxRank (0 = unbounded), then drop trailing
+// values at or below dropTol·σmax (≤ 0 uses DefaultDropTol), always
+// keeping at least one.
+func truncRank(s []float64, maxRank int, dropTol float64) int {
+	rank := len(s)
+	if maxRank > 0 && rank > maxRank {
+		rank = maxRank
+	}
+	tol := dropTol
+	if tol <= 0 {
+		tol = DefaultDropTol
+	}
+	if len(s) > 0 {
+		floor := tol * s[0]
+		for rank > 1 && s[rank-1] <= floor {
+			rank--
+		}
+	}
+	return rank
 }
 
 // reorthogonalize restores exact column orthonormality of U, which drifts

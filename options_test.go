@@ -30,15 +30,9 @@ func TestOptionsValidation(t *testing.T) {
 		{"explicit float64", Options{Precision: PrecisionFloat64}, ""},
 		{"mixed tier", Options{Precision: PrecisionMixed}, ""},
 		{"mixed with knobs", Options{Precision: "mixed", Workers: 2, BlockColumns: 1}, ""},
-		{"explicit single shard", Options{Shards: 1}, ""},
-		{"two shards", Options{Shards: 2}, ""},
-		{"sharded streaming config", Options{DT: 20, Shards: 4, Workers: 4, BlockColumns: 8, UseSVHT: true}, ""},
-		{"sharded mixed tier", Options{Shards: 2, Precision: PrecisionMixed}, ""},
 		{"negative workers", Options{Workers: -1}, "Workers"},
 		{"very negative workers", Options{Workers: -100}, "Workers"},
 		{"negative block columns", Options{BlockColumns: -8}, "BlockColumns"},
-		{"negative shards", Options{Shards: -1}, "Shards"},
-		{"very negative shards", Options{Shards: -64}, "Shards"},
 		{"unknown precision", Options{Precision: "float16"}, "Precision"},
 		{"misspelled precision", Options{Precision: "Mixed"}, "Precision"},
 		{"both invalid reports first", Options{Workers: -1, Precision: "nope"}, "Workers"},
@@ -65,42 +59,6 @@ func TestOptionsValidation(t *testing.T) {
 				t.Fatalf("error %q does not name the offending field %q", err, c.wantErr)
 			}
 		})
-	}
-}
-
-// TestShardsPublicPipeline smoke-tests the Shards knob through the public
-// API: a sharded analyzer streams the same data as an unsharded one and
-// reproduces its mode count and reconstruction error to the documented
-// 1e-8; oversharding is rejected at InitialFit with an error naming the
-// knob.
-func TestShardsPublicPipeline(t *testing.T) {
-	s := syntheticTemps(13, 24, 512, []int{2})
-	run := func(shards int) (int, float64) {
-		a := mustNew(t, Options{DT: 1, MaxLevels: 4, MaxCycles: 2, UseSVHT: true, Shards: shards})
-		if err := a.InitialFit(s.Slice(0, 384)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.PartialFit(s.Slice(384, 512)); err != nil {
-			t.Fatal(err)
-		}
-		return a.NumModes(), a.ReconstructionError()
-	}
-	modes1, err1 := run(0)
-	modes3, err3 := run(3)
-	if modes3 != modes1 {
-		t.Fatalf("Shards=3 kept %d modes, unsharded kept %d", modes3, modes1)
-	}
-	if d := err3 - err1; d > 1e-8*(1+err1) || d < -1e-8*(1+err1) {
-		t.Fatalf("Shards=3 reconstruction error %.12g vs unsharded %.12g", err3, err1)
-	}
-
-	a := mustNew(t, Options{DT: 1, Shards: 1000})
-	err := a.InitialFit(s.Slice(0, 384))
-	if err == nil {
-		t.Fatal("1000 shards over 24 sensors accepted at InitialFit")
-	}
-	if !strings.Contains(err.Error(), "Shards") {
-		t.Fatalf("error %q does not name the Shards knob", err)
 	}
 }
 
