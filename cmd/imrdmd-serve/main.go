@@ -1,8 +1,8 @@
 // Command imrdmd-serve runs the streaming ingestion service: a
 // long-lived HTTP server that many dashboards stream telemetry into,
 // each tenant owning an incremental I-mrDMD analyzer with its own
-// analysis options (Precision included) while every tenant's kernels
-// share one bounded worker pool.
+// analysis options while every tenant's kernels share one bounded worker
+// pool.
 //
 // Quick start:
 //
@@ -59,9 +59,10 @@ func main() {
 		fmt.Fprintf(w, `imrdmd-serve — streaming I-mrDMD ingestion service
 
 Per-tenant incremental analyzers behind a chunked HTTP ingest API.
-Tenants choose their own analysis options (precision tier, block-column
-width, flat-horizon windows); all tenants share one bounded compute pool sized by
--workers, so process concurrency does not grow with tenant count.
+Tenants choose their own analysis options (block-column width,
+flat-horizon windows, cold horizon); all tenants share one bounded
+compute pool sized by -workers, so process concurrency does not grow
+with tenant count.
 
 Endpoints:
   GET    /healthz                   liveness + tenant count

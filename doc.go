@@ -22,20 +22,18 @@
 //	base  := imrdmd.BaselineByMeanRange(series, 46, 57)     // baseline sensors
 //	z, _  := a.ZScores(base, 0, math.Inf(1))                // per-sensor z-scores
 //
-// Options.Precision selects the arithmetic tier: the default "float64"
-// keeps every stage in double precision; "mixed" screens each analysis
-// window with the float32 kernel tier and recomputes only the modes the
-// SVHT decision keeps in float64 — roughly twice the kernel throughput
-// for the same kept-mode set (see DESIGN.md §6).
+// Every numeric stage runs in float64. Options.ColdHorizon can store old
+// history as float32 to halve its resident bytes; that is a storage
+// format, never an arithmetic tier (see DESIGN.md §10).
 //
 // # Snapshot and restore
 //
 // Analyzer.Snapshot serializes the complete incremental state as a
 // versioned binary stream and Restore reconstructs it; the restored
 // analyzer continues PartialFit streams bit-compatibly with the
-// uninterrupted one, across both precision tiers. Snapshots from releases
-// that could row-shard the level-1 decomposition restore into the same
-// single update path. This is what lets a long-running deployment
+// uninterrupted one. Snapshots from releases that could row-shard the
+// level-1 decomposition, or screen windows in float32, restore into the
+// same single float64 update path. This is what lets a long-running deployment
 // survive restarts or migrate a stream between hosts:
 //
 //	var buf bytes.Buffer
@@ -45,8 +43,8 @@
 // # Serving streams
 //
 // cmd/imrdmd-serve wraps the analyzer in a long-running HTTP service:
-// per-tenant analyzers (each with its own Options — per-tenant
-// Precision selection included) behind chunked CSV/JSON ingest,
+// per-tenant analyzers (each with its own Options) behind chunked
+// CSV/JSON ingest,
 // query endpoints for modes/spectrum/reconstruction error, and
 // snapshot/restore endpoints backed by the same codec, with all
 // tenants' kernels bounded by one shared worker pool. See DESIGN.md §8.

@@ -12,18 +12,6 @@ import (
 	"imrdmd/internal/viz"
 )
 
-// Precision values for Options.Precision.
-const (
-	// PrecisionFloat64 runs every numeric stage in float64 — the default,
-	// bit-stable tier.
-	PrecisionFloat64 = core.PrecisionFloat64
-	// PrecisionMixed screens each subtree window in float32 and recomputes
-	// only the SVHT-kept directions in float64: the paper's multifidelity
-	// principle applied to arithmetic precision. Kept-mode sets match
-	// float64 within SVHT tolerance; results are not bit-identical.
-	PrecisionMixed = core.PrecisionMixed
-)
-
 // Options configures an Analyzer. The zero value gets sensible defaults
 // (DT=1, MaxLevels=6, MaxCycles=2, 4× Nyquist sampling).
 type Options struct {
@@ -67,17 +55,6 @@ type Options struct {
 	// yields the same subspace up to rank truncation — reconstruction
 	// error is test-pinned to match within 1e-8. See DESIGN.md §5.
 	BlockColumns int
-	// Precision selects the arithmetic tier: "" or PrecisionFloat64
-	// (default) keeps every numeric stage in float64, bit-stable with
-	// prior releases. PrecisionMixed screens each window's SVD in the
-	// float32 tier (half the memory traffic, twice the SIMD width) and
-	// recomputes only the directions the SVHT decision keeps in float64;
-	// the streaming level-1 SVD stays float64. Kept-mode sets are
-	// test-pinned to match float64 on the paper workloads; the decisions
-	// can diverge only when the decision-relevant spectrum sits below
-	// float32 visibility (~1e-6 of the window's largest singular value).
-	// See DESIGN.md §6 for when mixed mode is safe.
-	Precision string
 	// DriftWindow bounds the drift measurement — the per-update comparison
 	// of old versus new level-1 slow reconstructions — to the trailing
 	// DriftWindow level-1 grid columns, making that stage O(window) instead
@@ -124,7 +101,6 @@ func (o Options) toCore() core.Options {
 		Parallel:        o.Parallel,
 		Workers:         o.Workers,
 		BlockColumns:    o.BlockColumns,
-		Precision:       o.Precision,
 		DriftWindow:     o.DriftWindow,
 		AmplitudeWindow: o.AmplitudeWindow,
 		ColdHorizon:     o.ColdHorizon,
@@ -132,8 +108,8 @@ func (o Options) toCore() core.Options {
 }
 
 // Validate rejects option values that would otherwise be accepted
-// silently and misbehave later (negative Workers or BlockColumns,
-// unknown Precision). The zero value of every field is valid; defaults
+// silently and misbehave later (negative Workers, BlockColumns or window
+// sizes). The zero value of every field is valid; defaults
 // are filled at fit time. The rules live in core.Options.Validate —
 // this wrapper only re-homes the error prefix.
 func (o Options) Validate() error {
@@ -173,7 +149,7 @@ type Analyzer struct {
 }
 
 // New creates an Analyzer. It returns a descriptive error when opts holds
-// an invalid knob (negative Workers or BlockColumns, unknown Precision)
+// an invalid knob (negative Workers, BlockColumns or window sizes)
 // instead of silently accepting it.
 func New(opts Options) (*Analyzer, error) {
 	if err := opts.Validate(); err != nil {
@@ -199,8 +175,8 @@ func (a *Analyzer) Snapshot(w io.Writer) error {
 }
 
 // Restore reconstructs an Analyzer from a Snapshot stream. The restored
-// analyzer carries the snapshot's Options (including Workers and
-// Precision) and is immediately ready for PartialFit. Streams from an
+// analyzer carries the snapshot's Options (including Workers) and is
+// immediately ready for PartialFit. Streams from an
 // unknown format version, truncated or corrupted input fail with a
 // descriptive error.
 func Restore(r io.Reader) (*Analyzer, error) {
@@ -220,7 +196,6 @@ func Restore(r io.Reader) (*Analyzer, error) {
 		Parallel:        co.Parallel,
 		Workers:         co.Workers,
 		BlockColumns:    co.BlockColumns,
-		Precision:       co.Precision,
 		DriftWindow:     co.DriftWindow,
 		AmplitudeWindow: co.AmplitudeWindow,
 		ColdHorizon:     co.ColdHorizon,

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"compute"
+	"mat"
 )
 
 var errOops = errors.New("oops")
@@ -24,13 +25,13 @@ func leakAlways(ws *compute.Workspace) float64 {
 	return buf[0]
 }
 
-func leakGeneric(ws *compute.Workspace, fail bool) error {
-	buf := compute.GetFloats[float32](ws, 8) // want `buf from compute.GetFloats is not returned to the pool on every path out of leakGeneric`
-	_ = buf[0]
+func leakAdapter(ws *compute.Workspace, fail bool) error {
+	m := mat.GetDense(ws, 2, 4) // want `m from mat.GetDense is not returned to the pool on every path out of leakAdapter`
+	_ = m.Data[0]
 	if fail {
 		return errOops
 	}
-	compute.PutFloats(ws, buf)
+	mat.PutDense(ws, m)
 	return nil
 }
 

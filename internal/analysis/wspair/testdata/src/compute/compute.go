@@ -11,6 +11,3 @@ func (ws *Workspace) PutF64(b []float64)         { ws.f64 = append(ws.f64, b) }
 
 func (ws *Workspace) GetC128(n int) []complex128 { return make([]complex128, n) }
 func (ws *Workspace) PutC128(b []complex128)     {}
-
-func GetFloats[T float32 | float64](ws *Workspace, n int) []T { return make([]T, n) }
-func PutFloats[T float32 | float64](ws *Workspace, b []T)     {}

@@ -234,14 +234,14 @@ func NewReader(r io.Reader) (*Reader, error) {
 	var hdr [len(magic)]byte
 	d.raw(hdr[:])
 	if d.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMagic, d.err)
+		return nil, fmt.Errorf("%w: %w", ErrMagic, d.err)
 	}
 	if string(hdr[:]) != magic {
 		return nil, ErrMagic
 	}
 	v := d.U32()
 	if d.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrVersion, d.err)
+		return nil, fmt.Errorf("%w: %w", ErrVersion, d.err)
 	}
 	if v < 1 || v > Version {
 		return nil, fmt.Errorf("%w: got %d, can read 1..%d", ErrVersion, v, Version)
@@ -272,7 +272,7 @@ func (d *Reader) Close() error {
 	}
 	want := d.crc.Sum32() // snapshot before the trailer bytes perturb it
 	if _, err := io.ReadFull(d.r, d.buf[:4]); err != nil {
-		d.fail(fmt.Errorf("%w: %v", ErrChecksum, noEOF(err)))
+		d.fail(fmt.Errorf("%w: %w", ErrChecksum, noEOF(err)))
 		return d.err
 	}
 	if got := binary.LittleEndian.Uint32(d.buf[:4]); got != want {

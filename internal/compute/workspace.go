@@ -1,18 +1,6 @@
 package compute
 
-import (
-	"sync"
-	"unsafe"
-)
-
-// Float is the element-type constraint of the mixed-precision numeric
-// stack: every generic kernel, matrix type and buffer pool upstream (mat,
-// svd) is parameterized over it. float32 is the screening (low-fidelity)
-// tier, float64 the refinement (high-fidelity) tier — the multifidelity
-// principle of the paper applied to arithmetic precision. See DESIGN.md §6.
-type Float interface {
-	~float32 | ~float64
-}
+import "sync"
 
 // Workspace is a pool of scratch buffers keyed by power-of-two size
 // class, with Get/Put semantics. Hot paths that repeatedly build
@@ -28,7 +16,6 @@ type Float interface {
 type Workspace struct {
 	mu   sync.Mutex
 	f64  map[int][][]float64
-	f32  map[int][][]float32
 	c128 map[int][][]complex128
 
 	gets int
@@ -62,12 +49,11 @@ func classCap(c int) int {
 func NewWorkspace() *Workspace {
 	return &Workspace{
 		f64:  map[int][][]float64{},
-		f32:  map[int][][]float32{},
 		c128: map[int][][]complex128{},
 	}
 }
 
-// Drain releases every retained buffer across all tiers so the GC can
+// Drain releases every retained buffer in every pool so the GC can
 // reclaim them. Pooled buffers otherwise stay reachable forever, which
 // both pins idle memory and makes ReadMemStats-based resident-bytes
 // accounting report pool slack as live state. Safe concurrently with
@@ -78,7 +64,6 @@ func (w *Workspace) Drain() {
 	}
 	w.mu.Lock()
 	w.f64 = map[int][][]float64{}
-	w.f32 = map[int][][]float32{}
 	w.c128 = map[int][][]complex128{}
 	w.mu.Unlock()
 }
@@ -138,86 +123,6 @@ func (ws *Workspace) PutF64(b []float64) {
 		ws.f64[c] = append(ws.f64[c], b[:c])
 	}
 	ws.mu.Unlock()
-}
-
-// GetF32 returns a []float32 of length n with unspecified contents. The
-// float32 size classes back the screening tier's pack buffers and factor
-// scratch; they are pooled separately from float64 so neither tier's bursts
-// evict the other's buffers.
-func (ws *Workspace) GetF32(n int) []float32 {
-	if n == 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if ws != nil {
-		ws.mu.Lock()
-		ws.gets++
-		if l := ws.f32[c]; len(l) > 0 {
-			b := l[len(l)-1]
-			ws.f32[c] = l[:len(l)-1]
-			ws.hits++
-			ws.mu.Unlock()
-			return b[:n]
-		}
-		ws.mu.Unlock()
-	}
-	return make([]float32, n, c)
-}
-
-// PutF32 returns a float32 buffer to the pool.
-func (ws *Workspace) PutF32(b []float32) {
-	if ws == nil {
-		return
-	}
-	c := cap(b)
-	if c == 0 || c != sizeClass(c) {
-		return
-	}
-	ws.mu.Lock()
-	if len(ws.f32[c]) < classCap(c) {
-		ws.f32[c] = append(ws.f32[c], b[:c])
-	}
-	ws.mu.Unlock()
-}
-
-// resliceFloat reinterprets a float slice as another float type of the
-// SAME size (identity in practice). It exists so the generic accessors
-// below can return the concrete pool buffer as []T without a copy; callers
-// guarantee E and T have equal size, making the cast layout-safe.
-func resliceFloat[E, T Float](s []T) []E {
-	if cap(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(s[:cap(s)]))), cap(s))[:len(s)]
-}
-
-// GetFloats borrows a []T of length n with unspecified contents from the
-// per-type pool (methods cannot be generic, hence the package function).
-func GetFloats[T Float](ws *Workspace, n int) []T {
-	var z T
-	if unsafe.Sizeof(z) == 8 {
-		return resliceFloat[T](ws.GetF64(n))
-	}
-	return resliceFloat[T](ws.GetF32(n))
-}
-
-// GetFloatsZero borrows a zeroed []T of length n.
-func GetFloatsZero[T Float](ws *Workspace, n int) []T {
-	b := GetFloats[T](ws, n)
-	for i := range b {
-		b[i] = 0
-	}
-	return b
-}
-
-// PutFloats returns a buffer obtained from GetFloats to its pool.
-func PutFloats[T Float](ws *Workspace, b []T) {
-	var z T
-	if unsafe.Sizeof(z) == 8 {
-		ws.PutF64(resliceFloat[float64](b))
-		return
-	}
-	ws.PutF32(resliceFloat[float32](b))
 }
 
 // GetC128 returns a []complex128 of length n with unspecified contents.

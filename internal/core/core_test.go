@@ -472,3 +472,38 @@ func BenchmarkPartialFit1000(b *testing.B) {
 		}
 	}
 }
+
+// TestOptionsValidate covers the core-level knob validation shared by
+// Decompose and Incremental.InitialFit.
+func TestOptionsValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		opts Options
+		ok   bool
+	}{
+		{"zero value", Options{}, true},
+		{"negative workers", Options{Workers: -1}, false},
+		{"negative block columns", Options{BlockColumns: -8}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.opts.Validate()
+			if c.ok && err != nil {
+				t.Fatalf("unexpected error: %v", err)
+			}
+			if !c.ok && err == nil {
+				t.Fatal("invalid options accepted")
+			}
+		})
+	}
+	// The entry points must surface the same errors.
+	rng := rand.New(rand.NewSource(1))
+	data, _ := multiscale(rng, 4, 32, 1, 0.05)
+	if _, err := Decompose(data, Options{BlockColumns: -1}); err == nil {
+		t.Fatal("Decompose accepted negative block columns")
+	}
+	inc := NewIncremental(Options{Workers: -2})
+	if err := inc.InitialFit(data); err == nil {
+		t.Fatal("InitialFit accepted negative workers")
+	}
+}

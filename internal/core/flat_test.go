@@ -299,8 +299,8 @@ func encodeV1(t testing.TB, inc *Incremental) []byte {
 	enc.Bool(o.Parallel)
 	enc.Int(o.Workers)
 	enc.Int(o.BlockColumns)
-	enc.String(o.Precision)
-	enc.Int(1) // shard count
+	enc.String("float64") // precision tier
+	enc.Int(1)            // shard count
 	enc.Float(inc.DriftThreshold)
 	enc.Bool(inc.AsyncRecompute)
 	enc.Int(inc.p)

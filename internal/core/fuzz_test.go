@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -46,11 +47,29 @@ func unframeSnapshot(tb testing.TB, raw []byte) (uint8, []byte) {
 	return uint8(binary.LittleEndian.Uint32(raw[8:snapshotHeaderLen])), raw[snapshotHeaderLen : len(raw)-4]
 }
 
+// withPrecisionSlot returns raw with the options' precision slot — the
+// first length-prefixed string equal to from — rewritten to hold to, and
+// the stream re-framed so its checksum stays valid.
+func withPrecisionSlot(tb testing.TB, raw []byte, from, to string) []byte {
+	tb.Helper()
+	version, body := unframeSnapshot(tb, raw)
+	field := func(s string) []byte {
+		return append(binary.LittleEndian.AppendUint64(nil, uint64(len(s))), s...)
+	}
+	i := bytes.Index(body, field(from))
+	if i < 0 {
+		tb.Fatalf("no %q precision slot in snapshot", from)
+	}
+	out := append(append(append([]byte(nil), body[:i]...), field(to)...), body[i+len(field(from)):]...)
+	return frameSnapshot(uint32(version), out)
+}
+
 // FuzzDecodeIncremental: a checksum-valid snapshot body either fails to
 // decode with an error, or decodes into an analyzer that can be viewed
 // and absorb one more batch without panicking. Seeds: an 8-sensor
 // snapshot in the current layout, the same state as a version-1 stream,
-// and the row-sharded (kind-1) fixture.
+// the row-sharded (kind-1) and mixed-precision fixtures, and the current
+// snapshot with an unknown precision slot, which must fail as corrupt.
 func FuzzDecodeIncremental(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	data, _ := multiscale(rng, 8, 160, 1, 0.1)
@@ -69,14 +88,24 @@ func FuzzDecodeIncremental(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	mixed, err := os.ReadFile("testdata/mixed_v2.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
 	eng := compute.Shared(1)
-	for _, raw := range [][]byte{cur.Bytes(), encodeV1(f, inc), legacy} {
+	for _, raw := range [][]byte{cur.Bytes(), encodeV1(f, inc), legacy, mixed} {
 		version, body := unframeSnapshot(f, raw)
 		if _, err := DecodeIncrementalWith(bytes.NewReader(frameSnapshot(fuzzVersion(version), body)), eng); err != nil {
 			f.Fatalf("seed (version %d) does not decode: %v", version, err)
 		}
 		f.Add(version, body)
 	}
+	unknown := withPrecisionSlot(f, cur.Bytes(), "float64", "float16")
+	if _, err := DecodeIncrementalWith(bytes.NewReader(unknown), eng); !errors.Is(err, codec.ErrCorrupt) {
+		f.Fatalf("float16 precision slot: want ErrCorrupt, got %v", err)
+	}
+	version, body := unframeSnapshot(f, unknown)
+	f.Add(version, body)
 
 	f.Fuzz(func(t *testing.T, version uint8, body []byte) {
 		got, err := DecodeIncrementalWith(bytes.NewReader(frameSnapshot(fuzzVersion(version), body)), eng)

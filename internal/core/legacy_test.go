@@ -2,7 +2,11 @@ package core_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"math/cmplx"
 	"os"
 	"testing"
 
@@ -92,4 +96,136 @@ func TestLegacyShardedSnapshotRestores(t *testing.T) {
 			t.Fatalf("σ[%d]: %v vs %v", i, gs[i], rs[i])
 		}
 	}
+}
+
+// legacyMixedOpts and the legacy schedule above reproduce the stream that
+// wrote testdata/mixed_v2.snap with a release that had the float32
+// screening tier: these options with Precision "mixed", InitialFit over
+// 64 columns of bench.SCLogData(8, 384, 1), then five PartialFits of 32.
+// Only the subtree windows ran the screen; the level-1 Brand update and
+// every View computation were float64 in that release too.
+var legacyMixedOpts = core.Options{DT: 20, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, BlockColumns: 4}
+
+// legacyMixedViewDigest is viewDigest of the writing analyzer's View()
+// taken just before it wrote the fixture.
+const legacyMixedViewDigest = "e008d219a7e48f6aedccb36551f738185249e47ca7430a0211869680cde2b4bf"
+
+// viewDigest hashes every field of a View by bit pattern.
+func viewDigest(v core.View) string {
+	h := sha256.New()
+	put := func(x uint64) { _ = binary.Write(h, binary.LittleEndian, x) }
+	for _, p := range v.Spectrum {
+		put(math.Float64bits(p.Freq))
+		put(math.Float64bits(p.Power))
+		put(math.Float64bits(p.Amp))
+		put(math.Float64bits(p.Grow))
+		put(uint64(p.Level))
+	}
+	for _, n := range []int{v.NumModes, v.MaxLevel, v.Nodes, v.Steps, v.Sensors, v.Updates, v.Recomputes, v.GridCols} {
+		put(uint64(n))
+	}
+	put(math.Float64bits(v.LastDrift))
+	put(math.Float64bits(v.GridError))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestLegacyMixedSnapshotRestores: a snapshot written with Precision
+// "mixed" restores into the float64 analyzer. The restored View() must be
+// the writer's bit for bit, and every restored node must re-encode to the
+// snapshot's own bytes. The stream continued from it is then checked
+// against an analyzer that ran float64 from the start over the same
+// columns: the level-1 factors bit-equal (the Brand update never ran in
+// float32), every subtree window keeping the same number of modes, and
+// eigenvalues within the 1e-6 relative bound the mixed tier was held to.
+func TestLegacyMixedSnapshotRestores(t *testing.T) {
+	raw, err := os.ReadFile("testdata/mixed_v2.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.DecodeIncremental(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := viewDigest(got.View()); d != legacyMixedViewDigest {
+		t.Fatalf("restored View() digest %s, want the writer's %s", d, legacyMixedViewDigest)
+	}
+	for i, nd := range got.Tree().Nodes {
+		var hdr, want bytes.Buffer
+		codec.NewWriter(&hdr)
+		enc := codec.NewWriter(&want)
+		enc.Int(nd.Level)
+		enc.Int(nd.Start)
+		enc.Int(nd.End)
+		enc.Int(nd.Stride)
+		enc.Int(nd.NumAllModes)
+		enc.Int(len(nd.Modes))
+		for _, m := range nd.Modes {
+			enc.Complexes(m.Phi)
+			enc.Complex(m.Lambda)
+			enc.Complex(m.Psi)
+			enc.Complex(m.Amp)
+			enc.Float(m.Freq)
+			enc.Float(m.Power)
+		}
+		if !bytes.Contains(raw, want.Bytes()[hdr.Len():]) {
+			t.Fatalf("restored node %d (L%d [%d,%d)) is not the encoded one bit for bit", i, nd.Level, nd.Start, nd.End)
+		}
+	}
+
+	data := bench.SCLogData(8, legacyTotalT, 1)
+	ref := core.NewIncremental(legacyMixedOpts)
+	if err := ref.InitialFit(data.ColSlice(0, legacyInitialT)); err != nil {
+		t.Fatal(err)
+	}
+	for c := legacyInitialT; c < legacyTotalT; c += legacyStep {
+		blk := mat.ColsView(data, c, c+legacyStep).Clone()
+		if _, err := ref.PartialFit(blk); err != nil {
+			t.Fatal(err)
+		}
+		if c < legacyFixtureT {
+			continue
+		}
+		if _, err := got.PartialFit(blk.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	gf, rf := got.Level1Factors(), ref.Level1Factors()
+	for _, p := range []struct {
+		name     string
+		got, ref []float64
+	}{{"U", gf.U.Data, rf.U.Data}, {"S", gf.S, rf.S}, {"V", gf.V.Data, rf.V.Data}} {
+		if len(p.got) != len(p.ref) {
+			t.Fatalf("level-1 %s: %d entries vs %d", p.name, len(p.got), len(p.ref))
+		}
+		for i := range p.ref {
+			if math.Float64bits(p.got[i]) != math.Float64bits(p.ref[i]) {
+				t.Fatalf("level-1 %s[%d]: %v vs %v", p.name, i, p.got[i], p.ref[i])
+			}
+		}
+	}
+
+	gt, rt := got.Tree(), ref.Tree()
+	var worst float64
+	if len(gt.Nodes) != len(rt.Nodes) {
+		t.Fatalf("%d nodes vs %d", len(gt.Nodes), len(rt.Nodes))
+	}
+	for i, rn := range rt.Nodes {
+		gn := gt.Nodes[i]
+		if gn.Level != rn.Level || gn.Start != rn.Start || gn.End != rn.End {
+			t.Fatalf("node %d: L%d [%d,%d) vs L%d [%d,%d)", i, gn.Level, gn.Start, gn.End, rn.Level, rn.Start, rn.End)
+		}
+		if len(gn.Modes) != len(rn.Modes) {
+			t.Fatalf("node %d (L%d [%d,%d)): %d modes vs %d", i, rn.Level, rn.Start, rn.End, len(gn.Modes), len(rn.Modes))
+		}
+		for j, rm := range rn.Modes {
+			gl := gn.Modes[j].Lambda
+			rel := cmplx.Abs(gl-rm.Lambda) / cmplx.Abs(rm.Lambda)
+			if rel > 1e-6 {
+				t.Fatalf("node %d mode %d: λ %v vs %v (rel %g)", i, j, gl, rm.Lambda, rel)
+			}
+			worst = math.Max(worst, rel)
+		}
+	}
+	t.Logf("largest relative eigenvalue gap to the float64 stream: %.3g", worst)
 }

@@ -19,20 +19,6 @@ import (
 	"imrdmd/internal/compute"
 	"imrdmd/internal/dmd"
 	"imrdmd/internal/mat"
-	"imrdmd/internal/svd"
-)
-
-// Precision values for Options.Precision.
-const (
-	// PrecisionFloat64 runs every numeric stage in float64 — the default,
-	// bit-stable tier.
-	PrecisionFloat64 = "float64"
-	// PrecisionMixed screens each subtree window with the float32 tier
-	// (f32 SVD + SVHT decision) and recomputes only the kept directions
-	// in float64 — the multifidelity trade applied to arithmetic
-	// precision. Kept-mode sets match float64 within SVHT tolerance but
-	// results are not bit-identical. See DESIGN.md §6.
-	PrecisionMixed = "mixed"
 )
 
 // Options configures an mrDMD / I-mrDMD analysis.
@@ -75,14 +61,6 @@ type Options struct {
 	// (blockcolumns_test.go pins BlockColumns=8 against column-at-a-time
 	// within 1e-8 reconstruction error).
 	BlockColumns int
-	// Precision selects the arithmetic tier: "" or PrecisionFloat64
-	// (default) runs everything in float64, bit-stable with prior
-	// releases; PrecisionMixed routes each window's first-pass SVD
-	// through the float32 screening tier and recomputes only the
-	// SVHT-kept directions in float64. The incremental level-1 SVD's
-	// arithmetic stays float64 — mixed mode affects per-window (subtree)
-	// decompositions only.
-	Precision string
 	// DriftWindow bounds PartialFit's drift measurement — the comparison
 	// of old vs new level-1 slow reconstructions — to the trailing
 	// DriftWindow level-1 grid columns. Combined with the slow-grid cache
@@ -124,8 +102,8 @@ func (o Options) engine() *compute.Engine {
 }
 
 // Validate rejects option values that would otherwise be accepted
-// silently and misbehave later: negative worker or block-column counts
-// and unknown precision tiers. The zero value of every field is valid.
+// silently and misbehave later: negative worker, block-column or window
+// counts. The zero value of every field is valid.
 func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("core: Options.Workers must be >= 0, got %d", o.Workers)
@@ -141,12 +119,6 @@ func (o Options) Validate() error {
 	}
 	if o.ColdHorizon < 0 {
 		return fmt.Errorf("core: Options.ColdHorizon must be >= 0, got %d (0 = no cold tier)", o.ColdHorizon)
-	}
-	switch o.Precision {
-	case "", PrecisionFloat64, PrecisionMixed:
-	default:
-		return fmt.Errorf("core: unknown Options.Precision %q (valid: %q, %q or empty)",
-			o.Precision, PrecisionFloat64, PrecisionMixed)
 	}
 	return nil
 }
@@ -167,9 +139,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MinWindow <= 0 {
 		o.MinWindow = 8
-	}
-	if o.Precision == "" {
-		o.Precision = PrecisionFloat64
 	}
 	return o
 }
@@ -289,7 +258,10 @@ func processWindow(data *mat.Dense, level, start int, opts Options, eng *compute
 	sub := mat.SubsampleWith(ws, data, stride)
 	dtSub := float64(stride) * opts.DT
 
-	dec, err := windowDMD(sub, dtSub, opts, eng, ws)
+	dec, err := dmd.Compute(sub, dmd.Options{
+		DT: dtSub, Rank: opts.Rank, UseSVHT: opts.UseSVHT,
+		Engine: eng, Ws: ws,
+	})
 	mat.PutDense(ws, sub)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: level %d window [%d,%d): %w", level, start, start+n, err)
@@ -316,32 +288,6 @@ func processWindow(data *mat.Dense, level, start int, opts Options, eng *compute
 		ws.PutF64(times)
 	}
 	return node, data, nil
-}
-
-// windowDMD runs the per-window DMD on the already-subsampled snapshots,
-// routed by the configured precision tier. The float64 tier is the
-// unchanged dmd.Compute path (bit-stable with Precision unset). The mixed
-// tier screens the window's SVD in float32 — the SVHT (or fixed-rank)
-// truncation decision is made on the f32 spectrum — and recomputes only
-// the kept directions in float64 before handing the refined, already
-// truncated factors to dmd.FromSVD (which therefore runs with its own
-// truncation disabled).
-func windowDMD(sub *mat.Dense, dtSub float64, opts Options, eng *compute.Engine, ws *compute.Workspace) (*dmd.Decomposition, error) {
-	if opts.Precision != PrecisionMixed {
-		return dmd.Compute(sub, dmd.Options{
-			DT: dtSub, Rank: opts.Rank, UseSVHT: opts.UseSVHT,
-			Engine: eng, Ws: ws,
-		})
-	}
-	if sub.C < 2 {
-		return nil, dmd.ErrTooFewSnapshots
-	}
-	x := mat.ColSliceWith(ws, sub, 0, sub.C-1)
-	s := svd.MixedCompute(eng, ws, x, opts.UseSVHT, opts.Rank)
-	mat.PutDense(ws, x)
-	return dmd.FromSVD(s, sub, dmd.Options{
-		DT: dtSub, Engine: eng, Ws: ws,
-	})
 }
 
 // windowStride computes the subsample stride so the window keeps about

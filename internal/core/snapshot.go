@@ -91,7 +91,10 @@ func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, erro
 	if err != nil {
 		return nil, err
 	}
-	opts := decodeOptions(dec)
+	opts, err := decodeOptions(dec)
+	if err != nil {
+		return nil, err
+	}
 	driftThreshold := dec.Float()
 	asyncRecompute := dec.Bool()
 	p := dec.Len()
@@ -269,6 +272,10 @@ func (inc *Incremental) Options() Options {
 // Engine override is deliberately not serialized: a snapshot restored in
 // another process resolves its pool from Workers (or the restorer's
 // explicit engine).
+//
+// The retired precision slot always carries "float64", the value every
+// default-filled analyzer wrote before the float32 tier was removed, so
+// a snapshot's bytes do not depend on which release wrote it.
 func encodeOptions(w *codec.Writer, o Options) {
 	w.Float(o.DT)
 	w.Int(o.MaxLevels)
@@ -280,14 +287,19 @@ func encodeOptions(w *codec.Writer, o Options) {
 	w.Bool(o.Parallel)
 	w.Int(o.Workers)
 	w.Int(o.BlockColumns)
-	w.String(o.Precision)
-	w.Int(1) // retired shard-count slot: 1 keeps older readers on the unsharded path
+	w.String("float64") // retired precision slot (see above)
+	w.Int(1)            // retired shard-count slot: 1 keeps older readers on the unsharded path
 	w.Int(o.DriftWindow)
 	w.Int(o.AmplitudeWindow)
 	w.Int(o.ColdHorizon)
 }
 
-func decodeOptions(r *codec.Reader) Options {
+// decodeOptions reads the persistent Options fields. The retired
+// precision slot must name a tier some release wrote — "" or "float64",
+// or "mixed" from releases with the float32 screening tier, whose
+// snapshots restore into the float64 analyzer — and is otherwise
+// ignored; anything else marks the stream corrupt.
+func decodeOptions(r *codec.Reader) (Options, error) {
 	o := Options{
 		DT:            r.Float(),
 		MaxLevels:     r.Int(),
@@ -299,7 +311,11 @@ func decodeOptions(r *codec.Reader) Options {
 		Parallel:      r.Bool(),
 		Workers:       r.Int(),
 		BlockColumns:  r.Int(),
-		Precision:     r.String(),
+	}
+	switch prec := r.String(); prec {
+	case "", "float64", "mixed":
+	default:
+		return o, fmt.Errorf("%w: unknown precision %q in options", codec.ErrCorrupt, prec)
 	}
 	r.Int() // retired shard-count slot (see encodeOptions), ignored
 	if r.Version() >= 2 {
@@ -307,7 +323,7 @@ func decodeOptions(r *codec.Reader) Options {
 		o.AmplitudeWindow = r.Int()
 		o.ColdHorizon = r.Int()
 	}
-	return o
+	return o, nil
 }
 
 func minCap(n, cap int) int {

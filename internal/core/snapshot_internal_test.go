@@ -1,11 +1,61 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
+	"imrdmd/internal/codec"
 	"imrdmd/internal/mat"
 )
+
+// TestSnapshotPrecisionSlot: the retired precision slot restores every
+// tier a release wrote — "", "float64" and "mixed" — into the one float64
+// analyzer, whose own snapshot then carries "float64" again, and rejects
+// any other value as a corrupt stream.
+func TestSnapshotPrecisionSlot(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	data, _ := multiscale(rng, 6, 96, 1, 0.1)
+	inc := NewIncremental(Options{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true})
+	if err := inc.InitialFit(data); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := inc.Snapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		prec string
+		ok   bool
+	}{
+		{"", true},
+		{"float64", true},
+		{"mixed", true},
+		{"float16", false},
+		{"Mixed", false},
+	} {
+		raw := withPrecisionSlot(t, want.Bytes(), "float64", c.prec)
+		got, err := DecodeIncremental(bytes.NewReader(raw))
+		if !c.ok {
+			if !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("precision %q: want ErrCorrupt, got %v", c.prec, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("precision %q: %v", c.prec, err)
+		}
+		var again bytes.Buffer
+		if err := got.Snapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), want.Bytes()) {
+			t.Fatalf("precision %q: re-snapshot differs from the float64 original", c.prec)
+		}
+	}
+}
 
 // TestValidateDecodedInvariants exercises the structural checks a
 // checksum-valid-but-wrong snapshot must die on at restore time: the

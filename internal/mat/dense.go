@@ -4,33 +4,22 @@
 //
 // Matrices are row-major. The package is self-contained (stdlib only) and
 // its hot kernels (matrix multiply) are blocked and goroutine-parallel.
-//
-// The dense type and every real kernel are generic over the element type
-// (float32 | float64): Dense is the float64 instantiation used by the
-// high-fidelity pipeline, Dense32 the float32 instantiation that backs the
-// mixed-precision screening tier (see DESIGN.md §6). The float64 paths are
-// unchanged instantiations of the same generic code, so enabling the f32
-// tier cannot perturb f64 results.
+// All arithmetic is float64; Dense32 exists only as the cold tier's
+// storage format (tiered.go).
 package mat
 
 import (
 	"fmt"
 	"math"
-
-	"imrdmd/internal/compute"
 )
 
-// Element constrains the matrix element type to the float tiers the
-// compute layer pools (float32 | float64).
-type Element = compute.Float
-
-// GDense is a row-major dense matrix over element type T.
+// Dense is a row-major dense float64 matrix.
 //
-// The zero value is an empty matrix. Use NewDense / NewDense32 / NewOf to
-// construct one with a shape.
-type GDense[T Element] struct {
+// The zero value is an empty matrix. Use NewDense to construct one with a
+// shape.
+type Dense struct {
 	R, C int
-	Data []T // row-major: element (i,j) at Data[i*RowStride()+j]
+	Data []float64 // row-major: element (i,j) at Data[i*RowStride()+j]
 
 	// Stride is the row stride of Data; 0 means tightly packed
 	// (stride == C), which every constructor in this package produces.
@@ -46,7 +35,7 @@ type GDense[T Element] struct {
 
 // RowStride returns the distance in elements between the starts of
 // consecutive rows of Data.
-func (m *GDense[T]) RowStride() int {
+func (m *Dense) RowStride() int {
 	if m.Stride > 0 {
 		return m.Stride
 	}
@@ -55,29 +44,17 @@ func (m *GDense[T]) RowStride() int {
 
 // packed reports whether Data is one tight R*C block, so flat loops over
 // it visit exactly the matrix elements.
-func (m *GDense[T]) packed() bool {
+func (m *Dense) packed() bool {
 	return (m.Stride == 0 || m.Stride == m.C) && len(m.Data) == m.R*m.C
 }
 
-// Dense is the float64 dense matrix — the default, high-fidelity tier.
-type Dense = GDense[float64]
-
-// Dense32 is the float32 dense matrix — the screening (low-fidelity) tier.
-type Dense32 = GDense[float32]
-
-// NewOf returns a zeroed r×c matrix with element type T.
-func NewOf[T Element](r, c int) *GDense[T] {
+// NewDense returns a zeroed r×c matrix.
+func NewDense(r, c int) *Dense {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("mat: negative dimension %d×%d", r, c))
 	}
-	return &GDense[T]{R: r, C: c, Data: make([]T, r*c)}
+	return &Dense{R: r, C: c, Data: make([]float64, r*c)}
 }
-
-// NewDense returns a zeroed r×c float64 matrix.
-func NewDense(r, c int) *Dense { return NewOf[float64](r, c) }
-
-// NewDense32 returns a zeroed r×c float32 matrix.
-func NewDense32(r, c int) *Dense32 { return NewOf[float32](r, c) }
 
 // NewDenseData wraps an existing row-major slice as an r×c matrix.
 // The slice is used directly, not copied.
@@ -89,20 +66,20 @@ func NewDenseData(r, c int, data []float64) *Dense {
 }
 
 // At returns element (i, j).
-func (m *GDense[T]) At(i, j int) T { return m.Data[i*m.RowStride()+j] }
+func (m *Dense) At(i, j int) float64 { return m.Data[i*m.RowStride()+j] }
 
 // Set assigns element (i, j).
-func (m *GDense[T]) Set(i, j int, v T) { m.Data[i*m.RowStride()+j] = v }
+func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.RowStride()+j] = v }
 
 // Row returns row i as a slice aliasing the matrix storage.
-func (m *GDense[T]) Row(i int) []T {
+func (m *Dense) Row(i int) []float64 {
 	s := m.RowStride()
 	return m.Data[i*s : i*s+m.C : i*s+m.C]
 }
 
 // Col returns a copy of column j.
-func (m *GDense[T]) Col(j int) []T {
-	out := make([]T, m.R)
+func (m *Dense) Col(j int) []float64 {
+	out := make([]float64, m.R)
 	s := m.RowStride()
 	for i := 0; i < m.R; i++ {
 		out[i] = m.Data[i*s+j]
@@ -111,7 +88,7 @@ func (m *GDense[T]) Col(j int) []T {
 }
 
 // SetCol assigns column j from v.
-func (m *GDense[T]) SetCol(j int, v []T) {
+func (m *Dense) SetCol(j int, v []float64) {
 	if len(v) != m.R {
 		panic("mat: SetCol length mismatch")
 	}
@@ -122,8 +99,8 @@ func (m *GDense[T]) SetCol(j int, v []T) {
 }
 
 // Clone returns a deep (tightly packed) copy.
-func (m *GDense[T]) Clone() *GDense[T] {
-	d := make([]T, m.R*m.C)
+func (m *Dense) Clone() *Dense {
+	d := make([]float64, m.R*m.C)
 	if m.packed() {
 		copy(d, m.Data)
 	} else {
@@ -131,15 +108,15 @@ func (m *GDense[T]) Clone() *GDense[T] {
 			copy(d[i*m.C:(i+1)*m.C], m.Row(i))
 		}
 	}
-	return &GDense[T]{R: m.R, C: m.C, Data: d}
+	return &Dense{R: m.R, C: m.C, Data: d}
 }
 
 // Dims returns (rows, cols).
-func (m *GDense[T]) Dims() (int, int) { return m.R, m.C }
+func (m *Dense) Dims() (int, int) { return m.R, m.C }
 
 // T returns the transpose as a new matrix.
-func (m *GDense[T]) T() *GDense[T] {
-	t := NewOf[T](m.C, m.R)
+func (m *Dense) T() *Dense {
+	t := NewDense(m.C, m.R)
 	// Blocked transpose for cache friendliness.
 	const bs = 64
 	ms := m.RowStride()
@@ -159,11 +136,11 @@ func (m *GDense[T]) T() *GDense[T] {
 }
 
 // ColSlice returns a copy of columns [j0, j1).
-func (m *GDense[T]) ColSlice(j0, j1 int) *GDense[T] {
+func (m *Dense) ColSlice(j0, j1 int) *Dense {
 	if j0 < 0 || j1 > m.C || j0 > j1 {
 		panic(fmt.Sprintf("mat: ColSlice [%d,%d) out of range for %d cols", j0, j1, m.C))
 	}
-	out := NewOf[T](m.R, j1-j0)
+	out := NewDense(m.R, j1-j0)
 	for i := 0; i < m.R; i++ {
 		copy(out.Row(i), m.Row(i)[j0:j1])
 	}
@@ -171,11 +148,11 @@ func (m *GDense[T]) ColSlice(j0, j1 int) *GDense[T] {
 }
 
 // RowSlice returns a copy of rows [i0, i1).
-func (m *GDense[T]) RowSlice(i0, i1 int) *GDense[T] {
+func (m *Dense) RowSlice(i0, i1 int) *Dense {
 	if i0 < 0 || i1 > m.R || i0 > i1 {
 		panic(fmt.Sprintf("mat: RowSlice [%d,%d) out of range for %d rows", i0, i1, m.R))
 	}
-	out := NewOf[T](i1-i0, m.C)
+	out := NewDense(i1-i0, m.C)
 	for i := i0; i < i1; i++ {
 		copy(out.Row(i-i0), m.Row(i))
 	}
@@ -183,12 +160,12 @@ func (m *GDense[T]) RowSlice(i0, i1 int) *GDense[T] {
 }
 
 // Subsample returns a copy with every stride-th column starting at column 0.
-func (m *GDense[T]) Subsample(stride int) *GDense[T] {
+func (m *Dense) Subsample(stride int) *Dense {
 	if stride <= 1 {
 		return m.Clone()
 	}
 	n := (m.C + stride - 1) / stride
-	out := NewOf[T](m.R, n)
+	out := NewDense(m.R, n)
 	for i := 0; i < m.R; i++ {
 		src := m.Row(i)
 		dst := out.Row(i)
@@ -200,11 +177,11 @@ func (m *GDense[T]) Subsample(stride int) *GDense[T] {
 }
 
 // HStack returns [A B] (columns of b appended to a). Row counts must match.
-func HStack[T Element](a, b *GDense[T]) *GDense[T] {
+func HStack(a, b *Dense) *Dense {
 	if a.R != b.R {
 		panic("mat: HStack row mismatch")
 	}
-	out := NewOf[T](a.R, a.C+b.C)
+	out := NewDense(a.R, a.C+b.C)
 	for i := 0; i < a.R; i++ {
 		copy(out.Row(i)[:a.C], a.Row(i))
 		copy(out.Row(i)[a.C:], b.Row(i))
@@ -213,11 +190,11 @@ func HStack[T Element](a, b *GDense[T]) *GDense[T] {
 }
 
 // VStack returns [A; B] (rows of b appended to a). Column counts must match.
-func VStack[T Element](a, b *GDense[T]) *GDense[T] {
+func VStack(a, b *Dense) *Dense {
 	if a.C != b.C {
 		panic("mat: VStack col mismatch")
 	}
-	out := NewOf[T](a.R+b.R, a.C)
+	out := NewDense(a.R+b.R, a.C)
 	for i := 0; i < a.R; i++ {
 		copy(out.Row(i), a.Row(i))
 	}
@@ -227,7 +204,7 @@ func VStack[T Element](a, b *GDense[T]) *GDense[T] {
 	return out
 }
 
-// Eye returns the n×n float64 identity.
+// Eye returns the n×n identity.
 func Eye(n int) *Dense {
 	m := NewDense(n, n)
 	for i := 0; i < n; i++ {
@@ -237,9 +214,9 @@ func Eye(n int) *Dense {
 }
 
 // DiagOf returns a square matrix with v on the diagonal.
-func DiagOf[T Element](v []T) *GDense[T] {
+func DiagOf(v []float64) *Dense {
 	n := len(v)
-	m := NewOf[T](n, n)
+	m := NewDense(n, n)
 	for i, x := range v {
 		m.Data[i*n+i] = x
 	}
@@ -247,9 +224,9 @@ func DiagOf[T Element](v []T) *GDense[T] {
 }
 
 // Add returns a + b element-wise.
-func Add[T Element](a, b *GDense[T]) *GDense[T] {
+func Add(a, b *Dense) *Dense {
 	checkSameShape("Add", a, b)
-	out := NewOf[T](a.R, a.C)
+	out := NewDense(a.R, a.C)
 	for i := 0; i < a.R; i++ {
 		orow, arow, brow := out.Row(i), a.Row(i), b.Row(i)
 		for j := range orow {
@@ -260,9 +237,9 @@ func Add[T Element](a, b *GDense[T]) *GDense[T] {
 }
 
 // Sub returns a - b element-wise.
-func Sub[T Element](a, b *GDense[T]) *GDense[T] {
+func Sub(a, b *Dense) *Dense {
 	checkSameShape("Sub", a, b)
-	out := NewOf[T](a.R, a.C)
+	out := NewDense(a.R, a.C)
 	for i := 0; i < a.R; i++ {
 		orow, arow, brow := out.Row(i), a.Row(i), b.Row(i)
 		for j := range orow {
@@ -273,7 +250,7 @@ func Sub[T Element](a, b *GDense[T]) *GDense[T] {
 }
 
 // SubInPlace subtracts b from a in place.
-func SubInPlace[T Element](a, b *GDense[T]) {
+func SubInPlace(a, b *Dense) {
 	checkSameShape("SubInPlace", a, b)
 	for i := 0; i < a.R; i++ {
 		arow, brow := a.Row(i), b.Row(i)
@@ -284,8 +261,8 @@ func SubInPlace[T Element](a, b *GDense[T]) {
 }
 
 // Scale returns s*a.
-func Scale[T Element](s T, a *GDense[T]) *GDense[T] {
-	out := NewOf[T](a.R, a.C)
+func Scale(s float64, a *Dense) *Dense {
+	out := NewDense(a.R, a.C)
 	for i := 0; i < a.R; i++ {
 		orow, arow := out.Row(i), a.Row(i)
 		for j := range orow {
@@ -295,32 +272,29 @@ func Scale[T Element](s T, a *GDense[T]) *GDense[T] {
 	return out
 }
 
-// FrobNorm returns the Frobenius norm of m, accumulated in float64
-// regardless of the element type.
-func (m *GDense[T]) FrobNorm() float64 {
+// FrobNorm returns the Frobenius norm of m.
+func (m *Dense) FrobNorm() float64 {
 	var s float64
 	if m.packed() {
 		for _, v := range m.Data {
-			f := float64(v)
-			s += f * f
+			s += v * v
 		}
 		return math.Sqrt(s)
 	}
 	for i := 0; i < m.R; i++ {
 		for _, v := range m.Row(i) {
-			f := float64(v)
-			s += f * f
+			s += v * v
 		}
 	}
 	return math.Sqrt(s)
 }
 
 // MaxAbs returns the largest absolute entry of m (0 for an empty matrix).
-func (m *GDense[T]) MaxAbs() float64 {
+func (m *Dense) MaxAbs() float64 {
 	var s float64
 	for i := 0; i < m.R; i++ {
 		for _, v := range m.Row(i) {
-			if a := math.Abs(float64(v)); a > s {
+			if a := math.Abs(v); a > s {
 				s = a
 			}
 		}
@@ -329,11 +303,10 @@ func (m *GDense[T]) MaxAbs() float64 {
 }
 
 // HasNaN reports whether any entry is NaN or ±Inf.
-func (m *GDense[T]) HasNaN() bool {
+func (m *Dense) HasNaN() bool {
 	for i := 0; i < m.R; i++ {
 		for _, v := range m.Row(i) {
-			f := float64(v)
-			if math.IsNaN(f) || math.IsInf(f, 0) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return true
 			}
 		}
@@ -341,7 +314,7 @@ func (m *GDense[T]) HasNaN() bool {
 	return false
 }
 
-func checkSameShape[T Element](op string, a, b *GDense[T]) {
+func checkSameShape(op string, a, b *Dense) {
 	if a.R != b.R || a.C != b.C {
 		panic(fmt.Sprintf("mat: %s shape mismatch %d×%d vs %d×%d", op, a.R, a.C, b.R, b.C))
 	}

@@ -18,11 +18,10 @@ import (
 // derived blocking) for the duration of one test.
 func forceTier(t *testing.T, tier kernelTier) {
 	t.Helper()
-	oldTier, old64, old32 := gemmTier, bp64, bp32
+	oldTier, old64 := gemmTier, bp64
 	gemmTier = tier
-	bp64 = deriveParams(tier, 8, kernelCaches, gemmTuned, compute.Default().Workers())
-	bp32 = deriveParams(tier, 4, kernelCaches, gemmTuned, compute.Default().Workers())
-	t.Cleanup(func() { gemmTier, bp64, bp32 = oldTier, old64, old32 })
+	bp64 = deriveParams(tier, kernelCaches, gemmTuned, compute.Default().Workers())
+	t.Cleanup(func() { gemmTier, bp64 = oldTier, old64 })
 }
 
 // hostTiers lists every tier the hardware can run, lowest first.
@@ -39,7 +38,7 @@ func hostTiers() []kernelTier {
 }
 
 // TestDispatchTierSweep checks every reachable tier against the naive
-// reference, in both precisions, over shapes that hit interior tiles and
+// reference over shapes that hit interior tiles and
 // both edge kinds (mr and nr remainders) at every tile geometry.
 func TestDispatchTierSweep(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
@@ -62,18 +61,6 @@ func TestDispatchTierSweep(t *testing.T) {
 				gemmView(nil, denseView(got), denseView(a), false, denseView(b), false, gemmSet)
 				want := refMul(denseView(a), false, denseView(b), false)
 				assertClose(t, "f64", want, got, 1e-11)
-
-				a32 := randDense32(rng, c.m, c.k)
-				b32 := randDense32(rng, c.k, c.n)
-				got32 := NewDense32(c.m, c.n)
-				gemmView(nil, denseView(got32), denseView(a32), false, denseView(b32), false, gemmSet)
-				want32 := refMul(denseView(toF64(a32)), false, denseView(toF64(b32)), false)
-				for i := range got32.Data {
-					if math.Abs(want32.Data[i]-float64(got32.Data[i])) > f32Tol*(1+want32.MaxAbs()) {
-						t.Fatalf("f32 %dx%dx%d: element %d: %v vs %v",
-							c.m, c.k, c.n, i, got32.Data[i], want32.Data[i])
-					}
-				}
 			}
 		})
 	}
@@ -123,12 +110,11 @@ func TestDispatchAVX512MatchesAVX2Bitwise(t *testing.T) {
 	}
 	pin := func(t *testing.T, tier kernelTier) {
 		t.Helper()
-		oldTier, old64, old32 := gemmTier, bp64, bp32
+		oldTier, old64 := gemmTier, bp64
 		gemmTier = tier
 		// Pinned (untuned) blocking gives both tiers KC=256.
-		bp64 = deriveParams(tier, 8, cacheInfo{}, false, 1)
-		bp32 = deriveParams(tier, 4, cacheInfo{}, false, 1)
-		t.Cleanup(func() { gemmTier, bp64, bp32 = oldTier, old64, old32 })
+		bp64 = deriveParams(tier, cacheInfo{}, false, 1)
+		t.Cleanup(func() { gemmTier, bp64 = oldTier, old64 })
 	}
 	rng := rand.New(rand.NewSource(37))
 	for _, c := range []struct{ m, k, n int }{
@@ -138,29 +124,19 @@ func TestDispatchAVX512MatchesAVX2Bitwise(t *testing.T) {
 	} {
 		a := randDense(rng, c.m, c.k)
 		b := randDense(rng, c.k, c.n)
-		a32 := randDense32(rng, c.m, c.k)
-		b32 := randDense32(rng, c.k, c.n)
 
-		run := func(t *testing.T, tier kernelTier) (*Dense, *Dense32) {
+		run := func(t *testing.T, tier kernelTier) *Dense {
 			pin(t, tier)
 			out := NewDense(c.m, c.n)
 			gemmView(nil, denseView(out), denseView(a), false, denseView(b), false, gemmSet)
-			out32 := NewDense32(c.m, c.n)
-			gemmView(nil, denseView(out32), denseView(a32), false, denseView(b32), false, gemmSet)
-			return out, out32
+			return out
 		}
-		wide, wide32 := run(t, tierAVX512)
-		narrow, narrow32 := run(t, tierAVX2)
+		wide := run(t, tierAVX512)
+		narrow := run(t, tierAVX2)
 		for i := range wide.Data {
 			if wide.Data[i] != narrow.Data[i] {
 				t.Fatalf("f64 %dx%dx%d: element %d: avx512 %v vs avx2 %v",
 					c.m, c.k, c.n, i, wide.Data[i], narrow.Data[i])
-			}
-		}
-		for i := range wide32.Data {
-			if wide32.Data[i] != narrow32.Data[i] {
-				t.Fatalf("f32 %dx%dx%d: element %d: avx512 %v vs avx2 %v",
-					c.m, c.k, c.n, i, wide32.Data[i], narrow32.Data[i])
 			}
 		}
 	}
@@ -199,37 +175,12 @@ func TestWideKernelsAgree(t *testing.T) {
 				}
 			}
 		}
-
-		ap32 := make([]float32, 8*kc)
-		bp32s := make([]float32, 16*kc)
-		for i := range ap32 {
-			ap32[i] = float32(rng.NormFloat64())
-		}
-		for i := range bp32s {
-			bp32s[i] = float32(rng.NormFloat64())
-		}
-		for mode := gemmSet; mode <= gemmSub; mode++ {
-			want := make([]float32, 128)
-			got := make([]float32, 128)
-			for i := range want {
-				v := float32(rng.NormFloat64())
-				want[i] = v
-				got[i] = v
-			}
-			gemmKernel8x16sGo(want, 16, ap32, bp32s, kc, mode)
-			gemmKernel8x16s(got, 16, ap32, bp32s, kc, mode)
-			for i := range want {
-				if math.Abs(float64(want[i]-got[i])) > f32Tol*(1+math.Abs(float64(want[i]))) {
-					t.Fatalf("8x16s kc=%d mode=%d: element %d: %v vs %v", kc, mode, i, got[i], want[i])
-				}
-			}
-		}
 	}
 }
 
 // TestInterleave4MatchesGo pins the asm pack interleave against the
 // portable loop over ragged lengths and every tile-height stride the pack
-// layer uses (plus an oversized one), in both precisions. On hosts
+// layer uses (plus an oversized one). On hosts
 // without the asm path this degenerates to Go-vs-Go and still validates
 // the wrapper's tail splicing.
 func TestInterleave4MatchesGo(t *testing.T) {
@@ -248,20 +199,6 @@ func TestInterleave4MatchesGo(t *testing.T) {
 			for i := range want {
 				if want[i] != got[i] {
 					t.Fatalf("f64 stride=%d n=%d: element %d: %v vs %v", dstStride, n, i, got[i], want[i])
-				}
-			}
-
-			src32 := make([]float32, 3*srcStride+n)
-			for i := range src32 {
-				src32[i] = float32(rng.NormFloat64())
-			}
-			want32 := make([]float32, (n-1)*dstStride+4)
-			got32 := make([]float32, len(want32))
-			interleave4Go(want32, dstStride, src32, srcStride, n)
-			interleave4(got32, dstStride, src32, srcStride, n)
-			for i := range want32 {
-				if want32[i] != got32[i] {
-					t.Fatalf("f32 stride=%d n=%d: element %d: %v vs %v", dstStride, n, i, got32[i], want32[i])
 				}
 			}
 		}
@@ -304,36 +241,34 @@ func TestResolveTier(t *testing.T) {
 func TestDeriveParams(t *testing.T) {
 	caches := cacheInfo{l1d: 48 << 10, l2: 2 << 20, l3: 105 << 20}
 	for _, tier := range []kernelTier{tierGeneric, tierAVX2, tierAVX512} {
-		for _, esize := range []int{8, 4} {
-			pinned := deriveParams(tier, esize, caches, false, 1)
-			if pinned.kc != 256 || pinned.mc != 128 || pinned.nc != 512 {
-				t.Errorf("%v/%d untuned: got %+v, want 256/128/512 blocking", tier, esize, pinned)
-			}
-			wantMR, wantNR := 4, 32/esize
-			if tier == tierAVX512 {
-				wantMR, wantNR = 8, 16
-			}
-			if pinned.mr != wantMR || pinned.nr != wantNR {
-				t.Errorf("%v/%d: got tile %dx%d, want %dx%d", tier, esize, pinned.mr, pinned.nr, wantMR, wantNR)
-			}
+		pinned := deriveParams(tier, caches, false, 1)
+		if pinned.kc != 256 || pinned.mc != 128 || pinned.nc != 512 {
+			t.Errorf("%v untuned: got %+v, want 256/128/512 blocking", tier, pinned)
+		}
+		wantMR, wantNR := 4, 4
+		if tier == tierAVX512 {
+			wantMR, wantNR = 8, 16
+		}
+		if pinned.mr != wantMR || pinned.nr != wantNR {
+			t.Errorf("%v: got tile %dx%d, want %dx%d", tier, pinned.mr, pinned.nr, wantMR, wantNR)
+		}
 
-			tuned := deriveParams(tier, esize, caches, true, 1)
-			if tier != tierAVX512 && tuned.kc != 256 {
-				t.Errorf("%v/%d tuned: kc=%d, but KC is pinned at 256 below the AVX-512 tier", tier, esize, tuned.kc)
-			}
-			if tuned.kc%8 != 0 || tuned.kc < 128 || tuned.kc > 1024 {
-				t.Errorf("%v/%d: kc=%d out of range", tier, esize, tuned.kc)
-			}
-			if tuned.mc%tuned.mr != 0 || tuned.mc < 4*tuned.mr || tuned.mc > 512 {
-				t.Errorf("%v/%d: mc=%d not a clamped multiple of mr=%d", tier, esize, tuned.mc, tuned.mr)
-			}
-			if tuned.nc%tuned.nr != 0 || tuned.nc < 4*tuned.nr || tuned.nc > 1024 {
-				t.Errorf("%v/%d: nc=%d not a clamped multiple of nr=%d", tier, esize, tuned.nc, tuned.nr)
-			}
+		tuned := deriveParams(tier, caches, true, 1)
+		if tier != tierAVX512 && tuned.kc != 256 {
+			t.Errorf("%v tuned: kc=%d, but KC is pinned at 256 below the AVX-512 tier", tier, tuned.kc)
+		}
+		if tuned.kc%8 != 0 || tuned.kc < 128 || tuned.kc > 1024 {
+			t.Errorf("%v: kc=%d out of range", tier, tuned.kc)
+		}
+		if tuned.mc%tuned.mr != 0 || tuned.mc < 4*tuned.mr || tuned.mc > 512 {
+			t.Errorf("%v: mc=%d not a clamped multiple of mr=%d", tier, tuned.mc, tuned.mr)
+		}
+		if tuned.nc%tuned.nr != 0 || tuned.nc < 4*tuned.nr || tuned.nc > 1024 {
+			t.Errorf("%v: nc=%d not a clamped multiple of nr=%d", tier, tuned.nc, tuned.nr)
 		}
 	}
 	// Unknown caches substitute conservative defaults rather than zeros.
-	p := deriveParams(tierAVX512, 8, cacheInfo{}, true, 1)
+	p := deriveParams(tierAVX512, cacheInfo{}, true, 1)
 	if p.kc < 128 || p.mc < 4*p.mr || p.nc < 4*p.nr {
 		t.Errorf("zero caches: derived %+v below the clamp floors", p)
 	}
@@ -347,34 +282,30 @@ func TestDeriveParams(t *testing.T) {
 func TestDeriveParamsNCPerWorker(t *testing.T) {
 	caches := cacheInfo{l1d: 48 << 10, l2: 2 << 20, l3: 105 << 20}
 	cases := []struct {
-		esize, workers int
-		wantNC         int
+		workers int
+		wantNC  int
 	}{
-		// l3/workers/8/(kc*esize) rounded down to a multiple of nr=16,
-		// clamped to [64, 1024]. KC derives from L1d/2/(16*esize):
-		// 192 for f64, 384 for f32.
-		{8, 1, 1024}, // 105MiB/8/1536 = 8960 → clamp ceiling
-		{8, 4, 1024}, // 2240 → still above the ceiling
-		{8, 16, 560},
-		{8, 32, 272},
-		{4, 1, 1024},
-		{4, 16, 560},
-		{4, 64, 128},
-		{8, 0, 1024}, // degenerate worker counts behave as 1
-		{8, -3, 1024},
+		// l3/workers/8/(kc*8) rounded down to a multiple of nr=16,
+		// clamped to [64, 1024]. KC derives from L1d/2/(16*8) = 192.
+		{1, 1024}, // 105MiB/8/1536 = 8960 → clamp ceiling
+		{4, 1024}, // 2240 → still above the ceiling
+		{16, 560},
+		{32, 272},
+		{0, 1024}, // degenerate worker counts behave as 1
+		{-3, 1024},
 	}
 	for _, c := range cases {
-		p := deriveParams(tierAVX512, c.esize, caches, true, c.workers)
+		p := deriveParams(tierAVX512, caches, true, c.workers)
 		if p.nc != c.wantNC {
-			t.Errorf("esize=%d workers=%d: nc=%d, want %d", c.esize, c.workers, p.nc, c.wantNC)
+			t.Errorf("workers=%d: nc=%d, want %d", c.workers, p.nc, c.wantNC)
 		}
-		base := deriveParams(tierAVX512, c.esize, caches, true, 1)
+		base := deriveParams(tierAVX512, caches, true, 1)
 		if p.kc != base.kc || p.mc != base.mc {
-			t.Errorf("esize=%d workers=%d: kc/mc %d/%d moved with worker count (want %d/%d)",
-				c.esize, c.workers, p.kc, p.mc, base.kc, base.mc)
+			t.Errorf("workers=%d: kc/mc %d/%d moved with worker count (want %d/%d)",
+				c.workers, p.kc, p.mc, base.kc, base.mc)
 		}
 		if p.nc > base.nc {
-			t.Errorf("esize=%d workers=%d: nc=%d exceeds single-worker nc=%d", c.esize, c.workers, p.nc, base.nc)
+			t.Errorf("workers=%d: nc=%d exceeds single-worker nc=%d", c.workers, p.nc, base.nc)
 		}
 	}
 }
@@ -390,14 +321,5 @@ func TestKernelInfo(t *testing.T) {
 	}
 	if info.F64 != (KernelParams{bp64.mr, bp64.nr, bp64.kc, bp64.mc, bp64.nc}) {
 		t.Errorf("F64 = %+v, want %+v", info.F64, bp64)
-	}
-	if info.F32 != (KernelParams{bp32.mr, bp32.nr, bp32.kc, bp32.mc, bp32.nc}) {
-		t.Errorf("F32 = %+v, want %+v", info.F32, bp32)
-	}
-	if got := gemmParams[float64](); got != bp64 {
-		t.Errorf("gemmParams[float64] = %+v, want %+v", got, bp64)
-	}
-	if got := gemmParams[float32](); got != bp32 {
-		t.Errorf("gemmParams[float32] = %+v, want %+v", got, bp32)
 	}
 }

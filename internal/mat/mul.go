@@ -29,27 +29,26 @@ func usePacked(m, k, n int) bool {
 // Mul returns a*b. Problems of at least gemmMinFlops run through the
 // packed register-blocked GEMM (see gemm.go), fanned out over row panels
 // on the shared compute engine when large enough; smaller ones use a
-// serial i-k-j loop. Generic over the element tier: a float32 call uses
-// the 8-wide f32 micro-kernel, a float64 call the unchanged 4-wide one.
-func Mul[T Element](a, b *GDense[T]) *GDense[T] {
+// serial i-k-j loop.
+func Mul(a, b *Dense) *Dense {
 	return MulWith(compute.Default(), nil, a, b)
 }
 
 // MulWith computes a*b on engine e, borrowing the result from ws (pass
 // nil ws to allocate). The caller owns the result; if it came from a
 // workspace, return it with PutDense when done.
-func MulWith[T Element](e *compute.Engine, ws *compute.Workspace, a, b *GDense[T]) *GDense[T] {
+func MulWith(e *compute.Engine, ws *compute.Workspace, a, b *Dense) *Dense {
 	if a.C != b.R {
 		panic("mat: Mul inner dimension mismatch")
 	}
-	out := GetDenseRawOf[T](ws, a.R, b.C)
+	out := GetDenseRaw(ws, a.R, b.C)
 	mulIntoWith(e, out, a, b)
 	return out
 }
 
 // MulInto computes dst = a*b, reusing dst's storage. dst must be a.R×b.C
 // and must not alias a or b (aliasing panics).
-func MulInto[T Element](dst, a, b *GDense[T]) {
+func MulInto(dst, a, b *Dense) {
 	MulIntoWith(compute.Default(), dst, a, b)
 }
 
@@ -57,7 +56,7 @@ func MulInto[T Element](dst, a, b *GDense[T]) {
 // overwritten band-by-band inside the kernel — there is no separate
 // zeroing pass — so dst may come straight from a workspace. dst must not
 // alias a or b.
-func MulIntoWith[T Element](e *compute.Engine, dst, a, b *GDense[T]) {
+func MulIntoWith(e *compute.Engine, dst, a, b *Dense) {
 	if a.C != b.R {
 		panic("mat: MulInto inner dimension mismatch")
 	}
@@ -73,16 +72,16 @@ func MulIntoWith[T Element](e *compute.Engine, dst, a, b *GDense[T]) {
 // MulAddIntoWith computes dst += a*b through the same kernel routing as
 // MulIntoWith: existing dst contents are kept and the product accumulates
 // on top, so residual flips need no intermediate product matrix.
-func MulAddIntoWith[T Element](e *compute.Engine, dst, a, b *GDense[T]) {
+func MulAddIntoWith(e *compute.Engine, dst, a, b *Dense) {
 	mulAccIntoWith(e, dst, a, b, gemmAdd)
 }
 
 // MulSubIntoWith computes dst -= a*b; see MulAddIntoWith.
-func MulSubIntoWith[T Element](e *compute.Engine, dst, a, b *GDense[T]) {
+func MulSubIntoWith(e *compute.Engine, dst, a, b *Dense) {
 	mulAccIntoWith(e, dst, a, b, gemmSub)
 }
 
-func mulAccIntoWith[T Element](e *compute.Engine, dst, a, b *GDense[T], md int) {
+func mulAccIntoWith(e *compute.Engine, dst, a, b *Dense, md int) {
 	if a.C != b.R {
 		panic("mat: MulInto inner dimension mismatch")
 	}
@@ -93,7 +92,7 @@ func mulAccIntoWith[T Element](e *compute.Engine, dst, a, b *GDense[T], md int) 
 		panic("mat: MulInto destination aliases an operand")
 	}
 	if usePacked(a.R, a.C, b.C) {
-		if skinnyShape[T](a.R, a.C, b.C) {
+		if skinnyShape(a.R, a.C, b.C) {
 			skinnyGemm(e, denseView(dst), denseView(a), false, denseView(b), md)
 			return
 		}
@@ -105,7 +104,7 @@ func mulAccIntoWith[T Element](e *compute.Engine, dst, a, b *GDense[T], md int) 
 
 // mulRangeAcc is mulRange without the zeroing pass: rows of a*b accumulate
 // into (gemmAdd) or subtract from (gemmSub) the existing out rows.
-func mulRangeAcc[T Element](out, a, b *GDense[T], lo, hi, md int) {
+func mulRangeAcc(out, a, b *Dense, lo, hi, md int) {
 	n := b.C
 	bs := b.RowStride()
 	for i := lo; i < hi; i++ {
@@ -130,7 +129,7 @@ func mulRangeAcc[T Element](out, a, b *GDense[T], lo, hi, md int) {
 }
 
 // overlaps reports whether the backing arrays of x and y share memory.
-func overlaps[T Element](x, y []T) bool {
+func overlaps(x, y []float64) bool {
 	if len(x) == 0 || len(y) == 0 {
 		return false
 	}
@@ -141,9 +140,9 @@ func overlaps[T Element](x, y []T) bool {
 	return x0 < y1 && y0 < x1
 }
 
-func mulIntoWith[T Element](e *compute.Engine, out, a, b *GDense[T]) {
+func mulIntoWith(e *compute.Engine, out, a, b *Dense) {
 	if usePacked(a.R, a.C, b.C) {
-		if skinnyShape[T](a.R, a.C, b.C) {
+		if skinnyShape(a.R, a.C, b.C) {
 			skinnyGemm(e, denseView(out), denseView(a), false, denseView(b), gemmSet)
 			return
 		}
@@ -158,7 +157,7 @@ func mulIntoWith[T Element](e *compute.Engine, out, a, b *GDense[T]) {
 // mulRange computes rows [lo,hi) of out = a*b with an ikj loop order so
 // the inner loop streams through contiguous rows of b and out. Each output
 // row is zeroed just before accumulation, so out need not be pre-zeroed.
-func mulRange[T Element](out, a, b *GDense[T], lo, hi int) {
+func mulRange(out, a, b *Dense, lo, hi int) {
 	n := b.C
 	bs := b.RowStride()
 	for i := lo; i < hi; i++ {
@@ -180,17 +179,17 @@ func mulRange[T Element](out, a, b *GDense[T], lo, hi int) {
 }
 
 // MulT returns aᵀ*b without materializing the transpose.
-func MulT[T Element](a, b *GDense[T]) *GDense[T] {
+func MulT(a, b *Dense) *Dense {
 	return MulTWith(compute.Default(), nil, a, b)
 }
 
 // MulTWith computes aᵀ*b on engine e, borrowing the result from ws (nil
 // ws allocates).
-func MulTWith[T Element](e *compute.Engine, ws *compute.Workspace, a, b *GDense[T]) *GDense[T] {
+func MulTWith(e *compute.Engine, ws *compute.Workspace, a, b *Dense) *Dense {
 	if a.R != b.R {
 		panic("mat: MulT dimension mismatch")
 	}
-	out := GetDenseRawOf[T](ws, a.C, b.C)
+	out := GetDenseRaw(ws, a.C, b.C)
 	mulTIntoWith(e, out, a, b)
 	return out
 }
@@ -199,7 +198,7 @@ func MulTWith[T Element](e *compute.Engine, ws *compute.Workspace, a, b *GDense[
 // (prior contents are overwritten; dst may come straight from a
 // workspace or alias a caller-owned payload buffer). dst must be
 // a.C×b.C and must not alias a or b.
-func MulTIntoWith[T Element](e *compute.Engine, dst, a, b *GDense[T]) {
+func MulTIntoWith(e *compute.Engine, dst, a, b *Dense) {
 	if a.R != b.R {
 		panic("mat: MulTInto dimension mismatch")
 	}
@@ -212,9 +211,9 @@ func MulTIntoWith[T Element](e *compute.Engine, dst, a, b *GDense[T]) {
 	mulTIntoWith(e, dst, a, b)
 }
 
-func mulTIntoWith[T Element](e *compute.Engine, out, a, b *GDense[T]) {
+func mulTIntoWith(e *compute.Engine, out, a, b *Dense) {
 	if usePacked(a.C, a.R, b.C) {
-		if skinnyShape[T](a.C, a.R, b.C) {
+		if skinnyShape(a.C, a.R, b.C) {
 			skinnyGemm(e, denseView(out), denseView(a), true, denseView(b), gemmSet)
 			return
 		}
@@ -227,7 +226,7 @@ func mulTIntoWith[T Element](e *compute.Engine, out, a, b *GDense[T]) {
 // mulTRange computes rows [lo,hi) of out = aᵀb. Row i of the output is
 // Σ_k a[k][i] * b[k][:], streaming both a and b row-wise. The band's
 // output rows are zeroed up front, so out need not be pre-zeroed.
-func mulTRange[T Element](out, a, b *GDense[T], lo, hi int) {
+func mulTRange(out, a, b *Dense, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		row := out.Row(i)
 		for j := range row {
@@ -251,14 +250,14 @@ func mulTRange[T Element](out, a, b *GDense[T], lo, hi int) {
 }
 
 // MulVec returns a*x for a vector x of length a.C.
-func MulVec[T Element](a *GDense[T], x []T) []T {
+func MulVec(a *Dense, x []float64) []float64 {
 	if len(x) != a.C {
 		panic("mat: MulVec dimension mismatch")
 	}
-	out := make([]T, a.R)
+	out := make([]float64, a.R)
 	for i := 0; i < a.R; i++ {
 		row := a.Row(i)
-		var s T
+		var s float64
 		for j, v := range row {
 			s += v * x[j]
 		}
@@ -271,18 +270,18 @@ func MulVec[T Element](a *GDense[T], x []T) []T {
 // symmetric positive semidefinite, with exact symmetry pinned by
 // mirroring the upper triangle (the small-input paths compute only that
 // triangle; the packed-GEMM path computes both and re-mirrors).
-func Gram[T Element](m *GDense[T], byCols bool) *GDense[T] {
+func Gram(m *Dense, byCols bool) *Dense {
 	return GramWith(compute.Default(), nil, m, byCols)
 }
 
 // GramWith computes the Gram matrix on engine e, borrowing the result
 // from ws (nil ws allocates).
-func GramWith[T Element](e *compute.Engine, ws *compute.Workspace, m *GDense[T], byCols bool) *GDense[T] {
+func GramWith(e *compute.Engine, ws *compute.Workspace, m *Dense, byCols bool) *Dense {
 	n := m.C
 	if !byCols {
 		n = m.R
 	}
-	out := GetDenseRawOf[T](ws, n, n)
+	out := GetDenseRaw(ws, n, n)
 	GramIntoWith(e, out, m, byCols)
 	return out
 }
@@ -291,7 +290,7 @@ func GramWith[T Element](e *compute.Engine, ws *compute.Workspace, m *GDense[T],
 // dst's storage — for callers accumulating into a collective payload
 // without an intermediate copy. dst must be square of the appropriate
 // dimension and must not alias m.
-func GramIntoWith[T Element](e *compute.Engine, dst *GDense[T], m *GDense[T], byCols bool) {
+func GramIntoWith(e *compute.Engine, dst *Dense, m *Dense, byCols bool) {
 	n := m.C
 	if !byCols {
 		n = m.R
@@ -309,7 +308,7 @@ func GramIntoWith[T Element](e *compute.Engine, dst *GDense[T], m *GDense[T], by
 	}
 }
 
-func gramRowsInto[T Element](e *compute.Engine, out *GDense[T], m *GDense[T]) {
+func gramRowsInto(e *compute.Engine, out *Dense, m *Dense) {
 	n := m.R
 	if usePacked(n, m.C, n) {
 		// m·mᵀ through the packed kernel; the transpose is absorbed by
@@ -324,13 +323,13 @@ func gramRowsInto[T Element](e *compute.Engine, out *GDense[T], m *GDense[T]) {
 	mirrorUpperToLower(out)
 }
 
-func gramRowsRange[T Element](out, m *GDense[T], lo, hi int) {
+func gramRowsRange(out, m *Dense, lo, hi int) {
 	n := m.R
 	for i := lo; i < hi; i++ {
 		ri := m.Row(i)
 		for j := i; j < n; j++ {
 			rj := m.Row(j)
-			var s T
+			var s float64
 			for k, v := range ri {
 				s += v * rj[k]
 			}
@@ -339,12 +338,12 @@ func gramRowsRange[T Element](out, m *GDense[T], lo, hi int) {
 	}
 }
 
-func gramColsInto[T Element](e *compute.Engine, out *GDense[T], m *GDense[T]) {
+func gramColsInto(e *compute.Engine, out *Dense, m *Dense) {
 	// mᵀm through the skinny or packed kernel when large; the rank-1
 	// accumulation below handles small inputs without packing overhead.
 	n := m.C
 	if usePacked(n, m.R, n) {
-		if skinnyShape[T](n, m.R, n) {
+		if skinnyShape(n, m.R, n) {
 			skinnyGemm(e, denseView(out), denseView(m), true, denseView(m), gemmSet)
 		} else {
 			gemmView(e, denseView(out), denseView(m), true, denseView(m), false, gemmSet)
@@ -376,7 +375,7 @@ func gramColsInto[T Element](e *compute.Engine, out *GDense[T], m *GDense[T]) {
 
 // mirrorUpperToLower copies the strict upper triangle of the square
 // matrix out onto its lower triangle, pinning exact symmetry.
-func mirrorUpperToLower[T Element](out *GDense[T]) {
+func mirrorUpperToLower(out *Dense) {
 	n := out.C
 	for i := 0; i < n; i++ {
 		for j := 0; j < i; j++ {

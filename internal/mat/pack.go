@@ -16,7 +16,7 @@ package mat
 // (ap[s·kc·mr + p·mr + r]), zero-padded to a full strip at the edge.
 // When aT is set the logical A is aᵀ, i.e. element (i, p) reads
 // a.data[p·stride+i].
-func packA[T Element](ap []T, a view[T], aT bool, ic, mc, pc, kc, mr int) {
+func packA(ap []float64, a view, aT bool, ic, mc, pc, kc, mr int) {
 	off := 0
 	for s := 0; s < mc; s += mr {
 		rows := min(mr, mc-s)
@@ -50,7 +50,7 @@ func packA[T Element](ap []T, a view[T], aT bool, ic, mc, pc, kc, mr int) {
 // logical B is bᵀ, i.e. element (p, j) reads b.data[j·stride+p] — the
 // strip's columns are then rows of b and packing is the same interleave
 // primitive as packA's.
-func packB[T Element](bp []T, b view[T], bT bool, pc, kc, jc, nc, nr int) {
+func packB(bp []float64, b view, bT bool, pc, kc, jc, nc, nr int) {
 	off := 0
 	for s := 0; s < nc; s += nr {
 		w := min(nr, nc-s)
@@ -87,7 +87,7 @@ func packB[T Element](bp []T, b view[T], bT bool, pc, kc, jc, nc, nr int) {
 // r < rows, p < n, in groups of four source rows. rows must be a
 // multiple of 4 (every tile height is) and len(src) must cover element
 // (rows-1)·srcStride + n - 1.
-func packInterleave[T Element](dst []T, dstStride int, src []T, srcStride, rows, n int) {
+func packInterleave(dst []float64, dstStride int, src []float64, srcStride, rows, n int) {
 	for g := 0; g < rows; g += 4 {
 		interleave4(dst[g:], dstStride, src[g*srcStride:], srcStride, n)
 	}
@@ -97,7 +97,7 @@ func packInterleave[T Element](dst []T, dstStride int, src []T, srcStride, rows,
 // src[r·srcStride+p] for r < 4, p < n. The full-length row reslices let
 // the compiler drop every bounds check in the p loop; it is the
 // reference the asm kernel is pinned against and the tail/fallback path.
-func interleave4Go[T Element](dst []T, dstStride int, src []T, srcStride, n int) {
+func interleave4Go(dst []float64, dstStride int, src []float64, srcStride, n int) {
 	if n == 0 {
 		return
 	}
@@ -119,7 +119,7 @@ func interleave4Go[T Element](dst []T, dstStride int, src []T, srcStride, n int)
 // packInterleaveEdge handles a ragged strip (rows < dstStride live rows):
 // live rows are interleaved with strided writes, the padding rows are
 // zeroed. Only edge strips take this path, so it stays scalar.
-func packInterleaveEdge[T Element](dst []T, dstStride int, src []T, srcStride, rows, n int) {
+func packInterleaveEdge(dst []float64, dstStride int, src []float64, srcStride, rows, n int) {
 	for r := 0; r < rows; r++ {
 		srow := src[r*srcStride : r*srcStride+n : r*srcStride+n]
 		o := r

@@ -61,72 +61,3 @@ block:
 done:
 	VZEROUPPER
 	RET
-
-// func interleave4F32(dst []float32, dstStride int, src []float32, srcStride, n int)
-//
-// Float32 variant: eight columns per iteration via a 4×8 register
-// transpose (VUNPCKL/HPS + VSHUFPS build whole columns in each 128-bit
-// lane; low lanes store columns p..p+3, VEXTRACTF128 highs store
-// p+4..p+7). n must be a multiple of 8 (the Go wrapper peels the tail).
-TEXT ·interleave4F32(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ dstStride+24(FP), DX
-	MOVQ src_base+32(FP), SI
-	MOVQ srcStride+56(FP), R9
-	MOVQ n+64(FP), CX
-
-	SHLQ $2, DX         // dst stride in bytes
-	SHLQ $2, R9         // src stride in bytes
-	MOVQ SI, R10        // row 0
-	LEAQ (SI)(R9*1), R11
-	LEAQ (R11)(R9*1), R12
-	LEAQ (R12)(R9*1), R13
-	MOVQ DX, R14
-	SHLQ $3, R14        // dst advance per 8-column block
-
-	SHRQ $3, CX         // column blocks
-	JZ   done32
-
-block32:
-	VMOVUPS (R10), Y0   // r0[p..p+7]
-	VMOVUPS (R11), Y1
-	VMOVUPS (R12), Y2
-	VMOVUPS (R13), Y3
-
-	VUNPCKLPS Y1, Y0, Y4    // per lane [r0p0 r1p0 r0p1 r1p1]
-	VUNPCKHPS Y1, Y0, Y5    // per lane [r0p2 r1p2 r0p3 r1p3]
-	VUNPCKLPS Y3, Y2, Y6    // per lane [r2p0 r3p0 r2p1 r3p1]
-	VUNPCKHPS Y3, Y2, Y7    // per lane [r2p2 r3p2 r2p3 r3p3]
-
-	VSHUFPS $0x44, Y6, Y4, Y8    // columns p+0 | p+4
-	VSHUFPS $0xEE, Y6, Y4, Y9    // columns p+1 | p+5
-	VSHUFPS $0x44, Y7, Y5, Y10   // columns p+2 | p+6
-	VSHUFPS $0xEE, Y7, Y5, Y11   // columns p+3 | p+7
-
-	VMOVUPS X8, (DI)
-	VMOVUPS X9, (DI)(DX*1)
-	LEAQ    (DI)(DX*2), R8
-	VMOVUPS X10, (R8)
-	VMOVUPS X11, (R8)(DX*1)
-	LEAQ    (R8)(DX*2), R8
-	VEXTRACTF128 $1, Y8, X12
-	VEXTRACTF128 $1, Y9, X13
-	VEXTRACTF128 $1, Y10, X14
-	VEXTRACTF128 $1, Y11, X15
-	VMOVUPS X12, (R8)
-	VMOVUPS X13, (R8)(DX*1)
-	LEAQ    (R8)(DX*2), R8
-	VMOVUPS X14, (R8)
-	VMOVUPS X15, (R8)(DX*1)
-
-	ADDQ $32, R10
-	ADDQ $32, R11
-	ADDQ $32, R12
-	ADDQ $32, R13
-	ADDQ R14, DI
-	DECQ CX
-	JNZ  block32
-
-done32:
-	VZEROUPPER
-	RET

@@ -6,16 +6,12 @@ import (
 	"imrdmd/internal/compute"
 )
 
-// GQR holds a thin (economy) QR factorization A = Q R with Q m×n
-// column-orthonormal and R n×n upper triangular, for m ≥ n, over either
-// element tier.
-type GQR[T Element] struct {
-	Q *GDense[T]
-	R *GDense[T]
+// QR holds a thin (economy) QR factorization A = Q R with Q m×n
+// column-orthonormal and R n×n upper triangular, for m ≥ n.
+type QR struct {
+	Q *Dense
+	R *Dense
 }
-
-// QR is the float64 thin QR factorization.
-type QR = GQR[float64]
 
 // qrPanel is the blocked-QR panel width: columns are factored panel by
 // panel, and each panel is orthogonalized against all previous columns
@@ -32,26 +28,25 @@ const qrPanel = 32
 // comparable to Householder for the well- to moderately-conditioned
 // matrices this package sees), then factored internally by two-pass MGS.
 // Q stays explicit, which the incremental-SVD layer needs.
-func QRFactor[T Element](a *GDense[T]) *GQR[T] {
+func QRFactor(a *Dense) *QR {
 	return QRFactorOn(compute.Default(), nil, a)
 }
 
 // QRFactorWith is QRFactor with Q and R borrowed from ws (nil ws
 // allocates). Return both factors with PutDense (or qr.Release) when the
 // factorization is no longer needed.
-func QRFactorWith[T Element](ws *compute.Workspace, a *GDense[T]) *GQR[T] {
+func QRFactorWith(ws *compute.Workspace, a *Dense) *QR {
 	return QRFactorOn(compute.Default(), ws, a)
 }
 
 // QRFactorOn is QRFactorWith with the trailing-matrix GEMM updates routed
-// through engine e (nil e runs them serially). Generic over the element
-// tier: the float32 instantiation is the screening SVD's preconditioner.
+// through engine e (nil e runs them serially).
 //
 // The factorization works on the transpose of a: columns become
 // contiguous rows, so every dot product, axpy and norm in the panel
 // streams unit-stride, and the trailing update is a pair of view-GEMMs
 // over row blocks. The result is transposed back into Q at the end.
-func QRFactorOn[T Element](e *compute.Engine, ws *compute.Workspace, a *GDense[T]) *GQR[T] {
+func QRFactorOn(e *compute.Engine, ws *compute.Workspace, a *Dense) *QR {
 	m, n := a.R, a.C
 	if m < n {
 		panic("mat: QRFactor requires rows >= cols")
@@ -63,10 +58,10 @@ func QRFactorOn[T Element](e *compute.Engine, ws *compute.Workspace, a *GDense[T
 }
 
 // qrBlocked is the general transposed blocked-CGS2/MGS2 path.
-func qrBlocked[T Element](e *compute.Engine, ws *compute.Workspace, a *GDense[T]) *GQR[T] {
+func qrBlocked(e *compute.Engine, ws *compute.Workspace, a *Dense) *QR {
 	n := a.C
 	qt := TWith(ws, a) // n×m: row j is column j of a
-	r := GetDenseOf[T](ws, n, n)
+	r := GetDense(ws, n, n)
 	for j0 := 0; j0 < n; j0 += qrPanel {
 		j1 := min(j0+qrPanel, n)
 		if j0 > 0 {
@@ -75,7 +70,7 @@ func qrBlocked[T Element](e *compute.Engine, ws *compute.Workspace, a *GDense[T]
 			// transposed layout; the corrections accumulate into R and the
 			// panel update P −= Qprev·S is a GEMM in sub mode.
 			for pass := 0; pass < 2; pass++ {
-				s := GetDenseRawOf[T](ws, j0, j1-j0)
+				s := GetDenseRaw(ws, j0, j1-j0)
 				gemmView(e, denseView(s), rowsView(qt, 0, j0), false, rowsView(qt, j0, j1), true, gemmSet)
 				for i := 0; i < j0; i++ {
 					srow := s.Row(i)
@@ -107,11 +102,11 @@ func qrBlocked[T Element](e *compute.Engine, ws *compute.Workspace, a *GDense[T]
 	}
 	q := TWith(ws, qt)
 	PutDense(ws, qt)
-	return &GQR[T]{Q: q, R: r}
+	return &QR{Q: q, R: r}
 }
 
 // Release returns both factors' storage to ws.
-func (qr *GQR[T]) Release(ws *compute.Workspace) {
+func (qr *QR) Release(ws *compute.Workspace) {
 	PutDense(ws, qr.Q)
 	PutDense(ws, qr.R)
 }
@@ -128,10 +123,10 @@ const qrSmallMax = 16
 // The dot/axpy/norm loops visit elements in exactly the same index order
 // as the transposed general path, so for n ≤ qrPanel the two paths
 // produce bit-identical factors (qr_test.go pins this).
-func qrSmall[T Element](ws *compute.Workspace, a *GDense[T]) *GQR[T] {
+func qrSmall(ws *compute.Workspace, a *Dense) *QR {
 	n := a.C
 	q := CloneWith(ws, a)
-	r := GetDenseOf[T](ws, n, n)
+	r := GetDense(ws, n, n)
 	for j := 0; j < n; j++ {
 		for pass := 0; pass < 2; pass++ {
 			for i := 0; i < j; i++ {
@@ -146,16 +141,16 @@ func qrSmall[T Element](ws *compute.Workspace, a *GDense[T]) *GQR[T] {
 			colScale(q, j, 1/nrm)
 		}
 	}
-	return &GQR[T]{Q: q, R: r}
+	return &QR{Q: q, R: r}
 }
 
 // colDot returns column i · column j of m. The 4-lane accumulator
 // round-robin breaks the loop-carried dependency chain; rowDot uses the
 // identical lane assignment and reduction so the small and blocked QR
 // paths keep producing bit-identical factors.
-func colDot[T Element](m *GDense[T], i, j int) T {
+func colDot(m *Dense, i, j int) float64 {
 	s := m.RowStride()
-	var a0, a1, a2, a3 T
+	var a0, a1, a2, a3 float64
 	r := 0
 	for ; r+4 <= m.R; r += 4 {
 		a0 += m.Data[r*s+i] * m.Data[r*s+j]
@@ -177,24 +172,24 @@ func colDot[T Element](m *GDense[T], i, j int) T {
 }
 
 // colAxpy does column j += alpha * column i.
-func colAxpy[T Element](m *GDense[T], alpha T, i, j int) {
+func colAxpy(m *Dense, alpha float64, i, j int) {
 	s := m.RowStride()
 	for r := 0; r < m.R; r++ {
 		m.Data[r*s+j] += alpha * m.Data[r*s+i]
 	}
 }
 
-func colNorm[T Element](m *GDense[T], j int) T {
+func colNorm(m *Dense, j int) float64 {
 	s := m.RowStride()
-	var d T
+	var d float64
 	for r := 0; r < m.R; r++ {
 		v := m.Data[r*s+j]
 		d += v * v
 	}
-	return T(math.Sqrt(float64(d)))
+	return math.Sqrt(d)
 }
 
-func colScale[T Element](m *GDense[T], j int, sc T) {
+func colScale(m *Dense, j int, sc float64) {
 	s := m.RowStride()
 	for r := 0; r < m.R; r++ {
 		m.Data[r*s+j] *= sc
@@ -203,10 +198,10 @@ func colScale[T Element](m *GDense[T], j int, sc T) {
 
 // rowDot returns row i · row j of m (contiguous). Lane structure matches
 // colDot exactly — see the note there.
-func rowDot[T Element](m *GDense[T], i, j int) T {
+func rowDot(m *Dense, i, j int) float64 {
 	ri := m.Row(i)
 	rj := m.Row(j)
-	var a0, a1, a2, a3 T
+	var a0, a1, a2, a3 float64
 	k := 0
 	for ; k+4 <= len(ri); k += 4 {
 		a0 += ri[k] * rj[k]
@@ -228,7 +223,7 @@ func rowDot[T Element](m *GDense[T], i, j int) T {
 }
 
 // rowAxpy does row j += alpha * row i.
-func rowAxpy[T Element](m *GDense[T], alpha T, i, j int) {
+func rowAxpy(m *Dense, alpha float64, i, j int) {
 	ri := m.Row(i)
 	rj := m.Row(j)
 	for k, v := range ri {
@@ -236,15 +231,15 @@ func rowAxpy[T Element](m *GDense[T], alpha T, i, j int) {
 	}
 }
 
-func rowNorm[T Element](m *GDense[T], j int) T {
-	var s T
+func rowNorm(m *Dense, j int) float64 {
+	var s float64
 	for _, v := range m.Row(j) {
 		s += v * v
 	}
-	return T(math.Sqrt(float64(s)))
+	return math.Sqrt(s)
 }
 
-func rowScale[T Element](m *GDense[T], j int, s T) {
+func rowScale(m *Dense, j int, s float64) {
 	rj := m.Row(j)
 	for k := range rj {
 		rj[k] *= s
@@ -255,9 +250,9 @@ func rowScale[T Element](m *GDense[T], j int, s T) {
 // pivots are treated as rank deficiencies: the corresponding solution
 // component is set to zero, giving a basic least-norm-flavored solution
 // rather than NaNs.
-func SolveUpper[T Element](r *GDense[T], b []T) []T {
+func SolveUpper(r *Dense, b []float64) []float64 {
 	n := r.R
-	x := make([]T, n)
+	x := make([]float64, n)
 	tol := 1e-13 * r.MaxAbs()
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
@@ -276,15 +271,15 @@ func SolveUpper[T Element](r *GDense[T], b []T) []T {
 
 // LstSq solves min ‖Ax − b‖₂ via thin QR: x = R⁻¹ Qᵀ b. A must have
 // rows ≥ cols.
-func LstSq[T Element](a *GDense[T], b []T) []T {
+func LstSq(a *Dense, b []float64) []float64 {
 	if len(b) != a.R {
 		panic("mat: LstSq dimension mismatch")
 	}
 	qr := QRFactor(a)
 	// qtb = Qᵀ b
-	qtb := make([]T, a.C)
+	qtb := make([]float64, a.C)
 	for j := 0; j < a.C; j++ {
-		var s T
+		var s float64
 		for i := 0; i < a.R; i++ {
 			s += qr.Q.Data[i*a.C+j] * b[i]
 		}

@@ -21,38 +21,21 @@ package mat
 //go:noescape
 func skinnyKern8dAVX512(c []float64, ldc int, a []float64, aOff, aStep int, b []float64, ldb, w, kc, mode int)
 
-// skinnyKern8sAVX512 is the float32 twin: 8 rows × w ≤ 16 columns.
-//
-//go:noescape
-func skinnyKern8sAVX512(c []float32, ldc int, a []float32, aOff, aStep int, b []float32, ldb, w, kc, mode int)
-
 // skinnyKern4dFMA is the AVX2+FMA float64 kernel: 4 rows × w ≤ 4.
 //
 //go:noescape
 func skinnyKern4dFMA(c []float64, ldc int, a []float64, aOff, aStep int, b []float64, ldb, w, kc, mode int)
 
-// skinnyKern4sFMA is the AVX2+FMA float32 kernel: 4 rows × w ≤ 8.
-//
-//go:noescape
-func skinnyKern4sFMA(c []float32, ldc int, a []float32, aOff, aStep int, b []float32, ldb, w, kc, mode int)
-
-func skinnyKern64(c []float64, ldc int, a []float64, aOff, aStep int, b []float64, ldb, rows, w, kc, mode int) {
+// skinnyKernel runs one register tile: the asm kernel of the active tier
+// for full-height tiles, the portable twin otherwise. c must expose
+// (rows−1)·ldc+w elements, a the addressing span
+// (rows−1)·aOff+(kc−1)·aStep+1, b (kc−1)·ldb+w.
+func skinnyKernel(c []float64, ldc int, a []float64, aOff, aStep int, b []float64, ldb, rows, w, kc, mode int) {
 	switch {
 	case gemmTier == tierAVX512 && rows == 8:
 		skinnyKern8dAVX512(c, ldc, a, aOff, aStep, b, ldb, w, kc, mode)
 	case gemmTier == tierAVX2 && rows == 4:
 		skinnyKern4dFMA(c, ldc, a, aOff, aStep, b, ldb, w, kc, mode)
-	default:
-		skinnyKernGo(c, ldc, a, aOff, aStep, b, ldb, rows, w, kc, mode)
-	}
-}
-
-func skinnyKern32(c []float32, ldc int, a []float32, aOff, aStep int, b []float32, ldb, rows, w, kc, mode int) {
-	switch {
-	case gemmTier == tierAVX512 && rows == 8:
-		skinnyKern8sAVX512(c, ldc, a, aOff, aStep, b, ldb, w, kc, mode)
-	case gemmTier == tierAVX2 && rows == 4:
-		skinnyKern4sFMA(c, ldc, a, aOff, aStep, b, ldb, w, kc, mode)
 	default:
 		skinnyKernGo(c, ldc, a, aOff, aStep, b, ldb, rows, w, kc, mode)
 	}

@@ -3,7 +3,7 @@
 #include "textflag.h"
 
 // Pack-free skinny micro-kernels (see skinny.go for the dispatch tier
-// and skinny_amd64.go for the Go declarations). All four kernels share
+// and skinny_amd64.go for the Go declarations). Both kernels share
 // one addressing scheme: A element (r, p) lives at a + r*aOff + p*aStep
 // (offsets in elements, scaled to bytes on entry), so the same code
 // serves plain and transposed A. B rows are read with a width mask —
@@ -15,9 +15,8 @@
 // chain the packed kernels produce, so results are bit-identical with
 // the packed route (the numeric contract atop skinny.go).
 
-// 64 bytes: four all-ones qwords then four zero qwords. An AVX2 f64
-// mask of width w is the 4 qwords at offset (4-w)*8; an f32 mask of
-// width w is the 8 dwords at offset (8-w)*4.
+// 64 bytes: four all-ones qwords then four zero qwords. An AVX2 mask of
+// width w is the 4 qwords at offset (4-w)*8.
 DATA skinnymask<>+0(SB)/8, $0xffffffffffffffff
 DATA skinnymask<>+8(SB)/8, $0xffffffffffffffff
 DATA skinnymask<>+16(SB)/8, $0xffffffffffffffff
@@ -190,163 +189,6 @@ sub8d:
 	VZEROUPPER
 	RET
 
-// func skinnyKern8sAVX512(c []float32, ldc int, a []float32, aOff, aStep int, b []float32, ldb, w, kc, mode int)
-//
-// float32 twin: 8 rows × w ≤ 16 columns, same structure with a 16-lane
-// opmask.
-TEXT ·skinnyKern8sAVX512(SB), NOSPLIT, $0-128
-	MOVQ c_base+0(FP), DI
-	MOVQ ldc+24(FP), DX
-	MOVQ a_base+32(FP), SI
-	MOVQ aOff+56(FP), R9
-	SHLQ $2, R9
-	MOVQ aStep+64(FP), R10
-	SHLQ $2, R10
-	MOVQ b_base+72(FP), BX
-	MOVQ ldb+96(FP), R11
-	SHLQ $2, R11
-	MOVQ mode+120(FP), R8
-
-	MOVQ  w+104(FP), CX
-	MOVQ  $1, AX
-	SHLQ  CX, AX
-	DECQ  AX
-	KMOVW AX, K1
-	MOVQ  kc+112(FP), CX
-
-	LEAQ (SI)(R9*2), R12
-	ADDQ R9, R12
-	LEAQ (R12)(R9*2), R13
-	ADDQ R9, R13
-
-	VXORPS Z0, Z0, Z0
-	VXORPS Z1, Z1, Z1
-	VXORPS Z2, Z2, Z2
-	VXORPS Z3, Z3, Z3
-	VXORPS Z4, Z4, Z4
-	VXORPS Z5, Z5, Z5
-	VXORPS Z6, Z6, Z6
-	VXORPS Z7, Z7, Z7
-
-loop8s:
-	VMOVUPS.Z    (BX), K1, Z8
-	VBROADCASTSS (SI), Z9
-	VFMADD231PS  Z8, Z9, Z0
-	VBROADCASTSS (SI)(R9*1), Z10
-	VFMADD231PS  Z8, Z10, Z1
-	VBROADCASTSS (SI)(R9*2), Z9
-	VFMADD231PS  Z8, Z9, Z2
-	VBROADCASTSS (R12), Z10
-	VFMADD231PS  Z8, Z10, Z3
-	VBROADCASTSS (R12)(R9*1), Z9
-	VFMADD231PS  Z8, Z9, Z4
-	VBROADCASTSS (R12)(R9*2), Z10
-	VFMADD231PS  Z8, Z10, Z5
-	VBROADCASTSS (R13), Z9
-	VFMADD231PS  Z8, Z9, Z6
-	VBROADCASTSS (R13)(R9*1), Z10
-	VFMADD231PS  Z8, Z10, Z7
-	ADDQ         R10, SI
-	ADDQ         R10, R12
-	ADDQ         R10, R13
-	ADDQ         R11, BX
-	DECQ         CX
-	JNZ          loop8s
-
-	SHLQ $2, DX
-	CMPQ R8, $1
-	JEQ  add8s
-	CMPQ R8, $2
-	JEQ  sub8s
-
-	VMOVUPS Z0, K1, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z1, K1, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z2, K1, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z3, K1, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z4, K1, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z5, K1, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z6, K1, (DI)
-	ADDQ    DX, DI
-	VMOVUPS Z7, K1, (DI)
-	VZEROUPPER
-	RET
-
-add8s:
-	VMOVUPS.Z (DI), K1, Z8
-	VADDPS    Z8, Z0, Z0
-	VMOVUPS   Z0, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VADDPS    Z8, Z1, Z1
-	VMOVUPS   Z1, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VADDPS    Z8, Z2, Z2
-	VMOVUPS   Z2, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VADDPS    Z8, Z3, Z3
-	VMOVUPS   Z3, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VADDPS    Z8, Z4, Z4
-	VMOVUPS   Z4, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VADDPS    Z8, Z5, Z5
-	VMOVUPS   Z5, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VADDPS    Z8, Z6, Z6
-	VMOVUPS   Z6, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VADDPS    Z8, Z7, Z7
-	VMOVUPS   Z7, K1, (DI)
-	VZEROUPPER
-	RET
-
-sub8s:
-	VMOVUPS.Z (DI), K1, Z8
-	VSUBPS    Z0, Z8, Z8
-	VMOVUPS   Z8, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VSUBPS    Z1, Z8, Z8
-	VMOVUPS   Z8, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VSUBPS    Z2, Z8, Z8
-	VMOVUPS   Z8, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VSUBPS    Z3, Z8, Z8
-	VMOVUPS   Z8, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VSUBPS    Z4, Z8, Z8
-	VMOVUPS   Z8, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VSUBPS    Z5, Z8, Z8
-	VMOVUPS   Z8, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VSUBPS    Z6, Z8, Z8
-	VMOVUPS   Z8, K1, (DI)
-	ADDQ      DX, DI
-	VMOVUPS.Z (DI), K1, Z8
-	VSUBPS    Z7, Z8, Z8
-	VMOVUPS   Z8, K1, (DI)
-	VZEROUPPER
-	RET
-
 // func skinnyKern4dFMA(c []float64, ldc int, a []float64, aOff, aStep int, b []float64, ldb, w, kc, mode int)
 //
 // AVX2 twin: 4 rows × w ≤ 4 float64 columns in Y0..Y3, B loads and C
@@ -448,106 +290,5 @@ sub4d:
 	VMASKMOVPD (DI), Y12, Y4
 	VSUBPD     Y3, Y4, Y4
 	VMASKMOVPD Y4, Y12, (DI)
-	VZEROUPPER
-	RET
-
-// func skinnyKern4sFMA(c []float32, ldc int, a []float32, aOff, aStep int, b []float32, ldb, w, kc, mode int)
-//
-// AVX2 float32 twin: 4 rows × w ≤ 8 columns.
-TEXT ·skinnyKern4sFMA(SB), NOSPLIT, $0-128
-	MOVQ c_base+0(FP), DI
-	MOVQ ldc+24(FP), DX
-	MOVQ a_base+32(FP), SI
-	MOVQ aOff+56(FP), R9
-	SHLQ $2, R9
-	MOVQ aStep+64(FP), R10
-	SHLQ $2, R10
-	MOVQ b_base+72(FP), BX
-	MOVQ ldb+96(FP), R11
-	SHLQ $2, R11
-	MOVQ kc+112(FP), CX
-	MOVQ mode+120(FP), R8
-
-	MOVQ    $8, R14
-	SUBQ    w+104(FP), R14
-	SHLQ    $2, R14
-	LEAQ    skinnymask<>(SB), AX
-	VMOVDQU (AX)(R14*1), Y12
-
-	LEAQ (SI)(R9*2), R12
-	ADDQ R9, R12
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-
-loop4s:
-	VMASKMOVPS   (BX), Y12, Y4
-	VBROADCASTSS (SI), Y5
-	VFMADD231PS  Y4, Y5, Y0
-	VBROADCASTSS (SI)(R9*1), Y6
-	VFMADD231PS  Y4, Y6, Y1
-	VBROADCASTSS (SI)(R9*2), Y5
-	VFMADD231PS  Y4, Y5, Y2
-	VBROADCASTSS (R12), Y6
-	VFMADD231PS  Y4, Y6, Y3
-	ADDQ         R10, SI
-	ADDQ         R10, R12
-	ADDQ         R11, BX
-	DECQ         CX
-	JNZ          loop4s
-
-	SHLQ $2, DX
-	CMPQ R8, $1
-	JEQ  add4s
-	CMPQ R8, $2
-	JEQ  sub4s
-
-	VMASKMOVPS Y0, Y12, (DI)
-	ADDQ       DX, DI
-	VMASKMOVPS Y1, Y12, (DI)
-	ADDQ       DX, DI
-	VMASKMOVPS Y2, Y12, (DI)
-	ADDQ       DX, DI
-	VMASKMOVPS Y3, Y12, (DI)
-	VZEROUPPER
-	RET
-
-add4s:
-	VMASKMOVPS (DI), Y12, Y4
-	VADDPS     Y4, Y0, Y0
-	VMASKMOVPS Y0, Y12, (DI)
-	ADDQ       DX, DI
-	VMASKMOVPS (DI), Y12, Y4
-	VADDPS     Y4, Y1, Y1
-	VMASKMOVPS Y1, Y12, (DI)
-	ADDQ       DX, DI
-	VMASKMOVPS (DI), Y12, Y4
-	VADDPS     Y4, Y2, Y2
-	VMASKMOVPS Y2, Y12, (DI)
-	ADDQ       DX, DI
-	VMASKMOVPS (DI), Y12, Y4
-	VADDPS     Y4, Y3, Y3
-	VMASKMOVPS Y3, Y12, (DI)
-	VZEROUPPER
-	RET
-
-sub4s:
-	VMASKMOVPS (DI), Y12, Y4
-	VSUBPS     Y0, Y4, Y4
-	VMASKMOVPS Y4, Y12, (DI)
-	ADDQ       DX, DI
-	VMASKMOVPS (DI), Y12, Y4
-	VSUBPS     Y1, Y4, Y4
-	VMASKMOVPS Y4, Y12, (DI)
-	ADDQ       DX, DI
-	VMASKMOVPS (DI), Y12, Y4
-	VSUBPS     Y2, Y4, Y4
-	VMASKMOVPS Y4, Y12, (DI)
-	ADDQ       DX, DI
-	VMASKMOVPS (DI), Y12, Y4
-	VSUBPS     Y3, Y4, Y4
-	VMASKMOVPS Y4, Y12, (DI)
 	VZEROUPPER
 	RET

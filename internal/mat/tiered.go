@@ -6,16 +6,38 @@ import (
 	"imrdmd/internal/compute"
 )
 
-// Tiered column storage: the memory-hierarchy form of the multifidelity
-// trade the precision tiers make for arithmetic (DESIGN.md §6, §10). A
-// TieredCols holds a growing sequence of columns where the trailing "hot"
-// window stays in float64 and everything older is demoted to float32
-// chunks — half the resident bytes for history that is only ever read
-// back for full-resolution reconstruction error, segment recompute after
-// drift, or snapshot export, all of which tolerate (and report) the
-// f32-rounding of cold values. Demotion is explicit (Demote), so a caller
-// that never demotes keeps a plain all-f64 store with view-based window
-// access — bit-identical to the pre-tiered layout.
+// Tiered column storage (DESIGN.md §10). A TieredCols holds a growing
+// sequence of columns where the trailing "hot" window stays in float64
+// and everything older is demoted to float32 chunks — half the resident
+// bytes for history that is only ever read back for full-resolution
+// reconstruction error, segment recompute after drift, or snapshot
+// export, all of which tolerate (and report) the f32-rounding of cold
+// values. Demotion is explicit (Demote), so a caller that never demotes
+// keeps a plain all-f64 store with view-based window access —
+// bit-identical to the pre-tiered layout.
+
+// Dense32 is a row-major, tightly packed float32 matrix: the storage
+// format of the cold tier. It carries no arithmetic; Widen (or a
+// TieredCols window) converts it back to float64 before any kernel
+// touches it.
+type Dense32 struct {
+	R, C int
+	Data []float32 // row-major: element (i,j) at Data[i*C+j]
+}
+
+// NewDense32 returns a zeroed r×c float32 matrix.
+func NewDense32(r, c int) *Dense32 {
+	if r < 0 || c < 0 {
+		panic(fmt.Sprintf("mat: negative dimension %d×%d", r, c))
+	}
+	return &Dense32{R: r, C: c, Data: make([]float32, r*c)}
+}
+
+// At returns element (i, j).
+func (m *Dense32) At(i, j int) float32 { return m.Data[i*m.C+j] }
+
+// Row returns row i as a slice aliasing the matrix storage.
+func (m *Dense32) Row(i int) []float32 { return m.Data[i*m.C : (i+1)*m.C : (i+1)*m.C] }
 
 // TieredChunkCols is the demotion granularity: cold columns move in full
 // chunks of this many columns, so chunk bookkeeping stays O(T/chunk) and
@@ -157,7 +179,7 @@ func (t *TieredCols) CopyWindow(ws *compute.Workspace, lo, hi int) *Dense {
 	if lo < 0 || hi > t.Cols() || lo > hi {
 		panic(fmt.Sprintf("mat: TieredCols.CopyWindow [%d,%d) out of range for %d cols", lo, hi, t.Cols()))
 	}
-	out := GetDenseRawOf[float64](ws, t.r, hi-lo)
+	out := GetDenseRaw(ws, t.r, hi-lo)
 	t.fillWindow(out, lo, hi)
 	return out
 }
@@ -193,7 +215,7 @@ func (t *TieredCols) fillWindow(out *Dense, lo, hi int) {
 // sample gather of the streaming update — runs as a per-row slice loop
 // with no tier checks.
 func (t *TieredCols) GatherCols(ws *compute.Workspace, idxs []int) *Dense {
-	out := GetDenseRawOf[float64](ws, t.r, len(idxs))
+	out := GetDenseRaw(ws, t.r, len(idxs))
 	cc := t.ColdCols()
 	allHot := true
 	for _, j := range idxs {

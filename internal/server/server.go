@@ -1,14 +1,14 @@
 // Package server is the streaming ingestion service around the I-mrDMD
 // analyzer: a long-running HTTP server holding a registry of per-tenant
 // incremental analyzers that many dashboards stream against concurrently.
-// Each tenant picks its own analysis options — including the Precision
-// fidelity knob — while every tenant's kernels run on one
-// bounded compute engine, so the process's concurrency is Workers-shaped
-// no matter how many tenants register. Chunked CSV/JSON ingest feeds the
-// stream plumbing (stream.Source → stream.Feeder), and the snapshot
-// endpoints expose the internal/codec state serialization that lets a
-// tenant survive process restarts or migrate between servers. See
-// DESIGN.md §8 for the architecture and §9 for the read path.
+// Each tenant picks its own analysis options while every tenant's kernels
+// run on one bounded compute engine, so the process's concurrency is
+// Workers-shaped no matter how many tenants register. Chunked CSV/JSON
+// ingest feeds the stream plumbing (stream.Source → stream.Feeder), and
+// the snapshot endpoints expose the internal/codec state serialization
+// that lets a tenant survive process restarts or migrate between
+// servers. See DESIGN.md §8 for the architecture and §9 for the read
+// path.
 //
 // The query surface is lock-free: each ingest publishes an immutable
 // PublishedResult (pre-marshaled JSON + strong ETags) through an atomic
@@ -35,6 +35,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -264,11 +265,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	var opts TenantOptions
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&opts); err != nil && !errors.Is(err, io.EOF) {
-		writeErr(w, fail(http.StatusBadRequest, fmt.Errorf("invalid options body: %w", err)))
+	opts, err := decodeOptions(w, r, maxCreateBody)
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	t, err := newTenant(id, opts, s.eng, s.cfg.DefaultInitialCols)
@@ -283,15 +282,32 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, t.pub.Load().Status)
 }
 
+// decodeOptions reads a create request's TenantOptions JSON, at most
+// limit bytes of it; an empty body means all defaults. A body over the
+// limit fails with 413, a malformed one or an unknown field with 400.
+func decodeOptions(w http.ResponseWriter, r *http.Request, limit int64) (TenantOptions, error) {
+	var opts TenantOptions
+	body, err := limitBody(w, r, limit, "options")
+	if err != nil {
+		return opts, err
+	}
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&opts); err != nil && !errors.Is(err, io.EOF) {
+		return opts, bodyErr(fmt.Errorf("invalid options body: %w", err), "options", limit)
+	}
+	return opts, nil
+}
+
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	id, err := tenantID(r)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	t, err := restoreTenant(id, r.Body, s.eng)
+	t, err := decodeTenant(w, r, id, s.eng, maxRestoreBody)
 	if err != nil {
-		writeErr(w, fail(http.StatusBadRequest, fmt.Errorf("restore: %w", err)))
+		writeErr(w, err)
 		return
 	}
 	if err := s.register(t); err != nil {
@@ -299,6 +315,23 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, t.pub.Load().Status)
+}
+
+// decodeTenant restores tenant id from a snapshot request body, at most
+// limit bytes of it. A body over the limit fails with 413, any other bad
+// snapshot with 400. The codec reads field by field, 8 bytes at a time,
+// so the capped body is buffered: otherwise every field pays the cap's
+// bookkeeping and the body's lock.
+func decodeTenant(w http.ResponseWriter, r *http.Request, id string, eng *compute.Engine, limit int64) (*tenant, error) {
+	body, err := limitBody(w, r, limit, "snapshot")
+	if err != nil {
+		return nil, err
+	}
+	t, err := restoreTenant(id, bufio.NewReader(body), eng)
+	if err != nil {
+		return nil, bodyErr(fmt.Errorf("restore: %w", err), "snapshot", limit)
+	}
+	return t, nil
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -319,27 +352,53 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// maxIngestBody bounds one ingest request body. It sits above the
-// largest body any caller in this repository sends — a Theta-scale CSV
-// seed, P=4392 sensors × 1440 columns, is 114 MB — so a single request
-// cannot make the server buffer more than this (DESIGN.md §8).
-const maxIngestBody = 128 << 20
+// Request body bounds (DESIGN.md §8). Each sits above the largest body
+// of its kind any caller in this repository sends, so a single request
+// cannot make the server buffer more than this:
+//
+//   - maxIngestBody: a Theta-scale CSV seed, P=4392 sensors × 1440
+//     columns, is 114 MB.
+//   - maxRestoreBody: the Theta-scale benchmark tenant's snapshot,
+//     P=4392 × 720 seed columns, is 36.8 MiB.
+//   - maxCreateBody: a TenantOptions object is a few hundred bytes.
+const (
+	maxIngestBody  = 128 << 20
+	maxRestoreBody = 64 << 20
+	maxCreateBody  = 1 << 20
+)
+
+// limitBody caps the request body at limit bytes. A Content-Length over
+// the limit fails with 413 before anything is read; a body without one
+// fails on the read that runs over (see bodyErr).
+func limitBody(w http.ResponseWriter, r *http.Request, limit int64, what string) (io.Reader, error) {
+	if r.ContentLength > limit {
+		return nil, fail(http.StatusRequestEntityTooLarge,
+			fmt.Errorf("%s body of %d bytes is over the %d-byte limit", what, r.ContentLength, limit))
+	}
+	return http.MaxBytesReader(w, r.Body, limit), nil
+}
+
+// bodyErr classifies a failure to decode a limitBody reader: running over
+// the limit is a 413, anything else a 400.
+func bodyErr(err error, what string, limit int64) error {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return fail(http.StatusRequestEntityTooLarge, fmt.Errorf("%s body is over the %d-byte limit", what, limit))
+	}
+	return fail(http.StatusBadRequest, err)
+}
 
 // bodySource adapts the request body, at most limit bytes of it, to a
 // stream.Source (see decodeBody). A body over the limit fails with 413,
 // any other malformed body with 400.
 func bodySource(w http.ResponseWriter, r *http.Request, limit int64) (stream.Source, error) {
-	if r.ContentLength > limit {
-		return nil, fail(http.StatusRequestEntityTooLarge,
-			fmt.Errorf("ingest body of %d bytes is over the %d-byte limit", r.ContentLength, limit))
+	body, err := limitBody(w, r, limit, "ingest")
+	if err != nil {
+		return nil, err
 	}
-	src, err := decodeBody(r.Header.Get("Content-Type"), http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		return nil, fail(http.StatusRequestEntityTooLarge, fmt.Errorf("ingest body is over the %d-byte limit", limit))
-	case err != nil:
-		return nil, fail(http.StatusBadRequest, err)
+	src, err := decodeBody(r.Header.Get("Content-Type"), body, r.ContentLength)
+	if err != nil {
+		return nil, bodyErr(err, "ingest", limit)
 	}
 	return src, nil
 }

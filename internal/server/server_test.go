@@ -234,7 +234,7 @@ func TestServerColdTierStats(t *testing.T) {
 }
 
 // TestServerRejects pins the client-error surface: bad options (including
-// the removed "shards" knob, now an unknown field), duplicate
+// the removed "shards" and "precision" knobs, now unknown fields), duplicate
 // ids, unknown tenants, malformed and non-finite ingest bodies, and the
 // tenant cap.
 func TestServerRejects(t *testing.T) {
@@ -246,6 +246,7 @@ func TestServerRejects(t *testing.T) {
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"initial_cols":1}`), http.StatusBadRequest)
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"unknown_knob":true}`), http.StatusBadRequest)
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"shards":2}`), http.StatusBadRequest)
+	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"precision":"mixed"}`), http.StatusBadRequest)
 
 	c.must("POST", "/v1/tenants/a", "application/json", nil, http.StatusCreated)
 	c.must("POST", "/v1/tenants/a", "application/json", nil, http.StatusConflict)
@@ -261,7 +262,7 @@ func TestServerRejects(t *testing.T) {
 
 // TestServerConcurrentTenantsSnapshotRestore is the PR's server
 // acceptance criterion, run under -race in CI: two tenants with
-// independent Options (float64 vs mixed precision) ingest
+// independent Options and ingest encodings (CSV vs JSON) ingest
 // concurrently against one engine; both are snapshotted, the process
 // "restarts" (a fresh Server), both restore and continue streaming; the
 // final spectra must match uninterrupted reference runs to 1e-12.
@@ -283,9 +284,9 @@ func TestServerConcurrentTenantsSnapshotRestore(t *testing.T) {
 			opts: TenantOptions{DT: 20, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, Parallel: true, BlockColumns: 8, InitialCols: seed},
 			body: "csv",
 		},
-		"gpu-mixed": {
+		"gpu-json": {
 			data: bench.GPUData(p, total, 1),
-			opts: TenantOptions{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, Parallel: true, BlockColumns: 8, Precision: core.PrecisionMixed, InitialCols: seed},
+			opts: TenantOptions{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, Parallel: true, BlockColumns: 8, InitialCols: seed},
 			body: "json",
 		},
 	}
@@ -621,6 +622,88 @@ func TestIngestBodyBound(t *testing.T) {
 				t.Fatalf("%s body of %d bytes, bound %d: %v", ct, len(body), limit, err)
 			}
 		}
+	}
+}
+
+// serve runs one request straight through the handler, with the given
+// Content-Length (-1 for a chunked body), and returns its status.
+func serve(s *Server, method, path, ct string, body []byte, contentLength int64) int {
+	req := httptest.NewRequest(method, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", ct)
+	req.ContentLength = contentLength
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	return rec.Code
+}
+
+// tenantCount is the number of registered tenants GET /v1/tenants lists.
+func (c *testClient) tenantCount() int {
+	c.t.Helper()
+	var list []TenantStatus
+	if err := json.Unmarshal(c.must("GET", "/v1/tenants", "", nil, http.StatusOK), &list); err != nil {
+		c.t.Fatal(err)
+	}
+	return len(list)
+}
+
+// TestCreateBodyBound: a create body over maxCreateBody is refused with
+// 413 and registers nothing, whether its Content-Length announces the
+// excess (refused unread) or it is chunked and runs over while read.
+func TestCreateBodyBound(t *testing.T) {
+	s := New(Config{Workers: 1, DefaultInitialCols: 16})
+	c := newTestClient(t, s)
+	pad := func(n int) []byte { return append(bytes.Repeat([]byte(" "), n), "{}"...) }
+
+	if code := serve(s, "POST", "/v1/tenants/big", "application/json", pad(0), maxCreateBody+1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit Content-Length: status %d, want 413", code)
+	}
+	if code := serve(s, "POST", "/v1/tenants/big", "application/json", pad(maxCreateBody), -1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("chunked body over the limit: status %d, want 413", code)
+	}
+	if n := c.tenantCount(); n != 0 {
+		t.Fatalf("%d tenants registered after 413s, want 0", n)
+	}
+	if code := serve(s, "POST", "/v1/tenants/big", "application/json", pad(maxCreateBody-2), -1); code != http.StatusCreated {
+		t.Fatalf("chunked body at the limit: status %d, want 201", code)
+	}
+}
+
+// TestRestoreBodyBound: a restore body over maxRestoreBody is refused
+// with 413 and leaves the registry as it was. One whose Content-Length
+// announces the excess is refused unread by the handler; a chunked one is
+// cut off at the bound wherever it falls — mid-stream or in the checksum
+// trailer — exercised with bounds below the snapshot's size (a chunked
+// body past the real bound is 64 MiB).
+func TestRestoreBodyBound(t *testing.T) {
+	data := bench.SCLogData(4, 64, 1)
+	s := New(Config{Workers: 1, DefaultInitialCols: 16})
+	c := newTestClient(t, s)
+	c.must("POST", "/v1/tenants/src", "application/json", nil, http.StatusCreated)
+	c.must("POST", "/v1/tenants/src/ingest", "text/csv", csvBody(t, data, 0, 32), http.StatusOK)
+	snap := c.must("GET", "/v1/tenants/src/snapshot", "", nil, http.StatusOK)
+
+	if code := serve(s, "PUT", "/v1/tenants/dst", "application/octet-stream", snap, maxRestoreBody+1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit Content-Length: status %d, want 413", code)
+	}
+	if n := c.tenantCount(); n != 1 {
+		t.Fatalf("%d tenants registered after the 413, want 1", n)
+	}
+	c.must("GET", "/v1/tenants/dst/stats", "", nil, http.StatusNotFound)
+
+	for _, limit := range []int64{int64(len(snap)) / 2, int64(len(snap)) - 1, int64(len(snap))} {
+		req := httptest.NewRequest("PUT", "/v1/tenants/dst", bytes.NewReader(snap))
+		req.ContentLength = -1
+		_, err := decodeTenant(httptest.NewRecorder(), req, "dst", s.eng, limit)
+		var he *httpError
+		switch over := limit < int64(len(snap)); {
+		case over && (!errors.As(err, &he) || he.code != http.StatusRequestEntityTooLarge):
+			t.Fatalf("snapshot of %d bytes, bound %d: err %v, want 413", len(snap), limit, err)
+		case !over && err != nil:
+			t.Fatalf("snapshot of %d bytes, bound %d: %v", len(snap), limit, err)
+		}
+	}
+	if code := serve(s, "PUT", "/v1/tenants/dst", "application/octet-stream", snap, -1); code != http.StatusCreated {
+		t.Fatalf("chunked snapshot under the limit: status %d, want 201", code)
 	}
 }
 

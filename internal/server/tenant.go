@@ -16,10 +16,10 @@ import (
 )
 
 // TenantOptions is the JSON configuration a tenant is created with — the
-// per-tenant knobs of the analyzer (the Precision selection rides here)
-// plus the seed width. Workers is deliberately
-// absent: every tenant's kernels run on the server's one bounded engine,
-// which is what keeps N tenants from spawning N worker pools.
+// per-tenant knobs of the analyzer plus the seed width. Workers is
+// deliberately absent: every tenant's kernels run on the server's one
+// bounded engine, which is what keeps N tenants from spawning N worker
+// pools.
 type TenantOptions struct {
 	DT             float64 `json:"dt,omitempty"`
 	MaxLevels      int     `json:"max_levels,omitempty"`
@@ -30,7 +30,6 @@ type TenantOptions struct {
 	MinWindow      int     `json:"min_window,omitempty"`
 	Parallel       bool    `json:"parallel,omitempty"`
 	BlockColumns   int     `json:"block_columns,omitempty"`
-	Precision      string  `json:"precision,omitempty"`
 	DriftThreshold float64 `json:"drift_threshold,omitempty"`
 	AsyncRecompute bool    `json:"async_recompute,omitempty"`
 	// DriftWindow / AmplitudeWindow / ColdHorizon are the flat-horizon
@@ -57,7 +56,6 @@ func (o TenantOptions) toCore(eng *compute.Engine) core.Options {
 		MinWindow:       o.MinWindow,
 		Parallel:        o.Parallel,
 		BlockColumns:    o.BlockColumns,
-		Precision:       o.Precision,
 		DriftWindow:     o.DriftWindow,
 		AmplitudeWindow: o.AmplitudeWindow,
 		ColdHorizon:     o.ColdHorizon,
@@ -146,7 +144,6 @@ func restoreTenant(id string, r io.Reader, eng *compute.Engine) (*tenant, error)
 		MinWindow:       copts.MinWindow,
 		Parallel:        copts.Parallel,
 		BlockColumns:    copts.BlockColumns,
-		Precision:       copts.Precision,
 		DriftWindow:     copts.DriftWindow,
 		AmplitudeWindow: copts.AmplitudeWindow,
 		ColdHorizon:     copts.ColdHorizon,

@@ -665,3 +665,52 @@ func BenchmarkFromJSON(b *testing.B) {
 		}
 	}
 }
+
+// FuzzReadCSV: ReadCSV either rejects its input, or returns a matrix of
+// finite values that WriteCSV writes and ReadCSV reads back with the same
+// shape and the same Float64bits. Seeds come from the CSV tests above,
+// the #shape header cases among them.
+func FuzzReadCSV(f *testing.F) {
+	var rt, extreme bytes.Buffer
+	if err := WriteCSV(&rt, randMatrix(13, 3, 4)); err != nil {
+		f.Fatal(err)
+	}
+	ext := mat.NewDenseData(2, 2, []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, math.Copysign(0, -1)})
+	if err := WriteCSV(&extreme, ext); err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range []string{
+		rt.String(), extreme.String(),
+		"", "1,2\n3,nope\n", "1,2\n3\n", `"1","2"` + "\n",
+		"#shape,0,0\n", "#shape,5,0\n", "#shape,0,7\n",
+		"#shape,1,1\n", "#shape,3\n", "#shape,-1,0\n", "#shape,0,0\n1,2\n",
+		"1,NaN\n2,3\n", "1,2\n+Inf,3\n", "1,2\n3,-inf\n", "1e400,1\n",
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		m, err := ReadCSV(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if m.HasNaN() {
+			t.Fatalf("ReadCSV returned a non-finite value from %q", body)
+		}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, m); err != nil {
+			t.Fatalf("WriteCSV of a ReadCSV result: %v", err)
+		}
+		back, err := ReadCSV(&buf)
+		if err != nil {
+			t.Fatalf("ReadCSV of WriteCSV output %q: %v", buf.Bytes(), err)
+		}
+		if back.R != m.R || back.C != m.C {
+			t.Fatalf("round trip %d×%d → %d×%d", m.R, m.C, back.R, back.C)
+		}
+		for i := range m.Data {
+			if math.Float64bits(back.Data[i]) != math.Float64bits(m.Data[i]) {
+				t.Fatalf("element %d: %v round-tripped to %v", i, m.Data[i], back.Data[i])
+			}
+		}
+	})
+}

@@ -5,49 +5,37 @@
 // Brand-style incremental SVD the paper adopts for I-mrDMD (Kühl et al.,
 // "An incremental singular value decomposition approach for large-scale
 // spatially parallel & distributed but temporally serial data").
-//
-// The Jacobi path is generic over the element tier: the float32
-// instantiation is the mixed-precision screening SVD (see mixed.go and
-// DESIGN.md §6), the float64 instantiation the unchanged accurate solver.
 package svd
 
 import (
 	"math"
 	"sort"
-	"unsafe"
 
 	"imrdmd/internal/compute"
 	"imrdmd/internal/eig"
 	"imrdmd/internal/mat"
 )
 
-// GResult is an economy SVD A ≈ U diag(S) Vᵀ with U m×k, V n×k and k the
-// retained rank (k ≤ min(m,n); tiny singular values may be dropped), over
-// element tier T.
-type GResult[T mat.Element] struct {
-	U *mat.GDense[T]
-	S []T
-	V *mat.GDense[T]
+// Result is an economy SVD A ≈ U diag(S) Vᵀ with U m×k, V n×k and k the
+// retained rank (k ≤ min(m,n); tiny singular values may be dropped).
+type Result struct {
+	U *mat.Dense
+	S []float64
+	V *mat.Dense
 }
 
-// Result is the float64 economy SVD.
-type Result = GResult[float64]
-
-// Result32 is the float32 economy SVD produced by the screening tier.
-type Result32 = GResult[float32]
-
 // Rank returns the number of retained singular values.
-func (r *GResult[T]) Rank() int { return len(r.S) }
+func (r *Result) Rank() int { return len(r.S) }
 
 // Truncate returns a copy of the decomposition keeping the leading k
 // singular triplets. k larger than the current rank is clamped.
-func (r *GResult[T]) Truncate(k int) *GResult[T] {
+func (r *Result) Truncate(k int) *Result {
 	if k >= r.Rank() {
-		return &GResult[T]{U: r.U.Clone(), S: append([]T(nil), r.S...), V: r.V.Clone()}
+		return &Result{U: r.U.Clone(), S: append([]float64(nil), r.S...), V: r.V.Clone()}
 	}
-	return &GResult[T]{
+	return &Result{
 		U: r.U.ColSlice(0, k),
-		S: append([]T(nil), r.S[:k]...),
+		S: append([]float64(nil), r.S[:k]...),
 		V: r.V.ColSlice(0, k),
 	}
 }
@@ -56,11 +44,11 @@ func (r *GResult[T]) Truncate(k int) *GResult[T] {
 // k >= Rank() the receiver itself is returned unchanged (no copy) — check
 // `tr != r` before returning borrowed factors to the pool. The result is
 // read-only for the borrower.
-func (r *GResult[T]) TruncateWith(ws *compute.Workspace, k int) *GResult[T] {
+func (r *Result) TruncateWith(ws *compute.Workspace, k int) *Result {
 	if k >= r.Rank() {
 		return r
 	}
-	return &GResult[T]{
+	return &Result{
 		U: mat.ColSliceWith(ws, r.U, 0, k),
 		S: r.S[:k],
 		V: mat.ColSliceWith(ws, r.V, 0, k),
@@ -68,7 +56,7 @@ func (r *GResult[T]) TruncateWith(ws *compute.Workspace, k int) *GResult[T] {
 }
 
 // Reconstruct returns U diag(S) Vᵀ.
-func (r *GResult[T]) Reconstruct() *mat.GDense[T] {
+func (r *Result) Reconstruct() *mat.Dense {
 	us := r.U.Clone()
 	for i := 0; i < us.R; i++ {
 		row := us.Row(i)
@@ -92,26 +80,15 @@ func SetJacobiCutoff(n int) int {
 	return old
 }
 
-// relDropTol drops float64 singular values below this multiple of the
-// largest; they are numerically zero and their singular vectors are noise.
-// The float32 tier uses relDropTol32 (scaled to f32 machine epsilon).
+// Numerical thresholds of the Jacobi SVD, each a small multiple of the
+// float64 machine epsilon (2⁻⁵²): jacobiRotTol is the off-diagonal
+// convergence tolerance of the rotation sweep, and relDropTol drops
+// singular values below this multiple of the largest — they are
+// numerically zero and their singular vectors are noise.
 const (
+	jacobiRotTol = 1e-15
 	relDropTol   = 1e-12
-	relDropTol32 = 1e-6
 )
-
-// jacobiTols returns the per-tier numerical thresholds: the off-diagonal
-// convergence tolerance of the rotation sweep and the relative drop
-// tolerance for retained singular values, each a small multiple of the
-// element type's machine epsilon (2⁻⁵² for float64, 2⁻²⁴ for float32).
-// The sizeof comparison folds per instantiation.
-func jacobiTols[T mat.Element]() (rotTol, dropTol float64) {
-	var z T
-	if unsafe.Sizeof(z) == 8 {
-		return 1e-15, relDropTol
-	}
-	return 1e-7, relDropTol32
-}
 
 // Compute returns the economy SVD of a. Small factors go through
 // one-sided Jacobi (high accuracy); larger ones through the method of
@@ -152,26 +129,24 @@ func jacobiSVD(a *mat.Dense) *Result { return jacobiSVDWS(nil, a, nil, false) }
 // Jacobi on R is the classical high-accuracy route (Drmač–Veselić).
 const qrPrecondRatio = 2
 
-// jacobiSVDWS is jacobiSVD with rotation scratch borrowed from ws, generic
-// over the element tier (the float32 instantiation is the screening SVD's
-// engine). When poolOut is set, the returned U and V are workspace storage
+// jacobiSVDWS is jacobiSVD with rotation scratch borrowed from ws. When
+// poolOut is set, the returned U and V are workspace storage
 // too and the caller must PutDense them back (used by the incremental
 // updates, whose factor matrices are recycled every step).
-func jacobiSVDWS[T mat.Element](e *compute.Engine, a *mat.GDense[T], ws *compute.Workspace, poolOut bool) *GResult[T] {
+func jacobiSVDWS(e *compute.Engine, a *mat.Dense, ws *compute.Workspace, poolOut bool) *Result {
 	m, n := a.Dims()
-	rotTol, dropTol := jacobiTols[T]()
 	if m < n {
 		// Factor the transpose and swap factors: Aᵀ = U S Vᵀ ⇒ A = V S Uᵀ.
 		at := mat.TWith(ws, a)
 		r := jacobiSVDWS(e, at, ws, poolOut)
 		mat.PutDense(ws, at)
-		return &GResult[T]{U: r.V, S: r.S, V: r.U}
+		return &Result{U: r.V, S: r.S, V: r.U}
 	}
 	if n >= 2 && m >= qrPrecondRatio*n {
 		// Tall case: A = Q·R, SVD the small R, rotate Q.
 		qr := mat.QRFactorOn(e, ws, a)
 		rs := jacobiSVDWS(e, qr.R, ws, true)
-		var u *mat.GDense[T]
+		var u *mat.Dense
 		if poolOut {
 			u = mat.MulWith(e, ws, qr.Q, rs.U)
 		} else {
@@ -184,7 +159,7 @@ func jacobiSVDWS[T mat.Element](e *compute.Engine, a *mat.GDense[T], ws *compute
 			v = rs.V.Clone()
 			mat.PutDense(ws, rs.V)
 		}
-		return &GResult[T]{U: u, S: rs.S, V: v}
+		return &Result{U: u, S: rs.S, V: v}
 	}
 	// The sweeps run on the TRANSPOSE of a: column j becomes contiguous
 	// row j, so every pair dot and rotation streams two unit-stride rows
@@ -192,15 +167,13 @@ func jacobiSVDWS[T mat.Element](e *compute.Engine, a *mat.GDense[T], ws *compute
 	// accumulation order (k ascending) are identical to the column form,
 	// so the factors are bit-identical — only the memory layout changes.
 	wt := mat.TWith(ws, a) // n×m: row j will be rotated into column j of U·Σ
-	vt := mat.GetDenseOf[T](ws, n, n)
+	vt := mat.GetDense(ws, n, n)
 	for i := 0; i < n; i++ {
 		vt.Data[i*n+i] = 1
 	}
 
 	const maxSweeps = 48
 	// Convergence: all column pairs orthogonal relative to their norms.
-	// Column dots accumulate in float64 in both tiers (cheap, and it keeps
-	// the f32 sweep's convergence test meaningful near its epsilon).
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		rotated := false
 		for p := 0; p < n-1; p++ {
@@ -214,8 +187,8 @@ func jacobiSVDWS[T mat.Element](e *compute.Engine, a *mat.GDense[T], ws *compute
 				var app0, app1, aqq0, aqq1, apq0, apq1 float64
 				k := 0
 				for ; k+2 <= m; k += 2 {
-					wp0, wq0 := float64(rp[k]), float64(rq[k])
-					wp1, wq1 := float64(rp[k+1]), float64(rq[k+1])
+					wp0, wq0 := rp[k], rq[k]
+					wp1, wq1 := rp[k+1], rq[k+1]
 					app0 += wp0 * wp0
 					aqq0 += wq0 * wq0
 					apq0 += wp0 * wq0
@@ -224,7 +197,7 @@ func jacobiSVDWS[T mat.Element](e *compute.Engine, a *mat.GDense[T], ws *compute
 					apq1 += wp1 * wq1
 				}
 				if k < m {
-					wp, wq := float64(rp[k]), float64(rq[k])
+					wp, wq := rp[k], rq[k]
 					app0 += wp * wp
 					aqq0 += wq * wq
 					apq0 += wp * wq
@@ -235,7 +208,7 @@ func jacobiSVDWS[T mat.Element](e *compute.Engine, a *mat.GDense[T], ws *compute
 				if app == 0 || aqq == 0 {
 					continue
 				}
-				if math.Abs(apq) <= rotTol*math.Sqrt(app*aqq) {
+				if math.Abs(apq) <= jacobiRotTol*math.Sqrt(app*aqq) {
 					continue
 				}
 				rotated = true
@@ -246,8 +219,8 @@ func jacobiSVDWS[T mat.Element](e *compute.Engine, a *mat.GDense[T], ws *compute
 				} else {
 					t = -1 / (-tau + math.Sqrt(1+tau*tau))
 				}
-				c := T(1 / math.Sqrt(1+t*t))
-				s := T(t) * c
+				c := 1 / math.Sqrt(1+t*t)
+				s := t * c
 				for k := 0; k < m; k++ {
 					wp, wq := rp[k], rq[k]
 					rp[k] = c*wp - s*wq
@@ -278,7 +251,7 @@ func jacobiSVDWS[T mat.Element](e *compute.Engine, a *mat.GDense[T], ws *compute
 		row := wt.Data[j*m : j*m+m]
 		var s float64
 		for k := 0; k < m; k++ {
-			x := float64(row[k])
+			x := row[k]
 			s += x * x
 		}
 		tr[j] = triplet{math.Sqrt(s), j}
@@ -297,33 +270,33 @@ func jacobiSVDWS[T mat.Element](e *compute.Engine, a *mat.GDense[T], ws *compute
 
 	smax := tr[0].s
 	rank := 0
-	for rank < n && tr[rank].s > dropTol*smax && tr[rank].s > 0 {
+	for rank < n && tr[rank].s > relDropTol*smax && tr[rank].s > 0 {
 		rank++
 	}
 	if rank == 0 {
 		rank = 1 // zero matrix: keep a single zero triplet for shape sanity
 	}
 
-	var u, vv *mat.GDense[T]
+	var u, vv *mat.Dense
 	if poolOut {
-		u = mat.GetDenseOf[T](ws, m, rank)
-		vv = mat.GetDenseOf[T](ws, n, rank)
+		u = mat.GetDense(ws, m, rank)
+		vv = mat.GetDense(ws, n, rank)
 	} else {
-		u = mat.NewOf[T](m, rank)
-		vv = mat.NewOf[T](n, rank)
+		u = mat.NewDense(m, rank)
+		vv = mat.NewDense(n, rank)
 	}
-	ss := make([]T, rank)
+	ss := make([]float64, rank)
 	for jOut := 0; jOut < rank; jOut++ {
 		j := tr[jOut].idx
 		sv := tr[jOut].s
-		ss[jOut] = T(sv)
+		ss[jOut] = sv
 		inv := 0.0
 		if sv > 0 {
 			inv = 1 / sv
 		}
 		wrow := wt.Data[j*m : j*m+m]
 		for k := 0; k < m; k++ {
-			u.Data[k*rank+jOut] = wrow[k] * T(inv)
+			u.Data[k*rank+jOut] = wrow[k] * inv
 		}
 		vrow := vt.Data[j*n : j*n+n]
 		for k := 0; k < n; k++ {
@@ -332,7 +305,7 @@ func jacobiSVDWS[T mat.Element](e *compute.Engine, a *mat.GDense[T], ws *compute
 	}
 	mat.PutDense(ws, wt)
 	mat.PutDense(ws, vt)
-	return &GResult[T]{U: u, S: ss, V: vv}
+	return &Result{U: u, S: ss, V: vv}
 }
 
 // snapshotSVD computes the economy SVD via the eigendecomposition of the
@@ -410,17 +383,16 @@ func scaleColsInv(m *mat.Dense, s []float64) {
 // SVHTRank returns the number of singular values that survive the
 // Gavish–Donoho optimal hard threshold τ = ω(β)·median(σ) for a matrix
 // with aspect ratio β = min(m,n)/max(m,n) and unknown noise level, using
-// the standard cubic approximation of ω. Generic so the screening tier
-// can apply the same decision rule to its float32 spectrum.
-func SVHTRank[T mat.Element](s []T, m, n int) int {
+// the standard cubic approximation of ω.
+func SVHTRank(s []float64, m, n int) int {
 	return SVHTRankWith(nil, s, m, n)
 }
 
 // SVHTRankWith is SVHTRank with the median's sort scratch borrowed from ws
 // (nil ws allocates). The threshold runs inside every window fit and every
-// PartialFit refresh, so the hot callers (dmd.FromSVD, MixedCompute) pass
-// their workspace to keep the decision allocation-free.
-func SVHTRankWith[T mat.Element](ws *compute.Workspace, s []T, m, n int) int {
+// PartialFit refresh, so the hot caller (dmd.FromSVD) passes its
+// workspace to keep the decision allocation-free.
+func SVHTRankWith(ws *compute.Workspace, s []float64, m, n int) int {
 	if len(s) == 0 {
 		return 0
 	}
@@ -429,7 +401,7 @@ func SVHTRankWith[T mat.Element](ws *compute.Workspace, s []T, m, n int) int {
 	med := medianWith(ws, s)
 	tau := omega * med
 	rank := 0
-	for rank < len(s) && float64(s[rank]) > tau {
+	for rank < len(s) && s[rank] > tau {
 		rank++
 	}
 	if rank == 0 {
@@ -438,14 +410,12 @@ func SVHTRankWith[T mat.Element](ws *compute.Workspace, s []T, m, n int) int {
 	return rank
 }
 
-// medianWith computes the median of a spectrum in float64, sorting a
+// medianWith computes the median of a spectrum, sorting a
 // workspace-borrowed copy (the input is descending already, but the copy
 // keeps the contract allocation-free rather than order-dependent).
-func medianWith[T mat.Element](ws *compute.Workspace, s []T) float64 {
+func medianWith(ws *compute.Workspace, s []float64) float64 {
 	c := ws.GetF64(len(s))
-	for i, v := range s {
-		c[i] = float64(v)
-	}
+	copy(c, s)
 	sort.Float64s(c)
 	n := len(c)
 	var med float64

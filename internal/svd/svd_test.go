@@ -206,7 +206,7 @@ func TestSVHTRankAtLeastOne(t *testing.T) {
 	if k := SVHTRank([]float64{1e-30}, 10, 10); k != 1 {
 		t.Fatalf("SVHT must keep at least one direction, got %d", k)
 	}
-	if k := SVHTRank[float64](nil, 10, 10); k != 0 {
+	if k := SVHTRank(nil, 10, 10); k != 0 {
 		t.Fatalf("empty spectrum should give 0, got %d", k)
 	}
 }

@@ -67,11 +67,11 @@ func TestPublicSnapshotRestore(t *testing.T) {
 	if restored.Steps() != ref.Steps() {
 		t.Fatalf("restored Steps = %d want %d", restored.Steps(), ref.Steps())
 	}
-	// Restored options come back default-filled (DT, windows and
-	// precision resolved); every knob that was set must survive.
+	// Restored options come back default-filled (DT and windows
+	// resolved); every knob that was set must survive.
 	ro := restored.opts
 	if ro.DT != 1 || ro.MaxLevels != 4 || ro.MaxCycles != 2 || !ro.UseSVHT ||
-		ro.BlockColumns != 8 || ro.Precision != PrecisionFloat64 {
+		ro.BlockColumns != 8 {
 		t.Fatalf("restored options lost knobs: %+v", ro)
 	}
 
