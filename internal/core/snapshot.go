@@ -315,7 +315,7 @@ func decodeOptions(r *codec.Reader) (Options, error) {
 	switch prec := r.String(); prec {
 	case "", "float64", "mixed":
 	default:
-		return o, fmt.Errorf("%w: unknown precision %q in options", codec.ErrCorrupt, prec)
+		return Options{}, fmt.Errorf("%w: unknown precision %q in options", codec.ErrCorrupt, prec)
 	}
 	r.Int() // retired shard-count slot (see encodeOptions), ignored
 	if r.Version() >= 2 {

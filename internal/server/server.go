@@ -265,7 +265,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	opts, err := decodeOptions(w, r, maxCreateBody)
+	opts, err := decodeOptions(w, r)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -283,18 +283,19 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeOptions reads a create request's TenantOptions JSON, at most
-// limit bytes of it; an empty body means all defaults. A body over the
-// limit fails with 413, a malformed one or an unknown field with 400.
-func decodeOptions(w http.ResponseWriter, r *http.Request, limit int64) (TenantOptions, error) {
+// maxCreateBody bytes of it; an empty body means all defaults. A body
+// over the limit fails with 413, a malformed one or an unknown field
+// with 400.
+func decodeOptions(w http.ResponseWriter, r *http.Request) (TenantOptions, error) {
 	var opts TenantOptions
-	body, err := limitBody(w, r, limit, "options")
+	body, err := limitBody(w, r, maxCreateBody, "options")
 	if err != nil {
 		return opts, err
 	}
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&opts); err != nil && !errors.Is(err, io.EOF) {
-		return opts, bodyErr(fmt.Errorf("invalid options body: %w", err), "options", limit)
+		return opts, bodyErr(fmt.Errorf("invalid options body: %w", err), "options", maxCreateBody)
 	}
 	return opts, nil
 }
