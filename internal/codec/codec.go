@@ -39,11 +39,13 @@ const Version = 2
 const magic = "IMRDSNAP"
 
 // maxLen bounds every decoded length/dimension (element count sanity
-// check); chunkLen bounds the capacity any single decode allocates ahead
-// of the data actually read, so a corrupt or hostile stream claiming a
-// huge length cannot drive a multi-gigabyte allocation from a tiny input
-// — slices grow with consumed bytes and a lying length dies at
-// io.ErrUnexpectedEOF after at most one chunk.
+// check). chunkLen is the unit of bulk I/O: slices and matrices move
+// through a chunkLen-byte scratch, one underlying Read or Write and one
+// CRC pass per chunk, because hash/crc32 takes its CLMUL path only for
+// updates of at least 64 bytes and checksums shorter ones a byte at a
+// time (DESIGN.md §8). chunkLen also bounds what a decode allocates
+// ahead of the data actually read: a corrupt or hostile stream claiming
+// a huge length dies at io.ErrUnexpectedEOF after at most one chunk.
 const (
 	maxLen   = 1 << 30
 	chunkLen = 1 << 16
@@ -67,10 +69,12 @@ var (
 // after the first write error every call is a no-op and Close returns it.
 // Callers therefore write whole sections unchecked and test once.
 type Writer struct {
-	w   io.Writer
-	crc hash.Hash32
-	buf [8]byte
-	err error
+	w     io.Writer
+	crc   hash.Hash32
+	buf   [8]byte
+	chunk []byte // bulk scratch, chunkLen bytes once allocated
+	fill  int    // bytes of chunk not yet written
+	err   error
 }
 
 // NewWriter starts a snapshot stream on w at the current Version, writing
@@ -163,28 +167,78 @@ func (e *Writer) String(s string) {
 	e.raw([]byte(s))
 }
 
+// putSlice encodes v into the chunk scratch, elemSize bytes per element,
+// writing each chunk as it fills; encode fills dst from src, with
+// len(dst) == elemSize*len(src). The last partial chunk stays buffered
+// until flush, so a matrix's rows pack into whole chunks however short
+// they are.
+func putSlice[T any](e *Writer, v []T, elemSize int, encode func(dst []byte, src []T)) {
+	if e.chunk == nil {
+		e.chunk = make([]byte, chunkLen)
+	}
+	for len(v) > 0 {
+		if e.fill+elemSize > chunkLen {
+			e.flush()
+		}
+		k := min(len(v), (chunkLen-e.fill)/elemSize)
+		encode(e.chunk[e.fill:e.fill+k*elemSize], v[:k])
+		e.fill += k * elemSize
+		v = v[k:]
+	}
+}
+
+// flush writes the buffered part of the chunk scratch.
+func (e *Writer) flush() {
+	if e.fill > 0 {
+		e.raw(e.chunk[:e.fill])
+		e.fill = 0
+	}
+}
+
+func putInts(dst []byte, src []int) {
+	for i, x := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], uint64(x))
+	}
+}
+
+func putFloats(dst []byte, src []float64) {
+	for i, x := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
+	}
+}
+
+func putFloat32s(dst []byte, src []float32) {
+	for i, x := range src {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(x))
+	}
+}
+
+func putComplexes(dst []byte, src []complex128) {
+	for i, x := range src {
+		binary.LittleEndian.PutUint64(dst[16*i:], math.Float64bits(real(x)))
+		binary.LittleEndian.PutUint64(dst[16*i+8:], math.Float64bits(imag(x)))
+	}
+}
+
 // Ints writes a length-prefixed []int.
 func (e *Writer) Ints(v []int) {
 	e.Int(len(v))
-	for _, x := range v {
-		e.Int(x)
-	}
+	putSlice(e, v, 8, putInts)
+	e.flush()
 }
 
 // Floats writes a length-prefixed []float64.
 func (e *Writer) Floats(v []float64) {
 	e.Int(len(v))
-	for _, x := range v {
-		e.Float(x)
-	}
+	putSlice(e, v, 8, putFloats)
+	e.flush()
 }
 
 // Complexes writes a length-prefixed []complex128.
 func (e *Writer) Complexes(v []complex128) {
 	e.Int(len(v))
-	for _, x := range v {
-		e.Complex(x)
-	}
+	putSlice(e, v, 16, putComplexes)
+	e.flush()
 }
 
 // Dense writes a matrix as its shape followed by the row-major payload.
@@ -195,23 +249,19 @@ func (e *Writer) Dense(m *mat.Dense) {
 	e.Int(m.R)
 	e.Int(m.C)
 	for i := 0; i < m.R; i++ {
-		for _, x := range m.Row(i) {
-			e.Float(x)
-		}
+		putSlice(e, m.Row(i), 8, putFloats)
 	}
+	e.flush()
 }
 
 // Dense32 writes a float32 matrix as its shape followed by the row-major
 // payload of 32-bit patterns — the cold-tier history sections of format
-// version ≥ 2. Like Dense, strided inputs serialize tightly.
+// version ≥ 2.
 func (e *Writer) Dense32(m *mat.Dense32) {
 	e.Int(m.R)
 	e.Int(m.C)
-	for i := 0; i < m.R; i++ {
-		for _, x := range m.Row(i) {
-			e.U32(math.Float32bits(x))
-		}
-	}
+	putSlice(e, m.Data[:m.R*m.C], 4, putFloat32s)
+	e.flush()
 }
 
 // Reader deserializes a stream written by Writer. Like the Writer, errors
@@ -222,6 +272,7 @@ type Reader struct {
 	r       io.Reader
 	crc     hash.Hash32
 	buf     [8]byte
+	chunk   []byte // bulk scratch, chunkLen bytes once allocated
 	version uint32
 	err     error
 }
@@ -323,7 +374,16 @@ func (d *Reader) I64() int64 {
 // Int reads an int, rejecting values outside the sane length range.
 func (d *Reader) Int() int {
 	v := d.I64()
-	if d.err == nil && (v < math.MinInt32 || v > maxLen) {
+	if d.err != nil {
+		return 0
+	}
+	return d.checkInt(v)
+}
+
+// checkInt returns v as an int, or latches ErrCorrupt and returns 0
+// when v lies outside [MinInt32, maxLen].
+func (d *Reader) checkInt(v int64) int {
+	if v < math.MinInt32 || v > maxLen {
 		d.fail(fmt.Errorf("%w: int %d out of range", ErrCorrupt, v))
 		return 0
 	}
@@ -365,74 +425,99 @@ func (d *Reader) Complex() complex128 {
 // String reads a length-prefixed string.
 func (d *Reader) String() string {
 	n := d.Len()
-	if d.err != nil || n == 0 {
-		return ""
-	}
-	b := make([]byte, 0, minInt(n, chunkLen))
-	var buf [chunkLen]byte
-	for len(b) < n && d.err == nil {
-		k := minInt(n-len(b), chunkLen)
-		d.raw(buf[:k])
-		b = append(b, buf[:k]...)
-	}
-	if d.err != nil {
-		return ""
-	}
-	return string(b)
+	return string(decodeSlice(d, n, 1, func(dst, src []byte) { copy(dst, src) }))
 }
 
-// decodeSlice reads n elements via get, growing the result with the
-// consumed input (capacity starts at one chunk, not at the claimed n).
-func decodeSlice[T any](d *Reader, n int, get func() T) []T {
-	v := make([]T, 0, minInt(n, chunkLen))
-	for len(v) < n && d.err == nil {
-		v = append(v, get())
+// scratch returns the reader's chunkLen-byte bulk buffer.
+func (d *Reader) scratch() []byte {
+	if d.chunk == nil {
+		d.chunk = make([]byte, chunkLen)
 	}
+	return d.chunk
+}
+
+// decodeSlice reads n elements of elemSize bytes each, a chunk at a
+// time: one raw read (one io.ReadFull, one CRC pass) per chunk, then
+// decode fills the chunk's elements dst from its bytes src. The result
+// grows only after a chunk's bytes have arrived, by doubling capped at n,
+// so its capacity stays within about twice the consumed elements plus
+// one chunk — a lying length fails at io.ErrUnexpectedEOF before it can
+// drive a large allocation. decode may latch an error through d; the
+// chunk it occurs in is the last one read.
+func decodeSlice[T any](d *Reader, n, elemSize int, decode func(dst []T, src []byte)) []T {
 	if d.err != nil {
 		return nil
+	}
+	buf := d.scratch()
+	per := chunkLen / elemSize
+	v := make([]T, 0, min(n, per))
+	for len(v) < n {
+		k := min(n-len(v), per)
+		d.raw(buf[:k*elemSize])
+		if d.err != nil {
+			return nil
+		}
+		if len(v)+k > cap(v) {
+			grown := make([]T, len(v), min(n, max(2*cap(v), len(v)+k)))
+			copy(grown, v)
+			v = grown
+		}
+		decode(v[len(v):len(v)+k], buf)
+		if d.err != nil {
+			return nil
+		}
+		v = v[:len(v)+k]
 	}
 	return v
 }
 
-// Ints reads a length-prefixed []int.
+func getFloats(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+func getFloat32s(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
+func getComplexes(dst []complex128, src []byte) {
+	for i := range dst {
+		dst[i] = complex(
+			math.Float64frombits(binary.LittleEndian.Uint64(src[16*i:])),
+			math.Float64frombits(binary.LittleEndian.Uint64(src[16*i+8:])))
+	}
+}
+
+// Ints reads a length-prefixed []int. Every element is range-checked
+// like Int; the first one out of range fails the read with ErrCorrupt.
 func (d *Reader) Ints() []int {
 	n := d.Len()
-	if d.err != nil {
-		return nil
-	}
-	return decodeSlice(d, n, d.Int)
+	return decodeSlice(d, n, 8, func(dst []int, src []byte) {
+		for i := range dst {
+			dst[i] = d.checkInt(int64(binary.LittleEndian.Uint64(src[8*i:])))
+		}
+	})
 }
 
 // Floats reads a length-prefixed []float64.
 func (d *Reader) Floats() []float64 {
 	n := d.Len()
-	if d.err != nil {
-		return nil
-	}
-	return decodeSlice(d, n, d.Float)
+	return decodeSlice(d, n, 8, getFloats)
 }
 
 // Complexes reads a length-prefixed []complex128.
 func (d *Reader) Complexes() []complex128 {
 	n := d.Len()
-	if d.err != nil {
-		return nil
-	}
-	return decodeSlice(d, n, d.Complex)
+	return decodeSlice(d, n, 16, getComplexes)
 }
 
 // Dense reads a matrix written by Writer.Dense.
 func (d *Reader) Dense() *mat.Dense {
-	r := d.Len()
-	c := d.Len()
-	if d.err != nil {
-		return nil
-	}
-	if r > 0 && c > maxLen/r {
-		d.fail(fmt.Errorf("%w: matrix shape %d×%d too large", ErrCorrupt, r, c))
-		return nil
-	}
-	data := decodeSlice(d, r*c, d.Float)
+	r, c := d.shape()
+	data := decodeSlice(d, r*c, 8, getFloats)
 	if d.err != nil {
 		return nil
 	}
@@ -441,27 +526,24 @@ func (d *Reader) Dense() *mat.Dense {
 
 // Dense32 reads a float32 matrix written by Writer.Dense32.
 func (d *Reader) Dense32() *mat.Dense32 {
-	r := d.Len()
-	c := d.Len()
-	if d.err != nil {
-		return nil
-	}
-	if r > 0 && c > maxLen/r {
-		d.fail(fmt.Errorf("%w: matrix shape %d×%d too large", ErrCorrupt, r, c))
-		return nil
-	}
-	data := decodeSlice(d, r*c, func() float32 {
-		return math.Float32frombits(d.U32())
-	})
+	r, c := d.shape()
+	data := decodeSlice(d, r*c, 4, getFloat32s)
 	if d.err != nil {
 		return nil
 	}
 	return &mat.Dense32{R: r, C: c, Data: data}
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// shape reads a matrix's dimensions, rejecting an element count over
+// maxLen.
+func (d *Reader) shape() (r, c int) {
+	r = d.Len()
+	c = d.Len()
+	if d.err == nil && r > 0 && c > maxLen/r {
+		d.fail(fmt.Errorf("%w: matrix shape %d×%d too large", ErrCorrupt, r, c))
 	}
-	return b
+	if d.err != nil {
+		return 0, 0
+	}
+	return r, c
 }

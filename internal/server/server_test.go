@@ -673,7 +673,7 @@ func TestCreateBodyBound(t *testing.T) {
 // announces the excess is refused unread by the handler; a chunked one is
 // cut off at the bound wherever it falls — mid-stream or in the checksum
 // trailer — exercised with bounds below the snapshot's size (a chunked
-// body past the real bound is 64 MiB).
+// body past the real bound is 128 MiB).
 func TestRestoreBodyBound(t *testing.T) {
 	data := bench.SCLogData(4, 64, 1)
 	s := New(Config{Workers: 1, DefaultInitialCols: 16})
