@@ -7,6 +7,11 @@
 // -scale shrinks the workload dimensions (1.0 = paper-size; the default
 // 0.1 finishes in minutes on a laptop). Absolute seconds differ from the
 // paper's testbed; the asserted claims are the qualitative shapes.
+//
+// Two more flags ride along: -kernel-info prints the GEMM kernel tier,
+// probed caches and derived blocking, and exits; -cpuprofile writes a
+// CPU profile of the run. Performance is measured by cmd/imrdmd-bench,
+// not here.
 package main
 
 import (
@@ -17,7 +22,6 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"imrdmd/internal/bench"
 )
@@ -32,10 +36,6 @@ func main() {
 		outDir  = flag.String("out", "results", "artifact directory")
 		tsne    = flag.Bool("tsne", false, "include t-SNE in fig9 (slow)")
 		check   = flag.Bool("check", true, "assert the paper's qualitative shapes")
-		workers = flag.Int("workers", 0, "compute-engine worker lanes for the -bench-json run (0 = GOMAXPROCS); experiment paths use the default pool")
-		bjson   = flag.String("bench-json", "", "write a Mul/PartialFit benchmark snapshot (ns/op, allocs/op) to this file, e.g. BENCH_pr1.json, and exit")
-		qsmoke  = flag.Bool("query-smoke", false, "run a short query-throughput smoke (2 readers, ~0.3s) and exit")
-		tlong   = flag.String("t-long", "", "comma-separated stream lengths (e.g. 2048,4096): run the flat-horizon longrun sweep — per-batch latency and resident bytes at each probe — and exit")
 		kinfo   = flag.Bool("kernel-info", false, "print the GEMM kernel tier, probed caches and derived blocking, and exit")
 		cpuprof = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (pprof format)")
 	)
@@ -55,27 +55,6 @@ func main() {
 	}
 	if *kinfo {
 		printKernelInfo()
-		return
-	}
-	if *qsmoke {
-		m, err := queryThroughput(*workers, 8, 2, 300*time.Millisecond)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("query smoke: %.0f reads/s across %d readers (read p50 %.3f ms p99 %.3f ms; concurrent ingest %.1f batches/s p50 %.3f ms p99 %.3f ms)\n",
-			m.ReadsPerSec, m.Readers, m.ReadP50Ms, m.ReadP99Ms, m.BatchesPerSec, m.P50Ms, m.P99Ms)
-		return
-	}
-	if *tlong != "" {
-		if err := runLongrunSmoke(*workers, *tlong); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *bjson != "" {
-		if err := writeBenchJSON(*bjson, *workers); err != nil {
-			log.Fatal(err)
-		}
 		return
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {

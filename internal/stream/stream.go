@@ -94,8 +94,8 @@ func (s *genSource) Next() (*mat.Dense, bool) {
 type PumpStats struct {
 	InitialColumns int
 	InitialFit     time.Duration
-	// PartialFits holds per-batch update latencies in arrival order.
-	PartialFits []time.Duration
+	// PartialTotal is the summed partial-fit latency over all batches.
+	PartialTotal time.Duration
 	// Batches is the number of partial-fit batches processed.
 	Batches int
 	// Columns is the total column count absorbed (initial + streamed).
@@ -125,21 +125,15 @@ func Quantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[idx]
 }
 
-// TotalPartial sums the partial-fit time.
-func (s *PumpStats) TotalPartial() time.Duration {
-	var d time.Duration
-	for _, p := range s.PartialFits {
-		d += p
-	}
-	return d
-}
+// TotalPartial returns the summed partial-fit time.
+func (s *PumpStats) TotalPartial() time.Duration { return s.PartialTotal }
 
 // MeanPartial returns the average partial-fit latency.
 func (s *PumpStats) MeanPartial() time.Duration {
-	if len(s.PartialFits) == 0 {
+	if s.Batches == 0 {
 		return 0
 	}
-	return s.TotalPartial() / time.Duration(len(s.PartialFits))
+	return s.PartialTotal / time.Duration(s.Batches)
 }
 
 // Feeder is the push-based counterpart of Pump: batches arrive one call
@@ -153,8 +147,8 @@ type Feeder struct {
 	inc         *core.Incremental
 	initialCols int
 	pending     *mat.Dense
-	seeded      bool
 	stats       PumpStats
+	seeded      bool
 }
 
 // NewFeeder prepares a feeder that seeds inc with exactly initialCols
@@ -193,11 +187,7 @@ func (f *Feeder) Pending() int {
 }
 
 // Stats snapshots the accumulated timing record.
-func (f *Feeder) Stats() PumpStats {
-	s := f.stats
-	s.PartialFits = append([]time.Duration(nil), f.stats.PartialFits...)
-	return s
-}
+func (f *Feeder) Stats() PumpStats { return f.stats }
 
 // Push absorbs one batch of columns: buffered until the seed width is
 // reached, a PartialFit afterwards. Empty or nil batches are no-ops; a
@@ -267,7 +257,7 @@ func (f *Feeder) feed(b *mat.Dense) error {
 	if _, err := f.inc.PartialFit(b); err != nil {
 		return err
 	}
-	f.stats.PartialFits = append(f.stats.PartialFits, time.Since(t0))
+	f.stats.PartialTotal += time.Since(t0)
 	f.stats.Batches++
 	f.stats.Columns += b.C
 	return nil
