@@ -1,8 +1,11 @@
 package mat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"imrdmd/internal/compute"
 )
 
 func benchDense(r, c int, seed int64) *Dense {
@@ -64,4 +67,29 @@ func benchSize(n int) string {
 		return "1024x1024"
 	}
 	return "n"
+}
+
+// BenchmarkQRFactor times QRFactorOn (serial) at the workload shapes and
+// at a tall three-column one, next to the two routines it chooses
+// between, cholQR and qrMGS2.
+func BenchmarkQRFactor(b *testing.B) {
+	for _, c := range append([]struct{ m, n int }{{4392, 3}}, qrShapes...) {
+		a := benchDense(c.m, c.n, 3)
+		ws := compute.NewWorkspace()
+		for _, r := range []struct {
+			name string
+			qr   func() *QR
+		}{
+			{"qr", func() *QR { return QRFactorOn(nil, ws, a) }},
+			{"cholqr", func() *QR { return cholQR(nil, ws, a) }},
+			{"mgs2", func() *QR { return qrMGS2(ws, a) }},
+		} {
+			b.Run(fmt.Sprintf("%dx%d/%s", c.m, c.n, r.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r.qr().Release(ws)
+				}
+			})
+		}
+	}
 }

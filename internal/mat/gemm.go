@@ -3,8 +3,8 @@ package mat
 import "imrdmd/internal/compute"
 
 // This file is the packed, register-blocked GEMM that backs every dense
-// multiply in the package (Mul/MulInto/MulT/Gram and QR's trailing-matrix
-// update). The layout follows the classic Goto/BLIS decomposition:
+// multiply in the package (Mul/MulInto/MulT/Gram, and through them every
+// CholeskyQR pass). The layout follows the classic Goto/BLIS decomposition:
 //
 //	for jc over N by NC:                (B panel column block)
 //	  for pc over K by KC:              (depth block)
@@ -73,8 +73,8 @@ func gemmKernel(c []float64, ldc int, ap, bp []float64, kc, mode int) {
 }
 
 // view is a strided window into row-major storage: element (i, j) lives at
-// data[i*stride + j]. It lets the GEMM operate on submatrices (QR's
-// trailing columns) without copying them out first.
+// data[i*stride + j]. It lets the GEMM operate on submatrices (column
+// views, capacity-padded histories) without copying them out first.
 type view struct {
 	data   []float64
 	r, c   int
@@ -83,15 +83,6 @@ type view struct {
 
 func denseView(m *Dense) view {
 	return view{data: m.Data, r: m.R, c: m.C, stride: m.RowStride()}
-}
-
-// rowsView is rows [i0, i1) of m as a view.
-func rowsView(m *Dense, i0, i1 int) view {
-	s := m.RowStride()
-	if i0 == i1 {
-		return view{r: 0, c: m.C, stride: s}
-	}
-	return view{data: m.Data[i0*s:], r: i1 - i0, c: m.C, stride: s}
 }
 
 // gemmView computes dst = A·B (mode gemmSet), dst += A·B (gemmAdd) or
@@ -158,24 +149,38 @@ func gemmView(e *compute.Engine, dst view, a view, aT bool, b view, bT bool, mod
 			if mode == gemmSet && pc > 0 {
 				md = gemmAdd
 			}
-			run := func(lo, hi int) {
-				ap := packPool.GetF64(unit * kcMax)
-				for pi := lo; pi < hi; pi++ {
-					ic := pi * unit
-					mc := min(unit, m-ic)
-					packA(ap, a, aT, ic, mc, pc, kc, mr)
-					gemmMacro(dst, ap, bp, ic, mc, jc, nc, kc, mr, nr, md)
-				}
-				packPool.PutF64(ap)
-			}
+			job := gemmJob{dst: dst, a: a, aT: aT, bp: bp, unit: unit, kcMax: kcMax, pc: pc, kc: kc, jc: jc, nc: nc, mode: md}
 			if parallel {
-				e.ParallelFor(panels, run)
+				e.ParallelFor(panels, job.run)
 			} else {
-				run(0, panels)
+				job.run(0, panels)
 			}
 		}
 	}
 	packPool.PutF64(bp)
+}
+
+// gemmJob is one depth chunk of a gemmView call against its packed B
+// panel. Its run method is the per-worker body: a method value of a plain
+// struct, so the serial path calls it without allocating a closure.
+type gemmJob struct {
+	dst, a                            view
+	aT                                bool
+	bp                                []float64
+	unit, kcMax, pc, kc, jc, nc, mode int
+}
+
+// run packs and multiplies A panels [lo, hi), each unit rows tall.
+func (j gemmJob) run(lo, hi int) {
+	mr, nr := bp64.mr, bp64.nr
+	ap := packPool.GetF64(j.unit * j.kcMax)
+	for pi := lo; pi < hi; pi++ {
+		ic := pi * j.unit
+		mc := min(j.unit, j.dst.r-ic)
+		packA(ap, j.a, j.aT, ic, mc, j.pc, j.kc, mr)
+		gemmMacro(j.dst, ap, j.bp, ic, mc, j.jc, j.nc, j.kc, mr, nr, j.mode)
+	}
+	packPool.PutF64(ap)
 }
 
 // gemmMacro runs the register-tile sweep of one packed A panel against the

@@ -104,15 +104,15 @@ func TestGemmRandomShapes(t *testing.T) {
 	}
 }
 
-// TestGemmAccumulateModes checks the += and −= kernel modes used by QR's
-// trailing-matrix update, on strided views into a larger matrix.
+// TestGemmAccumulateModes checks the += and −= kernel modes behind
+// MulAddIntoWith and MulSubIntoWith, on strided views into a larger matrix.
 func TestGemmAccumulateModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	host := randDense(rng, 40, 50) // views below are strided windows into this
 	a := randDense(rng, 13, 40)
 	b := randDense(rng, 40, 50)
 
-	dstRows := rowsView(host, 3, 16) // 13×50, stride 50
+	dstRows := denseView(RowsView(host, 3, 16)) // 13×50, stride 50
 	before := host.Clone()
 	prod := refMul(denseView(a), false, denseView(b), false) // 13×50
 

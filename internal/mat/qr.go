@@ -13,21 +13,14 @@ type QR struct {
 	R *Dense
 }
 
-// qrPanel is the blocked-QR panel width: columns are factored panel by
-// panel, and each panel is orthogonalized against all previous columns
-// with two GEMM passes (the trailing-matrix update) before the
-// column-by-column MGS runs inside the panel. 32 keeps the panel (32
-// contiguous rows of the transposed working copy) L1-resident for typical
-// row counts while giving the trailing update tall-enough GEMM operands.
-const qrPanel = 32
-
 // QRFactor computes the thin QR factorization of a (m×n, m ≥ n) by
-// blocked modified Gram–Schmidt with re-orthogonalization. Panels of
-// qrPanel columns are first orthogonalized against the already-factored
-// columns via the packed GEMM (two passes — block CGS2, numerically
-// comparable to Householder for the well- to moderately-conditioned
-// matrices this package sees), then factored internally by two-pass MGS.
-// Q stays explicit, which the incremental-SVD layer needs.
+// CholeskyQR2: R comes from a Cholesky factorization of the Gram matrix
+// AᵀA and Q = A·R⁻¹, run twice so the second pass repairs the first's
+// loss of orthogonality. Both Grams and both multiplies go through the
+// GEMM kernels; an ill-conditioned input gets a shifted first pass, and
+// small shapes and exactly rank-deficient or zero inputs use column MGS2
+// (see QRFactorOn). Q stays explicit, which the incremental-SVD layer
+// needs.
 func QRFactor(a *Dense) *QR {
 	return QRFactorOn(compute.Default(), nil, a)
 }
@@ -39,70 +32,51 @@ func QRFactorWith(ws *compute.Workspace, a *Dense) *QR {
 	return QRFactorOn(compute.Default(), ws, a)
 }
 
-// QRFactorOn is QRFactorWith with the trailing-matrix GEMM updates routed
-// through engine e (nil e runs them serially).
+// QRFactorOn is QRFactorWith with the Gram and multiply GEMMs routed
+// through engine e (nil e runs them serially). The Cholesky factorizations
+// and triangular inverses are n×n and run serially, so engine and serial
+// runs agree bit for bit.
 //
-// The factorization works on the transpose of a: columns become
-// contiguous rows, so every dot product, axpy and norm in the panel
-// streams unit-stride, and the trailing update is a pair of view-GEMMs
-// over row blocks. The result is transposed back into Q at the end.
+// The routine is CholeskyQR2 with the acceptance test and fallbacks of
+// Fukaya et al., "Shifted Cholesky QR for computing the QR factorization
+// of ill-conditioned matrices" (SIAM J. Sci. Comput. 42(1), 2020):
+//
+//   - Plain: Q₁ = A·R₁⁻¹ with R₁ᵀR₁ = AᵀA, then Q = Q₁·R₂⁻¹ with
+//     R₂ᵀR₂ = Q₁ᵀQ₁, and R = R₂R₁. The result is accepted only if
+//     ‖Q₁ᵀQ₁ − I‖_F ≤ ½, which makes Q orthonormal to O(u).
+//   - Shifted: if pass 1's Cholesky breaks down or pass 2 is rejected
+//     (κ(A) beyond about u^-½), the first pass factors AᵀA + s·I with
+//     s = 11(mn + n(n+1))·u·trace(AᵀA), which bounds κ(Q₁) by about
+//     u^-½, and two plain passes follow (sCholeskyQR3), with the same
+//     acceptance test on the last one.
+//   - MGS2: a zero or non-finite trace, a Cholesky breakdown in the
+//     shifted sequence or a rejected last pass means the input is
+//     exactly rank-deficient, zero, or too ill-conditioned for the shift
+//     (κ(A) near u⁻¹); column MGS2 factors it. Shapes below qrUseMGS2's
+//     bound go to MGS2 directly.
 func QRFactorOn(e *compute.Engine, ws *compute.Workspace, a *Dense) *QR {
 	m, n := a.R, a.C
 	if m < n {
 		panic("mat: QRFactor requires rows >= cols")
 	}
-	if n <= qrSmallMax {
-		return qrSmall(ws, a)
+	if !qrUseMGS2(m, n) {
+		if qr := cholQR(e, ws, a); qr != nil {
+			return qr
+		}
 	}
-	return qrBlocked(e, ws, a)
+	return qrMGS2(ws, a)
 }
 
-// qrBlocked is the general transposed blocked-CGS2/MGS2 path.
-func qrBlocked(e *compute.Engine, ws *compute.Workspace, a *Dense) *QR {
-	n := a.C
-	qt := TWith(ws, a) // n×m: row j is column j of a
-	r := GetDense(ws, n, n)
-	for j0 := 0; j0 < n; j0 += qrPanel {
-		j1 := min(j0+qrPanel, n)
-		if j0 > 0 {
-			// Orthogonalize the panel against all previous columns: two
-			// block passes (CGS2). S = Qprevᵀ·P is qtLeft·qtPanelᵀ in the
-			// transposed layout; the corrections accumulate into R and the
-			// panel update P −= Qprev·S is a GEMM in sub mode.
-			for pass := 0; pass < 2; pass++ {
-				s := GetDenseRaw(ws, j0, j1-j0)
-				gemmView(e, denseView(s), rowsView(qt, 0, j0), false, rowsView(qt, j0, j1), true, gemmSet)
-				for i := 0; i < j0; i++ {
-					srow := s.Row(i)
-					rrow := r.Row(i)
-					for jj, v := range srow {
-						rrow[j0+jj] += v
-					}
-				}
-				gemmView(e, rowsView(qt, j0, j1), denseView(s), true, rowsView(qt, 0, j0), false, gemmSub)
-				PutDense(ws, s)
-			}
-		}
-		// Two MGS passes inside the panel; the second pass
-		// re-orthogonalizes and its corrections accumulate into R.
-		for j := j0; j < j1; j++ {
-			for pass := 0; pass < 2; pass++ {
-				for i := j0; i < j; i++ {
-					dot := rowDot(qt, i, j)
-					r.Data[i*n+j] += dot
-					rowAxpy(qt, -dot, i, j)
-				}
-			}
-			nrm := rowNorm(qt, j)
-			r.Data[j*n+j] = nrm
-			if nrm > 0 {
-				rowScale(qt, j, 1/nrm)
-			}
-		}
-	}
-	q := TWith(ws, qt)
-	PutDense(ws, qt)
-	return &QR{Q: q, R: r}
+// qrUseMGS2 reports whether an m×n factorization is small or narrow
+// enough that column MGS2 beats CholeskyQR2 (BenchmarkQRFactor):
+//
+//   - below m·n² = gemmMinFlops the Grams run on the naive loops rather
+//     than the GEMM kernels, and MGS2 measured faster at every such
+//     workload shape (200×8, 48×8, 48×4) and slower at every one above;
+//   - at n ≤ 3 CholeskyQR's kernels are mostly per-tile overhead, and
+//     MGS2 measured faster at any height (4392×3: 81 vs 133 µs).
+func qrUseMGS2(m, n int) bool {
+	return n <= 3 || m*n*n < gemmMinFlops
 }
 
 // Release returns both factors' storage to ws.
@@ -111,19 +85,177 @@ func (qr *QR) Release(ws *compute.Workspace) {
 	PutDense(ws, qr.R)
 }
 
-// qrSmallMax is the column bound under which QRFactorOn takes the fused
-// small-panel path: the whole matrix is at most qrSmallMax columns wide
-// (the streaming update's residual blocks are m×w with w ≤ 8), so it is
-// cache-resident and the general path's transpose round trip costs more
-// than the factorization itself.
-const qrSmallMax = 16
+// cholAccept is the bound on ‖XᵀX − I‖_F under which a CholeskyQR pass on
+// X yields Q orthonormal to O(u) (Fukaya et al., §3).
+const cholAccept = 0.5
 
-// qrSmall factors a ≤ qrSmallMax-column matrix by two-pass MGS directly
-// on the columns of one working copy — no transposes, no panel logic.
-// The dot/axpy/norm loops visit elements in exactly the same index order
-// as the transposed general path, so for n ≤ qrPanel the two paths
-// produce bit-identical factors (qr_test.go pins this).
-func qrSmall(ws *compute.Workspace, a *Dense) *QR {
+// cholQR runs the plain and, if needed, the shifted CholeskyQR sequence
+// described at QRFactorOn, with every intermediate borrowed from ws. It
+// returns nil when the caller should fall back to MGS2.
+func cholQR(e *compute.Engine, ws *compute.Workspace, a *Dense) *QR {
+	m, n := a.R, a.C
+	g := GetDenseRaw(ws, n, n)    // Gram, then its Cholesky factor in place
+	rinv := GetDenseRaw(ws, n, n) // R⁻¹ of the current pass
+	t := GetDenseRaw(ws, m, n)    // intermediate Q
+	q := GetDenseRaw(ws, m, n)
+	r := GetDenseRaw(ws, n, n)
+	ok := cholQRSeq(e, a, q, r, g, rinv, t)
+	PutDense(ws, g)
+	PutDense(ws, rinv)
+	PutDense(ws, t)
+	if !ok {
+		PutDense(ws, q)
+		PutDense(ws, r)
+		return nil
+	}
+	return &QR{Q: q, R: r}
+}
+
+// cholQRSeq writes the CholeskyQR factors of a into q and r, using g,
+// rinv and t as scratch: plain CholeskyQR2 (a → t → q) if its last pass
+// is accepted, else the shifted sequence (a → q → t → q). It reports
+// false when both fail.
+func cholQRSeq(e *compute.Engine, a, q, r, g, rinv, t *Dense) bool {
+	m, n := a.R, a.C
+	gramColsInto(e, g, a)
+	tr := 0.0
+	for i := 0; i < n; i++ {
+		tr += g.Data[i*n+i]
+	}
+	if !(tr > 0) || math.IsInf(tr, 1) {
+		return false
+	}
+	if cholPass(e, g, rinv, r, t, a, 0, true) {
+		gramColsInto(e, g, t)
+		if gramDev(g) <= cholAccept && cholPass(e, g, rinv, r, q, t, 0, false) {
+			return true
+		}
+	}
+	const u = 0x1p-53
+	shift := 11 * float64(m*n+n*(n+1)) * u * tr
+	gramColsInto(e, g, a)
+	if !cholPass(e, g, rinv, r, q, a, shift, true) {
+		return false
+	}
+	gramColsInto(e, g, q)
+	if !cholPass(e, g, rinv, r, t, q, 0, false) {
+		return false
+	}
+	gramColsInto(e, g, t)
+	return gramDev(g) <= cholAccept && cholPass(e, g, rinv, r, q, t, 0, false)
+}
+
+// cholPass finishes one CholeskyQR pass whose Gram xᵀx is in g: it adds
+// shift to g's diagonal, factors g = RᵀR in place (upper triangle), sets
+// y = x·R⁻¹ through rinv, and folds R into the accumulated factor r
+// (r = R when first, r ← R·r otherwise). It reports false, with y and r
+// unspecified, on a Cholesky breakdown.
+func cholPass(e *compute.Engine, g, rinv, r, y, x *Dense, shift float64, first bool) bool {
+	n := g.C
+	for i := 0; i < n; i++ {
+		g.Data[i*n+i] += shift
+	}
+	if !cholUpper(g) {
+		return false
+	}
+	invUpper(rinv, g)
+	mulIntoWith(e, y, x, rinv)
+	if first {
+		for i := 0; i < n; i++ {
+			row := r.Data[i*n : i*n+n]
+			for j := range row[:i] {
+				row[j] = 0
+			}
+			copy(row[i:], g.Data[i*n+i:i*n+n])
+		}
+		return true
+	}
+	// r ← R·r row by row: entry (i, j) reads r's rows k ≥ i of column j
+	// only, so ascending rows can overwrite in place.
+	for i := 0; i < n; i++ {
+		for j := n - 1; j >= i; j-- {
+			var s float64
+			for k := i; k <= j; k++ {
+				s += g.Data[i*n+k] * r.Data[k*n+j]
+			}
+			r.Data[i*n+j] = s
+		}
+	}
+	return true
+}
+
+// cholUpper overwrites the upper triangle of the symmetric matrix g with
+// its Cholesky factor R (g = RᵀR); the strict lower triangle is left
+// unspecified. It reports false on breakdown: a pivot that is not
+// positive and finite, which NaN and Inf entries anywhere in the upper
+// triangle reach through the column sums.
+func cholUpper(g *Dense) bool {
+	n := g.C
+	d := g.Data
+	for j := 0; j < n; j++ {
+		s := d[j*n+j]
+		for k := 0; k < j; k++ {
+			s -= d[k*n+j] * d[k*n+j]
+		}
+		if !(s > 0) || math.IsInf(s, 1) {
+			return false
+		}
+		rjj := math.Sqrt(s)
+		d[j*n+j] = rjj
+		for i := j + 1; i < n; i++ {
+			t := d[j*n+i]
+			for k := 0; k < j; k++ {
+				t -= d[k*n+j] * d[k*n+i]
+			}
+			d[j*n+i] = t / rjj
+		}
+	}
+	return true
+}
+
+// invUpper writes R⁻¹ of the upper-triangular r (positive diagonal) into
+// dst, column by column by back substitution, with zeros below the
+// diagonal.
+func invUpper(dst, r *Dense) {
+	n := r.C
+	x, d := dst.Data, r.Data
+	for j := 0; j < n; j++ {
+		for i := j + 1; i < n; i++ {
+			x[i*n+j] = 0
+		}
+		x[j*n+j] = 1 / d[j*n+j]
+		for i := j - 1; i >= 0; i-- {
+			var s float64
+			for k := i + 1; k <= j; k++ {
+				s += d[i*n+k] * x[k*n+j]
+			}
+			x[i*n+j] = -s / d[i*n+i]
+		}
+	}
+}
+
+// gramDev returns ‖g − I‖_F for a square g; NaN entries make it NaN,
+// which fails every acceptance comparison.
+func gramDev(g *Dense) float64 {
+	n := g.C
+	var s float64
+	for i := 0; i < n; i++ {
+		for j, v := range g.Data[i*n : i*n+n] {
+			if i == j {
+				v--
+			}
+			s += v * v
+		}
+	}
+	return math.Sqrt(s)
+}
+
+// qrMGS2 factors a by two-pass modified Gram–Schmidt directly on the
+// columns of one working copy. It serves the shapes below qrUseMGS2's
+// bound and the inputs CholeskyQR cannot factor (exactly rank-deficient
+// or zero): a column whose residual vanishes gets a zero Q column and a
+// zero R diagonal instead of NaNs.
+func qrMGS2(ws *compute.Workspace, a *Dense) *QR {
 	n := a.C
 	q := CloneWith(ws, a)
 	r := GetDense(ws, n, n)
@@ -145,9 +277,7 @@ func qrSmall(ws *compute.Workspace, a *Dense) *QR {
 }
 
 // colDot returns column i · column j of m. The 4-lane accumulator
-// round-robin breaks the loop-carried dependency chain; rowDot uses the
-// identical lane assignment and reduction so the small and blocked QR
-// paths keep producing bit-identical factors.
+// round-robin breaks the loop-carried dependency chain.
 func colDot(m *Dense, i, j int) float64 {
 	s := m.RowStride()
 	var a0, a1, a2, a3 float64
@@ -193,56 +323,6 @@ func colScale(m *Dense, j int, sc float64) {
 	s := m.RowStride()
 	for r := 0; r < m.R; r++ {
 		m.Data[r*s+j] *= sc
-	}
-}
-
-// rowDot returns row i · row j of m (contiguous). Lane structure matches
-// colDot exactly — see the note there.
-func rowDot(m *Dense, i, j int) float64 {
-	ri := m.Row(i)
-	rj := m.Row(j)
-	var a0, a1, a2, a3 float64
-	k := 0
-	for ; k+4 <= len(ri); k += 4 {
-		a0 += ri[k] * rj[k]
-		a1 += ri[k+1] * rj[k+1]
-		a2 += ri[k+2] * rj[k+2]
-		a3 += ri[k+3] * rj[k+3]
-	}
-	switch len(ri) - k {
-	case 3:
-		a2 += ri[k+2] * rj[k+2]
-		fallthrough
-	case 2:
-		a1 += ri[k+1] * rj[k+1]
-		fallthrough
-	case 1:
-		a0 += ri[k] * rj[k]
-	}
-	return (a0 + a1) + (a2 + a3)
-}
-
-// rowAxpy does row j += alpha * row i.
-func rowAxpy(m *Dense, alpha float64, i, j int) {
-	ri := m.Row(i)
-	rj := m.Row(j)
-	for k, v := range ri {
-		rj[k] += alpha * v
-	}
-}
-
-func rowNorm(m *Dense, j int) float64 {
-	var s float64
-	for _, v := range m.Row(j) {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-func rowScale(m *Dense, j int, s float64) {
-	rj := m.Row(j)
-	for k := range rj {
-		rj[k] *= s
 	}
 }
 

@@ -59,10 +59,11 @@ func skinnyTile() (tr, lanes int) {
 // and B is b, never transposed (the classifier excludes bT shapes). The
 // loop nest is row tiles → lane-wide column chunks → KC depth chunks,
 // so an inner-product shape streams each A row strip exactly once and a
-// rank-w update keeps its tiny B block register-resident. Fan-out
-// splits the row tiles across engine workers; every output element is
-// owned by one worker with the serial accumulation order, so engine and
-// serial runs agree bit for bit.
+// rank-w update keeps its tiny B block register-resident; an edge tile
+// swaps the inner two loops so its padded A strip is gathered once per
+// depth chunk. Fan-out splits the row tiles across engine workers; every
+// output element is owned by one worker with the serial accumulation
+// order, so engine and serial runs agree bit for bit.
 func skinnyGemm(e *compute.Engine, dst view, a view, aT bool, b view, mode int) {
 	m, n := dst.r, dst.c
 	k := a.c
@@ -88,24 +89,44 @@ func skinnyGemm(e *compute.Engine, dst view, a view, aT bool, b view, mode int) 
 		}
 		return
 	}
+	tr, _ := skinnyTile()
+	tiles := (m + tr - 1) / tr
+	job := skinnyJob{dst: dst, a: a, b: b, aT: aT, mode: mode, k: k, aOff: aOff, aStep: aStep}
+	if fanOut(e, m*k*n) && tiles > 1 {
+		e.ParallelFor(tiles, job.run)
+	} else {
+		job.run(0, tiles)
+	}
+}
+
+// skinnyJob is one skinnyGemm call's operands. Its run method is the
+// per-worker body: a method value of a plain struct, so the serial path
+// calls it without allocating a closure.
+type skinnyJob struct {
+	dst, a, b            view
+	aT                   bool
+	mode, k, aOff, aStep int
+}
+
+// run computes row tiles [lo, hi) of the product.
+func (j skinnyJob) run(lo, hi int) {
+	dst, a, b, aT, mode := j.dst, j.a, j.b, j.aT, j.mode
+	m, n, k, aOff, aStep := dst.r, dst.c, j.k, j.aOff, j.aStep
 	p := bp64
 	tr, lanes := skinnyTile()
 	kcMax := min(p.kc, k)
-	tiles := (m + tr - 1) / tr
-
-	run := func(lo, hi int) {
-		// Edge row tiles (rows < tr) on the asm tiers go through a
-		// zero-padded A scratch so the full-tile kernel still runs — the
-		// zero rows feed accumulators whose results are discarded at the
-		// merge, leaving valid elements' chains untouched. The generic
-		// kernel takes short tiles directly. Scratch is borrowed lazily:
-		// tile-aligned m (the common case) never allocates.
-		var ascratch []float64
-		var ctile [mrMax * nrMax]float64
-		for ti := lo; ti < hi; ti++ {
-			i0 := ti * tr
-			rows := min(tr, m-i0)
-			direct := rows == tr || gemmTier == tierGeneric
+	// Edge row tiles (rows < tr) on the asm tiers go through a
+	// zero-padded A scratch so the full-tile kernel still runs — the
+	// zero rows feed accumulators whose results are discarded at the
+	// merge, leaving valid elements' chains untouched. The generic
+	// kernel takes short tiles directly. Scratch is borrowed lazily:
+	// tile-aligned m (the common case) never allocates.
+	var ascratch []float64
+	var ctile [mrMax * nrMax]float64
+	for ti := lo; ti < hi; ti++ {
+		i0 := ti * tr
+		rows := min(tr, m-i0)
+		if rows == tr || gemmTier == tierGeneric {
 			for jc := 0; jc < n; jc += lanes {
 				w := min(lanes, n-jc)
 				ci := i0*dst.stride + jc
@@ -115,59 +136,66 @@ func skinnyGemm(e *compute.Engine, dst view, a view, aT bool, b view, mode int) 
 					if mode == gemmSet && pc > 0 {
 						md = gemmAdd
 					}
-					bb := b.data[pc*b.stride+jc:]
-					if direct {
-						ab := a.data[i0*aOff+pc*aStep:]
-						skinnyKernel(dst.data[ci:], dst.stride, ab, aOff, aStep, bb, b.stride, rows, w, kc, md)
-						continue
+					ab := a.data[i0*aOff+pc*aStep:]
+					skinnyKernel(dst.data[ci:], dst.stride, ab, aOff, aStep, b.data[pc*b.stride+jc:], b.stride, rows, w, kc, md)
+				}
+			}
+			continue
+		}
+		// An edge tile gathers and pads its A strip once per depth
+		// chunk, then sweeps every column chunk over it. Each
+		// element's chunks still merge in ascending pc order, so the
+		// loop interchange leaves every chain, and every bit, as is.
+		if ascratch == nil {
+			ascratch = packPool.GetF64(tr * kcMax)
+		}
+		for pc := 0; pc < k; pc += p.kc {
+			kc := min(p.kc, k-pc)
+			md := mode
+			if mode == gemmSet && pc > 0 {
+				md = gemmAdd
+			}
+			for r := 0; r < rows; r++ {
+				srow := ascratch[r*kc : r*kc+kc]
+				if aT {
+					for pp := range srow {
+						srow[pp] = a.data[(pc+pp)*aStep+i0+r]
 					}
-					if ascratch == nil {
-						ascratch = packPool.GetF64(tr * kcMax)
-					}
-					for r := 0; r < rows; r++ {
-						srow := ascratch[r*kc : r*kc+kc]
-						if aT {
-							for pp := range srow {
-								srow[pp] = a.data[(pc+pp)*aStep+i0+r]
-							}
-						} else {
-							copy(srow, a.data[(i0+r)*aOff+pc:(i0+r)*aOff+pc+kc])
+				} else {
+					copy(srow, a.data[(i0+r)*aOff+pc:(i0+r)*aOff+pc+kc])
+				}
+			}
+			for i := range ascratch[rows*kc : tr*kc] {
+				ascratch[rows*kc+i] = 0
+			}
+			for jc := 0; jc < n; jc += lanes {
+				w := min(lanes, n-jc)
+				ci := i0*dst.stride + jc
+				for i := range ctile[:tr*lanes] {
+					ctile[i] = 0
+				}
+				skinnyKernel(ctile[:], lanes, ascratch, kc, 1, b.data[pc*b.stride+jc:], b.stride, tr, w, kc, gemmSet)
+				for r := 0; r < rows; r++ {
+					drow := dst.data[ci+r*dst.stride : ci+r*dst.stride+w]
+					trow := ctile[r*lanes : r*lanes+w]
+					switch md {
+					case gemmAdd:
+						for t := range drow {
+							drow[t] += trow[t]
 						}
-					}
-					for i := range ascratch[rows*kc : tr*kc] {
-						ascratch[rows*kc+i] = 0
-					}
-					for i := range ctile[:tr*lanes] {
-						ctile[i] = 0
-					}
-					skinnyKernel(ctile[:], lanes, ascratch, kc, 1, bb, b.stride, tr, w, kc, gemmSet)
-					for r := 0; r < rows; r++ {
-						drow := dst.data[ci+r*dst.stride : ci+r*dst.stride+w]
-						trow := ctile[r*lanes : r*lanes+w]
-						switch md {
-						case gemmAdd:
-							for t := range drow {
-								drow[t] += trow[t]
-							}
-						case gemmSub:
-							for t := range drow {
-								drow[t] -= trow[t]
-							}
-						default:
-							copy(drow, trow)
+					case gemmSub:
+						for t := range drow {
+							drow[t] -= trow[t]
 						}
+					default:
+						copy(drow, trow)
 					}
 				}
 			}
 		}
-		if ascratch != nil {
-			packPool.PutF64(ascratch)
-		}
 	}
-	if fanOut(e, m*k*n) && tiles > 1 {
-		e.ParallelFor(tiles, run)
-	} else {
-		run(0, tiles)
+	if ascratch != nil {
+		packPool.PutF64(ascratch)
 	}
 }
 

@@ -18,7 +18,7 @@ func BenchmarkPublishLocked(b *testing.B) {
 	for c := 2000; c < 4000; c += 40 {
 		batches = append(batches, data.ColSlice(c, c+40))
 	}
-	if _, _, _, err := t.ingest(batches); err != nil {
+	if _, _, _, err := t.ingest(batches, maxRestoreBody); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("view", func(b *testing.B) {

@@ -364,10 +364,23 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 //     (8 of them raw history), so it reaches the bound near 2,580
 //     columns; larger tenants move as -state-dir files.
 //   - maxCreateBody: a TenantOptions object is a few hundred bytes.
+//
+// Two bounds keep the columns a tenant buffers before its seed inside
+// what its own snapshot could restore. A snapshot holds at least 8 bytes
+// of raw history per sensor per column, and every buffered column enters
+// that history at the seed:
+//
+//   - maxInitialCols: a seed wider than maxRestoreBody/8 columns could not
+//     be restored even with one sensor, so a create asking for one is a
+//     400.
+//   - maxRestoreBody also bounds the pending buffer itself: a pre-seed
+//     batch that would take it past that many bytes is a 413 (see
+//     tenant.ingest).
 const (
 	maxIngestBody  = 128 << 20
 	maxRestoreBody = maxIngestBody
 	maxCreateBody  = 1 << 20
+	maxInitialCols = maxRestoreBody / 8
 )
 
 // limitBody caps the request body at limit bytes. A Content-Length over
@@ -474,14 +487,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fail(http.StatusBadRequest, err))
 		return
 	}
-	cols, done, pub, err := t.ingest(batches)
+	cols, done, pub, err := t.ingest(batches, maxRestoreBody)
 	if err != nil {
 		// An analyzer rejection mid-stream (e.g. a batch whose row count
 		// disagrees with the fitted sensor dimension) is a client error,
 		// but the earlier batches of this request ARE absorbed — report
 		// how far the ingest got so the client retries only the remainder
-		// instead of double-ingesting.
-		writeJSON(w, http.StatusBadRequest, map[string]any{
+		// instead of double-ingesting. A batch the pending buffer cannot
+		// take is a 413.
+		code := http.StatusBadRequest
+		var he *httpError
+		if errors.As(err, &he) {
+			code = he.code
+		}
+		writeJSON(w, code, map[string]any{
 			"error":            err.Error(),
 			"columns_absorbed": cols,
 			"batches_absorbed": done,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -732,5 +733,53 @@ func TestRestoreDirSkipsInvalidIDs(t *testing.T) {
 	}
 	if len(ids) != 1 || ids[0] != "good" || s2.Tenants() != 1 {
 		t.Fatalf("restored %v (%d tenants)", ids, s2.Tenants())
+	}
+}
+
+// TestCreateInitialColsBound: a seed wider than maxInitialCols could not
+// be restored even with one sensor, so asking for one is a 400 that
+// registers nothing; a seed at the bound is accepted.
+func TestCreateInitialColsBound(t *testing.T) {
+	s := New(Config{Workers: 1, DefaultInitialCols: 16})
+	c := newTestClient(t, s)
+	c.must("POST", "/v1/tenants/wide", "application/json", []byte(fmt.Sprintf(`{"initial_cols":%d}`, maxInitialCols+1)), http.StatusBadRequest)
+	if n := c.tenantCount(); n != 0 {
+		t.Fatalf("%d tenants registered after the 400, want 0", n)
+	}
+	c.must("POST", "/v1/tenants/wide", "application/json", []byte(fmt.Sprintf(`{"initial_cols":%d}`, maxInitialCols)), http.StatusCreated)
+}
+
+// TestPreSeedPendingBound: before the seed, a batch that would take the
+// pending buffer past the byte bound fails with 413 and is not absorbed;
+// batches that stay within it are buffered, and the tenant still seeds.
+func TestPreSeedPendingBound(t *testing.T) {
+	data := bench.SCLogData(4, 64, 1)
+	s := New(Config{Workers: 1, DefaultInitialCols: 48})
+	c := newTestClient(t, s)
+	c.must("POST", "/v1/tenants/buf", "application/json", nil, http.StatusCreated)
+	tn, err := s.lookup("buf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 4 * 24 * 8 // 24 columns of 4 sensors
+	if _, _, _, err := tn.ingest([]*mat.Dense{data.ColSlice(0, 16)}, bound); err != nil {
+		t.Fatal(err)
+	}
+	cols, done, _, err := tn.ingest([]*mat.Dense{data.ColSlice(16, 32)}, bound)
+	var he *httpError
+	if !errors.As(err, &he) || he.code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("batch past the bound: err %v, want 413", err)
+	}
+	if cols != 0 || done != 0 || tn.feeder.Pending() != 16 {
+		t.Fatalf("after the 413: absorbed %d columns in %d batches, pending %d; want 0, 0, 16", cols, done, tn.feeder.Pending())
+	}
+	if _, _, _, err := tn.ingest([]*mat.Dense{data.ColSlice(16, 24)}, bound); err != nil {
+		t.Fatalf("batch reaching the bound exactly: %v", err)
+	}
+	if _, _, _, err := tn.ingest([]*mat.Dense{data.ColSlice(24, 48)}, maxRestoreBody); err != nil {
+		t.Fatal(err)
+	}
+	if !tn.feeder.Seeded() || tn.inc.Cols() != 48 {
+		t.Fatalf("seeded=%v cols=%d, want a 48-column seed", tn.feeder.Seeded(), tn.inc.Cols())
 	}
 }

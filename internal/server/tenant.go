@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -107,6 +108,9 @@ func newTenant(id string, opts TenantOptions, eng *compute.Engine, defaultInitia
 	if opts.InitialCols == 0 {
 		opts.InitialCols = defaultInitialCols
 	}
+	if opts.InitialCols > maxInitialCols {
+		return nil, fmt.Errorf("initial_cols %d is over the %d-column bound", opts.InitialCols, maxInitialCols)
+	}
 	copts := opts.toCore(eng)
 	if err := copts.Validate(); err != nil {
 		return nil, err
@@ -164,13 +168,20 @@ func restoreTenant(id string, r io.Reader, eng *compute.Engine) (*tenant, error)
 // failing batch (everything before it is permanently absorbed). The
 // final state — complete or partial — is published as the new read-side
 // result before the lock is released, so queries observe every ingest
-// exactly once and never a half-applied one.
-func (t *tenant) ingest(batches []*mat.Dense) (cols, done int, pub *PublishedResult, err error) {
+// exactly once and never a half-applied one. Before the seed, a batch
+// that would take the pending buffer past maxPending bytes fails with 413
+// and is not absorbed: a tenant holding more could never restore from its
+// own snapshot.
+func (t *tenant) ingest(batches []*mat.Dense, maxPending int64) (cols, done int, pub *PublishedResult, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ingests++
 	defer func() { pub = t.publishLocked() }()
 	for _, b := range batches {
+		if !t.feeder.Seeded() && int64(t.feeder.Pending()+b.C)*int64(b.R)*8 > maxPending {
+			return cols, done, nil, fail(http.StatusRequestEntityTooLarge,
+				fmt.Errorf("%d pending columns of %d sensors would pass the %d-byte pre-seed bound", t.feeder.Pending()+b.C, b.R, maxPending))
+		}
 		start := time.Now()
 		if perr := t.feeder.Push(b); perr != nil {
 			return cols, done, nil, perr

@@ -206,7 +206,9 @@ func (f *Feeder) Push(b *mat.Dense) error {
 		if b.R != f.pending.R {
 			return fmt.Errorf("stream: batch has %d rows, want %d", b.R, f.pending.R)
 		}
-		f.pending = mat.HStack(f.pending, b)
+		// Amortized growth: the buffer keeps spare column capacity, so
+		// buffering T columns copies O(T) values, not O(T²).
+		f.pending = mat.GrowColsWith(nil, f.pending, b)
 	}
 	if f.pending.C < f.initialCols {
 		return nil

@@ -238,6 +238,47 @@ func TestFeederPushSeedsAndStreams(t *testing.T) {
 	}
 }
 
+// TestFeederBufferGrowsAmortized: buffering before the seed keeps spare
+// column capacity, so one-column pushes reallocate the pending buffer a
+// logarithmic number of times instead of copying it on every push, and
+// the buffered columns are the pushed ones in order.
+func TestFeederBufferGrowsAmortized(t *testing.T) {
+	const seedCols = 2000
+	data := randMatrix(15, 8, seedCols)
+	inc := core.NewIncremental(core.Options{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true})
+	f, err := NewFeeder(inc, seedCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reallocs := 0
+	var last *float64
+	for c := 0; c < seedCols-1; c++ {
+		if err := f.Push(mat.ColsView(data, c, c+1)); err != nil {
+			t.Fatal(err)
+		}
+		if p := &f.pending.Data[0]; p != last {
+			reallocs++
+			last = p
+		}
+	}
+	if reallocs > 16 {
+		t.Fatalf("pending buffer reallocated %d times over %d pushes", reallocs, seedCols-1)
+	}
+	for i := 0; i < data.R; i++ {
+		for j := 0; j < seedCols-1; j++ {
+			if f.pending.At(i, j) != data.At(i, j) {
+				t.Fatalf("pending (%d,%d) = %v want %v", i, j, f.pending.At(i, j), data.At(i, j))
+			}
+		}
+	}
+	if err := f.Push(mat.ColsView(data, seedCols-1, seedCols)); err != nil {
+		t.Fatal(err)
+	}
+	if !f.Seeded() || inc.Cols() != seedCols || f.Pending() != 0 {
+		t.Fatalf("after the seed: seeded=%v cols=%d pending=%d", f.Seeded(), inc.Cols(), f.Pending())
+	}
+}
+
 // TestResumeFeeder: a feeder over an already fitted analyzer (the
 // restored-snapshot path) starts seeded and streams immediately.
 func TestResumeFeeder(t *testing.T) {

@@ -121,12 +121,14 @@ func jacobiSVD(a *mat.Dense) *Result { return jacobiSVDWS(nil, a, nil, false) }
 // qrPrecondRatio is the tall-ness (m/n) at which jacobiSVDWS switches to
 // QR preconditioning: factor A = Q·R first and run the Jacobi sweeps on
 // the small n×n R instead of the full m×n matrix. Each rotation then
-// touches n-length columns instead of m-length ones, the QR itself goes
-// through the packed-GEMM trailing update, and the final U = Q·Ur is one
-// more GEMM — so the tall-window SVDs that dominate mrDMD subtree fits
-// cost O(m·n²) in fast kernels plus an n-sized Jacobi, not an m-sized
-// one. Accuracy is preserved: MGS2 QR is backward stable and one-sided
-// Jacobi on R is the classical high-accuracy route (Drmač–Veselić).
+// touches n-length columns instead of m-length ones, the QR itself is
+// CholeskyQR2 — two Grams and two multiplies on the GEMM kernels — and
+// the final U = Q·Ur is one more GEMM, so the tall-window SVDs that
+// dominate mrDMD subtree fits cost O(m·n²) in fast kernels plus an
+// n-sized Jacobi, not an m-sized one. Accuracy is preserved: the QR's
+// acceptance test (with its shifted and MGS2 fallbacks) keeps Q
+// orthonormal to O(u) and ‖A − QR‖ at O(u)‖A‖, and one-sided Jacobi on R
+// is the classical high-accuracy route (Drmač–Veselić).
 const qrPrecondRatio = 2
 
 // jacobiSVDWS is jacobiSVD with rotation scratch borrowed from ws. When
