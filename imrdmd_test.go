@@ -61,6 +61,18 @@ func TestSeriesBasics(t *testing.T) {
 	}
 }
 
+// TestInitialFitZeroSensors: a series without sensors is rejected with
+// an error instead of panicking inside the decomposition.
+func TestInitialFitZeroSensors(t *testing.T) {
+	a, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.InitialFit(NewSeries(0, 64)); err == nil {
+		t.Fatal("want an error for a zero-sensor series")
+	}
+}
+
 func TestSeriesCSVRoundTrip(t *testing.T) {
 	s := syntheticTemps(1, 5, 20, nil)
 	var buf bytes.Buffer

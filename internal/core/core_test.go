@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -166,6 +167,18 @@ func TestDecomposeRejectsNaN(t *testing.T) {
 func TestDecomposeTooFewColumns(t *testing.T) {
 	if _, err := Decompose(mat.NewDense(4, 1), defaultOpts()); err == nil {
 		t.Fatal("want error for single column")
+	}
+}
+
+// TestZeroSensorsRejected: a 0×T input is an error, not a panic, for
+// both the batch and the incremental entry points.
+func TestZeroSensorsRejected(t *testing.T) {
+	data := mat.NewDense(0, 64)
+	if _, err := Decompose(data, defaultOpts()); !errors.Is(err, ErrNoSensors) {
+		t.Fatalf("Decompose: err = %v, want ErrNoSensors", err)
+	}
+	if err := NewIncremental(defaultOpts()).InitialFit(data); !errors.Is(err, ErrNoSensors) {
+		t.Fatalf("InitialFit: err = %v, want ErrNoSensors", err)
 	}
 }
 

@@ -134,13 +134,10 @@ func (inc *Incremental) InitialFit(data *mat.Dense) error {
 	if err := inc.opts.Validate(); err != nil {
 		return err
 	}
+	if err := checkInput(data); err != nil {
+		return err
+	}
 	p, t := data.Dims()
-	if t < 2 {
-		return dmd.ErrTooFewSnapshots
-	}
-	if data.HasNaN() {
-		return errors.New("core: input contains NaN or Inf")
-	}
 	inc.p = p
 	inc.hist = mat.NewTieredCols(data.Clone())
 	inc.stride1 = windowStride(t, inc.opts)
@@ -492,26 +489,25 @@ func (inc *Incremental) refreshLevel1() error {
 	// The view is read-only and consumed before the next isvd update, so
 	// no defensive clone of the (large) U/V factors is needed.
 	res := inc.isvd.ResultView()
-	dec, err := dmd.FromSVD(res, inc.sub1, dmd.Options{
+	rho := float64(inc.opts.MaxCycles) / (float64(t) * inc.opts.DT)
+	dec, err := dmd.FromSVDSlow(res, inc.sub1, dmd.Options{
 		DT:              float64(inc.stride1) * inc.opts.DT,
 		Rank:            inc.opts.Rank,
 		UseSVHT:         inc.opts.UseSVHT,
 		AmplitudeWindow: inc.opts.AmplitudeWindow,
 		Engine:          inc.eng,
 		Ws:              inc.ws,
-	})
+	}, rho)
 	if err != nil {
 		return err
 	}
-	rho := float64(inc.opts.MaxCycles) / (float64(t) * inc.opts.DT)
-	slow, _ := dmd.SlowModes(dec.Modes, rho)
 	inc.level1 = &Node{
 		Level:       1,
 		Start:       0,
 		End:         t,
 		Stride:      inc.stride1,
-		Modes:       slow,
-		NumAllModes: len(dec.Modes),
+		Modes:       dec.Modes,
+		NumAllModes: dec.Rank,
 	}
 	return nil
 }

@@ -175,19 +175,35 @@ func Decompose(data *mat.Dense, opts Options) (*Tree, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
+	if err := checkInput(data); err != nil {
+		return nil, err
+	}
 	p, t := data.Dims()
-	if t < 2 {
-		return nil, dmd.ErrTooFewSnapshots
-	}
-	if data.HasNaN() {
-		return nil, errors.New("core: input contains NaN or Inf")
-	}
 	work := data.Clone()
 	nodes, err := decompose(work, 1, 0, opts, opts.engine(), compute.NewWorkspace())
 	if err != nil {
 		return nil, err
 	}
 	return &Tree{Nodes: nodes, P: p, T: t, Opts: opts}, nil
+}
+
+// ErrNoSensors is returned when the input matrix has no rows.
+var ErrNoSensors = errors.New("core: input has no sensors (zero rows)")
+
+// checkInput rejects data no decomposition can start from: no rows
+// (sensors), fewer than two snapshot columns, or a NaN/Inf reading.
+func checkInput(data *mat.Dense) error {
+	p, t := data.Dims()
+	if p == 0 {
+		return ErrNoSensors
+	}
+	if t < 2 {
+		return dmd.ErrTooFewSnapshots
+	}
+	if data.HasNaN() {
+		return errors.New("core: input contains NaN or Inf")
+	}
+	return nil
 }
 
 // decompose processes one window (data is the residual for this window and
@@ -255,36 +271,39 @@ func splitDecompose(resid *mat.Dense, level, start int, opts Options, eng *compu
 func processWindow(data *mat.Dense, level, start int, opts Options, eng *compute.Engine, ws *compute.Workspace) (*Node, *mat.Dense, error) {
 	n := data.C
 	stride := windowStride(n, opts)
-	sub := mat.SubsampleWith(ws, data, stride)
+	// At stride 1 the DMD reads the window itself: nothing mutates data
+	// until the fit below has returned.
+	sub := mat.ColsView(data, 0, n)
+	if stride > 1 {
+		sub = mat.SubsampleWith(ws, data, stride)
+	}
 	dtSub := float64(stride) * opts.DT
+	rho := float64(opts.MaxCycles) / (float64(n) * opts.DT)
 
-	dec, err := dmd.Compute(sub, dmd.Options{
+	dec, err := dmd.ComputeSlow(sub, dmd.Options{
 		DT: dtSub, Rank: opts.Rank, UseSVHT: opts.UseSVHT,
 		Engine: eng, Ws: ws,
-	})
-	mat.PutDense(ws, sub)
+	}, rho)
+	mat.PutDense(ws, sub) // a no-op for the view
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: level %d window [%d,%d): %w", level, start, start+n, err)
 	}
-	rho := float64(opts.MaxCycles) / (float64(n) * opts.DT)
-	slow, _ := dmd.SlowModes(dec.Modes, rho)
-
 	node := &Node{
 		Level:       level,
 		Start:       start,
 		End:         start + n,
 		Stride:      stride,
-		Modes:       slow,
-		NumAllModes: len(dec.Modes),
+		Modes:       dec.Modes,
+		NumAllModes: dec.Rank,
 	}
-	if len(slow) > 0 {
+	if len(dec.Modes) > 0 {
 		times := ws.GetF64(n)
 		for k := range times {
 			times[k] = float64(k) * opts.DT
 		}
 		// Accumulate-mode GEMMs flip the slow part out of the window in
 		// place — no p×n reconstruction scratch, no separate subtract pass.
-		dmd.SubReconstructionWith(eng, ws, data, slow, times)
+		dmd.SubReconstructionWith(eng, ws, data, dec.Modes, times)
 		ws.PutF64(times)
 	}
 	return node, data, nil

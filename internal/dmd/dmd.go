@@ -51,11 +51,11 @@ type Options struct {
 
 // Decomposition is the result of exact DMD on a snapshot matrix.
 type Decomposition struct {
-	Modes []Mode
+	Modes []Mode  // the fitted modes; the slow ones only from ComputeSlow/FromSVDSlow
 	P     int     // state dimension (rows)
 	T     int     // snapshots used (columns)
 	DT    float64 // sampling interval
-	Rank  int     // SVD truncation rank actually used
+	Rank  int     // SVD truncation rank actually used = number of fitted modes
 }
 
 // ErrTooFewSnapshots is returned when fewer than two snapshot columns are
@@ -64,15 +64,23 @@ var ErrTooFewSnapshots = errors.New("dmd: need at least 2 snapshot columns")
 
 // Compute runs exact DMD on data (P×T, columns are snapshots Δt apart).
 func Compute(data *mat.Dense, opts Options) (*Decomposition, error) {
+	return ComputeSlow(data, opts, math.Inf(1))
+}
+
+// ComputeSlow is Compute returning only the modes that pass IsSlow(ψ, rho)
+// — the mrDMD window fit, which never lifts a fast mode to P. The SVD of
+// X runs on a zero-copy view of data's leading T−1 columns, and its
+// factors are workspace storage returned before ComputeSlow does.
+func ComputeSlow(data *mat.Dense, opts Options, rho float64) (*Decomposition, error) {
 	_, t := data.Dims()
 	if t < 2 {
 		return nil, ErrTooFewSnapshots
 	}
 	e, ws := opts.engine(), opts.Ws
-	x := mat.ColSliceWith(ws, data, 0, t-1)
-	s := svd.ComputeWith(e, ws, x)
-	mat.PutDense(ws, x)
-	return FromSVD(s, data, opts)
+	s := svd.ComputePooledWith(e, ws, mat.ColsView(data, 0, t-1))
+	dec, err := FromSVDSlow(s, data, opts, rho)
+	s.Release(ws)
+	return dec, err
 }
 
 // engine resolves the configured engine, defaulting to the shared pool.
@@ -83,13 +91,40 @@ func (o Options) engine() *compute.Engine {
 	return compute.Default()
 }
 
+// IsSlow is the mrDMD slow-mode criterion |ψ|/(2π) ≤ rho (cycles per unit
+// time). Following the reference mrDMD implementation it applies the
+// modulus of the full complex exponent, so fast-growing and fast-decaying
+// modes also count as "fast".
+func IsSlow(psi complex128, rho float64) bool {
+	return cmplx.Abs(psi)/(2*math.Pi) <= rho
+}
+
 // FromSVD finishes a DMD given the (possibly incrementally maintained)
-// economy SVD of X = snapshots[:, :T-1]. This split is what lets I-mrDMD
-// reuse the incremental SVD state at level 1. Amplitudes are fitted over
-// all snapshots (Jovanović et al. optimal amplitudes), not just the first
-// one — essential for mrDMD, where a poor slow-mode amplitude leaks error
-// into every deeper level.
+// economy SVD of X = snapshots[:, :T-1] and returns every fitted mode. This
+// split is what lets I-mrDMD reuse the incremental SVD state at level 1.
+// Amplitudes are fitted over all snapshots (Jovanović et al. optimal
+// amplitudes), not just the first one — essential for mrDMD, where a poor
+// slow-mode amplitude leaks error into every deeper level.
 func FromSVD(s *svd.Result, snapshots *mat.Dense, opts Options) (*Decomposition, error) {
+	return FromSVDSlow(s, snapshots, opts, math.Inf(1))
+}
+
+// FromSVDSlow is FromSVD returning only the modes that pass IsSlow(ψ, rho);
+// rho = +Inf keeps every mode. Decomposition.Rank still counts all fitted
+// modes, and the amplitudes are fitted jointly over all of them, so the
+// kept modes are exactly those of the unfiltered call.
+//
+// The fit runs in the r-dimensional mode space. With B = Y·V·Σ⁻¹ (p×r)
+// and W the eigenvectors of Ã, the exact DMD modes are Φ = B·W, so:
+//
+//   - Ã = Uᵀ·B (r×r);
+//   - ΦᴴΦ = Wᴴ·(BᵀB)·W, one real Gram of B plus O(r³) work;
+//   - XᵀΦ = (Xᵀ·B)·W, one real GEMM plus O(t·r²) work;
+//   - only the kept columns of Φ are lifted to P, as B·Re(W) and B·Im(W).
+//
+// Besides Y·V, every P-sized pass is a GEMM against B, and no P-sized
+// complex intermediate is formed.
+func FromSVDSlow(s *svd.Result, snapshots *mat.Dense, opts Options, rho float64) (*Decomposition, error) {
 	if opts.DT <= 0 {
 		return nil, errors.New("dmd: Options.DT must be positive")
 	}
@@ -98,7 +133,6 @@ func FromSVD(s *svd.Result, snapshots *mat.Dense, opts Options) (*Decomposition,
 		return nil, ErrTooFewSnapshots
 	}
 	e, ws := opts.engine(), opts.Ws
-	y := mat.ColsView(snapshots, 1, t) // zero-copy: every consumer is stride-aware
 	rank := s.Rank()
 	if opts.UseSVHT {
 		rank = svd.SVHTRankWith(ws, s.S, s.U.R, s.V.R)
@@ -106,78 +140,88 @@ func FromSVD(s *svd.Result, snapshots *mat.Dense, opts Options) (*Decomposition,
 	if opts.Rank > 0 && opts.Rank < rank {
 		rank = opts.Rank
 	}
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > s.Rank() {
-		rank = s.Rank()
-	}
-	tr := s.TruncateWith(ws, rank)
-	putTr := func() {
-		if tr != s {
-			mat.PutDense(ws, tr.U)
-			mat.PutDense(ws, tr.V)
-		}
-	}
-	// Guard degenerate zero data: all-zero singular spectrum.
-	if tr.S[0] == 0 {
-		putTr()
+	rank = max(rank, 1)
+	rank = min(rank, s.Rank())
+	// Guard degenerate data: no rows, or an all-zero singular spectrum.
+	if rank == 0 || s.S[0] == 0 {
 		return &Decomposition{Modes: nil, P: p, T: t, DT: opts.DT, Rank: 0}, nil
 	}
+	sv := s.S[:rank]
+	u := mat.ColsView(s.U, 0, rank) // zero-copy truncation: every consumer is stride-aware
+	v := mat.ColsView(s.V, 0, rank)
+	y := mat.ColsView(snapshots, 1, t)
 
-	// Ã = Uᵀ Y V Σ⁻¹ (r×r).
-	uty := mat.MulTWith(e, ws, tr.U, y)   // r×(t-1)
-	utyv := mat.MulWith(e, ws, uty, tr.V) // r×r
-	mat.PutDense(ws, uty)
-	for i := 0; i < utyv.R; i++ { // scale columns by Σ⁻¹
-		row := utyv.Row(i)
-		for j := range row {
-			row[j] /= tr.S[j]
-		}
-	}
-
-	vals, vecs := eig.NonsymmetricWith(ws, utyv) // clones utyv internally
-	mat.PutDense(ws, utyv)
-
-	// Φ = Y V Σ⁻¹ W (exact DMD modes).
-	yvs := mat.MulWith(e, ws, y, tr.V) // p×r
+	// B = Y V Σ⁻¹ (p×r).
+	yvs := mat.MulWith(e, ws, y, v)
 	for i := 0; i < yvs.R; i++ {
 		row := yvs.Row(i)
 		for j := range row {
-			row[j] /= tr.S[j]
+			row[j] /= sv[j]
 		}
 	}
-	putTr()
-	cyvs := mat.ComplexWith(ws, yvs)
-	mat.PutDense(ws, yvs)
-	phi := mat.CMulWith(ws, cyvs, vecs) // p×r
-	mat.PutCDense(ws, cyvs)
-	mat.PutCDense(ws, vecs)
+	// Ã = Uᵀ B (r×r).
+	atil := mat.MulTWith(e, ws, u, yvs)
+	vals, w := eig.NonsymmetricWith(ws, atil) // clones atil internally
+	mat.PutDense(ws, atil)
 
-	b := optimalAmplitudes(e, ws, phi, vals, snapshots, opts.AmplitudeWindow)
+	b := optimalAmplitudes(e, ws, yvs, w, vals, snapshots, opts.AmplitudeWindow)
 
-	modes := make([]Mode, 0, len(vals))
+	keepAll := math.IsInf(rho, 1) // every mode, even one with a NaN ψ
+	keep := make([]int, 0, len(vals))
+	psis := make([]complex128, len(vals))
 	for j, lam := range vals {
-		col := make([]complex128, p)
-		for i := 0; i < p; i++ {
-			col[i] = phi.At(i, j)
+		psis[j] = logLambda(lam, opts.DT)
+		if keepAll || IsSlow(psis[j], rho) {
+			keep = append(keep, j)
 		}
-		psi := logLambda(lam, opts.DT)
-		var pow float64
-		for _, c := range col {
-			pow += real(c)*real(c) + imag(c)*imag(c)
-		}
-		modes = append(modes, Mode{
-			Phi:    col,
-			Lambda: lam,
-			Psi:    psi,
-			Amp:    b[j],
-			Freq:   math.Abs(imag(psi)) / (2 * math.Pi),
-			Power:  pow,
-		})
 	}
-	mat.PutCDense(ws, phi)
+	var modes []Mode
+	if len(keep) > 0 {
+		modes = liftModes(e, ws, yvs, w, keep)
+		for jj, j := range keep {
+			m := &modes[jj]
+			m.Lambda, m.Psi, m.Amp = vals[j], psis[j], b[j]
+			m.Freq = math.Abs(imag(psis[j])) / (2 * math.Pi)
+		}
+	}
+	mat.PutDense(ws, yvs)
+	mat.PutCDense(ws, w)
 	return &Decomposition{Modes: modes, P: p, T: t, DT: opts.DT, Rank: rank}, nil
+}
+
+// liftModes forms the columns keep of Φ = B·W as two real GEMMs, B·Re(W)
+// and B·Im(W), and returns one Mode per kept column with Phi and Power
+// (‖φ‖²) set.
+func liftModes(e *compute.Engine, ws *compute.Workspace, yvs *mat.Dense, w *mat.CDense, keep []int) []Mode {
+	p, r, k := yvs.R, w.R, len(keep)
+	wRe := mat.GetDenseRaw(ws, r, k)
+	wIm := mat.GetDenseRaw(ws, r, k)
+	for i := 0; i < r; i++ {
+		re, im := wRe.Row(i), wIm.Row(i)
+		for jj, j := range keep {
+			c := w.At(i, j)
+			re[jj], im[jj] = real(c), imag(c)
+		}
+	}
+	phiRe := mat.MulWith(e, ws, yvs, wRe) // p×k
+	phiIm := mat.MulWith(e, ws, yvs, wIm) // p×k
+	mat.PutDense(ws, wRe)
+	mat.PutDense(ws, wIm)
+	modes := make([]Mode, k)
+	phis := make([]complex128, k*p) // one allocation backs every kept column
+	for jj := range modes {
+		col := phis[jj*p : (jj+1)*p : (jj+1)*p]
+		var pow float64
+		for i := range col {
+			re, im := phiRe.At(i, jj), phiIm.At(i, jj)
+			col[i] = complex(re, im)
+			pow += re*re + im*im
+		}
+		modes[jj].Phi, modes[jj].Power = col, pow
+	}
+	mat.PutDense(ws, phiRe)
+	mat.PutDense(ws, phiIm)
+	return modes
 }
 
 // optimalAmplitudes solves min_b ‖X − Φ diag(b) V‖_F where V is the
@@ -190,14 +234,19 @@ func FromSVD(s *svd.Result, snapshots *mat.Dense, opts Options) (*Decomposition,
 // with ∘ the Hadamard product; the system matrix is positive
 // semidefinite by the Schur product theorem.
 //
+// Φ is never formed: the caller passes B = Y·V·Σ⁻¹ (p×r) and the
+// eigenvectors W (r×r) with Φ = B·W, so ΦᴴΦ = Wᴴ·(BᵀB)·W and
+// XᵀΦ = (XᵀB)·W. The only P-sized work is the Gram BᵀB and the product
+// XᵀB, both real GEMMs; the rest is O(r³ + t·r²).
+//
 // win > 0 restricts the fit to the trailing win snapshot columns
 // [t−win, t): the Vandermonde keeps its absolute powers λᵏ (so b stays a
 // t=0 amplitude) but only the windowed columns enter V, G2 and the
 // snapshot contraction, turning the per-refresh cost from O(T) to O(win).
 // win ≤ 0 or win ≥ t fits the full history, bit-identical to the
 // unwindowed code path.
-func optimalAmplitudes(e *compute.Engine, ws *compute.Workspace, phi *mat.CDense, vals []complex128, snapshots *mat.Dense, win int) []complex128 {
-	p, t := snapshots.Dims()
+func optimalAmplitudes(e *compute.Engine, ws *compute.Workspace, yvs *mat.Dense, w *mat.CDense, vals []complex128, snapshots *mat.Dense, win int) []complex128 {
+	t := snapshots.C
 	r := len(vals)
 	k0 := 0
 	if win > 0 && win < t {
@@ -211,75 +260,67 @@ func optimalAmplitudes(e *compute.Engine, ws *compute.Workspace, phi *mat.CDense
 	// the windowed columns are stored.
 	vand := mat.GetCDense(ws, r, tw)
 	for i, lam := range vals {
-		w := complex(1, 0)
+		z := complex(1, 0)
 		for k := 0; k < t; k++ {
 			if k >= k0 {
-				vand.Set(i, k-k0, w)
+				vand.Set(i, k-k0, z)
 			}
-			w *= lam
-			if a := real(w)*real(w) + imag(w)*imag(w); a > 1e300 {
-				w = w / complex(math.Sqrt(a), 0) * complex(1e150, 0)
+			z *= lam
+			if a := real(z)*real(z) + imag(z)*imag(z); a > 1e300 {
+				z = z / complex(math.Sqrt(a), 0) * complex(1e150, 0)
 			}
 		}
 	}
-	// G1 = ΦᴴΦ (r×r), G2 = V Vᴴ (r×r).
-	g1 := mat.GetCDense(ws, r, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < r; j++ {
-			var s complex128
-			for k := 0; k < p; k++ {
-				s += cmplx.Conj(phi.At(k, i)) * phi.At(k, j)
-			}
-			g1.Set(i, j, s)
-		}
-	}
-	g2 := mat.GetCDense(ws, r, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < r; j++ {
-			var s complex128
-			for k := 0; k < tw; k++ {
-				s += vand.At(i, k) * cmplx.Conj(vand.At(j, k))
-			}
-			g2.Set(i, j, s)
-		}
-	}
-	// System matrix P = G1 ∘ conj(G2); rhs q = conj(diag(V Xᴴ Φ)).
+	// System matrix P = G1 ∘ conj(G2) with G1 = ΦᴴΦ = Wᴴ (BᵀB) W and
+	// G2 = V Vᴴ, both r×r.
+	bb := mat.GramWith(e, ws, yvs, true)
 	sys := mat.GetCDense(ws, r, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < r; j++ {
-			sys.Set(i, j, g1.At(i, j)*cmplx.Conj(g2.At(i, j)))
+	acc := ws.GetC128(r) // r-vector scratch
+	for j := 0; j < r; j++ {
+		for i := 0; i < r; i++ { // acc = (BᵀB)·w_j
+			var s complex128
+			for k, g := range bb.Row(i) {
+				c := w.At(k, j)
+				s += complex(g*real(c), g*imag(c))
+			}
+			acc[i] = s
+		}
+		for i := 0; i < r; i++ {
+			var g1, g2 complex128
+			for k := 0; k < r; k++ {
+				g1 += cmplx.Conj(w.At(k, i)) * acc[k]
+			}
+			for k := 0; k < tw; k++ {
+				g2 += vand.At(i, k) * cmplx.Conj(vand.At(j, k))
+			}
+			sys.Set(i, j, g1*cmplx.Conj(g2))
 		}
 	}
-	// rhs q = conj(diag(V Xᴴ Φ)): the inner factor XᵀΦ (t×r) is computed
-	// on Φ's real and imaginary planes with two real GEMMs — X is real so
-	// the planes never mix, and the p×t×r contraction rides the tall-skinny
-	// kernels instead of an O(r·t·p) scalar triple loop.
-	phiRe := mat.GetDenseRaw(ws, p, r)
-	phiIm := mat.GetDenseRaw(ws, p, r)
-	for i := 0; i < p; i++ {
-		reRow, imRow := phiRe.Row(i), phiIm.Row(i)
-		for j := 0; j < r; j++ {
-			v := phi.At(i, j)
-			reRow[j] = real(v)
-			imRow[j] = imag(v)
-		}
-	}
-	snapWin := mat.ColsView(snapshots, k0, t)     // p×tw, zero-copy
-	xphiRe := mat.MulTWith(e, ws, snapWin, phiRe) // tw×r
-	xphiIm := mat.MulTWith(e, ws, snapWin, phiIm) // tw×r
-	mat.PutDense(ws, phiRe)
-	mat.PutDense(ws, phiIm)
+	mat.PutDense(ws, bb)
+	// rhs q = conj(diag(V Xᴴ Φ)) with XᵀΦ = (XᵀB)·W: the p×tw×r
+	// contraction is one real GEMM, and
+	// (V Xᴴ Φ)[i,i] = Σ_j (Σ_k V[i,k]·(XᵀB)[k,j]) · W[j,i].
+	snapWin := mat.ColsView(snapshots, k0, t) // p×tw, zero-copy
+	xb := mat.MulTWith(e, ws, snapWin, yvs)   // tw×r
 	q := make([]complex128, r)
 	for i := 0; i < r; i++ {
-		// (V Xᴴ Φ)[i,i] = Σ_k V[i,k] · (XᵀΦ)[k,i]
-		var s complex128
+		for j := range acc { // acc[j] = Σ_k V[i,k]·(XᵀB)[k,j]
+			acc[j] = 0
+		}
 		for k := 0; k < tw; k++ {
-			s += vand.At(i, k) * complex(xphiRe.At(k, i), xphiIm.At(k, i))
+			z := vand.At(i, k)
+			for j, x := range xb.Row(k) {
+				acc[j] += complex(real(z)*x, imag(z)*x)
+			}
+		}
+		var s complex128
+		for j := 0; j < r; j++ {
+			s += acc[j] * w.At(j, i)
 		}
 		q[i] = cmplx.Conj(s)
 	}
-	mat.PutDense(ws, xphiRe)
-	mat.PutDense(ws, xphiIm)
+	mat.PutDense(ws, xb)
+	ws.PutC128(acc)
 	// Tikhonov-style jitter keeps the solve stable when modes coincide.
 	var trace float64
 	for i := 0; i < r; i++ {
@@ -320,8 +361,6 @@ func optimalAmplitudes(e *compute.Engine, ws *compute.Workspace, phi *mat.CDense
 		}
 	}
 	mat.PutCDense(ws, vand)
-	mat.PutCDense(ws, g1)
-	mat.PutCDense(ws, g2)
 	mat.PutCDense(ws, sys)
 	return b
 }
@@ -536,21 +575,6 @@ func expPsiT(psi complex128, t float64) complex128 {
 	}
 	im := imag(psi) * t
 	return cmplx.Exp(complex(re, im))
-}
-
-// SlowModes partitions modes by the mrDMD slow-mode criterion
-// |ψ|/(2π) ≤ rho (cycles per unit time), following the reference mrDMD
-// implementation which applies the modulus of the full complex exponent
-// so that fast-growing modes also count as "fast".
-func SlowModes(modes []Mode, rho float64) (slow, fast []Mode) {
-	for _, m := range modes {
-		if cmplx.Abs(m.Psi)/(2*math.Pi) <= rho {
-			slow = append(slow, m)
-		} else {
-			fast = append(fast, m)
-		}
-	}
-	return slow, fast
 }
 
 // SpectrumPoint is one (frequency, power, amplitude) sample of the DMD /

@@ -54,34 +54,6 @@ func RealPart(m *CDense) *Dense {
 	return out
 }
 
-// CMul returns a*b for complex matrices.
-func CMul(a, b *CDense) *CDense {
-	if a.C != b.R {
-		panic("mat: CMul inner dimension mismatch")
-	}
-	out := NewCDense(a.R, b.C)
-	cmulInto(out, a, b)
-	return out
-}
-
-// cmulInto accumulates a*b into out, which must be zeroed.
-func cmulInto(out, a, b *CDense) {
-	n := b.C
-	for i := 0; i < a.R; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Data[k*n : k*n+n]
-			for j, bkj := range brow {
-				orow[j] += aik * bkj
-			}
-		}
-	}
-}
-
 // CMulVec returns a*x.
 func CMulVec(a *CDense, x []complex128) []complex128 {
 	if len(x) != a.C {

@@ -76,6 +76,15 @@ func TestColSliceOutOfRangePanics(t *testing.T) {
 	NewDense(2, 3).ColSlice(1, 4)
 }
 
+// TestColsViewZeroRows: a column view of a matrix without rows is an
+// empty view, not a slice-bounds panic.
+func TestColsViewZeroRows(t *testing.T) {
+	v := ColsView(NewDense(0, 64), 1, 64)
+	if v.R != 0 || v.C != 63 || len(v.Data) != 0 {
+		t.Fatalf("view is %d×%d with %d elements, want 0×63 with none", v.R, v.C, len(v.Data))
+	}
+}
+
 func TestRowSliceOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -390,19 +390,6 @@ func TestComplexRealRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCMulKnown(t *testing.T) {
-	a := NewCDense(1, 2)
-	a.Set(0, 0, complex(0, 1))
-	a.Set(0, 1, complex(1, 0))
-	b := NewCDense(2, 1)
-	b.Set(0, 0, complex(0, 1))
-	b.Set(1, 0, complex(2, 0))
-	p := CMul(a, b)
-	if got := p.At(0, 0); got != complex(1, 0) {
-		t.Fatalf("CMul = %v want (1+0i)", got)
-	}
-}
-
 func TestDiagOfAndEye(t *testing.T) {
 	d := DiagOf([]float64{1, 2, 3})
 	if d.At(1, 1) != 2 || d.At(0, 1) != 0 {

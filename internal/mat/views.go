@@ -19,10 +19,10 @@ func ColsView(m *Dense, j0, j1 int) *Dense {
 		panic(fmt.Sprintf("mat: ColsView [%d,%d) out of range for %d cols", j0, j1, m.C))
 	}
 	s := m.RowStride()
-	end := j0
-	if m.R > 0 {
-		end = (m.R-1)*s + j1
+	if m.R == 0 {
+		return &Dense{C: j1 - j0, Stride: s, noPool: true}
 	}
+	end := (m.R-1)*s + j1
 	return &Dense{R: m.R, C: j1 - j0, Stride: s, Data: m.Data[j0:end:end], noPool: true}
 }
 

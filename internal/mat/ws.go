@@ -149,14 +149,3 @@ func ComplexWith(ws *compute.Workspace, a *Dense) *CDense {
 	}
 	return out
 }
-
-// CMulWith computes the complex product a*b into a matrix borrowed from
-// ws (zeroed internally before accumulation).
-func CMulWith(ws *compute.Workspace, a, b *CDense) *CDense {
-	if a.C != b.R {
-		panic("mat: CMul inner dimension mismatch")
-	}
-	out := GetCDense(ws, a.R, b.C)
-	cmulInto(out, a, b)
-	return out
-}

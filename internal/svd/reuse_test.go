@@ -138,3 +138,40 @@ func TestSVHTRankWithPoolsScratch(t *testing.T) {
 		t.Fatalf("warm SVHT calls missed the pool: %d gets, %d hits", gets-gets0, hits-hits0)
 	}
 }
+
+// TestComputePooledViewBitIdentical: the window DMD hands the SVD a
+// zero-copy column view and takes pooled factors. Neither may change a
+// bit: for the QR-preconditioned, transposed and method-of-snapshots
+// routes, ComputePooledWith on a strided view must equal ComputeWith on
+// a packed copy exactly.
+func TestComputePooledViewBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	ws := compute.NewWorkspace()
+	for _, sh := range [][2]int{{200, 20}, {12, 40}, {300, 120}} {
+		m, n := sh[0], sh[1]
+		parent := randDense(rng, m, n+7)
+		view := mat.ColsView(parent, 3, 3+n)
+		owned := ComputeWith(nil, nil, view.Clone())
+		for round := 0; round < 2; round++ { // the second round reuses pooled storage
+			pooled := ComputePooledWith(nil, ws, view)
+			if len(pooled.S) != len(owned.S) {
+				t.Fatalf("%d×%d: rank %d vs %d", m, n, len(pooled.S), len(owned.S))
+			}
+			for i := range owned.S {
+				if pooled.S[i] != owned.S[i] {
+					t.Fatalf("%d×%d: σ%d differs", m, n, i)
+				}
+			}
+			for _, f := range [][2]*mat.Dense{{pooled.U, owned.U}, {pooled.V, owned.V}} {
+				for i := 0; i < f[1].R; i++ {
+					for j := 0; j < f[1].C; j++ {
+						if f[0].At(i, j) != f[1].At(i, j) {
+							t.Fatalf("%d×%d: factor element (%d,%d) differs", m, n, i, j)
+						}
+					}
+				}
+			}
+			pooled.Release(ws)
+		}
+	}
+}

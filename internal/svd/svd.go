@@ -40,19 +40,11 @@ func (r *Result) Truncate(k int) *Result {
 	}
 }
 
-// TruncateWith is Truncate with the factor copies borrowed from ws. When
-// k >= Rank() the receiver itself is returned unchanged (no copy) — check
-// `tr != r` before returning borrowed factors to the pool. The result is
-// read-only for the borrower.
-func (r *Result) TruncateWith(ws *compute.Workspace, k int) *Result {
-	if k >= r.Rank() {
-		return r
-	}
-	return &Result{
-		U: mat.ColSliceWith(ws, r.U, 0, k),
-		S: r.S[:k],
-		V: mat.ColSliceWith(ws, r.V, 0, k),
-	}
+// Release returns the factors of a ComputePooledWith result to ws. The
+// result must not be used afterwards.
+func (r *Result) Release(ws *compute.Workspace) {
+	mat.PutDense(ws, r.U)
+	mat.PutDense(ws, r.V)
 }
 
 // Reconstruct returns U diag(S) Vᵀ.
@@ -100,18 +92,29 @@ func Compute(a *mat.Dense) *Result {
 }
 
 // ComputeWith is Compute with its parallel sections routed through engine
-// e and its internal scratch borrowed from ws (either may be nil). The
-// returned factors are freshly owned — never workspace storage — so they
-// may be retained indefinitely.
+// e and its internal scratch borrowed from ws (either may be nil). a may
+// be a view (any row stride). The returned factors are freshly owned —
+// never workspace storage — so they may be retained indefinitely.
 func ComputeWith(e *compute.Engine, ws *compute.Workspace, a *mat.Dense) *Result {
+	return computeSVD(e, ws, a, false)
+}
+
+// ComputePooledWith is ComputeWith for a transient SVD: U and V are
+// borrowed from ws, and the caller hands them back with Release once it
+// is done with the factors (the window DMD does so right after its fit).
+func ComputePooledWith(e *compute.Engine, ws *compute.Workspace, a *mat.Dense) *Result {
+	return computeSVD(e, ws, a, true)
+}
+
+func computeSVD(e *compute.Engine, ws *compute.Workspace, a *mat.Dense, poolOut bool) *Result {
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
 		return &Result{U: mat.NewDense(m, 0), S: nil, V: mat.NewDense(n, 0)}
 	}
 	if min(m, n) <= jacobiCutoff {
-		return jacobiSVDWS(e, a, ws, false)
+		return jacobiSVDWS(e, a, ws, poolOut)
 	}
-	return snapshotSVD(e, ws, a)
+	return snapshotSVD(e, ws, a, poolOut)
 }
 
 // jacobiSVD computes the economy SVD by one-sided Jacobi rotations on the
@@ -134,7 +137,8 @@ const qrPrecondRatio = 2
 // jacobiSVDWS is jacobiSVD with rotation scratch borrowed from ws. When
 // poolOut is set, the returned U and V are workspace storage
 // too and the caller must PutDense them back (used by the incremental
-// updates, whose factor matrices are recycled every step).
+// updates, whose factor matrices are recycled every step, and by
+// ComputePooledWith).
 func jacobiSVDWS(e *compute.Engine, a *mat.Dense, ws *compute.Workspace, poolOut bool) *Result {
 	m, n := a.Dims()
 	if m < n {
@@ -311,27 +315,33 @@ func jacobiSVDWS(e *compute.Engine, a *mat.Dense, ws *compute.Workspace, poolOut
 }
 
 // snapshotSVD computes the economy SVD via the eigendecomposition of the
-// smaller Gram matrix (the classical method of snapshots).
-func snapshotSVD(e *compute.Engine, ws *compute.Workspace, a *mat.Dense) *Result {
+// smaller Gram matrix (the classical method of snapshots). With poolOut
+// the returned U and V are borrowed from ws, as in jacobiSVDWS.
+func snapshotSVD(e *compute.Engine, ws *compute.Workspace, a *mat.Dense, poolOut bool) *Result {
+	var out *compute.Workspace // nil: the factors are freshly owned
+	if poolOut {
+		out = ws
+	}
 	m, n := a.Dims()
 	if n <= m {
 		// G = AᵀA = V Λ Vᵀ; σ = √λ; U = A V Σ⁻¹.
 		g := mat.GramWith(e, ws, a, true)
 		w, v := eig.Symmetric(g) // clones g internally
 		mat.PutDense(ws, g)
-		return assembleFromGram(e, a, w, v, false)
+		return assembleFromGram(e, out, a, w, v, false)
 	}
 	// G = AAᵀ = U Λ Uᵀ; σ = √λ; V = Aᵀ U Σ⁻¹.
 	g := mat.GramWith(e, ws, a, false)
 	w, u := eig.Symmetric(g)
 	mat.PutDense(ws, g)
-	return assembleFromGram(e, a, w, u, true)
+	return assembleFromGram(e, out, a, w, u, true)
 }
 
 // assembleFromGram turns the Gram eigendecomposition into an SVD. When
 // left is false the eigenvectors are V and U is recovered; when true the
-// eigenvectors are U and V is recovered.
-func assembleFromGram(e *compute.Engine, a *mat.Dense, w []float64, vecs *mat.Dense, left bool) *Result {
+// eigenvectors are U and V is recovered. The factors are borrowed from
+// out (nil allocates).
+func assembleFromGram(e *compute.Engine, out *compute.Workspace, a *mat.Dense, w []float64, vecs *mat.Dense, left bool) *Result {
 	var smax float64
 	for _, l := range w {
 		if l > smax {
@@ -360,15 +370,15 @@ func assembleFromGram(e *compute.Engine, a *mat.Dense, w []float64, vecs *mat.De
 	for i := 0; i < rank; i++ {
 		s[i] = math.Sqrt(w[i])
 	}
-	kept := vecs.ColSlice(0, rank)
+	kept := mat.ColSliceWith(out, vecs, 0, rank)
 	if !left {
 		// kept = V; U = A V Σ⁻¹.
-		u := mat.MulWith(e, nil, a, kept)
+		u := mat.MulWith(e, out, a, kept)
 		scaleColsInv(u, s)
 		return &Result{U: u, S: s, V: kept}
 	}
 	// kept = U; V = Aᵀ U Σ⁻¹ computed as (UᵀA)ᵀ Σ⁻¹ without materializing Aᵀ.
-	v := mat.MulTWith(e, nil, a, kept) // aᵀ·kept — exactly Aᵀ U.
+	v := mat.MulTWith(e, out, a, kept) // aᵀ·kept — exactly Aᵀ U.
 	scaleColsInv(v, s)
 	return &Result{U: kept, S: s, V: v}
 }

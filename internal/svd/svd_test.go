@@ -83,7 +83,7 @@ func TestSnapshotSVDMatchesJacobi(t *testing.T) {
 	for _, dims := range [][2]int{{40, 15}, {15, 40}} {
 		a := randDense(rng, dims[0], dims[1])
 		j := jacobiSVD(a)
-		s := snapshotSVD(nil, nil, a)
+		s := snapshotSVD(nil, nil, a, false)
 		if len(j.S) != len(s.S) {
 			t.Fatalf("rank mismatch %d vs %d", len(j.S), len(s.S))
 		}
