@@ -1,6 +1,7 @@
 package imrdmd
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -142,7 +143,9 @@ type SpectrumPoint struct {
 }
 
 // Analyzer is the public I-mrDMD pipeline: initial fit, streamed partial
-// fits, reconstruction, spectrum and baseline z-scores.
+// fits, reconstruction, spectrum and baseline z-scores. Before InitialFit
+// its readers return empty results (an empty spectrum, a 0×0
+// reconstruction, zero counts) and ZScores an error.
 type Analyzer struct {
 	opts Options
 	inc  *core.Incremental
@@ -205,14 +208,23 @@ func Restore(r io.Reader) (*Analyzer, error) {
 	return &Analyzer{opts: opts, inc: inc}, nil
 }
 
+// errNilSeries is returned by the fitting calls when handed a nil Series.
+var errNilSeries = errors.New("imrdmd: nil Series")
+
 // InitialFit runs the batch mrDMD over the first window and prepares the
 // incremental state.
 func (a *Analyzer) InitialFit(s *Series) error {
+	if s == nil {
+		return errNilSeries
+	}
 	return a.inc.InitialFit(s.dense())
 }
 
 // PartialFit absorbs newly streamed time steps (Algorithm 1).
 func (a *Analyzer) PartialFit(s *Series) (UpdateStats, error) {
+	if s == nil {
+		return UpdateStats{}, errNilSeries
+	}
 	st, err := a.inc.PartialFit(s.dense())
 	return UpdateStats{Drift: st.Drift, Recomputed: st.Recomputed, NewColumns: st.NewColumns}, err
 }
@@ -294,8 +306,13 @@ func (a *Analyzer) ReadingLevels(lo, hi float64) []float64 {
 
 // ZScores standardizes band-limited reading levels against the baseline
 // sensor population, as in the paper's case studies: z > 2 marks
-// dangerously hot components, z < −1.5 idle or stalled nodes.
+// dangerously hot components, z < −1.5 idle or stalled nodes. It fails
+// before InitialFit (there is no baseline yet) and on a baseline index
+// that names no sensor.
 func (a *Analyzer) ZScores(baselineIdx []int, lo, hi float64) ([]float64, error) {
+	if a.inc.Cols() == 0 {
+		return nil, baseline.ErrNoBaseline
+	}
 	return baseline.ZScores(a.ReadingLevels(lo, hi), baselineIdx)
 }
 
@@ -303,6 +320,9 @@ func (a *Analyzer) ZScores(baselineIdx []int, lo, hi float64) ([]float64, error)
 // history (one row per new sensor, one column per absorbed step) — the
 // paper's future-work extension, implemented (see DESIGN.md E13+).
 func (a *Analyzer) AddSensors(s *Series) error {
+	if s == nil {
+		return errNilSeries
+	}
 	return a.inc.AddSensors(s.dense())
 }
 

@@ -2,10 +2,15 @@ package imrdmd
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"imrdmd/internal/baseline"
 )
 
 // syntheticTemps builds a P×T temperature-like series: baseline sensors
@@ -197,5 +202,113 @@ func TestRackViewBadSpec(t *testing.T) {
 	var buf bytes.Buffer
 	if err := RackView(&buf, "not a spec :::", "t", nil, nil, nil); err == nil {
 		t.Fatal("bad layout spec accepted")
+	}
+}
+
+// TestAnalyzerMisuseReturnsErrors: every public method on an unfitted
+// analyzer, a nil Series handed to the fitting calls, and baseline
+// indices outside the sensor range must return empty results or an error
+// — never panic.
+func TestAnalyzerMisuseReturnsErrors(t *testing.T) {
+	fitted := mustNew(t, Options{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true})
+	if err := fitted.InitialFit(syntheticTemps(5, 8, 256, nil)); err != nil {
+		t.Fatal(err)
+	}
+	wantErr := func(err error) error {
+		if err == nil {
+			return errors.New("no error")
+		}
+		return nil
+	}
+	wantEmpty := func(n int) error {
+		if n != 0 {
+			return fmt.Errorf("%d results, want none", n)
+		}
+		return nil
+	}
+	cases := []struct {
+		name string
+		call func(a *Analyzer) error
+	}{
+		{"Spectrum", func(a *Analyzer) error { return wantEmpty(len(a.Spectrum())) }},
+		{"NumModes", func(a *Analyzer) error { return wantEmpty(a.NumModes()) }},
+		{"Levels", func(a *Analyzer) error { return wantEmpty(a.Levels()) }},
+		{"Reconstruction", func(a *Analyzer) error {
+			r := a.Reconstruction()
+			return wantEmpty(r.Sensors() * r.Steps())
+		}},
+		{"StabilizedReconstruction", func(a *Analyzer) error {
+			r := a.StabilizedReconstruction()
+			return wantEmpty(r.Sensors() * r.Steps())
+		}},
+		{"ReconstructionError", func(a *Analyzer) error {
+			if e := a.ReconstructionError(); e != 0 {
+				return fmt.Errorf("error %v, want 0", e)
+			}
+			return nil
+		}},
+		{"CompressionRatio", func(a *Analyzer) error {
+			if c := a.CompressionRatio(); c != 0 {
+				return fmt.Errorf("ratio %v, want 0", c)
+			}
+			return nil
+		}},
+		{"ModeMagnitudes", func(a *Analyzer) error { return wantEmpty(len(a.ModeMagnitudes(0, math.Inf(1)))) }},
+		{"ReadingLevels", func(a *Analyzer) error { return wantEmpty(len(a.ReadingLevels(0, math.Inf(1)))) }},
+		{"ZScores", func(a *Analyzer) error {
+			_, err := a.ZScores([]int{0, 1}, 0, math.Inf(1))
+			if !errors.Is(err, baseline.ErrNoBaseline) {
+				return fmt.Errorf("err %v, want ErrNoBaseline", err)
+			}
+			return nil
+		}},
+		{"Steps", func(a *Analyzer) error { return wantEmpty(a.Steps()) }},
+		{"Updates", func(a *Analyzer) error { return wantEmpty(a.Updates()) }},
+		{"Sensors", func(a *Analyzer) error { return wantEmpty(a.Sensors()) }},
+		{"DriftLog", func(a *Analyzer) error { return wantEmpty(len(a.DriftLog())) }},
+		{"MemStats", func(a *Analyzer) error { return wantEmpty(a.MemStats().Steps) }},
+		{"Wait", func(a *Analyzer) error { a.Wait(); return nil }},
+		{"Snapshot", func(a *Analyzer) error { return wantErr(a.Snapshot(io.Discard)) }},
+		{"PartialFit", func(a *Analyzer) error {
+			_, err := a.PartialFit(syntheticTemps(6, 8, 32, nil))
+			return wantErr(err)
+		}},
+		{"AddSensors", func(a *Analyzer) error { return wantErr(a.AddSensors(syntheticTemps(7, 1, 256, nil))) }},
+		{"InitialFit(nil)", func(a *Analyzer) error { return wantErr(a.InitialFit(nil)) }},
+		{"PartialFit(nil)", func(a *Analyzer) error {
+			_, err := a.PartialFit(nil)
+			return wantErr(err)
+		}},
+		{"AddSensors(nil)", func(a *Analyzer) error { return wantErr(a.AddSensors(nil)) }},
+	}
+	for _, c := range cases {
+		t.Run("unfitted/"+c.name, func(t *testing.T) {
+			if err := c.call(mustNew(t, Options{DT: 1})); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	for _, name := range []string{"PartialFit(nil)", "AddSensors(nil)"} {
+		for _, c := range cases {
+			if c.name == name {
+				if err := c.call(fitted); err != nil {
+					t.Fatalf("fitted %s: %v", name, err)
+				}
+			}
+		}
+	}
+	for _, idx := range [][]int{{0, 99}, {-1, 0}} {
+		_, err := fitted.ZScores(idx, 0, math.Inf(1))
+		if err == nil {
+			t.Fatalf("ZScores(%v) on 8 sensors: no error", idx)
+		}
+		bad := idx[1]
+		if idx[0] < 0 {
+			bad = idx[0]
+		}
+		if !strings.Contains(err.Error(), fmt.Sprint(bad)) {
+			t.Fatalf("ZScores(%v): error %q does not name index %d", idx, err, bad)
+		}
 	}
 }

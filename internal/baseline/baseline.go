@@ -7,6 +7,7 @@ package baseline
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 
@@ -32,10 +33,16 @@ var ErrNoBaseline = errors.New("baseline: empty or degenerate baseline set")
 
 // ZScores standardizes each measurement's magnitude against the baseline
 // population: z[i] = (mag[i] − μ_B) / σ_B where μ_B, σ_B are the mean and
-// standard deviation of mag over the baseline indices.
+// standard deviation of mag over the baseline indices. A baseline index
+// outside mag is an error naming it.
 func ZScores(mag []float64, baselineIdx []int) ([]float64, error) {
 	if len(baselineIdx) < 2 {
 		return nil, ErrNoBaseline
+	}
+	for _, i := range baselineIdx {
+		if i < 0 || i >= len(mag) {
+			return nil, fmt.Errorf("baseline: index %d out of range for %d sensors", i, len(mag))
+		}
 	}
 	var mu float64
 	for _, i := range baselineIdx {

@@ -363,6 +363,72 @@ func TestLyingLengthGrowthBounded(t *testing.T) {
 	}
 }
 
+// TestLyingLengthInMemory: a bytes.Reader reports its unread length, and
+// the decoder allocates a slice up front only when the claimed elements
+// fit in it. A claim just past the carried bytes and one far past them
+// must both fail with io.ErrUnexpectedEOF, allocating no more than the
+// bytes in memory plus the chunked growth bound.
+func TestLyingLengthInMemory(t *testing.T) {
+	carried := 1 << 20
+	for _, claim := range []int{carried/8 + 1, carried/8 + 64, 1 << 26} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.Int(claim)
+		for i := 0; i < carried/8; i++ {
+			w.Float(float64(i))
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if v := r.Floats(); v != nil {
+			t.Fatalf("claim %d: truncated slice decoded", claim)
+		}
+		runtime.ReadMemStats(&after)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > uint64(4*carried+2*chunkLen) {
+			t.Fatalf("claim %d: carrying %d KiB allocated %d KiB", claim, carried>>10, grown>>10)
+		}
+		if !errors.Is(r.Err(), io.ErrUnexpectedEOF) {
+			t.Fatalf("claim %d: want ErrUnexpectedEOF, got %v", claim, r.Err())
+		}
+	}
+}
+
+// TestDenseFromBytesAllocatesOnce: decoding a Theta-shaped Dense from a
+// bytes.Reader allocates its elements once — within 5% of the payload —
+// instead of doubling its way up to them.
+func TestDenseFromBytesAllocatesOnce(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Dense(benchDense())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload := uint64(8 * benchRows * benchCols)
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := r.Dense()
+	runtime.ReadMemStats(&after)
+	if m == nil {
+		t.Fatal(r.Err())
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; float64(grown) > 1.05*float64(payload) {
+		t.Fatalf("decoding a %d MiB Dense allocated %d MiB", payload>>20, grown>>20)
+	}
+}
+
 // Theta's shape: P=4392 sensors by 1720 columns.
 const benchRows, benchCols = 4392, 1720
 

@@ -442,15 +442,24 @@ func (d *Reader) scratch() []byte {
 // grows only after a chunk's bytes have arrived, by doubling capped at n,
 // so its capacity stays within about twice the consumed elements plus
 // one chunk — a lying length fails at io.ErrUnexpectedEOF before it can
-// drive a large allocation. decode may latch an error through d; the
-// chunk it occurs in is the last one read.
+// drive a large allocation. When the source reports its unread length
+// (Len() int, as bytes.Reader does — the sniff net/http makes for
+// ContentLength) and the n elements fit in it, they are allocated up
+// front instead: the bytes are already in memory, so a lying length
+// still cannot allocate more than they take. decode may latch an error
+// through d; the chunk it occurs in is the last one read.
 func decodeSlice[T any](d *Reader, n, elemSize int, decode func(dst []T, src []byte)) []T {
 	if d.err != nil {
 		return nil
 	}
 	buf := d.scratch()
 	per := chunkLen / elemSize
-	v := make([]T, 0, min(n, per))
+	var v []T
+	if l, ok := d.r.(interface{ Len() int }); ok && n <= l.Len()/elemSize {
+		v = make([]T, 0, n)
+	} else {
+		v = make([]T, 0, min(n, per))
+	}
 	for len(v) < n {
 		k := min(n-len(v), per)
 		d.raw(buf[:k*elemSize])

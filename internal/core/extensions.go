@@ -40,9 +40,10 @@ func (inc *Incremental) AddSensors(rows *mat.Dense) error {
 		return errors.New("core: input contains NaN or Inf")
 	}
 	inc.hist.AddRows(inc.ws, rows)
-	// The cached slow-grid evaluation spans the old sensor dimension;
-	// the next PartialFit re-evaluates fresh.
+	// The cached grid evaluations span the old sensor dimension; the next
+	// PartialFit and View re-evaluate fresh.
 	inc.invalidateSlowGrid()
+	inc.invalidateGridSeg()
 	newSub := mat.SubsampleWith(inc.ws, rows, inc.stride1)
 	// Keep the level-1 grid consistent: sub1 holds columns 0, s, 2s, …
 	if newSub.C != inc.sub1.C {

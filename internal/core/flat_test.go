@@ -102,6 +102,115 @@ func TestSlowGridCacheBitIdentical(t *testing.T) {
 	}
 }
 
+// TestGridErrorCacheBitIdentical: View served from the folded segment
+// sum (gridSeg) must publish the same GridError bits and GridCols as a
+// twin whose cache is dropped before every View — the from-scratch sum —
+// through every event that refits or reshapes the tree: a
+// DriftThreshold-triggered sync recompute, an AsyncRecompute run, an
+// AddSensors and a snapshot/restore.
+func TestGridErrorCacheBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	const p, extra = 10, 2
+	data, _ := multiscale(rng, p+extra, 1536, 1, 0.1)
+	init, batch := 512, 64
+
+	cached := NewIncremental(defaultOpts())
+	fresh := NewIncremental(defaultOpts())
+	seed := data.RowSlice(0, p).ColSlice(0, init)
+	if err := cached.InitialFit(seed); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.InitialFit(seed.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	step := 0
+	check := func(event string) {
+		t.Helper()
+		fresh.mu.Lock()
+		fresh.invalidateGridSeg()
+		fresh.mu.Unlock()
+		vc, vf := cached.View(), fresh.View()
+		if math.Float64bits(vc.GridError) != math.Float64bits(vf.GridError) || vc.GridCols != vf.GridCols {
+			t.Fatalf("step %d (%s): cached GridError %v over %d cols, fresh %v over %d (must be bit-identical)",
+				step, event, vc.GridError, vc.GridCols, vf.GridError, vf.GridCols)
+		}
+		cached.mu.Lock()
+		folded, live := cached.gridFolded, cached.gridSeg != nil
+		nseg := len(cached.segments)
+		cached.mu.Unlock()
+		if !live || folded != nseg {
+			t.Fatalf("step %d (%s): cache not live after View (folded %d of %d segments)", step, event, folded, nseg)
+		}
+		step++
+	}
+	check("initial fit")
+	sensors := p
+	feed := func(lo, hi int, event string) {
+		t.Helper()
+		blk := data.RowSlice(0, sensors).ColSlice(lo, hi)
+		if _, err := cached.PartialFit(blk); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.PartialFit(blk.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		cached.Wait()
+		fresh.Wait()
+		check(event)
+	}
+	lo := init
+	next := func(event string) {
+		feed(lo, lo+batch, event)
+		lo += batch
+	}
+	for i := 0; i < 3; i++ {
+		next("stream")
+	}
+	for _, a := range []*Incremental{cached, fresh} {
+		a.DriftThreshold = 1e-300
+	}
+	next("sync recompute")
+	if cached.Recomputes() == 0 {
+		t.Fatal("the drift threshold did not trigger a recompute")
+	}
+	for _, a := range []*Incremental{cached, fresh} {
+		a.AsyncRecompute = true
+	}
+	next("async recompute")
+	for _, a := range []*Incremental{cached, fresh} {
+		a.DriftThreshold, a.AsyncRecompute = 0, false
+	}
+	next("stream")
+
+	rows := data.RowSlice(p, p+extra).ColSlice(0, lo)
+	if err := cached.AddSensors(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.AddSensors(rows.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	sensors = p + extra
+	check("add sensors")
+	next("stream after add sensors")
+
+	restore := func(a *Incremental) *Incremental {
+		var buf bytes.Buffer
+		if err := a.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := DecodeIncremental(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	cached, fresh = restore(cached), restore(fresh)
+	check("restore")
+	for lo+batch <= data.C {
+		next("stream after restore")
+	}
+}
+
 // TestDriftLogRing: past driftLogCap entries the log must behave as a
 // ring — bounded length, oldest-first iteration, correct last entry.
 func TestDriftLogRing(t *testing.T) {

@@ -71,6 +71,14 @@ type Incremental struct {
 	// evaluation, arithmetic unchanged). Never serialized.
 	slowGrid   *mat.Dense
 	slowGridLo int
+	// gridSeg caches, on the level-1 grid (P × up to sub1.C), the summed
+	// reconstruction of every node of segments[:gridFolded] — the part
+	// of View's grid error that never changes once a segment is fitted
+	// (see gridErrorLocked). ws-borrowed scratch, dropped whenever a
+	// subtree is refitted, the sensor count changes or the scratch is
+	// released; never serialized.
+	gridSeg    *mat.Dense
+	gridFolded int
 
 	updates    int
 	recomputes int
@@ -437,6 +445,7 @@ func (inc *Incremental) recomputeSegment(seg *segment) {
 }
 
 func (inc *Incremental) recomputeSegmentLocked(seg *segment) {
+	inc.invalidateGridSeg()
 	resid := inc.residualOf(seg.start, seg.end)
 	nodes, err := inc.subtree(resid, seg.start)
 	mat.PutDense(inc.ws, resid)
@@ -564,10 +573,14 @@ func (inc *Incremental) residualOf(lo, hi int) *mat.Dense {
 func (inc *Incremental) Wait() { inc.wg.Wait() }
 
 // Tree snapshots the current decomposition as a Tree (level-1 node plus
-// every segment subtree), usable with all Tree methods.
+// every segment subtree), usable with all Tree methods. Before InitialFit
+// it is an empty tree.
 func (inc *Incremental) Tree() *Tree {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
+	if inc.hist == nil {
+		return &Tree{P: inc.p, Opts: inc.opts}
+	}
 	nodes := []*Node{cloneNode(inc.level1)}
 	for _, seg := range inc.segments {
 		for _, nd := range seg.nodes {
@@ -743,6 +756,7 @@ func (inc *Incremental) ReleaseScratch() {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	inc.invalidateSlowGrid()
+	inc.invalidateGridSeg()
 	inc.ws.Drain()
 }
 

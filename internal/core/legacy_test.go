@@ -107,10 +107,17 @@ func TestLegacyShardedSnapshotRestores(t *testing.T) {
 var legacyMixedOpts = core.Options{DT: 20, MaxLevels: 3, MaxCycles: 2, UseSVHT: true, BlockColumns: 4}
 
 // legacyMixedViewDigest is viewDigest of the writing analyzer's View()
-// taken just before it wrote the fixture.
-const legacyMixedViewDigest = "e008d219a7e48f6aedccb36551f738185249e47ca7430a0211869680cde2b4bf"
+// taken just before it wrote the fixture, and legacyMixedGridError that
+// View's GridError.
+const (
+	legacyMixedViewDigest = "65f1b1935eaa602b5bae10d5ec41c40741824e63595fd14c595485ed2714aa6b"
+	legacyMixedGridError  = 85.68092192770098
+)
 
-// viewDigest hashes every field of a View by bit pattern.
+// viewDigest hashes every field of a View but GridError by bit pattern.
+// GridError sums the node reconstructions in a different order than the
+// writing release did (segments first, the level-1 node last), so it is
+// pinned to a tolerance instead (DESIGN.md §9).
 func viewDigest(v core.View) string {
 	h := sha256.New()
 	put := func(x uint64) { _ = binary.Write(h, binary.LittleEndian, x) }
@@ -125,18 +132,20 @@ func viewDigest(v core.View) string {
 		put(uint64(n))
 	}
 	put(math.Float64bits(v.LastDrift))
-	put(math.Float64bits(v.GridError))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestLegacyMixedSnapshotRestores: a snapshot written with Precision
 // "mixed" restores into the float64 analyzer. The restored View() must be
-// the writer's bit for bit, and every restored node must re-encode to the
-// snapshot's own bytes. The stream continued from it is then checked
-// against an analyzer that ran float64 from the start over the same
-// columns: the level-1 factors bit-equal (the Brand update never ran in
-// float32), every subtree window keeping the same number of modes, and
-// eigenvalues within the 1e-6 relative bound the mixed tier was held to.
+// the writer's bit for bit except GridError, which agrees to 1e-12
+// relative, and every restored node must re-encode to the snapshot's own
+// bytes. The stream continued from it is then checked against an analyzer
+// that ran float64 from the start over the same columns: the level-1
+// factors within 1e-12·max|ref| (the Brand update never ran in float32,
+// but the fixture's factors were built by the dense Jacobi core and the
+// reference's by the secular-equation one — DESIGN.md §5), every subtree
+// window keeping the same number of modes, and eigenvalues within the
+// 1e-6 relative bound the mixed tier was held to.
 func TestLegacyMixedSnapshotRestores(t *testing.T) {
 	raw, err := os.ReadFile("testdata/mixed_v2.snap")
 	if err != nil {
@@ -146,8 +155,12 @@ func TestLegacyMixedSnapshotRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := viewDigest(got.View()); d != legacyMixedViewDigest {
+	view := got.View()
+	if d := viewDigest(view); d != legacyMixedViewDigest {
 		t.Fatalf("restored View() digest %s, want the writer's %s", d, legacyMixedViewDigest)
+	}
+	if rel := math.Abs(view.GridError-legacyMixedGridError) / legacyMixedGridError; rel > 1e-12 {
+		t.Fatalf("restored GridError %v, the writer's %v (rel %.3g > 1e-12)", view.GridError, legacyMixedGridError, rel)
 	}
 	for i, nd := range got.Tree().Nodes {
 		var hdr, want bytes.Buffer
@@ -198,11 +211,15 @@ func TestLegacyMixedSnapshotRestores(t *testing.T) {
 		if len(p.got) != len(p.ref) {
 			t.Fatalf("level-1 %s: %d entries vs %d", p.name, len(p.got), len(p.ref))
 		}
+		var scale, dev float64
 		for i := range p.ref {
-			if math.Float64bits(p.got[i]) != math.Float64bits(p.ref[i]) {
-				t.Fatalf("level-1 %s[%d]: %v vs %v", p.name, i, p.got[i], p.ref[i])
-			}
+			scale = math.Max(scale, math.Abs(p.ref[i]))
+			dev = math.Max(dev, math.Abs(p.got[i]-p.ref[i]))
 		}
+		if dev > 1e-12*scale {
+			t.Fatalf("level-1 %s: max deviation %.3g > 1e-12·max|ref| = %.3g", p.name, dev, 1e-12*scale)
+		}
+		t.Logf("level-1 %s: max deviation %.3g (max|ref| %.3g)", p.name, dev, scale)
 	}
 
 	gt, rt := got.Tree(), ref.Tree()

@@ -36,12 +36,12 @@ type View struct {
 	LastDrift float64
 	// GridError is ‖raw − recon‖_F restricted to the level-1 sample grid
 	// (every stride1-th column): the streaming reconstruction-quality
-	// signal. It is exact on the grid — identical arithmetic to
-	// evaluating Tree().Reconstruct() at the sampled columns — and its
-	// cost is independent of how much history has been absorbed between
-	// samples, which keeps publish-per-update viable at high ingest
-	// rates. The full-resolution ‖raw − Reconstruct()‖_F remains
-	// available through ReconError.
+	// signal. It is exact on the grid — it agrees with evaluating
+	// Tree().Reconstruct() at the sampled columns to rounding (the node
+	// sum runs in a different order) — and a publish evaluates only the
+	// level-1 node and the newest segment, so its cost does not grow
+	// with absorbed history. The full-resolution ‖raw − Reconstruct()‖_F
+	// remains available through ReconError.
 	GridError float64
 	// GridCols is how many sampled columns GridError spans.
 	GridCols int
@@ -78,22 +78,42 @@ func (inc *Incremental) View() View {
 		}
 	}
 	v.Spectrum = spectrumOf(nodes)
-	v.GridError, v.GridCols = inc.gridErrorLocked(nodes)
+	v.GridError, v.GridCols = inc.gridErrorLocked()
 	return v
 }
 
 // gridErrorLocked evaluates ‖raw − recon‖_F over the level-1 sample grid:
 // the summed node reconstructions at the sampled columns against sub1,
-// which holds exactly those columns of raw.
-func (inc *Incremental) gridErrorLocked(nodes []*Node) (float64, int) {
+// which holds exactly those columns of raw. The sum runs over every
+// segment's nodes in tree order, then the level-1 node last. A segment's
+// subtree never changes after its fit and covers only its own grid
+// columns, all of which exist when it is appended, so the segment part
+// is kept in gridSeg and each call folds in only the segments appended
+// since the last one: per-column additions happen in the same order as a
+// from-scratch sum, so the result is bit-identical to one, and a publish
+// evaluates just the level-1 term.
+func (inc *Incremental) gridErrorLocked() (float64, int) {
 	ns := inc.sub1.C
 	if ns == 0 {
 		return 0, 0
 	}
-	acc := mat.GetDense(inc.ws, inc.p, ns)
-	for _, nd := range nodes {
-		inc.addNodeOnGrid(acc, nd)
+	switch {
+	case inc.gridSeg == nil:
+		inc.gridSeg = mat.GetDense(inc.ws, inc.p, ns)
+	case inc.gridSeg.C < ns:
+		zero := mat.GetDense(inc.ws, inc.p, ns-inc.gridSeg.C)
+		inc.gridSeg = mat.GrowColsWith(inc.ws, inc.gridSeg, zero)
+		mat.PutDense(inc.ws, zero)
 	}
+	for _, seg := range inc.segments[inc.gridFolded:] {
+		for _, nd := range seg.nodes {
+			inc.addNodeOnGrid(inc.gridSeg, nd)
+		}
+	}
+	inc.gridFolded = len(inc.segments)
+
+	acc := mat.CloneWith(inc.ws, inc.gridSeg)
+	inc.addNodeOnGrid(acc, inc.level1)
 	var s float64
 	for i := 0; i < inc.p; i++ {
 		arow := acc.Row(i)
@@ -104,6 +124,16 @@ func (inc *Incremental) gridErrorLocked(nodes []*Node) (float64, int) {
 	}
 	mat.PutDense(inc.ws, acc)
 	return math.Sqrt(s), ns
+}
+
+// invalidateGridSeg drops the folded segment sum (a subtree was refitted
+// or the sensor dimension changed); the next View rebuilds it.
+func (inc *Incremental) invalidateGridSeg() {
+	if inc.gridSeg != nil {
+		mat.PutDense(inc.ws, inc.gridSeg)
+		inc.gridSeg = nil
+	}
+	inc.gridFolded = 0
 }
 
 // addNodeOnGrid adds nd's slow reconstruction, evaluated at the level-1

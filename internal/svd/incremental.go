@@ -18,10 +18,12 @@ import (
 //	K = | diag(S)  UᵀC |
 //	    |   0      R   |
 //
-// take its (small, dense) SVD, and rotate the bases. Cost per update is
-// O(m·q·c + q³) for m rows, rank q and c new columns — independent of how
-// many columns have been absorbed before, which is exactly the property
-// that makes I-mrDMD's partial fits flat in Table I of the paper.
+// take its SVD — a diagonal plus c dense columns, solved column by
+// column by the secular equation (brandCore) — and rotate the bases.
+// Cost per update is O(m·q·c + q³) for m rows, rank q and c new columns
+// — independent of how many columns have been absorbed before, which is
+// exactly the property that makes I-mrDMD's partial fits flat in Table I
+// of the paper.
 //
 // Every intermediate of the update — the projection L, the residual and
 // its QR factors, the augmented core K and the extended bases — is
@@ -169,17 +171,9 @@ func (inc *Incremental) update(c *mat.Dense) {
 	qr := mat.QRFactorOn(inc.eng, ws, h) // J (m×k) orthonormal, R (k×k)
 	mat.PutDense(ws, h)
 
-	// Augmented core K ((q+k)×(q+k)).
-	kk := mat.GetDense(ws, q+k, q+k)
-	for i := 0; i < q; i++ {
-		kk.Set(i, i, inc.S[i])
-		copy(kk.Row(i)[q:], l.Row(i))
-	}
-	for i := 0; i < k; i++ {
-		copy(kk.Row(q + i)[q:], qr.R.Row(i))
-	}
-	core := jacobiSVDWS(inc.eng, kk, ws, true)
-	mat.PutDense(ws, kk)
+	// The augmented core K = [diag(S) L; 0 R], factored by its secular
+	// equation (brandcore.go).
+	core := brandCore(ws, inc.S, l, qr.R)
 	mat.PutDense(ws, l)
 
 	// Rotate bases: U ← [U J]·Uc, V ← [[V 0];[0 I]]·Vc.
@@ -232,9 +226,9 @@ func (inc *Incremental) truncate() {
 	if rank == len(inc.S) {
 		return
 	}
-	u := mat.ColSliceWith(inc.ws, inc.U, 0, rank)
-	v := mat.ColSliceWith(inc.ws, inc.V, 0, rank)
-	inc.replaceFactors(u, inc.S[:rank], v)
+	shrinkCols(inc.U, rank)
+	shrinkCols(inc.V, rank)
+	inc.S = inc.S[:rank]
 }
 
 // truncRank applies the incremental updates' retention rule to a

@@ -73,23 +73,16 @@ func (inc *Incremental) addRows(b *mat.Dense) {
 	qr := mat.QRFactorOn(e, ws, ht) // Qh t×k, Rh k×k
 	mat.PutDense(ws, ht)
 
-	kk := mat.GetDense(ws, q+k, q+k)
-	for i := 0; i < q; i++ {
-		kk.Set(i, i, inc.S[i])
-	}
-	for i := 0; i < k; i++ {
-		copy(kk.Row(q + i)[:q], l.Row(i))
-		for j := 0; j < k; j++ {
-			kk.Set(q+i, q+j, qr.R.At(j, i))
-		}
-	}
+	// Kᵀ = [Σ Lᵀ; 0 Rh] has the column update's core shape, so the one
+	// secular-equation core serves both: Kᵀ = Uc Σ Vcᵀ ⇒ K = Vc Σ Ucᵀ.
+	lt := mat.TWith(ws, l)
 	mat.PutDense(ws, l)
-	core := jacobiSVDWS(e, kk, ws, true)
-	mat.PutDense(ws, kk)
+	core := brandCore(ws, inc.S, lt, qr.R)
+	mat.PutDense(ws, lt)
 
 	rank := truncRank(core.S, inc.MaxRank, inc.DropTol)
-	uc := mat.ColSliceWith(ws, core.U, 0, rank) // (q+k)×r
-	vc := mat.ColSliceWith(ws, core.V, 0, rank) // (q+k)×r
+	uc := mat.ColSliceWith(ws, core.V, 0, rank) // (q+k)×r
+	vc := mat.ColSliceWith(ws, core.U, 0, rank) // (q+k)×r
 	mat.PutDense(ws, core.U)
 	mat.PutDense(ws, core.V)
 

@@ -137,8 +137,9 @@ const qrPrecondRatio = 2
 // jacobiSVDWS is jacobiSVD with rotation scratch borrowed from ws. When
 // poolOut is set, the returned U and V are workspace storage
 // too and the caller must PutDense them back (used by the incremental
-// updates, whose factor matrices are recycled every step, and by
-// ComputePooledWith).
+// SVD's re-orthogonalization, whose factors are recycled, and by
+// ComputePooledWith). The incremental updates' own cores are not dense
+// and go through brandCore instead.
 func jacobiSVDWS(e *compute.Engine, a *mat.Dense, ws *compute.Workspace, poolOut bool) *Result {
 	m, n := a.Dims()
 	if m < n {
