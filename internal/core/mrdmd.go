@@ -373,11 +373,16 @@ func addNodeRecon(out *mat.Dense, nd *Node, dt float64) {
 
 // Spectrum flattens every node's modes into spectrum points (Fig. 5/7).
 func (t *Tree) Spectrum() []dmd.SpectrumPoint {
-	return spectrumOf(t.Nodes)
+	return spectrumOf(t.Nodes, t.NumModes())
 }
 
-func spectrumOf(nodes []*Node) []dmd.SpectrumPoint {
-	var pts []dmd.SpectrumPoint
+// spectrumOf flattens the modes of nodes, numModes of them in all, into
+// one slice sized once; no modes gives nil.
+func spectrumOf(nodes []*Node, numModes int) []dmd.SpectrumPoint {
+	if numModes == 0 {
+		return nil
+	}
+	pts := make([]dmd.SpectrumPoint, 0, numModes)
 	for _, nd := range nodes {
 		for _, m := range nd.Modes {
 			pts = append(pts, dmd.SpectrumPoint{

@@ -65,7 +65,11 @@ func (inc *Incremental) View() View {
 	v.LastDrift = inc.lastDriftLocked()
 	// Walk the live nodes in Tree order without cloning them — the walk
 	// is read-only and completes before the lock is released.
-	nodes := make([]*Node, 0, 1+len(inc.segments)*4)
+	n := 1
+	for _, seg := range inc.segments {
+		n += len(seg.nodes)
+	}
+	nodes := make([]*Node, 0, n)
 	nodes = append(nodes, inc.level1)
 	for _, seg := range inc.segments {
 		nodes = append(nodes, seg.nodes...)
@@ -77,7 +81,7 @@ func (inc *Incremental) View() View {
 			v.MaxLevel = nd.Level
 		}
 	}
-	v.Spectrum = spectrumOf(nodes)
+	v.Spectrum = spectrumOf(nodes, v.NumModes)
 	v.GridError, v.GridCols = inc.gridErrorLocked()
 	return v
 }

@@ -68,18 +68,35 @@ func Compute(data *mat.Dense, opts Options) (*Decomposition, error) {
 }
 
 // ComputeSlow is Compute returning only the modes that pass IsSlow(ψ, rho)
-// — the mrDMD window fit, which never lifts a fast mode to P. The SVD of
-// X runs on a zero-copy view of data's leading T−1 columns, and its
-// factors are workspace storage returned before ComputeSlow does.
+// — the mrDMD window fit, which never lifts a fast mode to P.
+//
+// X and Y are two column slices of one window D, so a tall window
+// (p ≥ svd.QRPrecondRatio·t, the rule the SVD's own QR preconditioning
+// uses) is factored once, D = Q·R, and the whole fit runs on the t×t R:
+// the SVD of R_X = R[:, :t−1], B̃ = R_Y·V·Σ⁻¹, Ã = Urᵀ·B̃, BᵀB = B̃ᵀB̃ and
+// DᵀB = Rᵀ·B̃, all exact because Q is orthonormal. Only the kept slow
+// modes meet Q again, in the lift Φ_k = Q·(B̃·W_k). A shorter window
+// takes R = D and Q = I: its SVD runs on a zero-copy view of data's
+// leading t−1 columns. The QR and SVD factors are workspace storage
+// returned before ComputeSlow does.
 func ComputeSlow(data *mat.Dense, opts Options, rho float64) (*Decomposition, error) {
-	_, t := data.Dims()
+	p, t := data.Dims()
 	if t < 2 {
 		return nil, ErrTooFewSnapshots
 	}
 	e, ws := opts.engine(), opts.Ws
-	s := svd.ComputePooledWith(e, ws, mat.ColsView(data, 0, t-1))
-	dec, err := FromSVDSlow(s, data, opts, rho)
+	var qr *mat.QR
+	r, q := data, (*mat.Dense)(nil)
+	if p >= svd.QRPrecondRatio*t {
+		qr = mat.QRFactorOn(e, ws, data)
+		r, q = qr.R, qr.Q
+	}
+	s := svd.ComputePooledWith(e, ws, mat.ColsView(r, 0, t-1))
+	dec, err := fit(s, r, q, opts, rho)
 	s.Release(ws)
+	if qr != nil {
+		qr.Release(ws)
+	}
 	return dec, err
 }
 
@@ -113,29 +130,46 @@ func FromSVD(s *svd.Result, snapshots *mat.Dense, opts Options) (*Decomposition,
 // rho = +Inf keeps every mode. Decomposition.Rank still counts all fitted
 // modes, and the amplitudes are fitted jointly over all of them, so the
 // kept modes are exactly those of the unfiltered call.
+func FromSVDSlow(s *svd.Result, snapshots *mat.Dense, opts Options, rho float64) (*Decomposition, error) {
+	return fit(s, snapshots, nil, opts, rho)
+}
+
+// fit is the one window-DMD fit. s is the economy SVD of X = d[:, :t−1],
+// and d (m×t) is either the snapshots themselves (q nil, m = p) or the
+// R factor of snapshots = q·d (q p×m column-orthonormal, m = t). Every
+// product below runs in d's row space, which q maps isometrically onto
+// the snapshots' one, so Ã, the amplitude Grams and hence λ and b are
+// those of the snapshots' own fit.
 //
-// The fit runs in the r-dimensional mode space. With B = Y·V·Σ⁻¹ (p×r)
-// and W the eigenvectors of Ã, the exact DMD modes are Φ = B·W, so:
+// The fit runs in the r-dimensional mode space. With B = Y·V·Σ⁻¹ (m×r)
+// and W the eigenvectors of Ã, the exact DMD modes are q·B·W, so:
 //
 //   - Ã = Uᵀ·B (r×r);
 //   - ΦᴴΦ = Wᴴ·(BᵀB)·W, one real Gram of B plus O(r³) work;
-//   - XᵀΦ = (Xᵀ·B)·W, one real GEMM plus O(t·r²) work;
-//   - only the kept columns of Φ are lifted to P, as B·Re(W) and B·Im(W).
+//   - DᵀΦ = (Dᵀ·B)·W, one real GEMM plus O(t·r²) work;
+//   - only the kept columns of Φ are lifted to P, as q·(B·Re W) and
+//     q·(B·Im W).
 //
-// Besides Y·V, every P-sized pass is a GEMM against B, and no P-sized
-// complex intermediate is formed.
-func FromSVDSlow(s *svd.Result, snapshots *mat.Dense, opts Options, rho float64) (*Decomposition, error) {
+// With q nil, besides Y·V every P-sized pass is a GEMM against B, and no
+// P-sized complex intermediate is formed; with q set, the lift is the
+// only P-sized pass.
+func fit(s *svd.Result, d, q *mat.Dense, opts Options, rho float64) (*Decomposition, error) {
 	if opts.DT <= 0 {
 		return nil, errors.New("dmd: Options.DT must be positive")
 	}
-	p, t := snapshots.Dims()
+	p, t := d.Dims()
+	if q != nil {
+		p = q.R
+	}
 	if t < 2 {
 		return nil, ErrTooFewSnapshots
 	}
 	e, ws := opts.engine(), opts.Ws
 	rank := s.Rank()
 	if opts.UseSVHT {
-		rank = svd.SVHTRankWith(ws, s.S, s.U.R, s.V.R)
+		// The threshold depends on the aspect ratio of X itself (p×(t−1)),
+		// not on that of the factor the SVD ran on.
+		rank = svd.SVHTRankWith(ws, s.S, p, s.V.R)
 	}
 	if opts.Rank > 0 && opts.Rank < rank {
 		rank = opts.Rank
@@ -149,9 +183,9 @@ func FromSVDSlow(s *svd.Result, snapshots *mat.Dense, opts Options, rho float64)
 	sv := s.S[:rank]
 	u := mat.ColsView(s.U, 0, rank) // zero-copy truncation: every consumer is stride-aware
 	v := mat.ColsView(s.V, 0, rank)
-	y := mat.ColsView(snapshots, 1, t)
+	y := mat.ColsView(d, 1, t)
 
-	// B = Y V Σ⁻¹ (p×r).
+	// B = Y V Σ⁻¹ (m×r).
 	yvs := mat.MulWith(e, ws, y, v)
 	for i := 0; i < yvs.R; i++ {
 		row := yvs.Row(i)
@@ -164,7 +198,7 @@ func FromSVDSlow(s *svd.Result, snapshots *mat.Dense, opts Options, rho float64)
 	vals, w := eig.NonsymmetricWith(ws, atil) // clones atil internally
 	mat.PutDense(ws, atil)
 
-	b := optimalAmplitudes(e, ws, yvs, w, vals, snapshots, opts.AmplitudeWindow)
+	b := optimalAmplitudes(e, ws, yvs, w, vals, d, opts.AmplitudeWindow)
 
 	keepAll := math.IsInf(rho, 1) // every mode, even one with a NaN ψ
 	keep := make([]int, 0, len(vals))
@@ -177,7 +211,7 @@ func FromSVDSlow(s *svd.Result, snapshots *mat.Dense, opts Options, rho float64)
 	}
 	var modes []Mode
 	if len(keep) > 0 {
-		modes = liftModes(e, ws, yvs, w, keep)
+		modes = liftModes(e, ws, yvs, w, keep, q)
 		for jj, j := range keep {
 			m := &modes[jj]
 			m.Lambda, m.Psi, m.Amp = vals[j], psis[j], b[j]
@@ -189,11 +223,11 @@ func FromSVDSlow(s *svd.Result, snapshots *mat.Dense, opts Options, rho float64)
 	return &Decomposition{Modes: modes, P: p, T: t, DT: opts.DT, Rank: rank}, nil
 }
 
-// liftModes forms the columns keep of Φ = B·W as two real GEMMs, B·Re(W)
-// and B·Im(W), and returns one Mode per kept column with Phi and Power
-// (‖φ‖²) set.
-func liftModes(e *compute.Engine, ws *compute.Workspace, yvs *mat.Dense, w *mat.CDense, keep []int) []Mode {
-	p, r, k := yvs.R, w.R, len(keep)
+// liftModes forms the columns keep of Φ = q·B·W as two real products,
+// q·(B·Re W) and q·(B·Im W) (q nil: B·Re W and B·Im W), and returns one
+// Mode per kept column with Phi and Power (‖φ‖²) set.
+func liftModes(e *compute.Engine, ws *compute.Workspace, yvs *mat.Dense, w *mat.CDense, keep []int, q *mat.Dense) []Mode {
+	r, k := w.R, len(keep)
 	wRe := mat.GetDenseRaw(ws, r, k)
 	wIm := mat.GetDenseRaw(ws, r, k)
 	for i := 0; i < r; i++ {
@@ -203,10 +237,17 @@ func liftModes(e *compute.Engine, ws *compute.Workspace, yvs *mat.Dense, w *mat.
 			re[jj], im[jj] = real(c), imag(c)
 		}
 	}
-	phiRe := mat.MulWith(e, ws, yvs, wRe) // p×k
-	phiIm := mat.MulWith(e, ws, yvs, wIm) // p×k
+	phiRe := mat.MulWith(e, ws, yvs, wRe) // m×k
+	phiIm := mat.MulWith(e, ws, yvs, wIm) // m×k
 	mat.PutDense(ws, wRe)
 	mat.PutDense(ws, wIm)
+	if q != nil {
+		re, im := mat.MulWith(e, ws, q, phiRe), mat.MulWith(e, ws, q, phiIm) // p×k
+		mat.PutDense(ws, phiRe)
+		mat.PutDense(ws, phiIm)
+		phiRe, phiIm = re, im
+	}
+	p := phiRe.R
 	modes := make([]Mode, k)
 	phis := make([]complex128, k*p) // one allocation backs every kept column
 	for jj := range modes {
@@ -234,10 +275,12 @@ func liftModes(e *compute.Engine, ws *compute.Workspace, yvs *mat.Dense, w *mat.
 // with ∘ the Hadamard product; the system matrix is positive
 // semidefinite by the Schur product theorem.
 //
-// Φ is never formed: the caller passes B = Y·V·Σ⁻¹ (p×r) and the
-// eigenvectors W (r×r) with Φ = B·W, so ΦᴴΦ = Wᴴ·(BᵀB)·W and
-// XᵀΦ = (XᵀB)·W. The only P-sized work is the Gram BᵀB and the product
-// XᵀB, both real GEMMs; the rest is O(r³ + t·r²).
+// Φ is never formed: the caller passes B = Y·V·Σ⁻¹ (m×r) and the
+// eigenvectors W (r×r) with Φ = q·B·W, so ΦᴴΦ = Wᴴ·(BᵀB)·W and
+// XᵀΦ = (DᵀB)·W, where snapshots = q·D; q drops out of both because it
+// is column-orthonormal, and D is the snapshots themselves when there is
+// no q. The only m-sized work is the Gram BᵀB and the product DᵀB, both
+// real GEMMs; the rest is O(r³ + t·r²).
 //
 // win > 0 restricts the fit to the trailing win snapshot columns
 // [t−win, t): the Vandermonde keeps its absolute powers λᵏ (so b stays a
@@ -245,8 +288,8 @@ func liftModes(e *compute.Engine, ws *compute.Workspace, yvs *mat.Dense, w *mat.
 // snapshot contraction, turning the per-refresh cost from O(T) to O(win).
 // win ≤ 0 or win ≥ t fits the full history, bit-identical to the
 // unwindowed code path.
-func optimalAmplitudes(e *compute.Engine, ws *compute.Workspace, yvs *mat.Dense, w *mat.CDense, vals []complex128, snapshots *mat.Dense, win int) []complex128 {
-	t := snapshots.C
+func optimalAmplitudes(e *compute.Engine, ws *compute.Workspace, yvs *mat.Dense, w *mat.CDense, vals []complex128, d *mat.Dense, win int) []complex128 {
+	t := d.C
 	r := len(vals)
 	k0 := 0
 	if win > 0 && win < t {
@@ -297,14 +340,14 @@ func optimalAmplitudes(e *compute.Engine, ws *compute.Workspace, yvs *mat.Dense,
 		}
 	}
 	mat.PutDense(ws, bb)
-	// rhs q = conj(diag(V Xᴴ Φ)) with XᵀΦ = (XᵀB)·W: the p×tw×r
+	// rhs q = conj(diag(V Xᴴ Φ)) with XᵀΦ = (DᵀB)·W: the m×tw×r
 	// contraction is one real GEMM, and
-	// (V Xᴴ Φ)[i,i] = Σ_j (Σ_k V[i,k]·(XᵀB)[k,j]) · W[j,i].
-	snapWin := mat.ColsView(snapshots, k0, t) // p×tw, zero-copy
-	xb := mat.MulTWith(e, ws, snapWin, yvs)   // tw×r
+	// (V Xᴴ Φ)[i,i] = Σ_j (Σ_k V[i,k]·(DᵀB)[k,j]) · W[j,i].
+	dWin := mat.ColsView(d, k0, t)       // m×tw, zero-copy
+	xb := mat.MulTWith(e, ws, dWin, yvs) // tw×r
 	q := make([]complex128, r)
 	for i := 0; i < r; i++ {
-		for j := range acc { // acc[j] = Σ_k V[i,k]·(XᵀB)[k,j]
+		for j := range acc { // acc[j] = Σ_k V[i,k]·(DᵀB)[k,j]
 			acc[j] = 0
 		}
 		for k := 0; k < tw; k++ {

@@ -93,3 +93,20 @@ func BenchmarkQRFactor(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGramTall times the serial tall-skinny Gram AᵀA at the window
+// heights, with column counts that leave an edge row tile on the skinny
+// tier (n mod 8 ≠ 0 on AVX-512, n mod 4 ≠ 0 on AVX2) next to aligned
+// ones.
+func BenchmarkGramTall(b *testing.B) {
+	for _, c := range []struct{ m, n int }{{4392, 7}, {4392, 16}, {4392, 19}, {4392, 20}, {4392, 23}, {200, 19}, {200, 20}} {
+		a := benchDense(c.m, c.n, 4)
+		ws := compute.NewWorkspace()
+		b.Run(fmt.Sprintf("%dx%d", c.m, c.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				PutDense(ws, GramWith(nil, ws, a, true))
+			}
+		})
+	}
+}

@@ -142,12 +142,21 @@ func (j skinnyJob) run(lo, hi int) {
 			}
 			continue
 		}
-		// An edge tile gathers and pads its A strip once per depth
-		// chunk, then sweeps every column chunk over it. Each
-		// element's chunks still merge in ascending pc order, so the
-		// loop interchange leaves every chain, and every bit, as is.
+		// An edge tile gathers its A strip once per depth chunk, then
+		// sweeps every column chunk over it. A transposed strip is copied
+		// one contiguous depth row at a time into a tile-strided scratch
+		// (A(r, p) at r + p·tr); a plain one row by row at stride kcMax.
+		// Either way the padding rows sit at offsets no gather writes, so
+		// zeroing the scratch once per call pads every chunk. Each
+		// element's chunks still merge in ascending pc order, so the loop
+		// interchange leaves every chain, and every bit, as is.
+		sOff, sStep := kcMax, 1
+		if aT {
+			sOff, sStep = 1, tr
+		}
 		if ascratch == nil {
 			ascratch = packPool.GetF64(tr * kcMax)
+			clear(ascratch)
 		}
 		for pc := 0; pc < k; pc += p.kc {
 			kc := min(p.kc, k-pc)
@@ -155,18 +164,16 @@ func (j skinnyJob) run(lo, hi int) {
 			if mode == gemmSet && pc > 0 {
 				md = gemmAdd
 			}
-			for r := 0; r < rows; r++ {
-				srow := ascratch[r*kc : r*kc+kc]
-				if aT {
-					for pp := range srow {
-						srow[pp] = a.data[(pc+pp)*aStep+i0+r]
-					}
-				} else {
-					copy(srow, a.data[(i0+r)*aOff+pc:(i0+r)*aOff+pc+kc])
+			if aT {
+				for pp := 0; pp < kc; pp++ {
+					src := (pc+pp)*aStep + i0
+					copy(ascratch[pp*tr:pp*tr+rows], a.data[src:src+rows])
 				}
-			}
-			for i := range ascratch[rows*kc : tr*kc] {
-				ascratch[rows*kc+i] = 0
+			} else {
+				for r := 0; r < rows; r++ {
+					src := (i0+r)*aOff + pc
+					copy(ascratch[r*kcMax:r*kcMax+kc], a.data[src:src+kc])
+				}
 			}
 			for jc := 0; jc < n; jc += lanes {
 				w := min(lanes, n-jc)
@@ -174,7 +181,7 @@ func (j skinnyJob) run(lo, hi int) {
 				for i := range ctile[:tr*lanes] {
 					ctile[i] = 0
 				}
-				skinnyKernel(ctile[:], lanes, ascratch, kc, 1, b.data[pc*b.stride+jc:], b.stride, tr, w, kc, gemmSet)
+				skinnyKernel(ctile[:], lanes, ascratch, sOff, sStep, b.data[pc*b.stride+jc:], b.stride, tr, w, kc, gemmSet)
 				for r := 0; r < rows; r++ {
 					drow := dst.data[ci+r*dst.stride : ci+r*dst.stride+w]
 					trow := ctile[r*lanes : r*lanes+w]

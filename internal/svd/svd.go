@@ -121,7 +121,7 @@ func computeSVD(e *compute.Engine, ws *compute.Workspace, a *mat.Dense, poolOut 
 // columns of the (possibly transposed) matrix.
 func jacobiSVD(a *mat.Dense) *Result { return jacobiSVDWS(nil, a, nil, false) }
 
-// qrPrecondRatio is the tall-ness (m/n) at which jacobiSVDWS switches to
+// QRPrecondRatio is the tall-ness (m/n) at which jacobiSVDWS switches to
 // QR preconditioning: factor A = Q·R first and run the Jacobi sweeps on
 // the small n×n R instead of the full m×n matrix. Each rotation then
 // touches n-length columns instead of m-length ones, the QR itself is
@@ -131,8 +131,9 @@ func jacobiSVD(a *mat.Dense) *Result { return jacobiSVDWS(nil, a, nil, false) }
 // n-sized Jacobi, not an m-sized one. Accuracy is preserved: the QR's
 // acceptance test (with its shifted and MGS2 fallbacks) keeps Q
 // orthonormal to O(u) and ‖A − QR‖ at O(u)‖A‖, and one-sided Jacobi on R
-// is the classical high-accuracy route (Drmač–Veselić).
-const qrPrecondRatio = 2
+// is the classical high-accuracy route (Drmač–Veselić). dmd.ComputeSlow
+// applies the same rule to a whole window, which it then fits on R.
+const QRPrecondRatio = 2
 
 // jacobiSVDWS is jacobiSVD with rotation scratch borrowed from ws. When
 // poolOut is set, the returned U and V are workspace storage
@@ -149,7 +150,7 @@ func jacobiSVDWS(e *compute.Engine, a *mat.Dense, ws *compute.Workspace, poolOut
 		mat.PutDense(ws, at)
 		return &Result{U: r.V, S: r.S, V: r.U}
 	}
-	if n >= 2 && m >= qrPrecondRatio*n {
+	if n >= 2 && m >= QRPrecondRatio*n {
 		// Tall case: A = Q·R, SVD the small R, rotate Q.
 		qr := mat.QRFactorOn(e, ws, a)
 		rs := jacobiSVDWS(e, qr.R, ws, true)
