@@ -55,9 +55,9 @@ spectrum and baseline z-scores to -out.
 Performance knobs and how they interact:
 
   -workers N         Sizes the long-lived compute-engine pool that every
-                     kernel, sibling-window recursion and async recompute
-                     runs on (0 = GOMAXPROCS). One pool serves the whole
-                     run; it bounds total goroutine fan-out.
+                     kernel and sibling-window recursion runs on
+                     (0 = GOMAXPROCS). One pool serves the whole run; it
+                     bounds total goroutine fan-out.
   -block-columns W   Chunks the streaming level-1 SVD's absorption of new
                      samples: each chunk of W columns pays one residual QR
                      plus one small core SVD, so larger W amortizes

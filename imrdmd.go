@@ -37,13 +37,12 @@ type Options struct {
 	// compute engine.
 	Parallel bool
 	// Workers sizes the analyzer's compute-engine worker pool — matrix
-	// kernels, sibling-window recursion and asynchronous recomputations
-	// all run on one long-lived pool of Workers−1 goroutines, with each
-	// calling goroutine contributing its own lane. 0 uses a
-	// GOMAXPROCS-sized pool. The pool is process-wide per Workers value:
-	// analyzers configured with the same count share the same pool
-	// workers (each concurrent caller still adds its one inline lane,
-	// and async recomputes drain on a per-analyzer lane). Each distinct
+	// kernels, sibling-window recursion and drift recomputations all run
+	// on one long-lived pool of Workers−1 goroutines, with each calling
+	// goroutine contributing its own lane. 0 uses a GOMAXPROCS-sized
+	// pool. The pool is process-wide per Workers value: analyzers
+	// configured with the same count share the same pool workers (each
+	// concurrent caller still adds its one inline lane). Each distinct
 	// Workers value pins one permanent pool for the process lifetime, so
 	// prefer a few fixed sizes over per-request values. See DESIGN.md §2.
 	Workers int
@@ -77,17 +76,18 @@ type Options struct {
 	// halving resident history bytes for long streams. The trailing
 	// ColdHorizon columns (and everything the update pipeline fits
 	// against) stay exact f64; only full-resolution raw reads (Raw,
-	// ReconstructionError, snapshots) observe the ≤2⁻²⁴ relative rounding
+	// ReconstructionError, snapshots) and DriftThreshold recomputes of
+	// windows older than the horizon observe the ≤2⁻²⁴ relative rounding
 	// on cold columns. 0 (the default) keeps all history in float64.
 	// See DESIGN.md §10.
 	ColdHorizon int
 
 	// DriftThreshold, when positive, recomputes previously fitted levels
 	// when the level-1 slow-mode drift exceeds it (Algorithm 1's
-	// user-defined threshold).
+	// user-defined threshold). The recompute runs inside the PartialFit
+	// that measured the drift, so its result is in place when the call
+	// returns.
 	DriftThreshold float64
-	// AsyncRecompute runs those recomputations asynchronously.
-	AsyncRecompute bool
 }
 
 func (o Options) toCore() core.Options {
@@ -160,7 +160,6 @@ func New(opts Options) (*Analyzer, error) {
 	}
 	inc := core.NewIncremental(opts.toCore())
 	inc.DriftThreshold = opts.DriftThreshold
-	inc.AsyncRecompute = opts.AsyncRecompute
 	return &Analyzer{opts: opts, inc: inc}, nil
 }
 
@@ -170,9 +169,8 @@ func New(opts Options) (*Analyzer, error) {
 // continues PartialFit streams bit-compatibly with the uninterrupted
 // analyzer, which is what lets a long-running deployment survive process
 // restarts or migrate tenants between hosts (cmd/imrdmd-serve exposes
-// exactly this over HTTP). Snapshot waits for pending asynchronous
-// recomputations, then holds the analyzer lock for the write; it is an
-// error before InitialFit.
+// exactly this over HTTP). Snapshot holds the analyzer lock for the
+// write; it is an error before InitialFit.
 func (a *Analyzer) Snapshot(w io.Writer) error {
 	return a.inc.Snapshot(w)
 }
@@ -203,7 +201,6 @@ func Restore(r io.Reader) (*Analyzer, error) {
 		AmplitudeWindow: co.AmplitudeWindow,
 		ColdHorizon:     co.ColdHorizon,
 		DriftThreshold:  inc.DriftThreshold,
-		AsyncRecompute:  inc.AsyncRecompute,
 	}
 	return &Analyzer{opts: opts, inc: inc}, nil
 }
@@ -228,9 +225,6 @@ func (a *Analyzer) PartialFit(s *Series) (UpdateStats, error) {
 	st, err := a.inc.PartialFit(s.dense())
 	return UpdateStats{Drift: st.Drift, Recomputed: st.Recomputed, NewColumns: st.NewColumns}, err
 }
-
-// Wait blocks until asynchronous recomputations (if enabled) finish.
-func (a *Analyzer) Wait() { a.inc.Wait() }
 
 // Steps returns the number of absorbed time steps.
 func (a *Analyzer) Steps() int { return a.inc.Cols() }

@@ -160,7 +160,7 @@ func TestAnalyzerEndToEnd(t *testing.T) {
 func TestAnalyzerDriftRecompute(t *testing.T) {
 	s := syntheticTemps(3, 8, 512, nil)
 	a := mustNew(t, Options{DT: 1, MaxLevels: 4, MaxCycles: 2, UseSVHT: true,
-		DriftThreshold: 1e-9, AsyncRecompute: true})
+		DriftThreshold: 1e-9})
 	if err := a.InitialFit(s.Slice(0, 256)); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,6 @@ func TestAnalyzerDriftRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Wait()
 	if !stats.Recomputed {
 		t.Fatal("tiny threshold should force recompute")
 	}
@@ -267,7 +266,6 @@ func TestAnalyzerMisuseReturnsErrors(t *testing.T) {
 		{"Sensors", func(a *Analyzer) error { return wantEmpty(a.Sensors()) }},
 		{"DriftLog", func(a *Analyzer) error { return wantEmpty(len(a.DriftLog())) }},
 		{"MemStats", func(a *Analyzer) error { return wantEmpty(a.MemStats().Steps) }},
-		{"Wait", func(a *Analyzer) error { a.Wait(); return nil }},
 		{"Snapshot", func(a *Analyzer) error { return wantErr(a.Snapshot(io.Discard)) }},
 		{"PartialFit", func(a *Analyzer) error {
 			_, err := a.PartialFit(syntheticTemps(6, 8, 32, nil))

@@ -51,10 +51,9 @@ func RunQ2(p, t, updates int, seed int64) (*Q2Result, error) {
 	res.DataNorm = data.FrobNorm()
 	res.BatchError = batch.ReconError(data)
 
-	run := func(threshold float64, async bool) (*core.Incremental, error) {
+	run := func(threshold float64) (*core.Incremental, error) {
 		inc := core.NewIncremental(opts)
 		inc.DriftThreshold = threshold
-		inc.AsyncRecompute = async
 		first := t / 2
 		if err := inc.InitialFit(data.ColSlice(0, first)); err != nil {
 			return nil, err
@@ -70,11 +69,10 @@ func RunQ2(p, t, updates int, seed int64) (*Q2Result, error) {
 				return nil, err
 			}
 		}
-		inc.Wait()
 		return inc, nil
 	}
 
-	plain, err := run(0, false)
+	plain, err := run(0)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +82,7 @@ func RunQ2(p, t, updates int, seed int64) (*Q2Result, error) {
 		res.DriftTotal += d
 	}
 
-	recomputed, err := run(1e-9, true) // recompute on any drift
+	recomputed, err := run(1e-9) // recompute on any drift
 	if err != nil {
 		return nil, err
 	}

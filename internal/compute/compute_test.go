@@ -2,7 +2,6 @@ package compute
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,11 +43,6 @@ func TestParallelForNilEngine(t *testing.T) {
 	e.Do(func() { done = true })
 	if !done {
 		t.Fatal("nil engine Do did not run")
-	}
-	ran := false
-	e.Go(func() { ran = true })
-	if !ran {
-		t.Fatal("nil engine Go must run synchronously")
 	}
 }
 
@@ -109,30 +103,6 @@ func TestEngineGoroutineBound(t *testing.T) {
 	after := runtime.NumGoroutine()
 	if after > before+2 {
 		t.Fatalf("goroutines grew from %d to %d; want at most +2", before, after)
-	}
-}
-
-func TestGoRunsSeriallyInOrder(t *testing.T) {
-	e := NewEngine(4)
-	defer e.Close()
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		i := i
-		wg.Add(1)
-		e.Go(func() {
-			defer wg.Done()
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		})
-	}
-	wg.Wait()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("async order[%d] = %d", i, v)
-		}
 	}
 }
 

@@ -27,49 +27,6 @@ type Engine struct {
 	tasks   chan func()
 	quit    chan struct{}
 	once    sync.Once
-
-	lane Lane
-}
-
-// Lane is a serial background execution lane: an unbounded FIFO drained
-// by a single goroutine that starts lazily and exits when the queue
-// empties, so it costs at most one goroutine and only while work is
-// pending. Tasks run in submission order. The zero value is ready to use.
-//
-// Owners that must not share head-of-line blocking (e.g. independent
-// analyzers whose async recomputes serialize on their own mutexes)
-// embed their own Lane rather than using the engine's.
-type Lane struct {
-	mu      sync.Mutex
-	q       []func()
-	running bool
-}
-
-// Go enqueues fn on the lane.
-func (l *Lane) Go(fn func()) {
-	l.mu.Lock()
-	l.q = append(l.q, fn)
-	if !l.running {
-		l.running = true
-		go l.drain()
-	}
-	l.mu.Unlock()
-}
-
-func (l *Lane) drain() {
-	for {
-		l.mu.Lock()
-		if len(l.q) == 0 {
-			l.running = false
-			l.mu.Unlock()
-			return
-		}
-		fn := l.q[0]
-		l.q[0] = nil // release the closure; the backing array outlives it
-		l.q = l.q[1:]
-		l.mu.Unlock()
-		fn()
-	}
 }
 
 // NewEngine creates an engine with the given number of lanes. workers <= 0
@@ -110,7 +67,7 @@ func (e *Engine) Workers() int {
 }
 
 // Close stops the pool workers. Tasks already handed to a worker finish;
-// subsequent ParallelFor/Do/Go calls run inline on the caller. Close is
+// subsequent ParallelFor/Do calls run inline on the caller. Close is
 // idempotent. Shared engines (Shared/Default) are never closed.
 func (e *Engine) Close() {
 	if e == nil {
@@ -193,21 +150,6 @@ func (e *Engine) Do(fns ...func()) {
 	}
 	fns[0]()
 	wg.Wait()
-}
-
-// Go schedules fn on the engine's own background Lane, keeping the
-// engine's goroutine count bounded by Workers()+1. Tasks run serially in
-// submission order (each may itself use ParallelFor/Do for internal
-// parallelism). On a nil engine fn runs synchronously. Callers that need
-// completion tracking wrap fn with their own WaitGroup; callers that need
-// isolation from other Go users of a shared engine should own a Lane
-// directly instead.
-func (e *Engine) Go(fn func()) {
-	if e == nil {
-		fn()
-		return
-	}
-	e.lane.Go(fn)
 }
 
 var (

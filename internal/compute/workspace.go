@@ -53,21 +53,6 @@ func NewWorkspace() *Workspace {
 	}
 }
 
-// Drain releases every retained buffer in every pool so the GC can
-// reclaim them. Pooled buffers otherwise stay reachable forever, which
-// both pins idle memory and makes ReadMemStats-based resident-bytes
-// accounting report pool slack as live state. Safe concurrently with
-// Get/Put; the pools simply refill on demand. A nil workspace is a no-op.
-func (w *Workspace) Drain() {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	w.f64 = map[int][][]float64{}
-	w.c128 = map[int][][]complex128{}
-	w.mu.Unlock()
-}
-
 // sizeClass rounds n up to the next power of two (minimum 8).
 func sizeClass(n int) int {
 	c := 8

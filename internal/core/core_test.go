@@ -360,28 +360,6 @@ func TestDriftRecomputeSync(t *testing.T) {
 	}
 }
 
-func TestDriftRecomputeAsync(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	data, _ := multiscale(rng, 8, 512, 1, 0.3)
-	inc := NewIncremental(defaultOpts())
-	inc.DriftThreshold = 1e-9
-	inc.AsyncRecompute = true
-	if err := inc.InitialFit(data.ColSlice(0, 256)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inc.PartialFit(data.ColSlice(256, 512)); err != nil {
-		t.Fatal(err)
-	}
-	inc.Wait()
-	// After waiting, the reconstruction must be finite and sane.
-	if inc.Reconstruct().HasNaN() {
-		t.Fatal("async recompute corrupted state")
-	}
-	if inc.Recomputes() != 1 {
-		t.Fatalf("Recomputes = %d want 1", inc.Recomputes())
-	}
-}
-
 func TestPartialFitErrors(t *testing.T) {
 	inc := NewIncremental(defaultOpts())
 	if _, err := inc.PartialFit(mat.NewDense(4, 8)); err == nil {

@@ -106,8 +106,8 @@ func TestSlowGridCacheBitIdentical(t *testing.T) {
 // sum (gridSeg) must publish the same GridError bits and GridCols as a
 // twin whose cache is dropped before every View — the from-scratch sum —
 // through every event that refits or reshapes the tree: a
-// DriftThreshold-triggered sync recompute, an AsyncRecompute run, an
-// AddSensors and a snapshot/restore.
+// DriftThreshold-triggered recompute, an AddSensors and a
+// snapshot/restore.
 func TestGridErrorCacheBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	const p, extra = 10, 2
@@ -154,8 +154,6 @@ func TestGridErrorCacheBitIdentical(t *testing.T) {
 		if _, err := fresh.PartialFit(blk.Clone()); err != nil {
 			t.Fatal(err)
 		}
-		cached.Wait()
-		fresh.Wait()
 		check(event)
 	}
 	lo := init
@@ -169,16 +167,12 @@ func TestGridErrorCacheBitIdentical(t *testing.T) {
 	for _, a := range []*Incremental{cached, fresh} {
 		a.DriftThreshold = 1e-300
 	}
-	next("sync recompute")
+	next("recompute")
 	if cached.Recomputes() == 0 {
 		t.Fatal("the drift threshold did not trigger a recompute")
 	}
 	for _, a := range []*Incremental{cached, fresh} {
-		a.AsyncRecompute = true
-	}
-	next("async recompute")
-	for _, a := range []*Incremental{cached, fresh} {
-		a.DriftThreshold, a.AsyncRecompute = 0, false
+		a.DriftThreshold = 0
 	}
 	next("stream")
 
@@ -390,6 +384,84 @@ func TestV1SnapshotRestores(t *testing.T) {
 	treesEqual(t, restored, inc)
 }
 
+// TestAsyncSlotRestoresInline: snapshots from releases that could run
+// drift recomputes in the background carry that flag, set, in the bool
+// slot after DriftThreshold. The decoder ignores the slot. Restored from
+// a version-1 stream or a current one with the slot set, the analyzer
+// snapshots byte-identically to the live analyzer (the slot written
+// clear), then recomputes inline and continues the stream bit-identically
+// to it.
+func TestAsyncSlotRestoresInline(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	data, _ := multiscale(rng, 8, 896, 1, 0.1)
+	live := func() *Incremental {
+		inc := NewIncremental(defaultOpts())
+		inc.DriftThreshold = 1e-9 // recompute on every update
+		if err := inc.InitialFit(data.ColSlice(0, 512)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inc.PartialFit(data.ColSlice(512, 640)); err != nil {
+			t.Fatal(err)
+		}
+		return inc
+	}
+	current := func(inc *Incremental) []byte {
+		var buf bytes.Buffer
+		if err := inc.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, v := range []struct {
+		name   string
+		encode func(*Incremental) []byte
+	}{
+		{"v1", func(inc *Incremental) []byte { return encodeV1(t, inc) }},
+		{"current", func(inc *Incremental) []byte { return withAsyncSlot(t, inc, current(inc)) }},
+	} {
+		inc := live()
+		restored, err := DecodeIncremental(bytes.NewReader(v.encode(inc)))
+		if err != nil {
+			t.Fatalf("%s: snapshot with the async slot set rejected: %v", v.name, err)
+		}
+		if !bytes.Equal(current(restored), current(inc)) {
+			t.Fatalf("%s: snapshot of the restored analyzer differs from the live one's", v.name)
+		}
+		for lo := 640; lo < data.C; lo += 128 {
+			blk := data.ColSlice(lo, lo+128)
+			sa, err := inc.PartialFit(blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb, err := restored.PartialFit(blk.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sb.Recomputed || sa != sb {
+				t.Fatalf("%s: update at %d: restored %+v, live %+v (want an inline recompute, bit-identical)", v.name, lo, sb, sa)
+			}
+			treesEqual(t, restored, inc)
+		}
+	}
+}
+
+// withAsyncSlot returns raw, a current-layout snapshot of inc, with the
+// retired async-recompute slot — the bool after the options and
+// DriftThreshold — set, re-framed so its checksum stays valid.
+func withAsyncSlot(t *testing.T, inc *Incremental, raw []byte) []byte {
+	t.Helper()
+	var opts bytes.Buffer
+	encodeOptions(codec.NewWriter(&opts), inc.opts)
+	at := opts.Len() - snapshotHeaderLen + 8 // past the options and DriftThreshold
+	version, body := unframeSnapshot(t, raw)
+	if body[at] != 0 {
+		t.Fatalf("async slot holds %d, want 0", body[at])
+	}
+	body = append([]byte(nil), body...)
+	body[at] = 1
+	return frameSnapshot(uint32(version), body)
+}
+
 // encodeV1 hand-encodes inc's live state in the version-1 layout (PR 8):
 // one flat f64 history matrix, no windowing options, the unsharded
 // level-1 payload.
@@ -411,7 +483,7 @@ func encodeV1(t testing.TB, inc *Incremental) []byte {
 	enc.String("float64") // precision tier
 	enc.Int(1)            // shard count
 	enc.Float(inc.DriftThreshold)
-	enc.Bool(inc.AsyncRecompute)
+	enc.Bool(true) // retired async-recompute slot, set: decoders ignore it
 	enc.Int(inc.p)
 	enc.Dense(inc.hist.Promote()) // v1: one flat f64 history matrix
 	enc.Int(inc.stride1)

@@ -159,18 +159,17 @@ func TestFlatWindowsAgree(t *testing.T) {
 	}
 }
 
-// TestTieredAsyncConcurrentReaders drives the cold tier, async drift
-// recompute and every read surface concurrently — the CI race leg's
-// target. Correctness here is "no race, no panic, finite results": the
+// TestTieredRecomputeConcurrentReaders drives the cold tier, inline
+// drift recompute and every read surface concurrently — the CI race
+// leg's target. Correctness here is "no race, no panic, finite results": the
 // numeric contracts are pinned by the deterministic tests.
-func TestTieredAsyncConcurrentReaders(t *testing.T) {
+func TestTieredRecomputeConcurrentReaders(t *testing.T) {
 	sc := snapshotScenarios()[0]
 	inc := core.NewIncremental(core.Options{
 		DT: sc.dt, MaxLevels: 4, MaxCycles: 2, UseSVHT: true,
 		Parallel: true, BlockColumns: 8, ColdHorizon: 256,
 	})
 	inc.DriftThreshold = 1e-9 // recompute on every update
-	inc.AsyncRecompute = true
 	const initialT, batch = 512, 128
 	if err := inc.InitialFit(sc.data.ColSlice(0, initialT)); err != nil {
 		t.Fatal(err)
@@ -218,7 +217,6 @@ func TestTieredAsyncConcurrentReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inc.Wait()
 	close(done)
 	readers.Wait()
 
@@ -230,7 +228,7 @@ func TestTieredAsyncConcurrentReaders(t *testing.T) {
 		t.Fatal("cold tier never engaged under the concurrent stream")
 	}
 	if r := inc.Recomputes(); r == 0 {
-		t.Fatal("async recompute path never engaged")
+		t.Fatal("drift recompute path never engaged")
 	}
 	if e := inc.ReconError(); math.IsNaN(e) || math.IsInf(e, 0) {
 		t.Fatalf("final ReconError not finite: %v", e)

@@ -118,6 +118,5 @@ func FuzzDecodeIncremental(f *testing.F) {
 			batch.Data[i] = float64(i%7) - 3
 		}
 		_, _ = got.PartialFit(batch)
-		got.Wait()
 	})
 }

@@ -26,9 +26,7 @@ import (
 //  4. The Frobenius norm of the drift between old and new level-1 slow
 //     reconstructions over the old window is measured. If it exceeds
 //     DriftThreshold, the old subtrees are recomputed against the new
-//     slow part — synchronously, or asynchronously when AsyncRecompute is
-//     set (the "embarrassingly parallel" update the paper defers to
-//     future work; implemented here).
+//     slow part inside the same call, before it returns.
 //
 // The PartialFit cost is dominated by the new window's subtree, so it is
 // nearly independent of how much history has been absorbed — the property
@@ -38,16 +36,12 @@ type Incremental struct {
 	// the level-1 slow-mode drift (Frobenius norm over the old window's
 	// subsampled grid) exceeds it. Zero disables recomputation.
 	DriftThreshold float64
-	// AsyncRecompute runs triggered recomputations in background
-	// goroutines; Wait blocks until they land.
-	AsyncRecompute bool
 
 	opts Options
 	p    int
 
-	eng  *compute.Engine    // long-lived worker pool shared by every layer
-	ws   *compute.Workspace // pooled scratch shared with the SVD and DMD layers
-	lane compute.Lane       // this analyzer's serial async-recompute lane
+	eng *compute.Engine    // long-lived worker pool shared by every layer
+	ws  *compute.Workspace // pooled scratch shared with the SVD and DMD layers
 
 	mu sync.Mutex // guards all mutable state below
 	// hist is all absorbed data, P×T (kept for recompute and error
@@ -88,8 +82,6 @@ type Incremental struct {
 	// len(driftLog)).
 	driftLog []float64
 	driftPos int
-
-	wg sync.WaitGroup
 }
 
 // driftLogCap bounds the drift ring: PartialFit appends one float forever
@@ -111,8 +103,8 @@ type UpdateStats struct {
 	// level-1 sample grid (the trailing Options.DriftWindow grid columns
 	// of it when that knob is set).
 	Drift float64
-	// Recomputed reports whether old subtrees were (or are being, if
-	// async) recomputed because Drift exceeded the threshold.
+	// Recomputed reports whether old subtrees were recomputed because
+	// Drift exceeded the threshold.
 	Recomputed bool
 	// NewColumns is the number of raw columns absorbed.
 	NewColumns int
@@ -186,10 +178,11 @@ func (inc *Incremental) driftLo(ns int) int {
 
 // demoteLocked moves raw columns older than Options.ColdHorizon to the
 // f32 cold tier. Runs at the end of InitialFit/PartialFit, after every
-// same-call consumer of exact history (residual fit, sync recompute) has
-// read; async recomputes scheduled for later may observe demoted columns,
-// carrying one f32 rounding into the refit of an old window — part of the
-// documented contract of the (non-default) cold tier.
+// same-call consumer of history (residual fit, drift recompute) has read.
+// A drift recompute of a segment that earlier calls already demoted
+// refits from its f32-rounded columns, carrying one f32 rounding into the
+// refit of an old window — part of the documented contract of the
+// (non-default) cold tier.
 func (inc *Incremental) demoteLocked() {
 	h := inc.opts.ColdHorizon
 	if h <= 0 {
@@ -339,25 +332,8 @@ func (inc *Incremental) PartialFit(newData *mat.Dense) (UpdateStats, error) {
 	if inc.DriftThreshold > 0 && stats.Drift > inc.DriftThreshold {
 		stats.Recomputed = true
 		inc.recomputes++
-		old := inc.segments[:len(inc.segments)-1]
-		if inc.AsyncRecompute {
-			// Recomputes run on this analyzer's own background lane:
-			// serially in submission order, each parallelizing internally
-			// through the engine pool, so Workers still bounds total
-			// concurrency — and a recompute blocked on this analyzer's
-			// mutex cannot stall other analyzers sharing the engine.
-			for _, seg := range old {
-				seg := seg
-				inc.wg.Add(1)
-				inc.lane.Go(func() {
-					defer inc.wg.Done()
-					inc.recomputeSegment(seg)
-				})
-			}
-		} else {
-			for _, seg := range old {
-				inc.recomputeSegmentLocked(seg)
-			}
+		for _, seg := range inc.segments[:len(inc.segments)-1] {
+			inc.recomputeSegmentLocked(seg)
 		}
 	}
 	inc.demoteLocked()
@@ -436,14 +412,8 @@ func (inc *Incremental) driftLogChrono() []float64 {
 	return append(out, inc.driftLog[:inc.driftPos]...)
 }
 
-// recomputeSegment re-derives a segment's subtree against the current
-// level-1 slow part (async path: takes the lock itself).
-func (inc *Incremental) recomputeSegment(seg *segment) {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	inc.recomputeSegmentLocked(seg)
-}
-
+// recomputeSegmentLocked re-derives a segment's subtree against the
+// current level-1 slow part.
 func (inc *Incremental) recomputeSegmentLocked(seg *segment) {
 	inc.invalidateGridSeg()
 	resid := inc.residualOf(seg.start, seg.end)
@@ -568,9 +538,6 @@ func (inc *Incremental) residualOf(lo, hi int) *mat.Dense {
 	inc.ws.PutF64(times)
 	return resid
 }
-
-// Wait blocks until all asynchronous recomputations have landed.
-func (inc *Incremental) Wait() { inc.wg.Wait() }
 
 // Tree snapshots the current decomposition as a Tree (level-1 node plus
 // every segment subtree), usable with all Tree methods. Before InitialFit
@@ -746,18 +713,6 @@ func (inc *Incremental) MemStats() MemStats {
 		Cols:      inc.hist.Cols(),
 		ColdCols:  inc.hist.ColdCols(),
 	}
-}
-
-// ReleaseScratch drops the analyzer's pooled scratch buffers so the Go
-// heap can actually shrink — for honest resident-memory measurement and
-// idle-tenant footprint trimming. The pools refill on demand; steady-state
-// performance recovers within one update.
-func (inc *Incremental) ReleaseScratch() {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	inc.invalidateSlowGrid()
-	inc.invalidateGridSeg()
-	inc.ws.Drain()
 }
 
 // RefitBatch runs batch mrDMD over everything absorbed so far — the

@@ -48,7 +48,7 @@ type Options struct {
 	// paper notes.
 	Parallel bool
 	// Workers bounds the engine lane count for everything this analysis
-	// runs — matrix kernels, sibling windows, async recomputes. 0 uses
+	// runs — matrix kernels, sibling windows, drift recomputes. 0 uses
 	// the GOMAXPROCS-sized shared pool.
 	Workers int
 	// BlockColumns chunks the incremental SVD's absorption of newly

@@ -29,13 +29,10 @@ const (
 	isvdSharded   = 1
 )
 
-// Snapshot serializes the analyzer's full state to w. It waits for any
-// in-flight asynchronous recomputations first (so the snapshot is a
-// consistent post-recompute state), then holds the state lock for the
-// duration of the write. Snapshot before InitialFit is an error — there
-// is no state to save.
+// Snapshot serializes the analyzer's full state to w, holding the state
+// lock for the duration of the write. Snapshot before InitialFit is an
+// error — there is no state to save.
 func (inc *Incremental) Snapshot(w io.Writer) error {
-	inc.wg.Wait()
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	if inc.hist == nil {
@@ -44,7 +41,9 @@ func (inc *Incremental) Snapshot(w io.Writer) error {
 	enc := codec.NewWriter(w)
 	encodeOptions(enc, inc.opts)
 	enc.Float(inc.DriftThreshold)
-	enc.Bool(inc.AsyncRecompute)
+	// Retired async-recompute flag: the slot stays so snapshot bytes and
+	// old streams keep their layout; recomputes always run inline.
+	enc.Bool(false)
 	enc.Int(inc.p)
 	// History, tier-structured (format v2): cold f32 chunks then the hot
 	// f64 tail. A v1 stream holds the same columns as one f64 matrix.
@@ -96,7 +95,7 @@ func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, erro
 		return nil, err
 	}
 	driftThreshold := dec.Float()
-	asyncRecompute := dec.Bool()
+	dec.Bool() // retired async-recompute flag, ignored (see Snapshot)
 	p := dec.Len()
 	var hist *mat.TieredCols
 	if dec.Version() >= 2 {
@@ -154,7 +153,6 @@ func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, erro
 
 	inc := &Incremental{
 		DriftThreshold: driftThreshold,
-		AsyncRecompute: asyncRecompute,
 		opts:           opts,
 		p:              p,
 		eng:            eng,

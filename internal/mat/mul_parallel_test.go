@@ -115,15 +115,16 @@ func TestMulWithWorkspaceReuse(t *testing.T) {
 	}
 }
 
-// TestQRFactorWithMatchesQRFactor checks the pooled QR variant against
-// the allocating one, including under buffer reuse.
+// TestQRFactorWithMatchesQRFactor checks the pooled, engine-routed QR
+// (QRFactorOn with a workspace) against the allocating one, including
+// under buffer reuse.
 func TestQRFactorWithMatchesQRFactor(t *testing.T) {
 	ws := compute.NewWorkspace()
 	rng := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 3; iter++ {
 		a := randDense(rng, 30, 12)
 		want := QRFactor(a)
-		got := QRFactorWith(ws, a)
+		got := QRFactorOn(compute.Default(), ws, a)
 		assertIdentical(t, "QR.Q", want.Q, got.Q)
 		assertIdentical(t, "QR.R", want.R, got.R)
 		got.Release(ws)

@@ -25,15 +25,10 @@ func QRFactor(a *Dense) *QR {
 	return QRFactorOn(compute.Default(), nil, a)
 }
 
-// QRFactorWith is QRFactor with Q and R borrowed from ws (nil ws
-// allocates). Return both factors with PutDense (or qr.Release) when the
-// factorization is no longer needed.
-func QRFactorWith(ws *compute.Workspace, a *Dense) *QR {
-	return QRFactorOn(compute.Default(), ws, a)
-}
-
-// QRFactorOn is QRFactorWith with the Gram and multiply GEMMs routed
-// through engine e (nil e runs them serially). The Cholesky factorizations
+// QRFactorOn is QRFactor with Q and R borrowed from ws (nil ws
+// allocates; return both factors with PutDense or qr.Release when the
+// factorization is no longer needed) and the Gram and multiply GEMMs
+// routed through engine e (nil e runs them serially). The Cholesky factorizations
 // and triangular inverses are n×n and run serially, so engine and serial
 // runs agree bit for bit.
 //

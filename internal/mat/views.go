@@ -42,7 +42,7 @@ func RowsView(m *Dense, i0, i1 int) *Dense {
 }
 
 // GrowColsWith appends b's columns to m — the amortized replacement for
-// HStackWith growth loops. When m has spare column capacity (Stride > C,
+// re-stacking [m b] on every append. When m has spare column capacity (Stride > C,
 // as left by a previous grow) only the new columns are written; otherwise
 // a fresh matrix with ~1.5× column headroom is borrowed from ws, m's rows
 // are copied once, and m's storage is recycled. Either way the caller's m

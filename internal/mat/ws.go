@@ -89,20 +89,6 @@ func SubsampleWith(ws *compute.Workspace, m *Dense, stride int) *Dense {
 	return out
 }
 
-// HStackWith builds [A B] in a matrix borrowed from ws.
-func HStackWith(ws *compute.Workspace, a, b *Dense) *Dense {
-	if a.R != b.R {
-		panic("mat: HStack row mismatch")
-	}
-	out := GetDenseRaw(ws, a.R, a.C+b.C)
-	for i := 0; i < a.R; i++ {
-		row := out.Row(i)
-		copy(row[:a.C], a.Row(i))
-		copy(row[a.C:], b.Row(i))
-	}
-	return out
-}
-
 // VStackWith builds [A; B] in a matrix borrowed from ws.
 func VStackWith(ws *compute.Workspace, a, b *Dense) *Dense {
 	if a.C != b.C {

@@ -186,6 +186,50 @@ func TestServerTenantLifecycle(t *testing.T) {
 	c.must("GET", "/v1/tenants/theta/stats", "", nil, http.StatusNotFound)
 }
 
+// TestServerDriftRecomputePublished: a tenant with drift_threshold set
+// recomputes old subtrees inside the ingest that measured the drift, so
+// the result published with each ingest response already carries the
+// recompute — /stats counts it and /modes and /spectrum show the refitted
+// tree, exactly as a fresh View of the analyzer builds them.
+func TestServerDriftRecomputePublished(t *testing.T) {
+	data := bench.SCLogData(16, 1024, 2)
+	s := New(Config{Workers: 2, DefaultInitialCols: 512})
+	c := newTestClient(t, s)
+	opts := []byte(`{"dt":20,"max_levels":3,"max_cycles":2,"use_svht":true,"block_columns":8,"drift_threshold":1e-9}`)
+	c.must("POST", "/v1/tenants/drift", "application/json", opts, http.StatusCreated)
+	c.must("POST", "/v1/tenants/drift/ingest", "text/csv", csvBody(t, data, 0, 512), http.StatusOK)
+	tn, err := s.lookup("drift")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 512; lo < data.C; lo += 64 {
+		c.must("POST", "/v1/tenants/drift/ingest", "text/csv", csvBody(t, data, lo, lo+64), http.StatusOK)
+		var st TenantStatus
+		if err := json.Unmarshal(c.must("GET", "/v1/tenants/drift/stats", "", nil, http.StatusOK), &st); err != nil {
+			t.Fatal(err)
+		}
+		modes := c.must("GET", "/v1/tenants/drift/modes", "", nil, http.StatusOK)
+		spectrum := c.must("GET", "/v1/tenants/drift/spectrum", "", nil, http.StatusOK)
+
+		view := tn.inc.View()
+		want := newPublishedResult(0, true, view, TenantStatus{})
+		if st.Recomputes != view.Recomputes || st.Updates != view.Updates {
+			t.Fatalf("after cols [%d,%d): /stats counts %d recomputes over %d updates, the analyzer %d over %d",
+				lo, lo+64, st.Recomputes, st.Updates, view.Recomputes, view.Updates)
+		}
+		if wantModes, _ := want.ModesBody(); !bytes.Equal(modes, wantModes) {
+			t.Fatalf("after cols [%d,%d): /modes %s, fresh view %s", lo, lo+64, modes, wantModes)
+		}
+		if wantSpec, _ := want.SpectrumBody(); !bytes.Equal(spectrum, wantSpec) {
+			t.Fatalf("after cols [%d,%d): /spectrum differs from a fresh view (%d vs %d bytes)", lo, lo+64, len(spectrum), len(wantSpec))
+		}
+		if st.Recomputes != st.Updates {
+			t.Fatalf("after cols [%d,%d): %d recomputes over %d updates; a 1e-9 threshold recomputes on every update",
+				lo, lo+64, st.Recomputes, st.Updates)
+		}
+	}
+}
+
 // TestServerColdTierStats: a tenant created with the flat-horizon knobs
 // demotes old history to the f32 tier, reports the tiered footprint in
 // /stats, and carries the knobs (and the cold tier) across
@@ -235,7 +279,8 @@ func TestServerColdTierStats(t *testing.T) {
 }
 
 // TestServerRejects pins the client-error surface: bad options (including
-// the removed "shards" and "precision" knobs, now unknown fields), duplicate
+// the removed "shards", "precision" and "async_recompute" knobs, now
+// unknown fields), duplicate
 // ids, unknown tenants, malformed and non-finite ingest bodies, and the
 // tenant cap.
 func TestServerRejects(t *testing.T) {
@@ -248,6 +293,7 @@ func TestServerRejects(t *testing.T) {
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"unknown_knob":true}`), http.StatusBadRequest)
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"shards":2}`), http.StatusBadRequest)
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"precision":"mixed"}`), http.StatusBadRequest)
+	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"async_recompute":true}`), http.StatusBadRequest)
 
 	c.must("POST", "/v1/tenants/a", "application/json", nil, http.StatusCreated)
 	c.must("POST", "/v1/tenants/a", "application/json", nil, http.StatusConflict)

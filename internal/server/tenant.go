@@ -32,7 +32,6 @@ type TenantOptions struct {
 	Parallel       bool    `json:"parallel,omitempty"`
 	BlockColumns   int     `json:"block_columns,omitempty"`
 	DriftThreshold float64 `json:"drift_threshold,omitempty"`
-	AsyncRecompute bool    `json:"async_recompute,omitempty"`
 	// DriftWindow / AmplitudeWindow / ColdHorizon are the flat-horizon
 	// knobs (PR 9): bounded drift measurement, bounded amplitude refit,
 	// and f32 demotion of raw history older than the horizon.
@@ -117,7 +116,6 @@ func newTenant(id string, opts TenantOptions, eng *compute.Engine, defaultInitia
 	}
 	inc := core.NewIncremental(copts)
 	inc.DriftThreshold = opts.DriftThreshold
-	inc.AsyncRecompute = opts.AsyncRecompute
 	feeder, err := stream.NewFeeder(inc, opts.InitialCols)
 	if err != nil {
 		return nil, err
@@ -152,7 +150,6 @@ func restoreTenant(id string, r io.Reader, eng *compute.Engine) (*tenant, error)
 		AmplitudeWindow: copts.AmplitudeWindow,
 		ColdHorizon:     copts.ColdHorizon,
 		DriftThreshold:  inc.DriftThreshold,
-		AsyncRecompute:  inc.AsyncRecompute,
 		InitialCols:     inc.Cols(),
 	}
 	t := &tenant{id: id, created: time.Now(), opts: opts, inc: inc, feeder: stream.ResumeFeeder(inc)}
@@ -291,6 +288,10 @@ type TenantStatus struct {
 	// f32 cold tier (0 unless cold_horizon is set).
 	ResidentBytes int64 `json:"resident_bytes"`
 	RawColdCols   int   `json:"raw_cold_cols"`
+	// Recomputes counts the drift-triggered subtree recomputes (non-zero
+	// only with drift_threshold set). Each runs inside the ingest that
+	// triggered it, so the published modes and spectrum already carry it.
+	Recomputes int `json:"recomputes"`
 
 	Options TenantOptions `json:"options"`
 }
@@ -318,6 +319,7 @@ func (t *tenant) statusLocked() TenantStatus {
 	ms := t.inc.MemStats()
 	st.ResidentBytes = ms.HotBytes + ms.ColdBytes
 	st.RawColdCols = ms.ColdCols
+	st.Recomputes = t.inc.Recomputes()
 	return st
 }
 

@@ -86,9 +86,6 @@ func NewIncrementalWith(eng *compute.Engine, ws *compute.Workspace, first *mat.D
 	}
 }
 
-// SetEngine redirects the update parallelism to e (nil for serial).
-func (inc *Incremental) SetEngine(e *compute.Engine) { inc.eng = e }
-
 // Rows returns m, the (fixed) row dimension.
 func (inc *Incremental) Rows() int { return inc.U.R }
 

@@ -30,10 +30,10 @@ func workersTestSeries(p, t int, seed int64) *Series {
 
 // TestWorkersBoundsGoroutineCount verifies the acceptance property of the
 // shared compute engine: with Options.Workers set, a full streamed
-// analysis — initial fit, partial fits, drift-triggered asynchronous
-// recomputes — never grows the process goroutine count beyond the
-// engine's lanes (pool workers + the async lane), instead of spawning a
-// fresh goroutine fleet per matrix multiply and per sibling window.
+// analysis — initial fit, partial fits, drift-triggered recomputes —
+// never grows the process goroutine count beyond the engine's W−1 pool
+// workers, instead of spawning a fresh goroutine fleet per matrix
+// multiply and per sibling window.
 func TestWorkersBoundsGoroutineCount(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		t.Skip("needs GOMAXPROCS >= 4 to distinguish bounded from unbounded spawning")
@@ -68,24 +68,31 @@ func TestWorkersBoundsGoroutineCount(t *testing.T) {
 	a := mustNew(t, Options{
 		DT: 1, MaxLevels: 5, MaxCycles: 2, UseSVHT: true,
 		Parallel: true, Workers: workers,
-		DriftThreshold: 1e-9, AsyncRecompute: true,
+		DriftThreshold: 1e-9,
 	})
 	if err := a.InitialFit(series.Slice(0, 400)); err != nil {
 		t.Fatal(err)
 	}
+	recomputes := 0
 	for pos := 400; pos < 640; pos += 80 {
-		if _, err := a.PartialFit(series.Slice(pos, pos+80)); err != nil {
+		st, err := a.PartialFit(series.Slice(pos, pos+80))
+		if err != nil {
 			t.Fatal(err)
 		}
+		if st.Recomputed {
+			recomputes++
+		}
 	}
-	a.Wait()
 	close(stop)
 	<-sampled
 
-	// Allowed: the sampler itself, workers−1 pool goroutines, the async
-	// recompute lane, plus slack for runtime-internal goroutines (GC
-	// workers, timers) that can appear at any moment.
-	allowed := int64(baseline + 1 + (workers - 1) + 1 + 3)
+	if recomputes == 0 {
+		t.Fatal("the drift threshold triggered no recompute, so none ran under the bound")
+	}
+	// Allowed: the sampler itself, workers−1 pool goroutines, plus slack
+	// for runtime-internal goroutines (GC workers, timers) that can
+	// appear at any moment.
+	allowed := int64(baseline + 1 + (workers - 1) + 3)
 	if peak > allowed {
 		t.Fatalf("goroutine peak %d exceeds allowed %d (baseline %d, workers %d): engine is not bounding concurrency",
 			peak, allowed, baseline, workers)
