@@ -8,10 +8,9 @@
 // 0.1 finishes in minutes on a laptop). Absolute seconds differ from the
 // paper's testbed; the asserted claims are the qualitative shapes.
 //
-// Two more flags ride along: -kernel-info prints the GEMM kernel tier,
-// probed caches and derived blocking, and exits; -cpuprofile writes a
-// CPU profile of the run. Performance is measured by cmd/imrdmd-bench,
-// not here.
+// Two more flags ride along: -kernel-info prints the GEMM kernel tier
+// and blocking, and exits; -cpuprofile writes a CPU profile of the run.
+// Performance is measured by cmd/imrdmd-bench, not here.
 package main
 
 import (
@@ -36,7 +35,7 @@ func main() {
 		outDir  = flag.String("out", "results", "artifact directory")
 		tsne    = flag.Bool("tsne", false, "include t-SNE in fig9 (slow)")
 		check   = flag.Bool("check", true, "assert the paper's qualitative shapes")
-		kinfo   = flag.Bool("kernel-info", false, "print the GEMM kernel tier, probed caches and derived blocking, and exit")
+		kinfo   = flag.Bool("kernel-info", false, "print the GEMM kernel tier and blocking, and exit")
 		cpuprof = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (pprof format)")
 	)
 	flag.Parse()

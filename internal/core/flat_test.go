@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"imrdmd/internal/codec"
+	"imrdmd/internal/mat"
 )
 
 // PR 9 contract tests for the flat-horizon pipeline: the O(Δ) slow-grid
@@ -236,20 +237,24 @@ func TestDriftLogRing(t *testing.T) {
 	}
 }
 
-// TestColdTierSpectrumUnchanged: the f32 cold tier stores only history the
-// pipeline no longer fits against — every level-1 grid sample and every
-// new-window residual is gathered while still hot — so the fitted
-// decomposition must be bit-identical with and without ColdHorizon, and
-// only raw-data queries (Raw, ReconError) see f32 rounding.
-func TestColdTierSpectrumUnchanged(t *testing.T) {
+// coldAmpTol bounds the amplitude disagreement a drift recompute of a
+// demoted segment may show against the all-f64 run: per node,
+// ‖Δamp‖₂ / ‖amp‖₂ (DESIGN §10).
+const coldAmpTol = 1e-2
+
+// streamColdWarm streams one dataset through two analyzers that differ
+// only in ColdHorizon (192 versus 0), both with the given DriftThreshold.
+func streamColdWarm(t *testing.T, threshold float64) (cold, warm *Incremental, data *mat.Dense) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(92))
-	data, _ := multiscale(rng, 8, 1536, 1, 0.1)
+	data, _ = multiscale(rng, 8, 1536, 1, 0.1)
 	init, batch := 512, 64
 
 	optsCold := defaultOpts()
 	optsCold.ColdHorizon = 192
-	cold := NewIncremental(optsCold)
-	warm := NewIncremental(defaultOpts())
+	cold = NewIncremental(optsCold)
+	warm = NewIncremental(defaultOpts())
+	cold.DriftThreshold, warm.DriftThreshold = threshold, threshold
 	seed := data.ColSlice(0, init)
 	if err := cold.InitialFit(seed); err != nil {
 		t.Fatal(err)
@@ -266,6 +271,20 @@ func TestColdTierSpectrumUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return cold, warm, data
+}
+
+// TestColdTierSpectrumUnchanged: the f32 cold tier stores only history the
+// pipeline no longer fits against — every level-1 grid sample and every
+// new-window residual is gathered while still hot — so the fitted
+// decomposition must be bit-identical with and without ColdHorizon, and
+// only raw-data queries (Raw, ReconError) see f32 rounding. With
+// DriftThreshold, a recompute refits demoted segments from f32-rounded
+// columns: only those segments may move, within coldAmpTol.
+func TestColdTierSpectrumUnchanged(t *testing.T) {
+	t.Run("DriftThreshold", testColdTierDriftRecompute)
+
+	cold, warm, data := streamColdWarm(t, 0)
 	treesEqual(t, cold, warm)
 
 	ms := cold.MemStats()
@@ -308,6 +327,57 @@ func TestColdTierSpectrumUnchanged(t *testing.T) {
 	}
 	if rel := math.Abs(ec-ew) / ew; rel > 1e-6 {
 		t.Fatalf("cold/warm ReconError diverge: %v vs %v (rel %g)", ec, ew, rel)
+	}
+}
+
+// testColdTierDriftRecompute is the DriftThreshold leg of
+// TestColdTierSpectrumUnchanged. Drift is measured on hot level-1
+// samples, so both runs recompute at the same batches; segments that
+// were never demoted refit from identical columns and stay bit-identical.
+func testColdTierDriftRecompute(t *testing.T) {
+	cold, warm, _ := streamColdWarm(t, 1e-9)
+	if cold.Recomputes() == 0 || cold.Recomputes() != warm.Recomputes() {
+		t.Fatalf("Recomputes: cold %d, warm %d (want equal and > 0)", cold.Recomputes(), warm.Recomputes())
+	}
+	modesEqual(t, "level 1", cold.level1, warm.level1)
+	coldCols := cold.MemStats().ColdCols
+	if coldCols == 0 {
+		t.Fatal("no columns demoted — cold tier never engaged")
+	}
+	hot, demoted := 0, 0
+	for k, sc := range cold.segments {
+		sw := warm.segments[k]
+		if len(sc.nodes) != len(sw.nodes) {
+			t.Fatalf("segment %d: %d nodes vs %d", k, len(sc.nodes), len(sw.nodes))
+		}
+		if sc.start >= coldCols {
+			hot++
+			for j := range sc.nodes {
+				modesEqual(t, "hot segment", sc.nodes[j], sw.nodes[j])
+			}
+			continue
+		}
+		demoted++
+		for j, nc := range sc.nodes {
+			nw := sw.nodes[j]
+			if len(nc.Modes) != len(nw.Modes) {
+				t.Fatalf("segment %d node %d: %d modes vs %d", k, j, len(nc.Modes), len(nw.Modes))
+			}
+			var diff, norm float64
+			for m := range nc.Modes {
+				d := nc.Modes[m].Amp - nw.Modes[m].Amp
+				diff += real(d)*real(d) + imag(d)*imag(d)
+				a := nw.Modes[m].Amp
+				norm += real(a)*real(a) + imag(a)*imag(a)
+			}
+			if diff > coldAmpTol*coldAmpTol*norm {
+				t.Errorf("segment %d node %d: amplitudes differ by %.3g relative, bound %g",
+					k, j, math.Sqrt(diff/norm), coldAmpTol)
+			}
+		}
+	}
+	if hot == 0 || demoted == 0 {
+		t.Fatalf("%d hot and %d demoted segments: want both kinds", hot, demoted)
 	}
 }
 

@@ -45,15 +45,6 @@ func Complex(a *Dense) *CDense {
 	return out
 }
 
-// RealPart returns the element-wise real part of m.
-func RealPart(m *CDense) *Dense {
-	out := NewDense(m.R, m.C)
-	for i, v := range m.Data {
-		out.Data[i] = real(v)
-	}
-	return out
-}
-
 // CMulVec returns a*x.
 func CMulVec(a *CDense, x []complex128) []complex128 {
 	if len(x) != a.C {
@@ -71,30 +62,6 @@ func CMulVec(a *CDense, x []complex128) []complex128 {
 	return out
 }
 
-// CScaleCols scales column j of a by d[j] (a * diag(d)).
-func CScaleCols(a *CDense, d []complex128) *CDense {
-	if len(d) != a.C {
-		panic("mat: CScaleCols dimension mismatch")
-	}
-	out := a.Clone()
-	for i := 0; i < a.R; i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] *= d[j]
-		}
-	}
-	return out
-}
-
-// CFrobNorm returns the Frobenius norm.
-func (m *CDense) CFrobNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return math.Sqrt(s)
-}
-
 // CLU is an LU factorization with partial pivoting of a square complex
 // matrix: P A = L U, stored packed in LU with the permutation in Piv.
 type CLU struct {
@@ -103,17 +70,10 @@ type CLU struct {
 	Sign int
 }
 
-// CLUFactor computes the factorization. Singular pivots are replaced by a
-// tiny value so inverse iteration (which deliberately shifts close to an
-// eigenvalue) stays finite; callers that need exact singularity detection
-// can check MinPivot.
-func CLUFactor(a *CDense) *CLU {
-	return CLUFactorInPlace(a.Clone())
-}
-
-// CLUFactorInPlace factors a in place (a's storage becomes the packed LU
-// and must not be used as a matrix afterwards) — the low-allocation
-// variant for pooled or scratch inputs.
+// CLUFactorInPlace factors a in place: a's storage becomes the packed LU
+// and must not be used as a matrix afterwards. Singular pivots are
+// replaced by a tiny value so inverse iteration (which deliberately
+// shifts close to an eigenvalue) stays finite.
 func CLUFactorInPlace(a *CDense) *CLU {
 	f := &CLU{}
 	f.FactorInPlace(a)
@@ -125,7 +85,7 @@ func CLUFactorInPlace(a *CDense) *CLU {
 // inverse iteration's per-eigenvalue solves — allocate nothing.
 func (f *CLU) FactorInPlace(a *CDense) {
 	if a.R != a.C {
-		panic("mat: CLUFactor requires a square matrix")
+		panic("mat: CLU requires a square matrix")
 	}
 	n := a.R
 	lu := a

@@ -15,12 +15,11 @@ import (
 // package-level kernel configuration and must not use t.Parallel.
 
 // forceTier points the dispatch globals at the given tier (with its
-// derived blocking) for the duration of one test.
+// production parameters) for the duration of one test.
 func forceTier(t *testing.T, tier kernelTier) {
 	t.Helper()
 	oldTier, old64 := gemmTier, bp64
-	gemmTier = tier
-	bp64 = deriveParams(tier, kernelCaches, gemmTuned, compute.Default().Workers())
+	gemmTier, bp64 = tier, tierParams(tier)
 	t.Cleanup(func() { gemmTier, bp64 = oldTier, old64 })
 }
 
@@ -99,22 +98,14 @@ func TestDispatchParallelBitIdentical(t *testing.T) {
 }
 
 // TestDispatchAVX512MatchesAVX2Bitwise pins the strongest available
-// correctness statement for the 512-bit kernels: at equal KC both asm
-// tiers accumulate every output element over the identical p-order FMA
-// chain, so their outputs must agree bit for bit — any lane-permutation
-// or offset bug in the 8-wide kernels shows up as a last-bit diff here
-// long before a tolerance test would notice.
+// correctness statement for the 512-bit kernels: both asm tiers run the
+// same KC and accumulate every output element over the identical p-order
+// FMA chain, so their outputs must agree bit for bit — any
+// lane-permutation or offset bug in the 8-wide kernels shows up as a
+// last-bit diff here long before a tolerance test would notice.
 func TestDispatchAVX512MatchesAVX2Bitwise(t *testing.T) {
 	if detectKernelTier() < tierAVX512 {
 		t.Skip("host lacks AVX-512")
-	}
-	pin := func(t *testing.T, tier kernelTier) {
-		t.Helper()
-		oldTier, old64 := gemmTier, bp64
-		gemmTier = tier
-		// Pinned (untuned) blocking gives both tiers KC=256.
-		bp64 = deriveParams(tier, cacheInfo{}, false, 1)
-		t.Cleanup(func() { gemmTier, bp64 = oldTier, old64 })
 	}
 	rng := rand.New(rand.NewSource(37))
 	for _, c := range []struct{ m, k, n int }{
@@ -126,7 +117,7 @@ func TestDispatchAVX512MatchesAVX2Bitwise(t *testing.T) {
 		b := randDense(rng, c.k, c.n)
 
 		run := func(t *testing.T, tier kernelTier) *Dense {
-			pin(t, tier)
+			forceTier(t, tier)
 			out := NewDense(c.m, c.n)
 			gemmView(nil, denseView(out), denseView(a), false, denseView(b), false, gemmSet)
 			return out
@@ -234,92 +225,44 @@ func TestResolveTier(t *testing.T) {
 	}
 }
 
-// TestDeriveParams pins the blocking invariants: tile geometry follows the
-// tier, untuned runs keep the historical constants, KC is only rederived
-// on the AVX-512 tier (the numeric contract), and every derived value is
-// a clamped multiple of its tile dimension.
+// TestDeriveParams pins the per-tier parameters tierParams derives: the
+// micro-tile follows the tier, KC/MC/NC are 256/128/512 on every tier,
+// and MC and NC are whole multiples of the tile so no panel is ragged.
 func TestDeriveParams(t *testing.T) {
-	caches := cacheInfo{l1d: 48 << 10, l2: 2 << 20, l3: 105 << 20}
 	for _, tier := range []kernelTier{tierGeneric, tierAVX2, tierAVX512} {
-		pinned := deriveParams(tier, caches, false, 1)
-		if pinned.kc != 256 || pinned.mc != 128 || pinned.nc != 512 {
-			t.Errorf("%v untuned: got %+v, want 256/128/512 blocking", tier, pinned)
+		p := tierParams(tier)
+		if p.kc != 256 || p.mc != 128 || p.nc != 512 {
+			t.Errorf("%v: got %+v, want 256/128/512 blocking", tier, p)
 		}
 		wantMR, wantNR := 4, 4
 		if tier == tierAVX512 {
 			wantMR, wantNR = 8, 16
 		}
-		if pinned.mr != wantMR || pinned.nr != wantNR {
-			t.Errorf("%v: got tile %dx%d, want %dx%d", tier, pinned.mr, pinned.nr, wantMR, wantNR)
+		if p.mr != wantMR || p.nr != wantNR {
+			t.Errorf("%v: got tile %dx%d, want %dx%d", tier, p.mr, p.nr, wantMR, wantNR)
 		}
-
-		tuned := deriveParams(tier, caches, true, 1)
-		if tier != tierAVX512 && tuned.kc != 256 {
-			t.Errorf("%v tuned: kc=%d, but KC is pinned at 256 below the AVX-512 tier", tier, tuned.kc)
-		}
-		if tuned.kc%8 != 0 || tuned.kc < 128 || tuned.kc > 1024 {
-			t.Errorf("%v: kc=%d out of range", tier, tuned.kc)
-		}
-		if tuned.mc%tuned.mr != 0 || tuned.mc < 4*tuned.mr || tuned.mc > 512 {
-			t.Errorf("%v: mc=%d not a clamped multiple of mr=%d", tier, tuned.mc, tuned.mr)
-		}
-		if tuned.nc%tuned.nr != 0 || tuned.nc < 4*tuned.nr || tuned.nc > 1024 {
-			t.Errorf("%v: nc=%d not a clamped multiple of nr=%d", tier, tuned.nc, tuned.nr)
-		}
-	}
-	// Unknown caches substitute conservative defaults rather than zeros.
-	p := deriveParams(tierAVX512, cacheInfo{}, true, 1)
-	if p.kc < 128 || p.mc < 4*p.mr || p.nc < 4*p.nr {
-		t.Errorf("zero caches: derived %+v below the clamp floors", p)
-	}
-}
-
-// TestDeriveParamsNCPerWorker pins NC against the engine fan-out width:
-// NC is sized from this worker's *share* of the L3, so widening the
-// engine must shrink (never grow) NC, the un-parallel case must match
-// the historical full-cache derivation, and KC/MC — per-core L1/L2
-// quantities — must not move with the worker count at all.
-func TestDeriveParamsNCPerWorker(t *testing.T) {
-	caches := cacheInfo{l1d: 48 << 10, l2: 2 << 20, l3: 105 << 20}
-	cases := []struct {
-		workers int
-		wantNC  int
-	}{
-		// l3/workers/8/(kc*8) rounded down to a multiple of nr=16,
-		// clamped to [64, 1024]. KC derives from L1d/2/(16*8) = 192.
-		{1, 1024}, // 105MiB/8/1536 = 8960 → clamp ceiling
-		{4, 1024}, // 2240 → still above the ceiling
-		{16, 560},
-		{32, 272},
-		{0, 1024}, // degenerate worker counts behave as 1
-		{-3, 1024},
-	}
-	for _, c := range cases {
-		p := deriveParams(tierAVX512, caches, true, c.workers)
-		if p.nc != c.wantNC {
-			t.Errorf("workers=%d: nc=%d, want %d", c.workers, p.nc, c.wantNC)
-		}
-		base := deriveParams(tierAVX512, caches, true, 1)
-		if p.kc != base.kc || p.mc != base.mc {
-			t.Errorf("workers=%d: kc/mc %d/%d moved with worker count (want %d/%d)",
-				c.workers, p.kc, p.mc, base.kc, base.mc)
-		}
-		if p.nc > base.nc {
-			t.Errorf("workers=%d: nc=%d exceeds single-worker nc=%d", c.workers, p.nc, base.nc)
+		if p.mc%p.mr != 0 || p.nc%p.nr != 0 {
+			t.Errorf("%v: mc=%d, nc=%d not multiples of the %dx%d tile", tier, p.mc, p.nc, p.mr, p.nr)
 		}
 	}
 }
 
-// TestKernelInfo checks the public snapshot against the live globals.
+// TestKernelInfo checks the public snapshot against the live tier and
+// its parameters, on every tier.
 func TestKernelInfo(t *testing.T) {
 	info := Kernel()
 	if info.Tier != gemmTier.String() {
 		t.Errorf("Tier = %q, want %q", info.Tier, gemmTier.String())
 	}
-	if info.Tuned != gemmTuned {
-		t.Errorf("Tuned = %v, want %v", info.Tuned, gemmTuned)
+	if info.Tuned || !info.Skinny {
+		t.Errorf("Tuned, Skinny = %v, %v, want false, true", info.Tuned, info.Skinny)
 	}
-	if info.F64 != (KernelParams{bp64.mr, bp64.nr, bp64.kc, bp64.mc, bp64.nc}) {
-		t.Errorf("F64 = %+v, want %+v", info.F64, bp64)
+	for _, tier := range []kernelTier{tierGeneric, tierAVX2, tierAVX512} {
+		forceTier(t, tier)
+		p := tierParams(tier)
+		want := KernelParams{MR: p.mr, NR: p.nr, KC: p.kc, MC: p.mc, NC: p.nc}
+		if got := Kernel(); got.Tier != tier.String() || got.F64 != want {
+			t.Errorf("%v: Kernel() = %q %+v, want %q %+v", tier, got.Tier, got.F64, tier, want)
+		}
 	}
 }

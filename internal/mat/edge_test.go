@@ -167,36 +167,12 @@ func TestCLUSingularStaysFinite(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 1)
-	lu := CLUFactor(a)
+	lu := CLUFactorInPlace(a)
 	x := lu.Solve([]complex128{1, 2})
 	for _, v := range x {
 		if math.IsNaN(real(v)) || math.IsNaN(imag(v)) {
 			t.Fatal("singular solve produced NaN")
 		}
-	}
-}
-
-func TestCScaleCols(t *testing.T) {
-	a := NewCDense(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 0, 3)
-	a.Set(1, 1, 4)
-	s := CScaleCols(a, []complex128{2, complex(0, 1)})
-	if s.At(0, 0) != 2 || s.At(1, 1) != complex(0, 4) {
-		t.Fatalf("CScaleCols wrong: %v %v", s.At(0, 0), s.At(1, 1))
-	}
-	// Original untouched.
-	if a.At(0, 0) != 1 {
-		t.Fatal("CScaleCols mutated input")
-	}
-}
-
-func TestCFrobNorm(t *testing.T) {
-	a := NewCDense(1, 1)
-	a.Set(0, 0, complex(3, 4))
-	if a.CFrobNorm() != 5 {
-		t.Fatalf("CFrobNorm = %v want 5", a.CFrobNorm())
 	}
 }
 

@@ -20,13 +20,11 @@ import "imrdmd/internal/compute"
 // packing read. Pack buffers are borrowed from a package-level
 // compute.Workspace, so steady state packs are allocation-free.
 //
-// Tile geometry and cache blocking are per-ISA, resolved at boot
-// (tune.go): the micro-tile is 4×4 on the generic and AVX2 tiers and
-// 8×16 on the AVX-512 tier, and KC/MC/NC are derived from the probed
-// cache sizes (IMRDMD_GEMM_TUNE=off pins the historical 256/128/512). Edge tiles
-// (rows < MR or width < NR) run the same kernel into a zero-padded
-// scratch tile and merge the valid region, so the hot path has no
-// remainder branches.
+// Tile geometry is per-ISA, resolved at boot (tune.go): the micro-tile
+// is 4×4 on the generic and AVX2 tiers and 8×16 on the AVX-512 tier.
+// KC/MC/NC are 256/128/512 on every tier. Edge tiles (rows < MR or
+// width < NR) run the same kernel into a zero-padded scratch tile and
+// merge the valid region, so the hot path has no remainder branches.
 //
 // Parallelism: the engine fans out over MC row panels (each worker packs
 // its own A panels; the B panel is packed once by the caller and shared

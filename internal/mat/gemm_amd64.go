@@ -20,9 +20,9 @@ package mat
 // packed products differ from the naive loops in the last bits — all
 // equivalence tests against the naive reference are tolerance-based,
 // while serial-vs-parallel equivalence stays exact because both run the
-// same kernel in the same per-element order. At equal KC the AVX2 and
-// AVX-512 asm kernels also agree bit for bit with each other: both
-// accumulate every output element over the identical p-order FMA chain
+// same kernel in the same per-element order. Both asm tiers run the same
+// KC, so they also agree bit for bit with each other: both accumulate
+// every output element over the identical p-order FMA chain
 // (dispatch_test.go pins this on AVX-512 hosts).
 
 // cpuHasAVX2FMA reports AVX2+FMA support with OS-enabled YMM state.
@@ -31,10 +31,6 @@ func cpuHasAVX2FMA() bool
 // cpuHasAVX512 reports AVX-512F+DQ support with OS-enabled ZMM, opmask
 // and Hi16_ZMM state.
 func cpuHasAVX512() bool
-
-// cpuidRaw executes CPUID with the given leaf/subleaf and returns the
-// four result registers.
-func cpuidRaw(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // detectKernelTier reports the widest micro-kernel tier the host can run.
 func detectKernelTier() kernelTier {
@@ -46,55 +42,6 @@ func detectKernelTier() kernelTier {
 	default:
 		return tierGeneric
 	}
-}
-
-// cpuidCaches enumerates the data-cache hierarchy: Intel's deterministic
-// cache parameters (leaf 4) when present, otherwise AMD's legacy L1/L2/L3
-// leaves (0x8000_0005/6). Returns zeros when neither reports (masked
-// hypervisor leaves); the caller falls back to a timed sweep.
-func cpuidCaches() cacheInfo {
-	var ci cacheInfo
-	maxLeaf, _, _, _ := cpuidRaw(0, 0)
-	if maxLeaf >= 4 {
-		for sub := uint32(0); sub < 16; sub++ {
-			a, b, c, _ := cpuidRaw(4, sub)
-			ctype := a & 0x1f
-			if ctype == 0 {
-				break
-			}
-			// Data (1) and unified (3) caches only.
-			if ctype != 1 && ctype != 3 {
-				continue
-			}
-			level := (a >> 5) & 7
-			lineSize := int(b&0xfff) + 1
-			partitions := int((b>>12)&0x3ff) + 1
-			ways := int((b>>22)&0x3ff) + 1
-			sets := int(c) + 1
-			size := lineSize * partitions * ways * sets
-			switch level {
-			case 1:
-				ci.l1d = size
-			case 2:
-				ci.l2 = size
-			case 3:
-				ci.l3 = size
-			}
-		}
-	}
-	if ci.l1d != 0 {
-		return ci
-	}
-	maxExt, _, _, _ := cpuidRaw(0x80000000, 0)
-	if maxExt >= 0x80000006 {
-		// AMD legacy leaves: sizes in KiB packed into register high bytes.
-		_, _, c5, _ := cpuidRaw(0x80000005, 0)
-		ci.l1d = int(c5>>24) << 10
-		_, _, c6, d6 := cpuidRaw(0x80000006, 0)
-		ci.l2 = int(c6>>16) << 10
-		ci.l3 = int(d6>>18) << 19 // L3 in 512 KiB units
-	}
-	return ci
 }
 
 // gemmKernel4x4FMA is the AVX2+FMA micro-kernel. c must expose at least

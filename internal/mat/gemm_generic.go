@@ -2,13 +2,10 @@
 
 package mat
 
-// Non-amd64 builds use the portable micro-kernels at every tile shape and
-// have no CPUID: the tier is always generic and cache sizes come from the
-// timed sweep (tune.go).
+// Non-amd64 builds use the portable micro-kernels at every tile shape:
+// the tier is always generic.
 
 func detectKernelTier() kernelTier { return tierGeneric }
-
-func cpuidCaches() cacheInfo { return cacheInfo{} }
 
 func gemmKernel4x4(c []float64, ldc int, ap, bp []float64, kc, mode int) {
 	gemmKernel4x4Go(c, ldc, ap, bp, kc, mode)

@@ -320,45 +320,3 @@ func colScale(m *Dense, j int, sc float64) {
 		m.Data[r*s+j] *= sc
 	}
 }
-
-// SolveUpper solves R x = b for upper-triangular R (n×n). Zero (or tiny)
-// pivots are treated as rank deficiencies: the corresponding solution
-// component is set to zero, giving a basic least-norm-flavored solution
-// rather than NaNs.
-func SolveUpper(r *Dense, b []float64) []float64 {
-	n := r.R
-	x := make([]float64, n)
-	tol := 1e-13 * r.MaxAbs()
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		row := r.Row(i)
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
-		}
-		if math.Abs(float64(row[i])) <= tol {
-			x[i] = 0
-			continue
-		}
-		x[i] = s / row[i]
-	}
-	return x
-}
-
-// LstSq solves min ‖Ax − b‖₂ via thin QR: x = R⁻¹ Qᵀ b. A must have
-// rows ≥ cols.
-func LstSq(a *Dense, b []float64) []float64 {
-	if len(b) != a.R {
-		panic("mat: LstSq dimension mismatch")
-	}
-	qr := QRFactor(a)
-	// qtb = Qᵀ b
-	qtb := make([]float64, a.C)
-	for j := 0; j < a.C; j++ {
-		var s float64
-		for i := 0; i < a.R; i++ {
-			s += qr.Q.Data[i*a.C+j] * b[i]
-		}
-		qtb[j] = s
-	}
-	return SolveUpper(qr.R, qtb)
-}

@@ -28,17 +28,13 @@ import "imrdmd/internal/compute"
 // merged in ascending order with the same first-chunk-set/later-add
 // scheme as gemmView. Row padding in the packed path never enters a
 // valid element's chain, so the pack-free results are bit-identical to
-// the packed ones on every tier and IMRDMD_GEMM_SKINNY=off is an escape
-// hatch, not a numeric switch (skinny_test.go pins this).
+// the packed ones on every tier (skinny_test.go pins this).
 
 // skinnyShape reports whether an m×k by k×n multiply (B untransposed)
 // that already cleared gemmMinFlops should take the pack-free tier.
 // The predicates mirror the shapes above; n ≤ NR also catches every
 // multiply whose packed route would pad B's single strip to NR columns.
 func skinnyShape(m, k, n int) bool {
-	if !gemmSkinny {
-		return false
-	}
 	p := bp64
 	return n <= p.nr || m < p.mr || k <= p.nr || (m <= 64 && n <= 64)
 }

@@ -21,14 +21,15 @@ var skinnyShapes = []struct {
 	name    string
 	m, k, n int
 }{
-	{"skinnyB", 200, 64, 8},          // n ≤ NR: one B strip
+	{"skinnyB", 200, 64, 8},          // n ≤ NR: one B strip; also Mul of 200×64 by 64×8
 	{"skinnyB_edge", 203, 64, 5},     // ragged rows and width
 	{"innerprod", 48, 4096, 8},       // Uᵀ·c projection shape
 	{"innerprod_kc", 32, 515, 8},     // crosses the KC chunk boundary twice
 	{"outerprod", 200, 8, 48},        // rank-w update shape
 	{"outerprod_edge", 197, 8, 47},   // ragged both ways
-	{"smallpanel", 48, 200, 48},      // reorth's q×q collective
+	{"smallpanel", 48, 200, 48},      // reorth's q×q collective; also Gram of 200×48 (aT)
 	{"smallpanel_edge", 63, 129, 61}, // ragged small panel
+	{"smallpanel_mulT", 48, 200, 64}, // MulT of 200×48 with 200×64 (aT)
 }
 
 // TestSkinnyMatchesPackedBitwise runs every skinny shape through both
@@ -59,6 +60,39 @@ func TestSkinnyMatchesPackedBitwise(t *testing.T) {
 									c.name, aT, mode, i, packed.Data[i], free.Data[i])
 							}
 						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSkinnyOffBitNeutral checks the skinny tier at the public entries:
+// Mul of 200×64 by 64×8, MulT of 200×48 with 200×64 and the Gram of
+// 200×48 take the pack-free driver wherever the classifier picks it, and
+// on every tier each must equal the packed path bit for bit, so turning
+// the tier off would move no result.
+func TestSkinnyOffBitNeutral(t *testing.T) {
+	for _, tier := range hostTiers() {
+		t.Run(tier.String(), func(t *testing.T) {
+			forceTier(t, tier)
+			rng := rand.New(rand.NewSource(71))
+			a := randDense(rng, 200, 64)
+			b := randDense(rng, 64, 8)
+			u := randDense(rng, 200, 48)
+			mul := NewDense(200, 8)
+			gemmView(nil, denseView(mul), denseView(a), false, denseView(b), false, gemmSet)
+			mulT := NewDense(48, 64)
+			gemmView(nil, denseView(mulT), denseView(u), true, denseView(a), false, gemmSet)
+			gram := NewDense(48, 48)
+			gemmView(nil, denseView(gram), denseView(u), true, denseView(u), false, gemmSet)
+			mirrorUpperToLower(gram)
+			for name, pair := range map[string][2]*Dense{
+				"Mul": {Mul(a, b), mul}, "MulT": {MulT(u, a), mulT}, "Gram": {Gram(u, true), gram},
+			} {
+				for i := range pair[0].Data {
+					if pair[0].Data[i] != pair[1].Data[i] {
+						t.Fatalf("%s: element %d: skinny %v vs packed %v", name, i, pair[0].Data[i], pair[1].Data[i])
 					}
 				}
 			}
@@ -139,9 +173,6 @@ func TestSkinnyStridedOperands(t *testing.T) {
 // the skinny tier slots between the two without moving either boundary.
 func TestSkinnyRoutingBoundary(t *testing.T) {
 	p := bp64
-	if !gemmSkinny {
-		t.Skip("IMRDMD_GEMM_SKINNY=off")
-	}
 	// Wide enough to clear both the n ≤ NR and the 64-column small-panel
 	// predicates, so each case isolates the predicate it names.
 	big := 4 * p.nr
@@ -175,44 +206,6 @@ func TestSkinnyRoutingBoundary(t *testing.T) {
 	}
 	if !usePacked(64, 64, 64) {
 		t.Errorf("usePacked(64,64,64) = false; gemmMinFlops gate moved")
-	}
-}
-
-// TestSkinnyOffBitNeutral flips the IMRDMD_GEMM_SKINNY escape hatch in
-// process and requires identical bits from the public entry points —
-// the contract that makes the knob safe to flip in production triage.
-func TestSkinnyOffBitNeutral(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	a := randDense(rng, 200, 64)
-	b := randDense(rng, 64, 8)
-	u := randDense(rng, 200, 48)
-	withSkinny := func(on bool, f func()) {
-		old := gemmSkinny
-		gemmSkinny = on
-		defer func() { gemmSkinny = old }()
-		f()
-	}
-	var on, off *Dense
-	var onT, offT *Dense
-	var onG, offG *Dense
-	withSkinny(true, func() {
-		on = Mul(a, b)
-		onT = MulT(u, a)
-		onG = Gram(u, true)
-	})
-	withSkinny(false, func() {
-		off = Mul(a, b)
-		offT = MulT(u, a)
-		offG = Gram(u, true)
-	})
-	for name, pair := range map[string][2]*Dense{
-		"Mul": {on, off}, "MulT": {onT, offT}, "Gram": {onG, offG},
-	} {
-		for i := range pair[0].Data {
-			if pair[0].Data[i] != pair[1].Data[i] {
-				t.Fatalf("%s: element %d: skinny %v vs packed %v", name, i, pair[0].Data[i], pair[1].Data[i])
-			}
-		}
 	}
 }
 

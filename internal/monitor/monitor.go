@@ -165,11 +165,6 @@ func (m *Monitor) ZScores() ([]float64, error) {
 	return baseline.ZScores(levels, m.baseIdx)
 }
 
-// BaselineSensors returns the baseline population chosen at Start.
-func (m *Monitor) BaselineSensors() []int {
-	return append([]int(nil), m.baseIdx...)
-}
-
 // Steps returns the absorbed column count.
 func (m *Monitor) Steps() int { return m.inc.Cols() }
 

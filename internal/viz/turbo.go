@@ -64,16 +64,6 @@ func ZScoreColor(z, zmax float64) string {
 	return fmt.Sprintf("#%02x%02x%02x", r, g, b)
 }
 
-// ValueColor maps v linearly from [lo, hi] onto Turbo.
-func ValueColor(v, lo, hi float64) string {
-	if hi <= lo {
-		hi = lo + 1
-	}
-	t := (v - lo) / (hi - lo)
-	r, g, b := Turbo(t)
-	return fmt.Sprintf("#%02x%02x%02x", r, g, b)
-}
-
 // niceTicks returns ~n round tick values covering [lo, hi].
 func niceTicks(lo, hi float64, n int) []float64 {
 	if n < 2 {
