@@ -267,7 +267,7 @@ func (a *Analyzer) ReconstructionError() float64 { return a.inc.ReconError() }
 
 // Spectrum returns every retained mode's spectrum point (Figs. 5/7).
 func (a *Analyzer) Spectrum() []SpectrumPoint {
-	pts := a.inc.Tree().Spectrum()
+	pts := a.inc.Spectrum()
 	out := make([]SpectrumPoint, len(pts))
 	for i, p := range pts {
 		out[i] = SpectrumPoint{Freq: p.Freq, Power: p.Power, Amp: p.Amp, Grow: p.Grow, Level: p.Level}

@@ -20,6 +20,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"unsafe"
 
 	"imrdmd/internal/mat"
 )
@@ -246,10 +247,36 @@ func (e *Writer) Complexes(v []complex128) {
 // only the R×C elements hit the wire, so the decoded matrix is packed
 // regardless of the writer's in-memory layout.
 func (e *Writer) Dense(m *mat.Dense) {
-	e.Int(m.R)
-	e.Int(m.C)
-	for i := 0; i < m.R; i++ {
-		putSlice(e, m.Row(i), 8, putFloats)
+	e.DenseSegments(m.R, m.C, []*mat.Dense{m})
+}
+
+// DenseSegments writes the r×c matrix whose columns are held as
+// consecutive column segments — segs[k] holds the next segs[k].C columns,
+// the last segment possibly only in part — as exactly the bytes Dense
+// writes for the assembled matrix: each row walks across the segments.
+// A matrix without rows needs no segments.
+func (e *Writer) DenseSegments(r, c int, segs []*mat.Dense) {
+	held := 0
+	for _, s := range segs {
+		if s.R != r {
+			panic(fmt.Sprintf("codec: segment of %d rows in a %d-row matrix", s.R, r))
+		}
+		held += s.C
+	}
+	if r > 0 && held < c {
+		panic(fmt.Sprintf("codec: segments hold %d of %d columns", held, c))
+	}
+	e.Int(r)
+	e.Int(c)
+	for i := 0; i < r && c > 0; i++ {
+		left := c
+		for _, s := range segs {
+			n := min(s.C, left)
+			putSlice(e, s.Row(i)[:n], 8, putFloats)
+			if left -= n; left == 0 {
+				break
+			}
+		}
 	}
 	e.flush()
 }
@@ -531,6 +558,85 @@ func (d *Reader) Dense() *mat.Dense {
 		return nil
 	}
 	return &mat.Dense{R: r, C: c, Data: data}
+}
+
+// DenseSegments reads a matrix written by Writer.Dense (or
+// DenseSegments) straight into column segments of width w: segs[k] is a
+// packed r×min(w, c−k·w) matrix holding columns [k·w, k·w+segs[k].C), so
+// the segments together allocate exactly the r×c elements and nothing
+// is copied after decode. Allocation follows decodeSlice: up front when
+// the source reports an unread length the r×c elements fit in, else a
+// segment is opened when its first element arrives and all of them grow
+// their rows by doubling, so a lying shape fails at io.ErrUnexpectedEOF
+// having allocated a small multiple of what it carried. A matrix with no
+// elements yields no segments.
+func (d *Reader) DenseSegments(w int) (r, c int, segs []*mat.Dense) {
+	if w < 1 {
+		panic(fmt.Sprintf("codec: segment width %d", w))
+	}
+	r, c = d.shape()
+	if d.err != nil || r == 0 || c == 0 {
+		return r, c, nil
+	}
+	open := func(k, rows int) {
+		width := min(w, c-k*w)
+		segs = append(segs, &mat.Dense{R: r, C: width, Data: make([]float64, rows*width)})
+	}
+	rows := 1 // rows every open segment has room for
+	if l, ok := d.r.(interface{ Len() int }); ok && r*c <= l.Len()/8 {
+		rows = r
+		for k := 0; k*w < c; k++ {
+			open(k, rows)
+		}
+	}
+	// The payload arrives a chunk at a time and each chunk scatters into
+	// row runs of the segments it spans.
+	buf := d.scratch()
+	const per = chunkLen / 8
+	for e, total := 0, r*c; e < total; {
+		k := min(total-e, per)
+		d.raw(buf[:8*k])
+		if d.err != nil {
+			return 0, 0, nil
+		}
+		for src := buf[:8*k]; len(src) > 0; {
+			i, j := e/c, e%c
+			q, c0 := j/w, j%w
+			if i >= rows {
+				rows = min(r, 2*rows)
+				for _, s := range segs {
+					grown := make([]float64, rows*s.C)
+					copy(grown, s.Data)
+					s.Data = grown
+				}
+			}
+			if q == len(segs) {
+				open(q, rows)
+			}
+			s := segs[q]
+			n := min(s.C-c0, len(src)/8)
+			decodeFloats(s.Data[i*s.C+c0:i*s.C+c0+n], src)
+			src = src[8*n:]
+			e += n
+		}
+	}
+	return r, c, segs
+}
+
+// nativeLE reports whether this host lays a float64 out in memory as
+// its little-endian wire bytes. A variable so tests can take the
+// portable path.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// decodeFloats fills dst from the wire bytes src: one memmove on a
+// little-endian host, whose memory layout is the wire format, else the
+// per-element decode.
+func decodeFloats(dst []float64, src []byte) {
+	if nativeLE {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*len(dst)), src)
+		return
+	}
+	getFloats(dst, src)
 }
 
 // Dense32 reads a float32 matrix written by Writer.Dense32.

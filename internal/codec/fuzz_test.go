@@ -68,10 +68,12 @@ func (r *refReader) shape() (int, int) {
 
 // field is one decoded bulk field: its shape (rows 1 for plain slices),
 // the bit pattern of every element, and where its payload started.
+// DenseSegments also keeps the segments it decoded into.
 type field struct {
 	rows, cols int
 	bits       []uint64
 	payload    int
+	segs       []*mat.Dense
 }
 
 // elements decodes n elements of elemSize bytes, appending each one's
@@ -104,10 +106,11 @@ const (
 	kindInts
 	kindDense
 	kindDense32
+	kindDenseSegments
 	numKinds
 )
 
-var elemSizes = [numKinds]int{8, 16, 8, 8, 4}
+var elemSizes = [numKinds]int{8, 16, 8, 8, 4, 8}
 
 func (r *refReader) decode(kind int) field {
 	r.bad = -1
@@ -115,7 +118,7 @@ func (r *refReader) decode(kind int) field {
 	switch kind {
 	case kindFloats, kindComplexes, kindInts:
 		f.cols = r.length()
-	case kindDense, kindDense32:
+	case kindDense, kindDense32, kindDenseSegments:
 		f.rows, f.cols = r.shape()
 	}
 	if r.err != nil {
@@ -138,8 +141,9 @@ func (r *refReader) decode(kind int) field {
 }
 
 // decodeKind runs the codec's decoder for kind and flattens its result
-// the way refReader.decode does.
-func decodeKind(d *Reader, kind int) field {
+// the way refReader.decode does; DenseSegments decodes into segments of
+// width segW, which must come back packed at their exact widths.
+func decodeKind(t *testing.T, d *Reader, kind, segW int) field {
 	f := field{rows: 1}
 	switch kind {
 	case kindFloats:
@@ -172,6 +176,20 @@ func decodeKind(d *Reader, kind int) field {
 			f.rows, f.cols = m.R, m.C
 			for _, x := range m.Data {
 				f.bits = append(f.bits, uint64(math.Float32bits(x)))
+			}
+		}
+	case kindDenseSegments:
+		f.rows, f.cols, f.segs = d.DenseSegments(segW)
+		for k, s := range f.segs {
+			if width := min(segW, f.cols-k*segW); s.R != f.rows || s.C != width || len(s.Data) != f.rows*width {
+				t.Fatalf("segment %d is %d×%d (len %d), want packed %d×%d", k, s.R, s.C, len(s.Data), f.rows, width)
+			}
+		}
+		for i := 0; i < f.rows && len(f.segs) > 0; i++ {
+			for _, s := range f.segs {
+				for _, x := range s.Row(i) {
+					f.bits = append(f.bits, math.Float64bits(x))
+				}
 			}
 		}
 	}
@@ -223,6 +241,10 @@ func FuzzReaderSlices(f *testing.F) {
 		w.Ints(sampleInts(chunkLen/8 + 3))
 		w.Floats([]float64{7})
 	})
+	seed(kindDenseSegments+numKinds*kindDenseSegments+2*numKinds*numKinds, func(w *Writer) {
+		w.Dense(mat.NewDenseData(2, 7, sampleFloats(14))) // segments 3, 3, 1
+		w.Dense(mat.NewDenseData(3, 0, nil))
+	})
 
 	f.Fuzz(func(t *testing.T, kinds uint8, body []byte) {
 		stream := frame(body)
@@ -233,9 +255,10 @@ func FuzzReaderSlices(f *testing.F) {
 		// The decoders cannot tell the trailer from the body, so the
 		// reference reads on into it too.
 		ref := &refReader{b: stream[len(magic)+4:]}
+		segW := 1 + int(kinds)/(numKinds*numKinds)
 		for _, kind := range []int{int(kinds) % numKinds, int(kinds) / numKinds % numKinds} {
 			want := ref.decode(kind)
-			got := decodeKind(d, kind)
+			got := decodeKind(t, d, kind, segW)
 			switch {
 			case ref.err == nil:
 				if d.Err() != nil {
@@ -248,6 +271,19 @@ func FuzzReaderSlices(f *testing.F) {
 				for i := range want.bits {
 					if got.bits[i] != want.bits[i] {
 						t.Fatalf("kind %d element %d: bits %#x, want %#x", kind, i, got.bits[i], want.bits[i])
+					}
+				}
+				if kind == kindDenseSegments {
+					// Writing the segments back reproduces the field's bytes.
+					var buf bytes.Buffer
+					w := NewWriter(&buf)
+					w.DenseSegments(got.rows, got.cols, got.segs)
+					if err := w.Close(); err != nil {
+						t.Fatal(err)
+					}
+					enc := buf.Bytes()[len(magic)+4 : buf.Len()-4]
+					if !bytes.Equal(enc, ref.b[want.payload-16:ref.used]) {
+						t.Fatalf("segments re-encode to %d bytes that differ from the field's %d", len(enc), ref.used-want.payload+16)
 					}
 				}
 			case errors.Is(ref.err, io.ErrUnexpectedEOF):

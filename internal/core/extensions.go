@@ -37,9 +37,9 @@ func (inc *Incremental) AddSensors(rows *mat.Dense) error {
 			inc.hist.Cols(), rows.C)
 	}
 	if rows.HasNaN() {
-		return errors.New("core: input contains NaN or Inf")
+		return errNonFinite
 	}
-	inc.hist.AddRows(inc.ws, rows)
+	inc.hist.AddRows(rows)
 	// The cached grid evaluations span the old sensor dimension; the next
 	// PartialFit and View re-evaluate fresh.
 	inc.invalidateSlowGrid()

@@ -134,12 +134,16 @@ func (inc *Incremental) InitialFit(data *mat.Dense) error {
 	if err := inc.opts.Validate(); err != nil {
 		return err
 	}
-	if err := checkInput(data); err != nil {
+	if err := checkShape(data); err != nil {
 		return err
 	}
 	p, t := data.Dims()
+	hist := mat.NewTieredCols(p)
+	if !hist.Grow(data) { // one pass copies the seed and screens it
+		return errNonFinite
+	}
 	inc.p = p
-	inc.hist = mat.NewTieredCols(data.Clone())
+	inc.hist = hist
 	inc.stride1 = windowStride(t, inc.opts)
 	inc.sub1 = data.Subsample(inc.stride1)
 	ns := inc.sub1.C
@@ -248,14 +252,12 @@ func (inc *Incremental) PartialFit(newData *mat.Dense) (UpdateStats, error) {
 	if newData.C == 0 {
 		return stats, nil
 	}
-	if newData.HasNaN() {
-		return stats, errors.New("core: input contains NaN or Inf")
-	}
 	oldT := inc.hist.Cols()
-	// Amortized column growth: with spare capacity only the new columns
-	// are written (the full-history copy HStack paid on every PartialFit
-	// dominated the ingest profile).
-	inc.hist.Grow(inc.ws, newData)
+	// Only the new columns are written, and the same pass screens them: a
+	// batch holding NaN or Inf leaves the history as it was.
+	if !inc.hist.Grow(newData) {
+		return stats, errNonFinite
+	}
 	newT := inc.hist.Cols()
 	stats.NewColumns = newData.C
 
@@ -521,20 +523,24 @@ func (inc *Incremental) residualOf(lo, hi int) *mat.Dense {
 	}
 	// Evaluate the reconstruction, then flip it into the residual in the
 	// same buffer: one raw-window read and one write instead of a window
-	// copy plus a separate read-modify-write subtraction pass. The window
-	// is a zero-copy view while the span is hot; cold spans widen through
-	// a borrowed copy.
+	// copy plus a separate read-modify-write subtraction pass. The raw
+	// side is read one history chunk at a time, so hot spans are zero-copy
+	// views and only cold chunks widen through a borrowed copy.
 	resid := mat.GetDenseRaw(inc.ws, inc.p, hi-lo)
 	dmd.ReconstructModesIntoWith(inc.eng, inc.ws, resid, inc.level1.Modes, times)
-	win := inc.hist.Window(inc.ws, lo, hi)
-	for i := 0; i < inc.p; i++ {
-		raw := win.Row(i)
-		row := resid.Row(i)
-		for k := range row {
-			row[k] = raw[k] - row[k]
+	for a := lo; a < hi; {
+		b := min(hi, (a/mat.TieredChunkCols+1)*mat.TieredChunkCols)
+		win := inc.hist.Window(inc.ws, a, b)
+		for i := 0; i < inc.p; i++ {
+			raw := win.Row(i)
+			row := resid.Row(i)[a-lo : b-lo]
+			for k := range row {
+				row[k] = raw[k] - row[k]
+			}
 		}
+		mat.PutDense(inc.ws, win)
+		a = b
 	}
-	mat.PutDense(inc.ws, win)
 	inc.ws.PutF64(times)
 	return resid
 }
@@ -694,7 +700,7 @@ func (inc *Incremental) Raw() *mat.Dense {
 // the per-tenant memory accounting behind the server's /stats.
 type MemStats struct {
 	// HotBytes / ColdBytes are the resident history bytes of the f64 hot
-	// tail (including grow capacity) and the f32 cold chunks.
+	// chunks and the f32 cold chunks.
 	HotBytes, ColdBytes int64
 	// Cols / ColdCols count absorbed columns and how many are cold.
 	Cols, ColdCols int

@@ -190,18 +190,30 @@ func Decompose(data *mat.Dense, opts Options) (*Tree, error) {
 // ErrNoSensors is returned when the input matrix has no rows.
 var ErrNoSensors = errors.New("core: input has no sensors (zero rows)")
 
+// errNonFinite rejects input holding a NaN or ±Inf reading.
+var errNonFinite = errors.New("core: input contains NaN or Inf")
+
 // checkInput rejects data no decomposition can start from: no rows
 // (sensors), fewer than two snapshot columns, or a NaN/Inf reading.
 func checkInput(data *mat.Dense) error {
+	if err := checkShape(data); err != nil {
+		return err
+	}
+	if data.HasNaN() {
+		return errNonFinite
+	}
+	return nil
+}
+
+// checkShape is checkInput without the NaN/Inf screen, for callers that
+// screen while they copy.
+func checkShape(data *mat.Dense) error {
 	p, t := data.Dims()
 	if p == 0 {
 		return ErrNoSensors
 	}
 	if t < 2 {
 		return dmd.ErrTooFewSnapshots
-	}
-	if data.HasNaN() {
-		return errors.New("core: input contains NaN or Inf")
 	}
 	return nil
 }

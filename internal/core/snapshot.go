@@ -47,13 +47,14 @@ func (inc *Incremental) Snapshot(w io.Writer) error {
 	enc.Int(inc.p)
 	// History, tier-structured (format v2): cold f32 chunks then the hot
 	// f64 tail. A v1 stream holds the same columns as one f64 matrix.
-	enc.Int(inc.hist.ChunkCols())
+	// The hot tier is one Dense section however many chunks hold it.
+	enc.Int(mat.TieredChunkCols)
 	cold := inc.hist.ColdChunks()
 	enc.Int(len(cold))
 	for _, ch := range cold {
 		enc.Dense32(ch)
 	}
-	enc.Dense(inc.hist.Hot())
+	enc.DenseSegments(inc.hist.Rows(), inc.hist.Cols()-inc.hist.ColdCols(), inc.hist.HotChunks())
 	enc.Int(inc.stride1)
 	enc.Dense(inc.sub1)
 	enc.Int(inc.nextSample)
@@ -97,25 +98,26 @@ func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, erro
 	driftThreshold := dec.Float()
 	dec.Bool() // retired async-recompute flag, ignored (see Snapshot)
 	p := dec.Len()
-	var hist *mat.TieredCols
+	// History: v2 streams hold cold f32 chunks, then the hot f64 tail as
+	// one Dense section; v1 streams hold all of it as that one section.
+	// The section decodes straight into the store's column chunks. Every
+	// release wrote TieredChunkCols as the chunk width; cold chunks of
+	// any other width fail TieredFromParts' shape check.
+	var cold []*mat.Dense32
 	if dec.Version() >= 2 {
-		chunk := dec.Int()
+		dec.Int() // chunk width
 		nCold := dec.Len()
-		cold := make([]*mat.Dense32, 0, minCap(nCold, 64))
+		cold = make([]*mat.Dense32, 0, minCap(nCold, 64))
 		for i := 0; i < nCold && dec.Err() == nil; i++ {
 			cold = append(cold, dec.Dense32())
 		}
-		hot := dec.Dense()
-		if dec.Err() == nil {
-			var terr error
-			hist, terr = mat.TieredFromParts(cold, hot, chunk)
-			if terr != nil {
-				return nil, fmt.Errorf("%w: %v", codec.ErrCorrupt, terr)
-			}
+	}
+	var hist *mat.TieredCols
+	if hr, hc, hot := dec.DenseSegments(mat.TieredChunkCols); dec.Err() == nil {
+		var terr error
+		if hist, terr = mat.TieredFromParts(cold, hot, hr, hc); terr != nil {
+			return nil, fmt.Errorf("%w: %v", codec.ErrCorrupt, terr)
 		}
-	} else if raw := dec.Dense(); raw != nil {
-		// v1: one all-f64 history matrix.
-		hist = mat.NewTieredCols(raw)
 	}
 	stride1 := dec.Int()
 	sub1 := dec.Dense()

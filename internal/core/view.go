@@ -63,17 +63,7 @@ func (inc *Incremental) View() View {
 	v.Updates = inc.updates
 	v.Recomputes = inc.recomputes
 	v.LastDrift = inc.lastDriftLocked()
-	// Walk the live nodes in Tree order without cloning them — the walk
-	// is read-only and completes before the lock is released.
-	n := 1
-	for _, seg := range inc.segments {
-		n += len(seg.nodes)
-	}
-	nodes := make([]*Node, 0, n)
-	nodes = append(nodes, inc.level1)
-	for _, seg := range inc.segments {
-		nodes = append(nodes, seg.nodes...)
-	}
+	nodes := inc.liveNodesLocked()
 	v.Nodes = len(nodes)
 	for _, nd := range nodes {
 		v.NumModes += len(nd.Modes)
@@ -84,6 +74,39 @@ func (inc *Incremental) View() View {
 	v.Spectrum = spectrumOf(nodes, v.NumModes)
 	v.GridError, v.GridCols = inc.gridErrorLocked()
 	return v
+}
+
+// Spectrum returns Tree().Spectrum() — the same points in the same order
+// — read off the live nodes under the lock instead of from a clone of
+// every node and mode array, so a read allocates only its result. Before
+// InitialFit it is nil.
+func (inc *Incremental) Spectrum() []dmd.SpectrumPoint {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	if inc.hist == nil {
+		return nil
+	}
+	nodes := inc.liveNodesLocked()
+	n := 0
+	for _, nd := range nodes {
+		n += len(nd.Modes)
+	}
+	return spectrumOf(nodes, n)
+}
+
+// liveNodesLocked lists the live nodes in Tree order without cloning
+// them; callers only read them, and finish before releasing the lock.
+func (inc *Incremental) liveNodesLocked() []*Node {
+	n := 1
+	for _, seg := range inc.segments {
+		n += len(seg.nodes)
+	}
+	nodes := make([]*Node, 0, n)
+	nodes = append(nodes, inc.level1)
+	for _, seg := range inc.segments {
+		nodes = append(nodes, seg.nodes...)
+	}
+	return nodes
 }
 
 // gridErrorLocked evaluates ‖raw − recon‖_F over the level-1 sample grid:

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestViewMatchesTree pins View() against the heavyweight accessors it
-// replaces on the read path: the spectrum must equal Tree().Spectrum()
-// point for point, the counters must match the Tree methods, and the
+// TestViewMatchesTree pins View() and Spectrum() against the heavyweight
+// accessors they replace on the read path: the spectrum must equal
+// Tree().Spectrum() point for point, the counters must match the Tree methods, and the
 // grid error must equal evaluating the full-resolution reconstruction at
 // the sampled columns — View is a cheaper assembly of the same values,
 // not an approximation (beyond the grid restriction, which is exact on
@@ -33,12 +33,13 @@ func TestViewMatchesTree(t *testing.T) {
 				stage, v.Nodes, v.NumModes, v.MaxLevel, len(tree.Nodes), tree.NumModes(), tree.MaxLevel())
 		}
 		want := tree.Spectrum()
-		if len(v.Spectrum) != len(want) {
-			t.Fatalf("%s: %d spectrum points vs %d", stage, len(v.Spectrum), len(want))
+		spec := inc.Spectrum()
+		if len(v.Spectrum) != len(want) || len(spec) != len(want) {
+			t.Fatalf("%s: %d (View) and %d (Spectrum) spectrum points vs %d", stage, len(v.Spectrum), len(spec), len(want))
 		}
 		for i := range want {
-			if v.Spectrum[i] != want[i] {
-				t.Fatalf("%s: spectrum point %d: %+v vs %+v", stage, i, v.Spectrum[i], want[i])
+			if v.Spectrum[i] != want[i] || spec[i] != want[i] {
+				t.Fatalf("%s: spectrum point %d: %+v (View), %+v (Spectrum) vs %+v", stage, i, v.Spectrum[i], spec[i], want[i])
 			}
 		}
 		// Reference grid error: the full-resolution reconstruction and
@@ -82,8 +83,12 @@ func TestViewMatchesTree(t *testing.T) {
 // TestViewUnseeded: a View of an unfitted analyzer is the zero summary,
 // not a panic — the server publishes pre-seed states too.
 func TestViewUnseeded(t *testing.T) {
-	v := NewIncremental(defaultOpts()).View()
+	inc := NewIncremental(defaultOpts())
+	v := inc.View()
 	if v.Steps != 0 || v.NumModes != 0 || len(v.Spectrum) != 0 || v.GridError != 0 {
 		t.Fatalf("unseeded view: %+v", v)
+	}
+	if s := inc.Spectrum(); s != nil {
+		t.Fatalf("unseeded spectrum: %+v", s)
 	}
 }

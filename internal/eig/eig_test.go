@@ -11,6 +11,15 @@ import (
 	"imrdmd/internal/mat"
 )
 
+// toComplex converts a packed real matrix to complex.
+func toComplex(a *mat.Dense) *mat.CDense {
+	out := mat.NewCDense(a.R, a.C)
+	for i, v := range a.Data {
+		out.Data[i] = complex(v, 0)
+	}
+	return out
+}
+
 func randSymmetric(rng *rand.Rand, n int) *mat.Dense {
 	a := mat.NewDense(n, n)
 	for i := 0; i < n; i++ {
@@ -152,7 +161,7 @@ func TestNonsymmetricEigenpairResidual(t *testing.T) {
 			a.Data[i] = rng.NormFloat64()
 		}
 		vals, vecs := Nonsymmetric(a)
-		ac := mat.Complex(a)
+		ac := toComplex(a)
 		for j, lam := range vals {
 			v := make([]complex128, n)
 			for i := 0; i < n; i++ {
@@ -228,7 +237,7 @@ func TestHessenbergPreservesEigenvalues(t *testing.T) {
 		}
 	}
 	va, _ := Nonsymmetric(a)
-	vh := hessenbergQREigenvalues(nil, mat.Complex(h))
+	vh := hessenbergQREigenvalues(nil, toComplex(h))
 	sortC := func(v []complex128) {
 		sort.Slice(v, func(i, j int) bool {
 			if real(v[i]) != real(v[j]) {

@@ -36,15 +36,6 @@ func (m *CDense) Clone() *CDense {
 	return &CDense{R: m.R, C: m.C, Data: d}
 }
 
-// Complex converts a real matrix to complex.
-func Complex(a *Dense) *CDense {
-	out := NewCDense(a.R, a.C)
-	for i, v := range a.Data {
-		out.Data[i] = complex(v, 0)
-	}
-	return out
-}
-
 // CMulVec returns a*x.
 func CMulVec(a *CDense, x []complex128) []complex128 {
 	if len(x) != a.C {

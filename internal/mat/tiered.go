@@ -2,19 +2,20 @@ package mat
 
 import (
 	"fmt"
+	"math"
 
 	"imrdmd/internal/compute"
 )
 
 // Tiered column storage (DESIGN.md §10). A TieredCols holds a growing
-// sequence of columns where the trailing "hot" window stays in float64
-// and everything older is demoted to float32 chunks — half the resident
-// bytes for history that is only ever read back for full-resolution
-// reconstruction error, segment recompute after drift, or snapshot
-// export, all of which tolerate (and report) the f32-rounding of cold
-// values. Demotion is explicit (Demote), so a caller that never demotes
-// keeps a plain all-f64 store with view-based window access —
-// bit-identical to the pre-tiered layout.
+// sequence of columns in fixed-width column chunks: the trailing "hot"
+// chunks stay in float64 and everything older is demoted to float32
+// chunks — half the resident bytes for history that is only ever read
+// back for full-resolution reconstruction error, segment recompute after
+// drift, or snapshot export, all of which tolerate (and report) the
+// f32-rounding of cold values. Demotion is explicit (Demote), so a caller
+// that never demotes keeps an all-f64 store whose values read back
+// bit-identically.
 
 // Dense32 is a row-major, tightly packed float32 matrix: the storage
 // format of the cold tier. It carries no arithmetic; Widen (or a
@@ -39,60 +40,79 @@ func (m *Dense32) At(i, j int) float32 { return m.Data[i*m.C+j] }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Dense32) Row(i int) []float32 { return m.Data[i*m.C : (i+1)*m.C : (i+1)*m.C] }
 
-// TieredChunkCols is the demotion granularity: cold columns move in full
-// chunks of this many columns, so chunk bookkeeping stays O(T/chunk) and
-// each demotion is one bounded O(P·chunk) pass.
+// TieredChunkCols is the width of every history chunk in both tiers:
+// chunk k covers global columns [k·TieredChunkCols, (k+1)·TieredChunkCols),
+// so hot and cold chunk boundaries coincide, growth writes into at most a
+// few chunks, each demotion is one bounded O(P·chunk) pass, and chunk
+// bookkeeping stays O(T/chunk).
 const TieredChunkCols = 256
 
 // TieredCols is a P×T column store whose first ColdCols() columns live as
-// float32 chunks and whose tail lives as one float64 matrix. It is not
-// concurrency-safe; callers serialize access (the analyzer lock).
+// float32 chunks and whose tail lives as float64 chunks, the last of them
+// (the open tail) partly filled. Every chunk is its own exact P×chunk
+// allocation — none comes from, or goes back to, a Workspace pool, whose
+// power-of-two classes would round a chunk up to twice its size — so
+// growth never copies history and the resident bytes exceed the data by
+// less than one chunk. It is not concurrency-safe; callers serialize
+// access (the analyzer lock).
 type TieredCols struct {
-	r     int
-	chunk int        // cold chunk width in columns
-	cold  []*Dense32 // each r×chunk, oldest first
-	hot   *Dense     // columns [ColdCols(), Cols()), stride = grow capacity
+	r    int
+	n    int        // committed columns across both tiers
+	cold []*Dense32 // each r×TieredChunkCols, oldest first
+	// hot[k] is packed and covers global columns from
+	// (len(cold)+k)·TieredChunkCols on. Each is r×TieredChunkCols except
+	// that a restored store's last one holds only its own columns until
+	// Grow widens it.
+	hot []*Dense
 }
 
-// NewTieredCols wraps hot (taking ownership of it) as an all-hot store.
-func NewTieredCols(hot *Dense) *TieredCols {
-	return &TieredCols{r: hot.R, chunk: TieredChunkCols, hot: hot}
+// NewTieredCols returns an empty store of r rows.
+func NewTieredCols(r int) *TieredCols {
+	if r < 0 {
+		panic(fmt.Sprintf("mat: negative row count %d", r))
+	}
+	return &TieredCols{r: r}
 }
 
-// TieredFromParts rebuilds a store from decoded parts, validating the
-// shape invariants a corrupt snapshot could violate. Ownership of cold
-// and hot transfers to the store.
-func TieredFromParts(cold []*Dense32, hot *Dense, chunk int) (*TieredCols, error) {
-	if hot == nil {
-		return nil, fmt.Errorf("mat: tiered store missing hot tier")
-	}
-	if chunk < 1 {
-		return nil, fmt.Errorf("mat: tiered chunk width %d invalid", chunk)
-	}
+// TieredFromParts rebuilds a store of rows rows from decoded parts: the
+// cold chunks and the hot tier's hotCols columns as consecutive column
+// segments of TieredChunkCols (the last one possibly narrower). It
+// validates the shape invariants a corrupt snapshot could violate.
+// Ownership of cold and hot transfers to the store.
+func TieredFromParts(cold []*Dense32, hot []*Dense, rows, hotCols int) (*TieredCols, error) {
+	const w = TieredChunkCols
 	for i, c := range cold {
-		if c == nil || c.R != hot.R || c.C != chunk {
-			return nil, fmt.Errorf("mat: cold chunk %d shape inconsistent with %d×%d store (chunk %d)",
-				i, hot.R, chunk, chunk)
+		if c == nil || c.R != rows || c.C != w || len(c.Data) != rows*w {
+			return nil, fmt.Errorf("mat: cold chunk %d shape inconsistent with a %d-row store (chunk %d)", i, rows, w)
 		}
 	}
-	return &TieredCols{r: hot.R, chunk: chunk, cold: cold, hot: hot}, nil
+	covered := 0
+	for k, h := range hot {
+		last := k == len(hot)-1
+		if h == nil || h.R != rows || h.C < 1 || h.C > w || (!last && h.C != w) || !h.packed() {
+			return nil, fmt.Errorf("mat: hot segment %d shape inconsistent with a %d-row store (chunk %d)", k, rows, w)
+		}
+		covered += h.C
+	}
+	if covered != hotCols {
+		return nil, fmt.Errorf("mat: hot segments cover %d of %d columns", covered, hotCols)
+	}
+	return &TieredCols{r: rows, n: len(cold)*w + hotCols, cold: cold, hot: hot}, nil
 }
 
 // Rows returns the row (sensor) dimension.
 func (t *TieredCols) Rows() int { return t.r }
 
 // Cols returns the total column count across both tiers.
-func (t *TieredCols) Cols() int { return len(t.cold)*t.chunk + t.hot.C }
+func (t *TieredCols) Cols() int { return t.n }
 
 // ColdCols returns how many leading columns live in the f32 tier.
-func (t *TieredCols) ColdCols() int { return len(t.cold) * t.chunk }
+func (t *TieredCols) ColdCols() int { return len(t.cold) * TieredChunkCols }
 
-// ChunkCols returns the demotion chunk width.
-func (t *TieredCols) ChunkCols() int { return t.chunk }
-
-// Hot returns the hot-tier matrix (the trailing f64 columns). Callers
-// must treat it as read-only; it is exposed for serialization.
-func (t *TieredCols) Hot() *Dense { return t.hot }
+// HotChunks returns the hot-tier chunks, oldest first; together they hold
+// the Cols() − ColdCols() trailing columns, the last chunk possibly only
+// in part. Read-only; for serialization.
+func (t *TieredCols) HotChunks() []*Dense { return t.hot }
 
 // ColdChunks returns the cold-tier chunks, oldest first. Read-only; for
 // serialization.
@@ -101,73 +121,104 @@ func (t *TieredCols) ColdChunks() []*Dense32 { return t.cold }
 // At returns element (i, j) with j a global column index, widening cold
 // values to float64.
 func (t *TieredCols) At(i, j int) float64 {
-	if cc := t.ColdCols(); j < cc {
-		return float64(t.cold[j/t.chunk].At(i, j%t.chunk))
-	} else {
-		return t.hot.At(i, j-cc)
+	q, c := j/TieredChunkCols, j%TieredChunkCols
+	if q < len(t.cold) {
+		return float64(t.cold[q].Data[i*TieredChunkCols+c])
 	}
+	h := t.hot[q-len(t.cold)]
+	return h.Data[i*h.C+c]
 }
 
-// Grow appends b's columns to the hot tier (amortized, via GrowColsWith
-// capacity slack).
-func (t *TieredCols) Grow(ws *compute.Workspace, b *Dense) {
+// Grow appends b's columns, writing only them — O(P·Δ) whatever the
+// history length — and opening a new chunk each time the tail fills. The
+// copy also screens the values: if any is NaN or ±Inf the batch is
+// rejected, Cols() stays where it was, any chunk opened for it is
+// released, and Grow reports false.
+func (t *TieredCols) Grow(b *Dense) bool {
 	if b.R != t.r {
 		panic(fmt.Sprintf("mat: TieredCols.Grow row mismatch %d vs %d", b.R, t.r))
 	}
-	t.hot = GrowColsWith(ws, t.hot, b)
+	const w = TieredChunkCols
+	n0, n1 := t.n, t.n+b.C
+	base, kept := len(t.cold)*w, len(t.hot)
+	var narrow *Dense // a restored tail, replaced by a full-width chunk
+	if kept > 0 {
+		if tail := t.hot[kept-1]; tail.C < w && n1 > base+(kept-1)*w+tail.C {
+			narrow = tail
+			wide := NewDense(t.r, w)
+			for i := 0; i < t.r; i++ {
+				copy(wide.Data[i*w:], tail.Row(i))
+			}
+			t.hot[kept-1] = wide
+		}
+	}
+	for base+len(t.hot)*w < n1 {
+		t.hot = append(t.hot, NewDense(t.r, w))
+	}
+	var bad uint64
+	for j := n0; j < n1; {
+		c0 := j % w
+		n := min(w-c0, n1-j)
+		ch := t.hot[(j-base)/w]
+		for i := 0; i < t.r; i++ {
+			bad |= copyFinite(ch.Data[i*w+c0:i*w+c0+n], b.Row(i)[j-n0:j-n0+n])
+		}
+		j += n
+	}
+	if bad&(1<<63) != 0 {
+		clear(t.hot[kept:])
+		t.hot = t.hot[:kept]
+		if narrow != nil {
+			t.hot[kept-1] = narrow
+		}
+		return false
+	}
+	t.n = n1
+	return true
 }
 
-// Demote narrows full chunks of the oldest hot columns to float32 until
-// at most horizon + ChunkCols − 1 hot columns remain (so the trailing
-// horizon columns always stay exact). It returns how many columns were
-// demoted. The hot tier shifts left in place, keeping its grow capacity.
-func (t *TieredCols) Demote(horizon int) int {
-	if horizon < 0 {
-		horizon = 0
+// copyFinite copies src into dst and returns a word whose top bit is set
+// iff some value is NaN or ±Inf: adding one to a value's exponent field
+// carries into bit 63 only when that field is all ones.
+func copyFinite(dst, src []float64) uint64 {
+	const expMask, expOne = 0x7ff0_0000_0000_0000, 0x0010_0000_0000_0000
+	dst = dst[:len(src)]
+	var bad uint64
+	for k, v := range src {
+		dst[k] = v
+		bad |= math.Float64bits(v)&expMask + expOne
 	}
+	return bad
+}
+
+// Demote narrows the oldest hot chunks to float32, whole chunks at a time,
+// until fewer than horizon + TieredChunkCols hot columns remain (so the
+// trailing horizon columns always stay exact). It returns how many
+// columns were demoted. The hot chunks it keeps do not move.
+func (t *TieredCols) Demote(horizon int) int {
 	moved := 0
-	for t.hot.C-t.chunk >= horizon {
-		c32 := NewDense32(t.r, t.chunk)
-		for i := 0; i < t.r; i++ {
-			src := t.hot.Row(i)[:t.chunk]
-			dst := c32.Row(i)
-			for k, v := range src {
-				dst[k] = float32(v)
-			}
-		}
-		t.cold = append(t.cold, c32)
-		// Shift the remaining hot columns left within the same buffer
-		// (overlap-safe copy). The physical row stride must be pinned
-		// before C shrinks: on a tightly packed matrix RowStride() tracks
-		// C, and letting it shrink would re-base every row offset mid-
-		// shift. Pinning turns the vacated columns into the capacity
-		// slack GrowColsWith reuses.
-		s := t.hot.RowStride()
-		if t.hot.Stride == 0 {
-			t.hot.Stride = s
-		}
-		for i := 0; i < t.r; i++ {
-			row := t.hot.Data[i*s : i*s+t.hot.C]
-			copy(row[:t.hot.C-t.chunk], row[t.chunk:])
-		}
-		t.hot.C -= t.chunk
-		moved += t.chunk
+	for t.n-t.ColdCols()-TieredChunkCols >= max(horizon, 0) {
+		t.cold = append(t.cold, Narrow(t.hot[0]))
+		copy(t.hot, t.hot[1:])
+		t.hot[len(t.hot)-1] = nil
+		t.hot = t.hot[:len(t.hot)-1]
+		moved += TieredChunkCols
 	}
 	return moved
 }
 
 // Window returns columns [lo, hi) as a float64 matrix: a zero-copy view
-// of the hot tier when the range is entirely hot (PutDense is then a
-// no-op, and the data is valid only until the next Grow/Demote), or a
-// ws-borrowed copy with cold values widened exactly otherwise. Callers
-// PutDense the result either way.
+// when the range lies inside one hot chunk (PutDense is then a no-op, and
+// the data is valid only until the next Grow/Demote/AddRows), or a
+// ws-borrowed copy — at most P×(hi−lo) — with cold values widened exactly
+// otherwise. Callers PutDense the result either way.
 func (t *TieredCols) Window(ws *compute.Workspace, lo, hi int) *Dense {
-	cc := t.ColdCols()
-	if lo < 0 || hi > t.Cols() || lo > hi {
-		panic(fmt.Sprintf("mat: TieredCols.Window [%d,%d) out of range for %d cols", lo, hi, t.Cols()))
+	if lo < 0 || hi > t.n || lo > hi {
+		panic(fmt.Sprintf("mat: TieredCols.Window [%d,%d) out of range for %d cols", lo, hi, t.n))
 	}
-	if lo >= cc {
-		return ColsView(t.hot, lo-cc, hi-cc)
+	const w = TieredChunkCols
+	if q := lo / w; lo < hi && q >= len(t.cold) && q == (hi-1)/w {
+		return ColsView(t.hot[q-len(t.cold)], lo%w, lo%w+hi-lo)
 	}
 	return t.CopyWindow(ws, lo, hi)
 }
@@ -176,102 +227,96 @@ func (t *TieredCols) Window(ws *compute.Workspace, lo, hi int) *Dense {
 // copy regardless of tier — the safe-to-hold form for callers that
 // release the guarding lock before reading.
 func (t *TieredCols) CopyWindow(ws *compute.Workspace, lo, hi int) *Dense {
-	if lo < 0 || hi > t.Cols() || lo > hi {
-		panic(fmt.Sprintf("mat: TieredCols.CopyWindow [%d,%d) out of range for %d cols", lo, hi, t.Cols()))
+	if lo < 0 || hi > t.n || lo > hi {
+		panic(fmt.Sprintf("mat: TieredCols.CopyWindow [%d,%d) out of range for %d cols", lo, hi, t.n))
 	}
 	out := GetDenseRaw(ws, t.r, hi-lo)
 	t.fillWindow(out, lo, hi)
 	return out
 }
 
-// fillWindow copies columns [lo, hi) into out (r×(hi-lo)), widening cold
-// chunks.
+// fillWindow copies columns [lo, hi) into out (r×(hi-lo)) chunk by chunk,
+// widening cold ones.
 func (t *TieredCols) fillWindow(out *Dense, lo, hi int) {
-	cc := t.ColdCols()
-	for i := 0; i < t.r; i++ {
-		dst := out.Row(i)
-		j := lo
-		for j < hi && j < cc {
-			ch := t.cold[j/t.chunk]
-			cLo := j % t.chunk
-			cHi := t.chunk
-			if hi-j < cHi-cLo {
-				cHi = cLo + (hi - j)
+	const w = TieredChunkCols
+	for j := lo; j < hi; {
+		q, c0 := j/w, j%w
+		n := min(w-c0, hi-j)
+		if q < len(t.cold) {
+			ch := t.cold[q]
+			for i := 0; i < t.r; i++ {
+				dst := out.Row(i)[j-lo : j-lo+n]
+				for k, v := range ch.Data[i*w+c0 : i*w+c0+n] {
+					dst[k] = float64(v)
+				}
 			}
-			src := ch.Row(i)[cLo:cHi]
-			for k, v := range src {
-				dst[j-lo+k] = float64(v)
+		} else {
+			ch := t.hot[q-len(t.cold)]
+			for i := 0; i < t.r; i++ {
+				copy(out.Row(i)[j-lo:j-lo+n], ch.Data[i*ch.C+c0:])
 			}
-			j += cHi - cLo
 		}
-		if j < hi {
-			copy(dst[j-lo:], t.hot.Row(i)[j-cc:hi-cc])
-		}
+		j += n
 	}
 }
 
 // GatherCols copies the given global columns (ascending not required)
-// into a ws-borrowed r×len(idxs) matrix. The all-hot case — the level-1
-// sample gather of the streaming update — runs as a per-row slice loop
-// with no tier checks.
+// into a ws-borrowed r×len(idxs) matrix, one column at a time.
 func (t *TieredCols) GatherCols(ws *compute.Workspace, idxs []int) *Dense {
-	out := GetDenseRaw(ws, t.r, len(idxs))
-	cc := t.ColdCols()
-	allHot := true
 	for _, j := range idxs {
-		if j < cc {
-			allHot = false
-		}
-		if j < 0 || j >= t.Cols() {
-			panic(fmt.Sprintf("mat: TieredCols.GatherCols index %d out of range for %d cols", j, t.Cols()))
+		if j < 0 || j >= t.n {
+			panic(fmt.Sprintf("mat: TieredCols.GatherCols index %d out of range for %d cols", j, t.n))
 		}
 	}
-	if allHot {
-		for i := 0; i < t.r; i++ {
-			src := t.hot.Row(i)
-			dst := out.Row(i)
-			for k, j := range idxs {
-				dst[k] = src[j-cc]
+	const w = TieredChunkCols
+	out := GetDenseRaw(ws, t.r, len(idxs))
+	m := len(idxs)
+	for k, j := range idxs {
+		q, c := j/w, j%w
+		if q < len(t.cold) {
+			src := t.cold[q].Data
+			for i := 0; i < t.r; i++ {
+				out.Data[i*m+k] = float64(src[i*w+c])
 			}
+			continue
 		}
-		return out
-	}
-	for i := 0; i < t.r; i++ {
-		dst := out.Row(i)
-		for k, j := range idxs {
-			dst[k] = t.At(i, j)
+		h := t.hot[q-len(t.cold)]
+		for i := 0; i < t.r; i++ {
+			out.Data[i*m+k] = h.Data[i*h.C+c]
 		}
 	}
 	return out
 }
 
-// AddRows appends new sensor rows carrying the full column history: the
-// hot slice of rows joins the hot tier, and each cold chunk gains the
-// corresponding columns narrowed to float32 — so the new rows take on
-// exactly the fidelity of the tier they land in.
-func (t *TieredCols) AddRows(ws *compute.Workspace, rows *Dense) {
-	if rows.C != t.Cols() {
-		panic(fmt.Sprintf("mat: TieredCols.AddRows needs %d columns, got %d", t.Cols(), rows.C))
+// AddRows appends new sensor rows carrying the full column history: each
+// chunk is reallocated with the extra rows, cold chunks gaining theirs
+// narrowed to float32 — so the new rows take on exactly the fidelity of
+// the tier they land in.
+func (t *TieredCols) AddRows(rows *Dense) {
+	if rows.C != t.n {
+		panic(fmt.Sprintf("mat: TieredCols.AddRows needs %d columns, got %d", t.n, rows.C))
 	}
-	cc := t.ColdCols()
-	hotRows := ColsView(rows, cc, rows.C)
-	grown := VStackWith(ws, t.hot, hotRows)
-	PutDense(ws, t.hot)
-	t.hot = grown
-	for ci, ch := range t.cold {
-		c0 := ci * t.chunk
-		g := NewDense32(t.r+rows.R, t.chunk)
-		for i := 0; i < t.r; i++ {
-			copy(g.Row(i), ch.Row(i))
-		}
+	const w = TieredChunkCols
+	for q, ch := range t.cold {
+		g := NewDense32(t.r+rows.R, w)
+		copy(g.Data, ch.Data)
 		for i := 0; i < rows.R; i++ {
-			src := rows.Row(i)[c0 : c0+t.chunk]
 			dst := g.Row(t.r + i)
-			for k, v := range src {
+			for k, v := range rows.Row(i)[q*w : (q+1)*w] {
 				dst[k] = float32(v)
 			}
 		}
-		t.cold[ci] = g
+		t.cold[q] = g
+	}
+	for k, ch := range t.hot {
+		c0 := (len(t.cold) + k) * w
+		n := min(ch.C, t.n-c0)
+		g := NewDense(t.r+rows.R, ch.C)
+		copy(g.Data, ch.Data)
+		for i := 0; i < rows.R; i++ {
+			copy(g.Row(t.r+i), rows.Row(i)[c0:c0+n])
+		}
+		t.hot[k] = g
 	}
 	t.r += rows.R
 }
@@ -279,14 +324,20 @@ func (t *TieredCols) AddRows(ws *compute.Workspace, rows *Dense) {
 // Promote returns the full history as one freshly allocated packed
 // float64 matrix (cold values widened exactly).
 func (t *TieredCols) Promote() *Dense {
-	out := NewDense(t.r, t.Cols())
-	t.fillWindow(out, 0, t.Cols())
+	out := NewDense(t.r, t.n)
+	t.fillWindow(out, 0, t.n)
 	return out
 }
 
-// HotBytes returns the resident bytes of the hot tier, counting the grow
-// capacity actually held.
-func (t *TieredCols) HotBytes() int64 { return int64(len(t.hot.Data)) * 8 }
+// HotBytes returns the resident bytes of the hot tier, counting every
+// chunk at the capacity it holds.
+func (t *TieredCols) HotBytes() int64 {
+	var n int64
+	for _, h := range t.hot {
+		n += int64(len(h.Data)) * 8
+	}
+	return n
+}
 
 // ColdBytes returns the resident bytes of the cold tier.
 func (t *TieredCols) ColdBytes() int64 {
