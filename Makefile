@@ -31,7 +31,7 @@ vet-asmdecl:
 	$(GO) vet -asmdecl ./...
 
 checkptr:
-	$(GO) test -count=1 -gcflags=all=-d=checkptr ./internal/mat/... ./internal/compute/... ./internal/svd/...
+	$(GO) test -count=1 -gcflags=all=-d=checkptr ./internal/mat/... ./internal/compute/... ./internal/svd/... ./internal/codec/...
 
 lint: vet-custom vet-asmdecl
 	$(GO) vet ./...

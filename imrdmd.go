@@ -276,16 +276,16 @@ func (a *Analyzer) Spectrum() []SpectrumPoint {
 }
 
 // NumModes returns the total retained mode count.
-func (a *Analyzer) NumModes() int { return a.inc.Tree().NumModes() }
+func (a *Analyzer) NumModes() int { return a.inc.NumModes() }
 
 // Levels returns the deepest level currently in the tree.
-func (a *Analyzer) Levels() int { return a.inc.Tree().MaxLevel() }
+func (a *Analyzer) Levels() int { return a.inc.MaxLevel() }
 
 // ModeMagnitudes returns, per sensor, the amplitude-weighted spectral
 // mode magnitude over modes with frequency in [lo, hi] — a spectral view
 // of where each sensor's energy lives.
 func (a *Analyzer) ModeMagnitudes(lo, hi float64) []float64 {
-	return a.inc.Tree().ModeMagnitudes(core.FreqBand{Lo: lo, Hi: hi})
+	return a.inc.ModeMagnitudes(core.FreqBand{Lo: lo, Hi: hi})
 }
 
 // ReadingLevels returns, per sensor, the time-mean of the band-limited
@@ -295,7 +295,7 @@ func (a *Analyzer) ReadingLevels(lo, hi float64) []float64 {
 	if math.IsInf(hi, 1) {
 		hi = math.MaxFloat64
 	}
-	return a.inc.Tree().ReadingLevels(core.FreqBand{Lo: lo, Hi: hi})
+	return a.inc.ReadingLevels(core.FreqBand{Lo: lo, Hi: hi})
 }
 
 // ZScores standardizes band-limited reading levels against the baseline

@@ -507,12 +507,6 @@ func decodeSlice[T any](d *Reader, n, elemSize int, decode func(dst []T, src []b
 	return v
 }
 
-func getFloats(dst []float64, src []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-}
-
 func getFloat32s(dst []float32, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
@@ -541,7 +535,7 @@ func (d *Reader) Ints() []int {
 // Floats reads a length-prefixed []float64.
 func (d *Reader) Floats() []float64 {
 	n := d.Len()
-	return decodeSlice(d, n, 8, getFloats)
+	return decodeSlice(d, n, 8, decodeFloats)
 }
 
 // Complexes reads a length-prefixed []complex128.
@@ -553,7 +547,7 @@ func (d *Reader) Complexes() []complex128 {
 // Dense reads a matrix written by Writer.Dense.
 func (d *Reader) Dense() *mat.Dense {
 	r, c := d.shape()
-	data := decodeSlice(d, r*c, 8, getFloats)
+	data := decodeSlice(d, r*c, 8, decodeFloats)
 	if d.err != nil {
 		return nil
 	}
@@ -630,13 +624,16 @@ var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // decodeFloats fills dst from the wire bytes src: one memmove on a
 // little-endian host, whose memory layout is the wire format, else the
-// per-element decode.
+// per-element decode. Every float64 section (Floats, Dense and
+// DenseSegments) decodes through it.
 func decodeFloats(dst []float64, src []byte) {
 	if nativeLE {
 		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*len(dst)), src)
 		return
 	}
-	getFloats(dst, src)
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
 }
 
 // Dense32 reads a float32 matrix written by Writer.Dense32.

@@ -554,13 +554,7 @@ func (inc *Incremental) Tree() *Tree {
 	if inc.hist == nil {
 		return &Tree{P: inc.p, Opts: inc.opts}
 	}
-	nodes := []*Node{cloneNode(inc.level1)}
-	for _, seg := range inc.segments {
-		for _, nd := range seg.nodes {
-			nodes = append(nodes, cloneNode(nd))
-		}
-	}
-	return &Tree{Nodes: nodes, P: inc.p, T: inc.hist.Cols(), Opts: inc.opts}
+	return &Tree{Nodes: treeNodesLocked(inc), P: inc.p, T: inc.hist.Cols(), Opts: inc.opts}
 }
 
 func cloneNode(n *Node) *Node {
@@ -604,12 +598,12 @@ func (inc *Incremental) ReconError() float64 {
 // that the per-window lock hold and scratch stay modest.
 const reconErrWindow = 1024
 
+// treeNodesLocked clones the live nodes, in Tree order, for a caller
+// that uses them after the lock drops.
 func treeNodesLocked(inc *Incremental) []*Node {
-	nodes := []*Node{cloneNode(inc.level1)}
-	for _, seg := range inc.segments {
-		for _, nd := range seg.nodes {
-			nodes = append(nodes, cloneNode(nd))
-		}
+	nodes := inc.liveNodesLocked()
+	for i, nd := range nodes {
+		nodes[i] = cloneNode(nd)
 	}
 	return nodes
 }
@@ -663,9 +657,10 @@ func (inc *Incremental) reconErrorStreamed() (float64, bool) {
 }
 
 // addNodeWindow accumulates nd's reconstruction restricted to absolute
-// columns [lo, hi) into acc (P×(hi−lo) covering that span) — the same
-// arithmetic as Tree.Reconstruct's addNodeRecon, evaluated only where the
-// node's window intersects the span.
+// columns [lo, hi) into acc (P×(hi−lo) covering that span), evaluated
+// only where the node's window intersects the span. It is the one
+// full-resolution mode sum: Tree.Reconstruct runs it over [0, T) and
+// ReconError over reconErrWindow-wide spans.
 func addNodeWindow(eng *compute.Engine, ws *compute.Workspace, acc *mat.Dense, nd *Node, lo, hi int, dt float64) {
 	if len(nd.Modes) == 0 {
 		return

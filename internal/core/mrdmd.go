@@ -339,7 +339,7 @@ func windowStride(n int, opts Options) int {
 // Reconstruct sums the slow-mode reconstructions of every node, giving the
 // mrDMD approximation of the original data (Eq. 7/8).
 func (t *Tree) Reconstruct() *mat.Dense {
-	return reconstructNodes(t.Nodes, t.P, t.T, t.Opts.DT)
+	return reconstructNodes(t.Nodes, t.P, t.T, t.Opts)
 }
 
 // ReconstructLevels reconstructs using only nodes with Level ≤ maxLevel,
@@ -351,41 +351,24 @@ func (t *Tree) ReconstructLevels(maxLevel int) *mat.Dense {
 			kept = append(kept, n)
 		}
 	}
-	return reconstructNodes(kept, t.P, t.T, t.Opts.DT)
+	return reconstructNodes(kept, t.P, t.T, t.Opts)
 }
 
-func reconstructNodes(nodes []*Node, p, t int, dt float64) *mat.Dense {
+// reconstructNodes sums the nodes' slow reconstructions over a P×T
+// matrix, each through addNodeWindow over its own window — the mode sum
+// ReconError streams window by window.
+func reconstructNodes(nodes []*Node, p, t int, opts Options) *mat.Dense {
 	out := mat.NewDense(p, t)
+	eng, ws := opts.engine(), compute.NewWorkspace()
 	for _, nd := range nodes {
-		addNodeRecon(out, nd, dt)
+		addNodeWindow(eng, ws, out, nd, 0, t, opts.DT)
 	}
 	return out
 }
 
-// addNodeRecon adds a node's slow-part reconstruction into out over the
-// node's own window.
-func addNodeRecon(out *mat.Dense, nd *Node, dt float64) {
-	if len(nd.Modes) == 0 {
-		return
-	}
-	w := nd.Window()
-	times := make([]float64, w)
-	for k := range times {
-		times[k] = float64(k) * dt
-	}
-	recon := dmd.ReconstructModes(nd.Modes, out.R, times)
-	for i := 0; i < out.R; i++ {
-		dst := out.Row(i)[nd.Start:nd.End]
-		src := recon.Row(i)
-		for k := range dst {
-			dst[k] += src[k]
-		}
-	}
-}
-
 // Spectrum flattens every node's modes into spectrum points (Fig. 5/7).
 func (t *Tree) Spectrum() []dmd.SpectrumPoint {
-	return spectrumOf(t.Nodes, t.NumModes())
+	return spectrumOf(t.Nodes, numModes(t.Nodes))
 }
 
 // spectrumOf flattens the modes of nodes, numModes of them in all, into
@@ -410,18 +393,22 @@ func spectrumOf(nodes []*Node, numModes int) []dmd.SpectrumPoint {
 }
 
 // NumModes counts retained modes across the tree.
-func (t *Tree) NumModes() int {
+func (t *Tree) NumModes() int { return numModes(t.Nodes) }
+
+func numModes(nodes []*Node) int {
 	c := 0
-	for _, n := range t.Nodes {
+	for _, n := range nodes {
 		c += len(n.Modes)
 	}
 	return c
 }
 
 // MaxLevel returns the deepest level present.
-func (t *Tree) MaxLevel() int {
+func (t *Tree) MaxLevel() int { return maxLevel(t.Nodes) }
+
+func maxLevel(nodes []*Node) int {
 	m := 0
-	for _, n := range t.Nodes {
+	for _, n := range nodes {
 		if n.Level > m {
 			m = n.Level
 		}

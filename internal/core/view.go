@@ -65,12 +65,8 @@ func (inc *Incremental) View() View {
 	v.LastDrift = inc.lastDriftLocked()
 	nodes := inc.liveNodesLocked()
 	v.Nodes = len(nodes)
-	for _, nd := range nodes {
-		v.NumModes += len(nd.Modes)
-		if nd.Level > v.MaxLevel {
-			v.MaxLevel = nd.Level
-		}
-	}
+	v.NumModes = numModes(nodes)
+	v.MaxLevel = maxLevel(nodes)
 	v.Spectrum = spectrumOf(nodes, v.NumModes)
 	v.GridError, v.GridCols = inc.gridErrorLocked()
 	return v
@@ -79,24 +75,55 @@ func (inc *Incremental) View() View {
 // Spectrum returns Tree().Spectrum() — the same points in the same order
 // — read off the live nodes under the lock instead of from a clone of
 // every node and mode array, so a read allocates only its result. Before
-// InitialFit it is nil.
+// InitialFit it is nil. NumModes, MaxLevel, ModeMagnitudes and
+// ReadingLevels read the live nodes the same way and equal the Tree
+// methods of the same names.
 func (inc *Incremental) Spectrum() []dmd.SpectrumPoint {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	if inc.hist == nil {
-		return nil
-	}
 	nodes := inc.liveNodesLocked()
-	n := 0
-	for _, nd := range nodes {
-		n += len(nd.Modes)
+	return spectrumOf(nodes, numModes(nodes))
+}
+
+// NumModes returns Tree().NumModes() without the clone.
+func (inc *Incremental) NumModes() int {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	return numModes(inc.liveNodesLocked())
+}
+
+// MaxLevel returns Tree().MaxLevel() without the clone.
+func (inc *Incremental) MaxLevel() int {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	return maxLevel(inc.liveNodesLocked())
+}
+
+// ModeMagnitudes returns Tree().ModeMagnitudes(band) without the clone.
+func (inc *Incremental) ModeMagnitudes(band FreqBand) []float64 {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	return modeMagnitudes(inc.liveNodesLocked(), inc.p, band)
+}
+
+// ReadingLevels returns Tree().ReadingLevels(band) without the clone.
+func (inc *Incremental) ReadingLevels(band FreqBand) []float64 {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	t := 0
+	if inc.hist != nil {
+		t = inc.hist.Cols()
 	}
-	return spectrumOf(nodes, n)
+	return readingLevels(inc.liveNodesLocked(), inc.p, inc.opts.DT, band, 0, t)
 }
 
 // liveNodesLocked lists the live nodes in Tree order without cloning
 // them; callers only read them, and finish before releasing the lock.
+// Before InitialFit there are none.
 func (inc *Incremental) liveNodesLocked() []*Node {
+	if inc.hist == nil {
+		return nil
+	}
 	n := 1
 	for _, seg := range inc.segments {
 		n += len(seg.nodes)

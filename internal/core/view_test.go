@@ -6,9 +6,11 @@ import (
 	"testing"
 )
 
-// TestViewMatchesTree pins View() and Spectrum() against the heavyweight
-// accessors they replace on the read path: the spectrum must equal
-// Tree().Spectrum() point for point, the counters must match the Tree methods, and the
+// TestViewMatchesTree pins View(), Spectrum() and the other live-node
+// readers against the heavyweight accessors they replace on the read
+// path: the spectrum must equal Tree().Spectrum() point for point, the
+// counters must match the Tree methods, NumModes, MaxLevel,
+// ModeMagnitudes and ReadingLevels must equal theirs bit for bit, and the
 // grid error must equal evaluating the full-resolution reconstruction at
 // the sampled columns — View is a cheaper assembly of the same values,
 // not an approximation (beyond the grid restriction, which is exact on
@@ -18,6 +20,22 @@ func TestViewMatchesTree(t *testing.T) {
 	data, _ := multiscale(rng, 16, 768, 1, 0.1)
 
 	inc := NewIncremental(defaultOpts())
+	bands := []FreqBand{FullBand(), {Lo: 0, Hi: 1e-3}}
+	readers := func(stage string, tree *Tree) {
+		t.Helper()
+		if n, l := inc.NumModes(), inc.MaxLevel(); n != tree.NumModes() || l != tree.MaxLevel() {
+			t.Fatalf("%s: NumModes %d MaxLevel %d vs tree %d/%d", stage, n, l, tree.NumModes(), tree.MaxLevel())
+		}
+		for _, b := range bands {
+			if !sameFloatBits(inc.ModeMagnitudes(b), tree.ModeMagnitudes(b)) {
+				t.Fatalf("%s: ModeMagnitudes%v differ from the tree's", stage, b)
+			}
+			if !sameFloatBits(inc.ReadingLevels(b), tree.ReadingLevels(b)) {
+				t.Fatalf("%s: ReadingLevels%v differ from the tree's", stage, b)
+			}
+		}
+	}
+	readers("before InitialFit", inc.Tree())
 	if err := inc.InitialFit(data.ColSlice(0, 512)); err != nil {
 		t.Fatal(err)
 	}
@@ -25,6 +43,7 @@ func TestViewMatchesTree(t *testing.T) {
 		t.Helper()
 		v := inc.View()
 		tree := inc.Tree()
+		readers(stage, tree)
 		if v.Steps != tree.T || v.Sensors != tree.P {
 			t.Fatalf("%s: view %dx%d vs tree %dx%d", stage, v.Sensors, v.Steps, tree.P, tree.T)
 		}
@@ -78,6 +97,20 @@ func TestViewMatchesTree(t *testing.T) {
 	if v.LastDrift != inc.DriftLog()[len(inc.DriftLog())-1] {
 		t.Fatalf("last drift %v vs drift log", v.LastDrift)
 	}
+}
+
+// sameFloatBits reports whether a and b hold the same float64 bit
+// patterns (NaN included).
+func sameFloatBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestViewUnseeded: a View of an unfitted analyzer is the zero summary,

@@ -424,21 +424,9 @@ func logLambda(lam complex128, dt float64) complex128 {
 // matrix (imaginary parts cancel up to roundoff for real data and are
 // discarded).
 func (d *Decomposition) Reconstruct(times []float64) *mat.Dense {
-	return ReconstructModes(d.Modes, d.P, times)
-}
-
-// ReconstructModes evaluates a subset of modes at the given times.
-func ReconstructModes(modes []Mode, p int, times []float64) *mat.Dense {
-	out := mat.NewDense(p, len(times))
-	reconstructInto(out, modes, times)
+	out := mat.NewDense(d.P, len(times))
+	AddReconstructionWith(nil, nil, out, d.Modes, times)
 	return out
-}
-
-// ReconstructModesInto evaluates modes at the given times into out
-// (p×len(times)), overwriting its contents — the allocation-free variant
-// for pooled reconstruction scratch.
-func ReconstructModesInto(out *mat.Dense, modes []Mode, times []float64) {
-	ReconstructModesIntoWith(nil, nil, out, modes, times)
 }
 
 // ampWindowMassFloor is the windowed amplitude fit's relative mass floor:
@@ -464,8 +452,9 @@ const reconGemmMin = 4096
 // independently and in the same order.
 func ReconGemmForm(p, t, r int) bool { return r*t*p >= reconGemmMin }
 
-// ReconstructModesIntoWith is ReconstructModesInto with the evaluation
-// GEMMs routed through engine e and scratch borrowed from ws (both may be
+// ReconstructModesIntoWith evaluates modes at the given times into out
+// (p×len(times)), overwriting its contents, with the evaluation GEMMs
+// routed through engine e and scratch borrowed from ws (both may be
 // nil). For non-trivial mode sets the evaluation runs as two real GEMMs,
 // Re(X̂) = Re(Φ)·Re(W) − Im(Φ)·Im(W) with W[j,k] = e^{ψⱼtₖ}bⱼ — X is
 // real, so the planes never mix — which lands on the tall-skinny kernel
@@ -481,7 +470,7 @@ func ReconstructModesIntoWith(e *compute.Engine, ws *compute.Workspace, out *mat
 // stay bit-identical to a from-scratch full-width evaluation.
 func ReconstructModesIntoFormWith(e *compute.Engine, ws *compute.Workspace, out *mat.Dense, modes []Mode, times []float64, gemm bool) {
 	if out.C != len(times) {
-		panic("dmd: ReconstructModesInto shape mismatch")
+		panic("dmd: reconstruction shape mismatch")
 	}
 	p, t := out.R, len(times)
 	if gemm && len(modes) > 0 && t > 0 && p > 0 {
@@ -495,22 +484,7 @@ func ReconstructModesIntoFormWith(e *compute.Engine, ws *compute.Workspace, out 
 			row[k] = 0
 		}
 	}
-	reconstructInto(out, modes, times)
-}
-
-func reconstructInto(out *mat.Dense, modes []Mode, times []float64) {
-	p, s := out.R, out.RowStride()
-	for _, m := range modes {
-		for k, t := range times {
-			w := expPsiT(m.Psi, t) * m.Amp
-			if w == 0 {
-				continue
-			}
-			for i := 0; i < p; i++ {
-				out.Data[i*s+k] += real(m.Phi[i] * w)
-			}
-		}
-	}
+	accumScalar(out, modes, times, 1)
 }
 
 // reconPlanes splits Φ and the time-weight matrix W[j,k] = e^{ψⱼtₖ}bⱼ
@@ -591,7 +565,16 @@ func accumReconstruction(e *compute.Engine, ws *compute.Workspace, dst *mat.Dens
 		putReconPlanes(ws, phiRe, phiIm, wRe, wIm)
 		return
 	}
-	s := dst.RowStride()
+	accumScalar(dst, modes, times, sign)
+}
+
+// accumScalar is the mode sum's scalar form, dst += sign·X̂ one column
+// of one mode at a time: below reconGemmMin the GEMM planes cost more to
+// set up than this loop. sign is ±1, and multiplying by complex(1, 0) is
+// exact for finite values, so the overwrite form's sum is bit-identical
+// to a plain +=.
+func accumScalar(dst *mat.Dense, modes []Mode, times []float64, sign float64) {
+	p, s := dst.R, dst.RowStride()
 	for j := range modes {
 		m := &modes[j]
 		for k, tk := range times {

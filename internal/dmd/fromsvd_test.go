@@ -102,7 +102,8 @@ func TestOptimalAmplitudesBeatSingleSnapshot(t *testing.T) {
 	for j := range single {
 		single[j].Amp = b1[j]
 	}
-	singleErr := mat.Sub(ReconstructModes(single, p, times), data).FrobNorm()
+	singleDec := &Decomposition{Modes: single, P: p}
+	singleErr := mat.Sub(singleDec.Reconstruct(times), data).FrobNorm()
 
 	if optErr > singleErr {
 		t.Fatalf("optimal amplitudes (%g) worse than single-snapshot fit (%g)", optErr, singleErr)
@@ -110,7 +111,7 @@ func TestOptimalAmplitudesBeatSingleSnapshot(t *testing.T) {
 }
 
 func TestReconstructModesEmpty(t *testing.T) {
-	out := ReconstructModes(nil, 4, []float64{0, 1, 2})
+	out := (&Decomposition{P: 4}).Reconstruct([]float64{0, 1, 2})
 	if out.R != 4 || out.C != 3 || out.FrobNorm() != 0 {
 		t.Fatal("empty mode reconstruction should be zero matrix")
 	}

@@ -103,28 +103,3 @@ func TestNonsymmetricLargeScale(t *testing.T) {
 		}
 	}
 }
-
-func TestSymmetricClusteredEigenvalues(t *testing.T) {
-	// Two nearly equal eigenvalues: Jacobi must still give an orthonormal
-	// basis spanning the cluster.
-	a := mat.DiagOf([]float64{1 + 1e-12, 1, 0.5})
-	w, v := Symmetric(a)
-	if math.Abs(w[0]-1) > 1e-9 || math.Abs(w[1]-1) > 1e-9 {
-		t.Fatalf("clustered eigenvalues %v", w)
-	}
-	vtv := mat.Mul(v.T(), v)
-	if d := mat.Sub(vtv, mat.Eye(3)).FrobNorm(); d > 1e-10 {
-		t.Fatalf("basis not orthonormal for clustered spectrum: %g", d)
-	}
-}
-
-func TestSymmetricNegativeDefinite(t *testing.T) {
-	a := mat.DiagOf([]float64{-1, -2, -3})
-	w, _ := Symmetric(a)
-	want := []float64{-1, -2, -3}
-	for i := range want {
-		if math.Abs(w[i]-want[i]) > 1e-12 {
-			t.Fatalf("eigenvalues %v want %v (descending)", w, want)
-		}
-	}
-}

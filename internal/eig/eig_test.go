@@ -20,93 +20,6 @@ func toComplex(a *mat.Dense) *mat.CDense {
 	return out
 }
 
-func randSymmetric(rng *rand.Rand, n int) *mat.Dense {
-	a := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := rng.NormFloat64()
-			a.Set(i, j, v)
-			a.Set(j, i, v)
-		}
-	}
-	return a
-}
-
-func TestSymmetricDiagonal(t *testing.T) {
-	a := mat.DiagOf([]float64{3, 1, 2})
-	w, v := Symmetric(a)
-	want := []float64{3, 2, 1}
-	for i, x := range want {
-		if math.Abs(w[i]-x) > 1e-12 {
-			t.Fatalf("eigenvalues %v want %v", w, want)
-		}
-	}
-	// Eigenvectors must be signed unit vectors.
-	for j := 0; j < 3; j++ {
-		var nrm float64
-		for i := 0; i < 3; i++ {
-			nrm += v.At(i, j) * v.At(i, j)
-		}
-		if math.Abs(nrm-1) > 1e-12 {
-			t.Fatalf("eigenvector %d not unit norm", j)
-		}
-	}
-}
-
-func TestSymmetricKnown2x2(t *testing.T) {
-	// [[2,1],[1,2]] has eigenvalues 3 and 1.
-	a := mat.NewDenseData(2, 2, []float64{2, 1, 1, 2})
-	w, _ := Symmetric(a)
-	if math.Abs(w[0]-3) > 1e-12 || math.Abs(w[1]-1) > 1e-12 {
-		t.Fatalf("eigenvalues %v want [3 1]", w)
-	}
-}
-
-func TestSymmetricResidualProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(12)
-		a := randSymmetric(rng, n)
-		w, v := Symmetric(a)
-		// A v_j = w_j v_j for all j.
-		for j := 0; j < n; j++ {
-			col := v.Col(j)
-			av := mat.MulVec(a, col)
-			for i := 0; i < n; i++ {
-				if math.Abs(av[i]-w[j]*col[i]) > 1e-8*(1+a.FrobNorm()) {
-					return false
-				}
-			}
-		}
-		// V orthonormal.
-		vtv := mat.Mul(v.T(), v)
-		return mat.Sub(vtv, mat.Eye(n)).FrobNorm() < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSymmetricDescendingOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randSymmetric(rng, 10)
-	w, _ := Symmetric(a)
-	if !sort.IsSorted(sort.Reverse(sort.Float64Slice(w))) {
-		t.Fatalf("eigenvalues not descending: %v", w)
-	}
-}
-
-func TestSymmetricEmptyAndScalar(t *testing.T) {
-	w, _ := Symmetric(mat.NewDense(0, 0))
-	if len(w) != 0 {
-		t.Fatal("empty matrix should give no eigenvalues")
-	}
-	w, v := Symmetric(mat.NewDenseData(1, 1, []float64{4}))
-	if w[0] != 4 || v.At(0, 0) != 1 {
-		t.Fatal("scalar eigendecomposition wrong")
-	}
-}
-
 func TestNonsymmetricRealSpectrum(t *testing.T) {
 	// Upper triangular: eigenvalues are the diagonal.
 	a := mat.NewDenseData(3, 3, []float64{
@@ -252,16 +165,6 @@ func TestHessenbergPreservesEigenvalues(t *testing.T) {
 		if cmplx.Abs(va[i]-vh[i]) > 1e-6 {
 			t.Fatalf("spectra differ: %v vs %v", va, vh)
 		}
-	}
-}
-
-func BenchmarkSymmetric64(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randSymmetric(rng, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Symmetric(a)
 	}
 }
 

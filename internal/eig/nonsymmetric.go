@@ -1,3 +1,6 @@
+// Package eig provides the eigendecomposition the DMD layer needs: a
+// complex shifted-QR solver with inverse iteration for small nonsymmetric
+// matrices, used to diagonalize the DMD-projected operator Ã.
 package eig
 
 import (

@@ -15,7 +15,7 @@ func GetDense(ws *compute.Workspace, r, c int) *Dense {
 
 // GetDenseRaw borrows an r×c matrix whose contents are unspecified — for
 // callers that overwrite every element before reading (e.g. feeding
-// dmd.ReconstructModesInto, which zeroes its output itself).
+// dmd.ReconstructModesIntoWith, which zeroes its output itself).
 func GetDenseRaw(ws *compute.Workspace, r, c int) *Dense {
 	return &Dense{R: r, C: c, Data: ws.GetF64(r * c)}
 }

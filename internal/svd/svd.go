@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"imrdmd/internal/compute"
-	"imrdmd/internal/eig"
 	"imrdmd/internal/mat"
 )
 
@@ -60,17 +59,8 @@ func (r *Result) Reconstruct() *mat.Dense {
 }
 
 // jacobiCutoff is the min-dimension above which Compute switches from
-// one-sided Jacobi to the method of snapshots. Exported for tests via
-// SetJacobiCutoff.
-var jacobiCutoff = 96
-
-// SetJacobiCutoff overrides the Jacobi/snapshots switch point and returns
-// the previous value; intended for tests and benchmarks.
-func SetJacobiCutoff(n int) int {
-	old := jacobiCutoff
-	jacobiCutoff = n
-	return old
-}
+// one-sided Jacobi on the matrix to the method of snapshots.
+const jacobiCutoff = 96
 
 // Numerical thresholds of the Jacobi SVD, each a small multiple of the
 // float64 machine epsilon (2⁻⁵²): jacobiRotTol is the off-diagonal
@@ -86,7 +76,8 @@ const (
 // one-sided Jacobi (high accuracy); larger ones through the method of
 // snapshots on the smaller Gram matrix (accuracy ~√ε relative to the
 // largest singular value, which is ample for sensor data and is exactly
-// the classical POD/DMD route).
+// the classical POD/DMD route). Both routes run the same Jacobi kernel,
+// on a itself or on its Gram matrix.
 func Compute(a *mat.Dense) *Result {
 	return ComputeWith(compute.Default(), nil, a)
 }
@@ -264,8 +255,9 @@ func jacobiSVDWS(e *compute.Engine, a *mat.Dense, ws *compute.Workspace, poolOut
 		}
 		tr[j] = triplet{math.Sqrt(s), j}
 	}
-	// Insertion sort, descending: n is small (≤ jacobiCutoff) and this
-	// avoids sort.Slice's reflection allocations on the update hot path.
+	// Insertion sort, descending: n is small on the update hot path (at
+	// most jacobiCutoff), and this avoids sort.Slice's reflection
+	// allocations there.
 	for i := 1; i < n; i++ {
 		t := tr[i]
 		j := i - 1
@@ -316,73 +308,45 @@ func jacobiSVDWS(e *compute.Engine, a *mat.Dense, ws *compute.Workspace, poolOut
 	return &Result{U: u, S: ss, V: vv}
 }
 
-// snapshotSVD computes the economy SVD via the eigendecomposition of the
-// smaller Gram matrix (the classical method of snapshots). With poolOut
-// the returned U and V are borrowed from ws, as in jacobiSVDWS.
+// snapshotSVD computes the economy SVD from the smaller Gram matrix (the
+// classical method of snapshots), factored by the same one-sided Jacobi
+// as small matrices: for the symmetric positive semidefinite G its right
+// singular vectors are its eigenvectors and its singular values its
+// eigenvalues λ = σ². Jacobi's relative drop tolerance on G keeps
+// σ ≥ √relDropTol·σmax = 1e-6·σmax; below that the Gram's absolute error
+// (about u·σmax²) swamps σ² anyway. With poolOut the returned U and V are
+// borrowed from ws, as in jacobiSVDWS.
 func snapshotSVD(e *compute.Engine, ws *compute.Workspace, a *mat.Dense, poolOut bool) *Result {
 	var out *compute.Workspace // nil: the factors are freshly owned
 	if poolOut {
 		out = ws
 	}
-	m, n := a.Dims()
-	if n <= m {
-		// G = AᵀA = V Λ Vᵀ; σ = √λ; U = A V Σ⁻¹.
-		g := mat.GramWith(e, ws, a, true)
-		w, v := eig.Symmetric(g) // clones g internally
-		mat.PutDense(ws, g)
-		return assembleFromGram(e, out, a, w, v, false)
-	}
-	// G = AAᵀ = U Λ Uᵀ; σ = √λ; V = Aᵀ U Σ⁻¹.
-	g := mat.GramWith(e, ws, a, false)
-	w, u := eig.Symmetric(g)
+	// n ≤ m: G = AᵀA = V Λ Vᵀ and U = A V Σ⁻¹. Otherwise G = AAᵀ = U Λ Uᵀ
+	// and V = Aᵀ U Σ⁻¹.
+	left := a.R < a.C
+	g := mat.GramWith(e, ws, a, !left)
+	eg := jacobiSVDWS(e, g, ws, poolOut)
 	mat.PutDense(ws, g)
-	return assembleFromGram(e, out, a, w, u, true)
-}
-
-// assembleFromGram turns the Gram eigendecomposition into an SVD. When
-// left is false the eigenvectors are V and U is recovered; when true the
-// eigenvectors are U and V is recovered. The factors are borrowed from
-// out (nil allocates).
-func assembleFromGram(e *compute.Engine, out *compute.Workspace, a *mat.Dense, w []float64, vecs *mat.Dense, left bool) *Result {
-	var smax float64
-	for _, l := range w {
-		if l > smax {
-			smax = l
-		}
-	}
-	smax = math.Sqrt(math.Max(smax, 0))
-	rank := 0
-	// Squared spectrum: drop below (relTol·σmax)² and negatives (noise).
-	for rank < len(w) {
-		l := w[rank]
-		if l <= 0 {
-			break
-		}
-		if math.Sqrt(l) <= 1e-8*smax {
-			break
-		}
-		rank++
-	}
-	if rank == 0 {
+	mat.PutDense(ws, eg.U)
+	if eg.S[0] == 0 {
+		mat.PutDense(ws, eg.V)
 		m, n := a.Dims()
-		z := &Result{U: mat.NewDense(m, 1), S: []float64{0}, V: mat.NewDense(n, 1)}
-		return z
+		return &Result{U: mat.NewDense(m, 1), S: []float64{0}, V: mat.NewDense(n, 1)}
 	}
-	s := make([]float64, rank)
-	for i := 0; i < rank; i++ {
-		s[i] = math.Sqrt(w[i])
+	s, vecs := eg.S, eg.V
+	for i, l := range s {
+		s[i] = math.Sqrt(l)
 	}
-	kept := mat.ColSliceWith(out, vecs, 0, rank)
 	if !left {
-		// kept = V; U = A V Σ⁻¹.
-		u := mat.MulWith(e, out, a, kept)
+		// vecs = V; U = A V Σ⁻¹.
+		u := mat.MulWith(e, out, a, vecs)
 		scaleColsInv(u, s)
-		return &Result{U: u, S: s, V: kept}
+		return &Result{U: u, S: s, V: vecs}
 	}
-	// kept = U; V = Aᵀ U Σ⁻¹ computed as (UᵀA)ᵀ Σ⁻¹ without materializing Aᵀ.
-	v := mat.MulTWith(e, out, a, kept) // aᵀ·kept — exactly Aᵀ U.
+	// vecs = U; V = Aᵀ U Σ⁻¹ computed as (UᵀA)ᵀ Σ⁻¹ without materializing Aᵀ.
+	v := mat.MulTWith(e, out, a, vecs) // aᵀ·vecs — exactly Aᵀ U.
 	scaleColsInv(v, s)
-	return &Result{U: kept, S: s, V: v}
+	return &Result{U: vecs, S: s, V: v}
 }
 
 func scaleColsInv(m *mat.Dense, s []float64) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"imrdmd/internal/compute"
 	"imrdmd/internal/mat"
 )
 
@@ -78,34 +79,91 @@ func TestJacobiSVDKnownSingularValues(t *testing.T) {
 	}
 }
 
+// colCentred subtracts each column's mean from a, as PCA centres its
+// samples: the rows then sum to zero, so the result is exactly rank
+// deficient by one.
+func colCentred(a *mat.Dense) *mat.Dense {
+	c := a.Clone()
+	for j := 0; j < c.C; j++ {
+		var mean float64
+		for i := 0; i < c.R; i++ {
+			mean += c.At(i, j)
+		}
+		mean /= float64(c.R)
+		for i := 0; i < c.R; i++ {
+			c.Set(i, j, c.At(i, j)-mean)
+		}
+	}
+	return c
+}
+
 func TestSnapshotSVDMatchesJacobi(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, dims := range [][2]int{{40, 15}, {15, 40}} {
-		a := randDense(rng, dims[0], dims[1])
+	inputs := []*mat.Dense{
+		randDense(rng, 40, 15),
+		randDense(rng, 15, 40),
+		// Above the cutoff, with the numerically zero singular value of
+		// PCA's centred input: both routes must drop it.
+		colCentred(randDense(rng, 100, 300)),
+	}
+	for _, a := range inputs {
 		j := jacobiSVD(a)
 		s := snapshotSVD(nil, nil, a, false)
 		if len(j.S) != len(s.S) {
-			t.Fatalf("rank mismatch %d vs %d", len(j.S), len(s.S))
+			t.Fatalf("%d×%d: rank mismatch %d vs %d", a.R, a.C, len(j.S), len(s.S))
 		}
 		for i := range j.S {
 			if math.Abs(j.S[i]-s.S[i]) > 1e-6*(1+j.S[0]) {
-				t.Fatalf("σ[%d]: jacobi %v snapshot %v", i, j.S[i], s.S[i])
+				t.Fatalf("%d×%d σ[%d]: jacobi %v snapshot %v", a.R, a.C, i, j.S[i], s.S[i])
 			}
 		}
 		checkSVD(t, a, s, 1e-6)
 	}
+	if a := inputs[2]; Compute(a).Rank() != a.R-1 {
+		t.Fatalf("centred %d×%d: rank %d want %d", a.R, a.C, Compute(a).Rank(), a.R-1)
+	}
 }
 
+// TestComputeDispatch pins the route on either side of jacobiCutoff:
+// Compute must return exactly the factors of one-sided Jacobi when the
+// smaller dimension is at the cutoff and of the Gram route just above it.
 func TestComputeDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	old := SetJacobiCutoff(4)
-	defer SetJacobiCutoff(old)
-	// min dim 10 > 4 → snapshots path; still correct.
-	a := randDense(rng, 30, 10)
-	checkSVD(t, a, Compute(a), 1e-6)
-	// min dim 3 ≤ 4 → Jacobi path.
-	b := randDense(rng, 30, 3)
-	checkSVD(t, b, Compute(b), 1e-9)
+	e := compute.Default()
+	for _, c := range []struct {
+		m, n  int
+		route string
+	}{
+		{150, jacobiCutoff, "Jacobi"},
+		{150, jacobiCutoff + 1, "Gram"},
+		{jacobiCutoff, 150, "Jacobi"},
+		{jacobiCutoff + 1, 150, "Gram"},
+	} {
+		a := randDense(rng, c.m, c.n)
+		got := Compute(a)
+		var want *Result
+		if c.route == "Gram" {
+			want = snapshotSVD(e, nil, a, false)
+		} else {
+			want = jacobiSVDWS(e, a, nil, false)
+		}
+		if !sameBits(got.S, want.S) || !sameBits(got.U.Data, want.U.Data) || !sameBits(got.V.Data, want.V.Data) {
+			t.Fatalf("%d×%d: Compute does not match the %s route", c.m, c.n, c.route)
+		}
+		checkSVD(t, a, got, 1e-6)
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestComputeEmpty(t *testing.T) {
@@ -131,13 +189,15 @@ func TestRankDeficientDetected(t *testing.T) {
 }
 
 func TestZeroMatrix(t *testing.T) {
-	a := mat.NewDense(5, 4)
-	r := Compute(a)
-	if r.Rank() < 1 || r.S[0] != 0 {
-		t.Fatalf("zero matrix SVD: rank %d S %v", r.Rank(), r.S)
-	}
-	if r.U.HasNaN() || r.V.HasNaN() {
-		t.Fatal("zero matrix SVD produced NaNs")
+	// One shape per route: Jacobi on a, and the Gram route above the cutoff.
+	for _, a := range []*mat.Dense{mat.NewDense(5, 4), mat.NewDense(jacobiCutoff+3, jacobiCutoff+1)} {
+		r := Compute(a)
+		if r.Rank() < 1 || r.S[0] != 0 {
+			t.Fatalf("%d×%d zero matrix SVD: rank %d S %v", a.R, a.C, r.Rank(), r.S)
+		}
+		if r.U.HasNaN() || r.V.HasNaN() {
+			t.Fatalf("%d×%d zero matrix SVD produced NaNs", a.R, a.C)
+		}
 	}
 }
 
