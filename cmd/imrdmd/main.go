@@ -38,7 +38,7 @@ func main() {
 		baseHi   = flag.Float64("baseline-hi", 57, "baseline mean upper bound")
 		workers  = flag.Int("workers", 0, "compute-engine worker lanes (0 = GOMAXPROCS)")
 		blkCols  = flag.Int("block-columns", 8, "incremental-SVD block-column width (1 = column at a time, 0 = one block per batch)")
-		driftWin = flag.Int("drift-window", 0, "trailing slow-grid columns compared for drift (0 = full grid, bit-stable)")
+		driftWin = flag.Int("drift-window", 0, "trailing slow-grid columns compared for drift (0 = full grid)")
 		ampWin   = flag.Int("amp-window", 0, "trailing slow-grid columns used by the level-1 amplitude refit (0 = full width)")
 		coldHzn  = flag.Int("cold-horizon", 0, "columns kept in float64; older history demotes to float32 (0 = never demote)")
 		outDir   = flag.String("out", ".", "output directory")
@@ -67,10 +67,11 @@ Performance knobs and how they interact:
                      latency against factorization count, and each chunk
                      still parallelizes across -workers lanes.
   -drift-window K    Compares only the trailing K slow-grid columns when
-                     measuring per-update level-1 drift, so the drift
-                     check costs O(K) instead of O(T/stride) per batch.
-                     0 (default) compares the full grid and is bit-stable
-                     with prior releases.
+                     measuring per-update level-1 drift, so the reported
+                     drift measures recent change instead of spreading
+                     it over all history. The drift is computed in
+                     reduced form either way, and K bounds only a small
+                     term of its cost. 0 (default) compares the full grid.
   -amp-window W      Fits level-1 mode amplitudes against the trailing W
                      slow-grid columns instead of the whole grid. Modes
                      whose envelope has decayed below 5%% of the dominant

@@ -57,11 +57,10 @@ type Options struct {
 	BlockColumns int
 	// DriftWindow bounds the drift measurement — the per-update comparison
 	// of old versus new level-1 slow reconstructions — to the trailing
-	// DriftWindow level-1 grid columns, making that stage O(window) instead
-	// of O(absorbed history). 0 (the default) measures over the full grid,
-	// bit-identical to prior releases. Pairs naturally with DriftThreshold:
-	// a bounded window reacts to recent change rather than diluting it
-	// across the whole timeline. See DESIGN.md §10.
+	// DriftWindow level-1 grid columns, so UpdateStats.Drift measures
+	// recent change instead of diluting it across the whole timeline.
+	// 0 (the default) measures over the full grid. Pairs naturally with
+	// DriftThreshold. See DESIGN.md §10.
 	DriftWindow int
 	// AmplitudeWindow bounds the level-1 amplitude refit (the Jovanović
 	// least-squares fit re-run every PartialFit) to the trailing
@@ -86,7 +85,8 @@ type Options struct {
 	// when the level-1 slow-mode drift exceeds it (Algorithm 1's
 	// user-defined threshold). The recompute runs inside the PartialFit
 	// that measured the drift, so its result is in place when the call
-	// returns.
+	// returns. 0 (the default) never recomputes; a negative, NaN or
+	// infinite value is invalid.
 	DriftThreshold float64
 }
 
@@ -105,14 +105,16 @@ func (o Options) toCore() core.Options {
 		DriftWindow:     o.DriftWindow,
 		AmplitudeWindow: o.AmplitudeWindow,
 		ColdHorizon:     o.ColdHorizon,
+		DriftThreshold:  o.DriftThreshold,
 	}
 }
 
 // Validate rejects option values that would otherwise be accepted
 // silently and misbehave later (negative Workers, BlockColumns or window
-// sizes). The zero value of every field is valid; defaults
-// are filled at fit time. The rules live in core.Options.Validate —
-// this wrapper only re-homes the error prefix.
+// sizes, a negative or non-finite DriftThreshold). The zero value of
+// every field is valid; defaults are filled at fit time. The rules live
+// in core.Options.Validate — this wrapper only re-homes the error
+// prefix.
 func (o Options) Validate() error {
 	if err := o.toCore().Validate(); err != nil {
 		return fmt.Errorf("imrdmd: %s", strings.TrimPrefix(err.Error(), "core: "))
@@ -123,7 +125,8 @@ func (o Options) Validate() error {
 // UpdateStats reports one PartialFit (see core.UpdateStats).
 type UpdateStats struct {
 	// Drift is the Frobenius norm of the level-1 slow-mode change over
-	// the previously fitted window.
+	// the previously fitted window's level-1 sample grid (its trailing
+	// DriftWindow columns when that is set); see core.UpdateStats.
 	Drift float64
 	// Recomputed reports whether older levels were recomputed.
 	Recomputed bool
@@ -152,15 +155,14 @@ type Analyzer struct {
 }
 
 // New creates an Analyzer. It returns a descriptive error when opts holds
-// an invalid knob (negative Workers, BlockColumns or window sizes)
-// instead of silently accepting it.
+// an invalid knob (negative Workers, BlockColumns or window sizes, a
+// negative or non-finite DriftThreshold) instead of silently accepting
+// it.
 func New(opts Options) (*Analyzer, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	inc := core.NewIncremental(opts.toCore())
-	inc.DriftThreshold = opts.DriftThreshold
-	return &Analyzer{opts: opts, inc: inc}, nil
+	return &Analyzer{opts: opts, inc: core.NewIncremental(opts.toCore())}, nil
 }
 
 // Snapshot serializes the analyzer's complete incremental state — the
@@ -200,7 +202,7 @@ func Restore(r io.Reader) (*Analyzer, error) {
 		DriftWindow:     co.DriftWindow,
 		AmplitudeWindow: co.AmplitudeWindow,
 		ColdHorizon:     co.ColdHorizon,
-		DriftThreshold:  inc.DriftThreshold,
+		DriftThreshold:  co.DriftThreshold,
 	}
 	return &Analyzer{opts: opts, inc: inc}, nil
 }

@@ -52,8 +52,9 @@ func RunQ2(p, t, updates int, seed int64) (*Q2Result, error) {
 	res.BatchError = batch.ReconError(data)
 
 	run := func(threshold float64) (*core.Incremental, error) {
-		inc := core.NewIncremental(opts)
-		inc.DriftThreshold = threshold
+		o := opts
+		o.DriftThreshold = threshold
+		inc := core.NewIncremental(o)
 		first := t / 2
 		if err := inc.InitialFit(data.ColSlice(0, first)); err != nil {
 			return nil, err

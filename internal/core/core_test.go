@@ -343,8 +343,9 @@ func TestDriftRecomputeSync(t *testing.T) {
 			data.Data[i*tt+k] = base + rng.NormFloat64()
 		}
 	}
-	inc := NewIncremental(defaultOpts())
-	inc.DriftThreshold = 1e-6
+	opts := defaultOpts()
+	opts.DriftThreshold = 1e-6
+	inc := NewIncremental(opts)
 	if err := inc.InitialFit(data.ColSlice(0, 256)); err != nil {
 		t.Fatal(err)
 	}
@@ -475,6 +476,10 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero value", Options{}, true},
 		{"negative workers", Options{Workers: -1}, false},
 		{"negative block columns", Options{BlockColumns: -8}, false},
+		{"positive drift threshold", Options{DriftThreshold: 1e-9}, true},
+		{"negative drift threshold", Options{DriftThreshold: -1e-9}, false},
+		{"NaN drift threshold", Options{DriftThreshold: math.NaN()}, false},
+		{"infinite drift threshold", Options{DriftThreshold: math.Inf(1)}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -40,9 +40,8 @@ func (inc *Incremental) AddSensors(rows *mat.Dense) error {
 		return errNonFinite
 	}
 	inc.hist.AddRows(rows)
-	// The cached grid evaluations span the old sensor dimension; the next
-	// PartialFit and View re-evaluate fresh.
-	inc.invalidateSlowGrid()
+	// The cached grid evaluation spans the old sensor dimension; the next
+	// View re-evaluates fresh.
 	inc.invalidateGridSeg()
 	newSub := mat.SubsampleWith(inc.ws, rows, inc.stride1)
 	// Keep the level-1 grid consistent: sub1 holds columns 0, s, 2s, …

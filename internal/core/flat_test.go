@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,11 +11,12 @@ import (
 	"imrdmd/internal/mat"
 )
 
-// PR 9 contract tests for the flat-horizon pipeline: the O(Δ) slow-grid
-// cache must be invisible (bit-identical to re-evaluating from scratch),
-// the drift log must behave as a bounded ring, the f32 cold tier must not
+// Contract tests for the flat-horizon pipeline: the folded grid-error
+// cache must be invisible (bit-identical to a fresh sum), the
+// drift log must behave as a bounded ring, the f32 cold tier must not
 // perturb the fitted spectrum, the streamed ReconError must match the
-// full-clone reference, and v1 snapshots must still restore.
+// full-clone reference, and v1 snapshots must still restore. The drift
+// itself is held to a direct evaluation in drift_ref_test.go.
 
 // modesEqual reports whether two nodes carry bit-identical mode sets.
 func modesEqual(t *testing.T, ctx string, a, b *Node) {
@@ -50,56 +52,6 @@ func treesEqual(t *testing.T, a, b *Incremental) {
 				k, na.Start, na.End, na.Level, nb.Start, nb.End, nb.Level)
 		}
 		modesEqual(t, "node", na, nb)
-	}
-}
-
-// TestSlowGridCacheBitIdentical: with default options, PartialFit served
-// from the cached slow-grid evaluation must produce bit-identical drifts
-// and trees to an analyzer whose cache is dropped before every update
-// (forcing the fresh full-window evaluation — the pre-PR-9 arithmetic).
-func TestSlowGridCacheBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	data, _ := multiscale(rng, 10, 1024, 1, 0.1)
-	init, batch := 512, 64
-
-	cached := NewIncremental(defaultOpts())
-	fresh := NewIncremental(defaultOpts())
-	seed := data.ColSlice(0, init)
-	if err := cached.InitialFit(seed); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.InitialFit(seed.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	for lo := init; lo < data.C; lo += batch {
-		hi := lo + batch
-		if hi > data.C {
-			hi = data.C
-		}
-		blk := data.ColSlice(lo, hi)
-		// Force the reference analyzer down the no-cache fallback path.
-		fresh.mu.Lock()
-		fresh.invalidateSlowGrid()
-		fresh.mu.Unlock()
-		sc, err := cached.PartialFit(blk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sf, err := fresh.PartialFit(blk.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sc.Drift != sf.Drift {
-			t.Fatalf("step at %d: cached drift %v != fresh drift %v (must be bit-identical)",
-				lo, sc.Drift, sf.Drift)
-		}
-	}
-	treesEqual(t, cached, fresh)
-	dc, df := cached.DriftLog(), fresh.DriftLog()
-	for i := range dc {
-		if dc[i] != df[i] {
-			t.Fatalf("drift log entry %d differs: %v vs %v", i, dc[i], df[i])
-		}
 	}
 }
 
@@ -166,14 +118,14 @@ func TestGridErrorCacheBitIdentical(t *testing.T) {
 		next("stream")
 	}
 	for _, a := range []*Incremental{cached, fresh} {
-		a.DriftThreshold = 1e-300
+		a.opts.DriftThreshold = 1e-300
 	}
 	next("recompute")
 	if cached.Recomputes() == 0 {
 		t.Fatal("the drift threshold did not trigger a recompute")
 	}
 	for _, a := range []*Incremental{cached, fresh} {
-		a.DriftThreshold = 0
+		a.opts.DriftThreshold = 0
 	}
 	next("stream")
 
@@ -250,11 +202,12 @@ func streamColdWarm(t *testing.T, threshold float64) (cold, warm *Incremental, d
 	data, _ = multiscale(rng, 8, 1536, 1, 0.1)
 	init, batch := 512, 64
 
-	optsCold := defaultOpts()
+	optsWarm := defaultOpts()
+	optsWarm.DriftThreshold = threshold
+	optsCold := optsWarm
 	optsCold.ColdHorizon = 192
 	cold = NewIncremental(optsCold)
-	warm = NewIncremental(defaultOpts())
-	cold.DriftThreshold, warm.DriftThreshold = threshold, threshold
+	warm = NewIncremental(optsWarm)
 	seed := data.ColSlice(0, init)
 	if err := cold.InitialFit(seed); err != nil {
 		t.Fatal(err)
@@ -403,7 +356,7 @@ func TestStreamedReconErrorMatchesReference(t *testing.T) {
 	got := inc.ReconError()
 	// Reference: one consistent full-resolution pass (the pre-PR-9 shape).
 	raw := inc.Raw()
-	want := frobDiff(raw, inc.Reconstruct())
+	want := mat.Sub(raw, inc.Reconstruct()).FrobNorm()
 	if want == 0 {
 		t.Fatal("degenerate reference")
 	}
@@ -465,8 +418,9 @@ func TestAsyncSlotRestoresInline(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	data, _ := multiscale(rng, 8, 896, 1, 0.1)
 	live := func() *Incremental {
-		inc := NewIncremental(defaultOpts())
-		inc.DriftThreshold = 1e-9 // recompute on every update
+		opts := defaultOpts()
+		opts.DriftThreshold = 1e-9 // recompute on every update
+		inc := NewIncremental(opts)
 		if err := inc.InitialFit(data.ColSlice(0, 512)); err != nil {
 			t.Fatal(err)
 		}
@@ -515,14 +469,21 @@ func TestAsyncSlotRestoresInline(t *testing.T) {
 	}
 }
 
+// thresholdSlot returns the body offset of the drift threshold, the
+// float64 slot right after the options in a current-layout snapshot of
+// inc.
+func thresholdSlot(inc *Incremental) int {
+	var opts bytes.Buffer
+	encodeOptions(codec.NewWriter(&opts), inc.opts)
+	return opts.Len() - snapshotHeaderLen
+}
+
 // withAsyncSlot returns raw, a current-layout snapshot of inc, with the
 // retired async-recompute slot — the bool after the options and
 // DriftThreshold — set, re-framed so its checksum stays valid.
 func withAsyncSlot(t *testing.T, inc *Incremental, raw []byte) []byte {
 	t.Helper()
-	var opts bytes.Buffer
-	encodeOptions(codec.NewWriter(&opts), inc.opts)
-	at := opts.Len() - snapshotHeaderLen + 8 // past the options and DriftThreshold
+	at := thresholdSlot(inc) + 8
 	version, body := unframeSnapshot(t, raw)
 	if body[at] != 0 {
 		t.Fatalf("async slot holds %d, want 0", body[at])
@@ -530,6 +491,63 @@ func withAsyncSlot(t *testing.T, inc *Incremental, raw []byte) []byte {
 	body = append([]byte(nil), body...)
 	body[at] = 1
 	return frameSnapshot(uint32(version), body)
+}
+
+// withThreshold returns raw, a current-layout snapshot of inc, with its
+// drift threshold slot holding v, re-framed so its checksum stays valid.
+func withThreshold(t *testing.T, inc *Incremental, raw []byte, v float64) []byte {
+	t.Helper()
+	at := thresholdSlot(inc)
+	version, body := unframeSnapshot(t, raw)
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(body[at:])); got != inc.opts.DriftThreshold {
+		t.Fatalf("threshold slot holds %v, want %v", got, inc.opts.DriftThreshold)
+	}
+	body = append([]byte(nil), body...)
+	binary.LittleEndian.PutUint64(body[at:], math.Float64bits(v))
+	return frameSnapshot(uint32(version), body)
+}
+
+// TestStoredDriftThresholdRestores: the snapshot keeps the drift
+// threshold in the slot after the options. Releases that kept it outside
+// Options accepted any value there, and a negative, NaN or infinite one
+// never triggered a recompute; such a snapshot restores with threshold
+// 0, which acts the same, and then snapshots byte-identically to the live
+// analyzer (threshold 0). A valid threshold restores as stored.
+func TestStoredDriftThresholdRestores(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	data, _ := multiscale(rng, 8, 640, 1, 0.1)
+	inc := NewIncremental(defaultOpts())
+	if err := inc.InitialFit(data.ColSlice(0, 512)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.PartialFit(data.ColSlice(512, 640)); err != nil {
+		t.Fatal(err)
+	}
+	snap := func(inc *Incremental) []byte {
+		var buf bytes.Buffer
+		if err := inc.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	raw := snap(inc)
+	for _, v := range []float64{-1e-9, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e-9} {
+		stored := withThreshold(t, inc, raw, v)
+		restored, err := DecodeIncremental(bytes.NewReader(stored))
+		if err != nil {
+			t.Fatalf("stored threshold %v: restore failed: %v", v, err)
+		}
+		want, wantBytes := 0.0, raw
+		if v > 0 && !math.IsInf(v, 1) {
+			want, wantBytes = v, stored
+		}
+		if got := restored.Options().DriftThreshold; got != want {
+			t.Fatalf("stored threshold %v restored as %v, want %v", v, got, want)
+		}
+		if !bytes.Equal(snap(restored), wantBytes) {
+			t.Fatalf("stored threshold %v: snapshot of the restored analyzer differs", v)
+		}
+	}
 }
 
 // encodeV1 hand-encodes inc's live state in the version-1 layout (PR 8):
@@ -552,7 +570,7 @@ func encodeV1(t testing.TB, inc *Incremental) []byte {
 	enc.Int(o.BlockColumns)
 	enc.String("float64") // precision tier
 	enc.Int(1)            // shard count
-	enc.Float(inc.DriftThreshold)
+	enc.Float(inc.opts.DriftThreshold)
 	enc.Bool(true) // retired async-recompute slot, set: decoders ignore it
 	enc.Int(inc.p)
 	enc.Dense(inc.hist.Promote()) // v1: one flat f64 history matrix

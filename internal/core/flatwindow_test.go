@@ -49,8 +49,8 @@ const (
 func streamRecompute(t *testing.T, data *mat.Dense, opts core.Options) *core.Incremental {
 	t.Helper()
 	const initialT = 1024
+	opts.DriftThreshold = 1e-9
 	inc := core.NewIncremental(opts)
-	inc.DriftThreshold = 1e-9
 	if err := inc.InitialFit(data.ColSlice(0, initialT)); err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +168,8 @@ func TestTieredRecomputeConcurrentReaders(t *testing.T) {
 	inc := core.NewIncremental(core.Options{
 		DT: sc.dt, MaxLevels: 4, MaxCycles: 2, UseSVHT: true,
 		Parallel: true, BlockColumns: 8, ColdHorizon: 256,
+		DriftThreshold: 1e-9, // recompute on every update
 	})
-	inc.DriftThreshold = 1e-9 // recompute on every update
 	const initialT, batch = 512, 128
 	if err := inc.InitialFit(sc.data.ColSlice(0, initialT)); err != nil {
 		t.Fatal(err)

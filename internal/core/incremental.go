@@ -25,18 +25,13 @@ import (
 //     window's residual after subtracting the new level-1 slow part.
 //  4. The Frobenius norm of the drift between old and new level-1 slow
 //     reconstructions over the old window is measured. If it exceeds
-//     DriftThreshold, the old subtrees are recomputed against the new
+//     Options.DriftThreshold, the old subtrees are recomputed against the new
 //     slow part inside the same call, before it returns.
 //
 // The PartialFit cost is dominated by the new window's subtree, so it is
 // nearly independent of how much history has been absorbed — the property
 // behind Table I's flat partial-fit column.
 type Incremental struct {
-	// DriftThreshold triggers recomputation of pre-existing subtrees when
-	// the level-1 slow-mode drift (Frobenius norm over the old window's
-	// subsampled grid) exceeds it. Zero disables recomputation.
-	DriftThreshold float64
-
 	opts Options
 	p    int
 
@@ -57,14 +52,6 @@ type Incremental struct {
 	level1   *Node
 	segments []*segment
 
-	// slowGrid caches the level-1 slow reconstruction over grid columns
-	// [slowGridLo, sub1.C), built at the end of the previous PartialFit so
-	// the next one starts from it instead of re-evaluating the grid — the
-	// O(Δ) side of the drift pipeline. ws-borrowed and packed; nil after
-	// restore or AddSensors (the next PartialFit falls back to one fresh
-	// evaluation, arithmetic unchanged). Never serialized.
-	slowGrid   *mat.Dense
-	slowGridLo int
 	// gridSeg caches, on the level-1 grid (P × up to sub1.C), the summed
 	// reconstruction of every node of segments[:gridFolded] — the part
 	// of View's grid error that never changes once a segment is fitted
@@ -101,7 +88,9 @@ type segment struct {
 type UpdateStats struct {
 	// Drift is ‖old slow recon − new slow recon‖_F over the old window's
 	// level-1 sample grid (the trailing Options.DriftWindow grid columns
-	// of it when that knob is set).
+	// of it when that knob is set). It is measured in reduced form
+	// (dmd.DriftWith) to a relative error of about u·‖slow‖²/Drift², and
+	// it is exactly 0 when the update left the level-1 modes unchanged.
 	Drift float64
 	// Recomputed reports whether old subtrees were recomputed because
 	// Drift exceeded the threshold.
@@ -166,7 +155,6 @@ func (inc *Incremental) InitialFit(data *mat.Dense) error {
 		return err
 	}
 	inc.segments = []*segment{{start: 0, end: t, nodes: nodes}}
-	inc.rebuildSlowGridFresh()
 	inc.demoteLocked()
 	return nil
 }
@@ -199,27 +187,6 @@ func (inc *Incremental) demoteLocked() {
 		h = 2 * inc.stride1
 	}
 	inc.hist.Demote(h)
-}
-
-// invalidateSlowGrid drops the cached slow-grid evaluation (modes or
-// sensor dimension changed in a way the Δ-extension cannot absorb).
-func (inc *Incremental) invalidateSlowGrid() {
-	if inc.slowGrid != nil {
-		mat.PutDense(inc.ws, inc.slowGrid)
-		inc.slowGrid = nil
-	}
-}
-
-// rebuildSlowGridFresh evaluates the slow-grid cache from scratch over
-// the current drift window, in the evaluation form a full fresh
-// evaluation would pick — the state the next PartialFit extends.
-func (inc *Incremental) rebuildSlowGridFresh() {
-	inc.invalidateSlowGrid()
-	ns := inc.sub1.C
-	lo := inc.driftLo(ns)
-	inc.slowGrid = inc.level1SlowOnGridRange(lo, ns,
-		dmd.ReconGemmForm(inc.p, ns-lo, len(inc.level1.Modes)))
-	inc.slowGridLo = lo
 }
 
 // rankCap bounds the incremental SVD's retained rank so update cost stays
@@ -261,21 +228,11 @@ func (inc *Incremental) PartialFit(newData *mat.Dense) (UpdateStats, error) {
 	newT := inc.hist.Cols()
 	stats.NewColumns = newData.C
 
-	// The old level-1 slow reconstruction on the old sample grid (drift
-	// window) before the modes move: taken from the cache the previous
-	// update left — the values are bit-identical to a fresh evaluation,
-	// which the first update after a restore or AddSensors falls back to.
+	// The level-1 modes before they move, and the old sample grid (drift
+	// window) the drift compares them over.
+	oldModes := inc.level1.Modes
 	oldNS := inc.sub1.C
 	oldLo := inc.driftLo(oldNS)
-	var oldSlow *mat.Dense
-	if inc.slowGrid != nil && inc.slowGridLo == oldLo && inc.slowGrid.C == oldNS-oldLo {
-		oldSlow = inc.slowGrid
-		inc.slowGrid = nil
-	} else {
-		inc.invalidateSlowGrid()
-		oldSlow = inc.level1SlowOnGridRange(oldLo, oldNS,
-			dmd.ReconGemmForm(inc.p, oldNS-oldLo, len(inc.level1.Modes)))
-	}
 
 	// Absorb new columns that land on the level-1 grid.
 	var newCols []int
@@ -297,21 +254,19 @@ func (inc *Incremental) PartialFit(newData *mat.Dense) (UpdateStats, error) {
 	stats.NewSamples = len(newCols)
 
 	if err := inc.refreshLevel1(); err != nil {
-		mat.PutDense(inc.ws, oldSlow)
 		return stats, err
 	}
 
 	// Drift of the slow part over the old window (Algorithm 1's update
-	// criterion). Measured on the subsampled grid — bounded further by
-	// DriftWindow — so the check is O(window), not O(T).
-	newSlow := inc.level1SlowOnGridRange(oldLo, oldNS,
-		dmd.ReconGemmForm(inc.p, oldNS-oldLo, len(inc.level1.Modes)))
-	stats.Drift = frobDiff(oldSlow, newSlow)
-	mat.PutDense(inc.ws, oldSlow)
+	// criterion), on the subsampled grid — bounded further by DriftWindow
+	// — and in reduced form, so neither slow part is evaluated there.
+	times := inc.ws.GetF64(oldNS - oldLo)
+	for k := range times {
+		times[k] = float64((oldLo+k)*inc.stride1) * inc.opts.DT
+	}
+	stats.Drift = dmd.DriftWith(inc.eng, inc.ws, oldModes, inc.level1.Modes, times)
+	inc.ws.PutF64(times)
 	inc.logDrift(stats.Drift)
-	// newSlow becomes the next update's cache, extended by the Δ new grid
-	// columns (consumes newSlow).
-	inc.rebuildSlowGridFrom(newSlow, oldLo, oldNS)
 
 	// Demote every pre-existing node one level: the new level 2 is the
 	// timeline split at oldT.
@@ -331,7 +286,7 @@ func (inc *Incremental) PartialFit(newData *mat.Dense) (UpdateStats, error) {
 	inc.segments = append(inc.segments, &segment{start: oldT, end: newT, nodes: nodes})
 	inc.updates++
 
-	if inc.DriftThreshold > 0 && stats.Drift > inc.DriftThreshold {
+	if thr := inc.opts.DriftThreshold; thr > 0 && stats.Drift > thr {
 		stats.Recomputed = true
 		inc.recomputes++
 		for _, seg := range inc.segments[:len(inc.segments)-1] {
@@ -340,47 +295,6 @@ func (inc *Incremental) PartialFit(newData *mat.Dense) (UpdateStats, error) {
 	}
 	inc.demoteLocked()
 	return stats, nil
-}
-
-// rebuildSlowGridFrom turns newSlow — the just-measured slow evaluation
-// over grid columns [oldLo, oldNS) — into the cache for the next update,
-// covering [driftLo(ns), ns): the overlap is copied and only the Δ new
-// grid columns are evaluated, in the form a from-scratch full-width
-// evaluation would use, so per-column results stay bit-identical to one.
-// Consumes newSlow. On a form crossing (the r·t·p volume stepping over
-// the GEMM threshold, or the retained mode count changing it) the whole
-// window is re-evaluated once in the target form.
-func (inc *Incremental) rebuildSlowGridFrom(newSlow *mat.Dense, oldLo, oldNS int) {
-	ns := inc.sub1.C
-	newLo := inc.driftLo(ns)
-	r := len(inc.level1.Modes)
-	wantGemm := dmd.ReconGemmForm(inc.p, ns-newLo, r)
-	haveGemm := dmd.ReconGemmForm(inc.p, oldNS-oldLo, r)
-	if wantGemm != haveGemm || newLo < oldLo || newLo >= oldNS {
-		mat.PutDense(inc.ws, newSlow)
-		inc.rebuildSlowGridFresh()
-		return
-	}
-	if ns == oldNS && newLo == oldLo {
-		inc.slowGrid, inc.slowGridLo = newSlow, newLo
-		return
-	}
-	buf := mat.GetDenseRaw(inc.ws, inc.p, ns-newLo)
-	keep := oldNS - newLo
-	for i := 0; i < inc.p; i++ {
-		copy(buf.Row(i)[:keep], newSlow.Row(i)[newLo-oldLo:oldNS-oldLo])
-	}
-	mat.PutDense(inc.ws, newSlow)
-	if ns > oldNS {
-		ext := mat.ColsView(buf, keep, ns-newLo)
-		times := inc.ws.GetF64(ns - oldNS)
-		for k := range times {
-			times[k] = float64((oldNS+k)*inc.stride1) * inc.opts.DT
-		}
-		dmd.ReconstructModesIntoFormWith(inc.eng, inc.ws, ext, inc.level1.Modes, times, wantGemm)
-		inc.ws.PutF64(times)
-	}
-	inc.slowGrid, inc.slowGridLo = buf, newLo
 }
 
 // logDrift appends to the bounded drift ring.
@@ -453,16 +367,6 @@ func (inc *Incremental) subtree(resid *mat.Dense, start int) ([]*Node, error) {
 	return splitDecompose(resid, 2, start, inc.opts, inc.eng, inc.ws)
 }
 
-// frobDiff returns ‖a − b‖_F without materializing the difference.
-func frobDiff(a, b *mat.Dense) float64 {
-	var s float64
-	for i := range a.Data {
-		d := a.Data[i] - b.Data[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
 // refreshLevel1 recomputes the level-1 DMD and slow modes from the
 // incremental SVD state.
 func (inc *Incremental) refreshLevel1() error {
@@ -491,22 +395,6 @@ func (inc *Incremental) refreshLevel1() error {
 		NumAllModes: dec.Rank,
 	}
 	return nil
-}
-
-// level1SlowOnGridRange evaluates the level-1 slow reconstruction on grid
-// columns [lo, hi) of the level-1 sample grid, in the given evaluation
-// form (see dmd.ReconGemmForm — pinning the form is what keeps partial
-// evaluations bit-identical to full ones).
-func (inc *Incremental) level1SlowOnGridRange(lo, hi int, gemm bool) *mat.Dense {
-	n := hi - lo
-	times := inc.ws.GetF64(n)
-	for k := range times {
-		times[k] = float64((lo+k)*inc.stride1) * inc.opts.DT
-	}
-	out := mat.GetDenseRaw(inc.ws, inc.p, n) // the eval overwrites every element
-	dmd.ReconstructModesIntoFormWith(inc.eng, inc.ws, out, inc.level1.Modes, times, gemm)
-	inc.ws.PutF64(times)
-	return out
 }
 
 // residualOf returns history columns [lo, hi) minus the level-1 slow

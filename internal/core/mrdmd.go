@@ -61,15 +61,19 @@ type Options struct {
 	// (blockcolumns_test.go pins BlockColumns=8 against column-at-a-time
 	// within 1e-8 reconstruction error).
 	BlockColumns int
+	// DriftThreshold triggers recomputation of pre-existing subtrees when
+	// the level-1 slow-mode drift (UpdateStats.Drift) exceeds it
+	// (Algorithm 1's user-defined threshold). Zero disables
+	// recomputation; a negative, NaN or infinite value is invalid.
+	DriftThreshold float64
 	// DriftWindow bounds PartialFit's drift measurement — the comparison
 	// of old vs new level-1 slow reconstructions — to the trailing
-	// DriftWindow level-1 grid columns. Combined with the slow-grid cache
-	// (which already makes the old-side evaluation O(Δ) regardless), this
-	// caps the one remaining O(grid) term of the per-batch pipeline at
-	// O(DriftWindow). The measured drift then reflects recent history
-	// only: recomputation triggers on changes visible inside the window.
-	// 0 (the default) measures over the full grid, bit-identical to prior
-	// releases.
+	// DriftWindow level-1 grid columns, so the drift reflects recent
+	// history only: recomputation triggers on changes visible inside the
+	// window rather than on ones diluted across the whole timeline. The
+	// drift is measured in reduced form (see dmd.DriftWith), where the
+	// window only bounds a K²·window term beside the P·K² Gram. 0 (the
+	// default) measures over the full grid.
 	DriftWindow int
 	// AmplitudeWindow bounds the level-1 amplitude refit (the Jovanović
 	// normal equations inside every PartialFit) to the trailing
@@ -103,7 +107,8 @@ func (o Options) engine() *compute.Engine {
 
 // Validate rejects option values that would otherwise be accepted
 // silently and misbehave later: negative worker, block-column or window
-// counts. The zero value of every field is valid.
+// counts, and a drift threshold that is negative, NaN or infinite. The
+// zero value of every field is valid.
 func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("core: Options.Workers must be >= 0, got %d", o.Workers)
@@ -119,6 +124,9 @@ func (o Options) Validate() error {
 	}
 	if o.ColdHorizon < 0 {
 		return fmt.Errorf("core: Options.ColdHorizon must be >= 0, got %d (0 = no cold tier)", o.ColdHorizon)
+	}
+	if !(o.DriftThreshold >= 0) || math.IsInf(o.DriftThreshold, 1) {
+		return fmt.Errorf("core: Options.DriftThreshold must be finite and >= 0, got %g (0 = never recompute)", o.DriftThreshold)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"imrdmd/internal/codec"
 	"imrdmd/internal/compute"
@@ -40,7 +41,7 @@ func (inc *Incremental) Snapshot(w io.Writer) error {
 	}
 	enc := codec.NewWriter(w)
 	encodeOptions(enc, inc.opts)
-	enc.Float(inc.DriftThreshold)
+	enc.Float(inc.opts.DriftThreshold) // its slot predates the Options field
 	// Retired async-recompute flag: the slot stays so snapshot bytes and
 	// old streams keep their layout; recomputes always run inline.
 	enc.Bool(false)
@@ -95,7 +96,13 @@ func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, erro
 	if err != nil {
 		return nil, err
 	}
-	driftThreshold := dec.Float()
+	// Releases that kept the threshold outside Options accepted any
+	// value; a negative, NaN or +Inf one never triggered a recompute, so
+	// it restores as 0, which acts the same.
+	opts.DriftThreshold = dec.Float()
+	if !(opts.DriftThreshold >= 0) || math.IsInf(opts.DriftThreshold, 1) {
+		opts.DriftThreshold = 0
+	}
 	dec.Bool() // retired async-recompute flag, ignored (see Snapshot)
 	p := dec.Len()
 	// History: v2 streams hold cold f32 chunks, then the hot f64 tail as
@@ -154,21 +161,20 @@ func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, erro
 	ws := compute.NewWorkspace()
 
 	inc := &Incremental{
-		DriftThreshold: driftThreshold,
-		opts:           opts,
-		p:              p,
-		eng:            eng,
-		ws:             ws,
-		hist:           hist,
-		stride1:        stride1,
-		sub1:           sub1,
-		nextSample:     nextSample,
-		level1:         level1,
-		segments:       segments,
-		updates:        updates,
-		recomputes:     recomputes,
-		driftLog:       driftLog,
-		driftPos:       len(driftLog) % driftLogCap,
+		opts:       opts,
+		p:          p,
+		eng:        eng,
+		ws:         ws,
+		hist:       hist,
+		stride1:    stride1,
+		sub1:       sub1,
+		nextSample: nextSample,
+		level1:     level1,
+		segments:   segments,
+		updates:    updates,
+		recomputes: recomputes,
+		driftLog:   driftLog,
+		driftPos:   len(driftLog) % driftLogCap,
 	}
 
 	switch kind := dec.Int(); kind {

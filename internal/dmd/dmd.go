@@ -442,16 +442,6 @@ const ampWindowMassFloor = 0.05
 // plane setup costs more than the loop saves.
 const reconGemmMin = 4096
 
-// ReconGemmForm reports which evaluation form ReconstructModesIntoWith
-// would pick for a p×t reconstruction of r modes: true for the two-GEMM
-// plane form, false for the scalar triple loop. The two forms agree only
-// to roundoff, so callers that evaluate a span incrementally (the O(Δ)
-// slow-grid cache) must pin the form the full-width evaluation would use
-// — per-column results are then bit-identical regardless of how the span
-// was partitioned, because both forms accumulate each output column
-// independently and in the same order.
-func ReconGemmForm(p, t, r int) bool { return r*t*p >= reconGemmMin }
-
 // ReconstructModesIntoWith evaluates modes at the given times into out
 // (p×len(times)), overwriting its contents, with the evaluation GEMMs
 // routed through engine e and scratch borrowed from ws (both may be
@@ -460,20 +450,11 @@ func ReconGemmForm(p, t, r int) bool { return r*t*p >= reconGemmMin }
 // real, so the planes never mix — which lands on the tall-skinny kernel
 // tier for the streaming residual shapes (p×r times r×t with r small).
 func ReconstructModesIntoWith(e *compute.Engine, ws *compute.Workspace, out *mat.Dense, modes []Mode, times []float64) {
-	ReconstructModesIntoFormWith(e, ws, out, modes, times,
-		ReconGemmForm(out.R, len(times), len(modes)))
-}
-
-// ReconstructModesIntoFormWith is ReconstructModesIntoWith with the
-// evaluation form pinned by the caller instead of derived from the output
-// volume — the contract the incremental slow-grid extension relies on to
-// stay bit-identical to a from-scratch full-width evaluation.
-func ReconstructModesIntoFormWith(e *compute.Engine, ws *compute.Workspace, out *mat.Dense, modes []Mode, times []float64, gemm bool) {
 	if out.C != len(times) {
 		panic("dmd: reconstruction shape mismatch")
 	}
 	p, t := out.R, len(times)
-	if gemm && len(modes) > 0 && t > 0 && p > 0 {
+	if len(modes)*t*p >= reconGemmMin {
 		reconstructGemm(e, ws, out, modes, times)
 		return
 	}
@@ -518,6 +499,91 @@ func putReconPlanes(ws *compute.Workspace, phiRe, phiIm, wRe, wIm *mat.Dense) {
 	mat.PutDense(ws, wRe)
 	mat.PutDense(ws, phiIm)
 	mat.PutDense(ws, phiRe)
+}
+
+// DriftWith returns ‖Re(Φₒ·Wₒ) − Re(Φₙ·Wₙ)‖_F, the Frobenius distance
+// between the reconstructions of the mode sets old and cur at the given
+// times, without evaluating either one on the p×len(times) grid.
+//
+// Re(Φ·W) = [Re Φ  Im Φ]·[Re W; −Im W], so the difference is A·M with
+// A = [Re Φₒ  Im Φₒ  Re Φₙ  Im Φₙ] (p×K) and
+// M = [Re Wₒ; −Im Wₒ; −Re Wₙ; Im Wₙ] (K×n), and its squared norm is
+// Σ M∘(G·M) with the K×K Gram G = AᵀA: O(p·K² + K²·n) in all. A mode
+// present bit for bit in both sets adds the same term to either side, so
+// it is dropped before A is formed, and identical sets give exactly 0.
+// The squared norm is a difference of terms of size ‖slow‖², so the
+// result carries an absolute error of about u·‖slow‖²/drift.
+func DriftWith(e *compute.Engine, ws *compute.Workspace, old, cur []Mode, times []float64) float64 {
+	matched := make([]bool, len(old)+len(cur))
+	mo, mc := matched[:len(old)], matched[len(old):]
+	for i := range old {
+		for j := range cur {
+			if !mc[j] && sameMode(&old[i], &cur[j]) {
+				mo[i], mc[j] = true, true
+				break
+			}
+		}
+	}
+	kept := make([]*Mode, 0, len(old)+len(cur))
+	for i := range old {
+		if !mo[i] {
+			kept = append(kept, &old[i])
+		}
+	}
+	nOld := len(kept)
+	for j := range cur {
+		if !mc[j] {
+			kept = append(kept, &cur[j])
+		}
+	}
+	if len(kept) == 0 || len(times) == 0 {
+		return 0
+	}
+	// Column pair (2q, 2q+1) of A holds mode q's Re φ and Im φ; row pair
+	// (2q, 2q+1) of M holds ±Re w and ∓Im w, the sign + for old modes.
+	p, n, k := len(kept[0].Phi), len(times), 2*len(kept)
+	a := mat.GetDenseRaw(ws, p, k)
+	m := mat.GetDenseRaw(ws, k, n)
+	for q, md := range kept {
+		for i, v := range md.Phi {
+			row := a.Row(i)
+			row[2*q], row[2*q+1] = real(v), imag(v)
+		}
+		sign := 1.0
+		if q >= nOld {
+			sign = -1
+		}
+		re, im := m.Row(2*q), m.Row(2*q+1)
+		for c, tc := range times {
+			w := expPsiT(md.Psi, tc) * md.Amp
+			re[c], im[c] = sign*real(w), -sign*imag(w)
+		}
+	}
+	g := mat.GramWith(e, ws, a, true)
+	gm := mat.MulWith(e, ws, g, m)
+	var s float64
+	for i, v := range m.Data[:k*n] {
+		s += v * gm.Data[i]
+	}
+	mat.PutDense(ws, gm)
+	mat.PutDense(ws, g)
+	mat.PutDense(ws, m)
+	mat.PutDense(ws, a)
+	return math.Sqrt(math.Max(s, 0))
+}
+
+// sameMode reports whether a and b contribute bit-identical terms to a
+// reconstruction: the same φ, ψ and b.
+func sameMode(a, b *Mode) bool {
+	if a.Psi != b.Psi || a.Amp != b.Amp || len(a.Phi) != len(b.Phi) {
+		return false
+	}
+	for i, v := range a.Phi {
+		if v != b.Phi[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // reconstructGemm evaluates the mode sum as two real GEMMs over the

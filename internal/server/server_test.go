@@ -279,8 +279,8 @@ func TestServerColdTierStats(t *testing.T) {
 }
 
 // TestServerRejects pins the client-error surface: bad options (including
-// the removed "shards", "precision" and "async_recompute" knobs, now
-// unknown fields), duplicate
+// a negative drift threshold and the removed "shards", "precision" and
+// "async_recompute" knobs, now unknown fields), duplicate
 // ids, unknown tenants, malformed and non-finite ingest bodies, and the
 // tenant cap.
 func TestServerRejects(t *testing.T) {
@@ -289,6 +289,7 @@ func TestServerRejects(t *testing.T) {
 
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"precision":"float16"}`), http.StatusBadRequest)
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"block_columns":-1}`), http.StatusBadRequest)
+	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"drift_threshold":-1e-9}`), http.StatusBadRequest)
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"initial_cols":1}`), http.StatusBadRequest)
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"unknown_knob":true}`), http.StatusBadRequest)
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"shards":2}`), http.StatusBadRequest)

@@ -59,6 +59,7 @@ func (o TenantOptions) toCore(eng *compute.Engine) core.Options {
 		DriftWindow:     o.DriftWindow,
 		AmplitudeWindow: o.AmplitudeWindow,
 		ColdHorizon:     o.ColdHorizon,
+		DriftThreshold:  o.DriftThreshold,
 		Engine:          eng,
 	}
 }
@@ -115,7 +116,6 @@ func newTenant(id string, opts TenantOptions, eng *compute.Engine, defaultInitia
 		return nil, err
 	}
 	inc := core.NewIncremental(copts)
-	inc.DriftThreshold = opts.DriftThreshold
 	feeder, err := stream.NewFeeder(inc, opts.InitialCols)
 	if err != nil {
 		return nil, err
@@ -149,7 +149,7 @@ func restoreTenant(id string, r io.Reader, eng *compute.Engine) (*tenant, error)
 		DriftWindow:     copts.DriftWindow,
 		AmplitudeWindow: copts.AmplitudeWindow,
 		ColdHorizon:     copts.ColdHorizon,
-		DriftThreshold:  inc.DriftThreshold,
+		DriftThreshold:  copts.DriftThreshold,
 		InitialCols:     inc.Cols(),
 	}
 	t := &tenant{id: id, created: time.Now(), opts: opts, inc: inc, feeder: stream.ResumeFeeder(inc)}
