@@ -10,7 +10,6 @@ import (
 	"imrdmd/internal/core"
 	"imrdmd/internal/hwlog"
 	"imrdmd/internal/joblog"
-	"imrdmd/internal/monitor"
 	"imrdmd/internal/stream"
 	"imrdmd/internal/telemetry"
 	"imrdmd/internal/viz"
@@ -105,45 +104,6 @@ func TestFullPipelineIntegration(t *testing.T) {
 	}
 	if !strings.Contains(html.String(), "integration") {
 		t.Fatal("report missing content")
-	}
-}
-
-// TestMonitorOverTelemetryStream runs the alerting loop over a telemetry
-// stream with a mid-stream fault injection.
-func TestMonitorOverTelemetryStream(t *testing.T) {
-	const nodes, steps = 64, 768
-	prof := telemetry.ThetaEnv()
-	horizon := float64(steps) * prof.SampleInterval
-	onset := horizon / 2
-
-	gen := telemetry.NewGenerator(prof, nodes, 7)
-	faulty := 31
-	gen.Anomalies = []telemetry.Anomaly{
-		{Kind: telemetry.HotNode, Node: faulty, Start: onset, End: horizon, Magnitude: 16},
-	}
-
-	m := monitor.New(monitor.Config{
-		Opts:       core.Options{DT: prof.SampleInterval, MaxLevels: 4, MaxCycles: 2, UseSVHT: true},
-		BaselineLo: 40, BaselineHi: 60,
-		EvalWindow: 192,
-	})
-	if err := m.Start(gen.Matrix(0, 384)); err != nil {
-		t.Fatal(err)
-	}
-	sawFault := false
-	for pos := 384; pos < steps; pos += 96 {
-		alerts, err := m.Observe(gen.Matrix(pos, pos+96))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range alerts {
-			if a.Sensor == faulty && a.Kind == monitor.Hot {
-				sawFault = true
-			}
-		}
-	}
-	if !sawFault {
-		t.Fatal("mid-stream fault never alerted")
 	}
 }
 

@@ -10,9 +10,9 @@
 //     loop produces run-to-run different rounding. Iterate a sorted key
 //     slice instead.
 //   - any use of time.Now/time.Since/time.Sleep or of math/rand (v1 or
-//     v2) in these packages. Boot-time uses that provably never run on
-//     the per-batch path carry an `//imrdmd:allow detorder -- reason`
-//     directive instead (e.g. the mat cache-probe autotune).
+//     v2) in these packages. A use that provably never runs on the
+//     per-batch path may carry an `//imrdmd:allow detorder -- reason`
+//     directive instead; none of the kernel packages has one.
 package detorder
 
 import (

@@ -40,7 +40,7 @@ func reslice(ws *compute.Workspace, n int) {
 }
 
 // The power-iteration swap: both buffers stay referenced and are Put
-// after the loop (internal/eig/nonsymmetric.go).
+// after the loop.
 func swap(ws *compute.Workspace, iters int) {
 	v := ws.GetC128(4)
 	w := ws.GetC128(4)

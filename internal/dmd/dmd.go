@@ -10,7 +10,6 @@ import (
 	"math/cmplx"
 
 	"imrdmd/internal/compute"
-	"imrdmd/internal/eig"
 	"imrdmd/internal/mat"
 	"imrdmd/internal/svd"
 )
@@ -195,7 +194,7 @@ func fit(s *svd.Result, d, q *mat.Dense, opts Options, rho float64) (*Decomposit
 	}
 	// Ã = Uᵀ B (r×r).
 	atil := mat.MulTWith(e, ws, u, yvs)
-	vals, w := eig.NonsymmetricWith(ws, atil) // clones atil internally
+	vals, w := eigen(ws, atil)
 	mat.PutDense(ws, atil)
 
 	b := optimalAmplitudes(e, ws, yvs, w, vals, d, opts.AmplitudeWindow)
@@ -691,15 +690,4 @@ func (d *Decomposition) Spectrum() []SpectrumPoint {
 		})
 	}
 	return pts
-}
-
-// FilterBand keeps spectrum points with Freq in [lo, hi].
-func FilterBand(pts []SpectrumPoint, lo, hi float64) []SpectrumPoint {
-	out := pts[:0:0]
-	for _, p := range pts {
-		if p.Freq >= lo && p.Freq <= hi {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -242,14 +242,6 @@ func TestSpectrumQuantities(t *testing.T) {
 	}
 }
 
-func TestFilterBand(t *testing.T) {
-	pts := []SpectrumPoint{{Freq: 0.1}, {Freq: 1}, {Freq: 10}}
-	got := FilterBand(pts, 0.5, 5)
-	if len(got) != 1 || got[0].Freq != 1 {
-		t.Fatalf("FilterBand = %+v", got)
-	}
-}
-
 func TestExpPsiTOverflowClamped(t *testing.T) {
 	w := expPsiT(complex(1000, 0), 10)
 	if math.IsInf(real(w), 0) || math.IsNaN(real(w)) {

@@ -1,4 +1,4 @@
-package eig
+package dmd
 
 import (
 	"math"
@@ -19,7 +19,7 @@ func TestNonsymmetricJordanBlock(t *testing.T) {
 		0, 2, 1,
 		0, 0, 2,
 	})
-	vals, vecs := Nonsymmetric(a)
+	vals, vecs := eigen(nil, a)
 	for _, v := range vals {
 		if cmplx.Abs(v-2) > 1e-4 {
 			t.Fatalf("Jordan block eigenvalue %v want 2", v)
@@ -44,7 +44,7 @@ func TestNonsymmetricJordanBlock(t *testing.T) {
 func TestNonsymmetricRepeatedRealEigenvalues(t *testing.T) {
 	// diag(3,3,1) — repeated but non-defective.
 	a := mat.DiagOf([]float64{3, 3, 1})
-	vals, _ := Nonsymmetric(a)
+	vals, _ := eigen(nil, a)
 	got := []float64{real(vals[0]), real(vals[1]), real(vals[2])}
 	sort.Float64s(got)
 	want := []float64{1, 3, 3}
@@ -62,7 +62,7 @@ func TestNonsymmetricNearSingular(t *testing.T) {
 		0, 5, 1,
 		0, 0, 7,
 	})
-	vals, _ := Nonsymmetric(a)
+	vals, _ := eigen(nil, a)
 	found5, found7 := false, false
 	for _, v := range vals {
 		if cmplx.Abs(v-5) < 1e-6 {
@@ -86,8 +86,8 @@ func TestNonsymmetricLargeScale(t *testing.T) {
 	for i := range a.Data {
 		a.Data[i] = rng.NormFloat64()
 	}
-	v1, _ := Nonsymmetric(a)
-	v2, _ := Nonsymmetric(mat.Scale(1e8, a))
+	v1, _ := eigen(nil, a)
+	v2, _ := eigen(nil, mat.Scale(1e8, a))
 	// Conjugate pairs may come out in either order; match each scaled
 	// eigenvalue to its nearest counterpart.
 	for _, w := range v1 {
@@ -100,6 +100,35 @@ func TestNonsymmetricLargeScale(t *testing.T) {
 		}
 		if best > 1e-6*(1+cmplx.Abs(want)) {
 			t.Fatalf("scaled eigenvalue %v unmatched (closest %g away)", want, best)
+		}
+	}
+}
+
+// TestEigenLargeJordanBlockStaysFinite: on a 40×40 Jordan block every
+// floored denominator multiplies the back-substitution by ~1e15, far past
+// overflow; the power-of-two rescale must keep each vector finite and of
+// unit norm.
+func TestEigenLargeJordanBlockStaysFinite(t *testing.T) {
+	const n = 40
+	a := mat.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, 2)
+		if i+1 < n {
+			a.Set(i, i+1, 1)
+		}
+	}
+	_, vecs := eigen(nil, a)
+	for j := 0; j < n; j++ {
+		var nrm float64
+		for i := 0; i < n; i++ {
+			c := vecs.At(i, j)
+			if cmplx.IsNaN(c) || cmplx.IsInf(c) {
+				t.Fatalf("eigenvector %d: component %d = %v", j, i, c)
+			}
+			nrm += real(c)*real(c) + imag(c)*imag(c)
+		}
+		if math.Abs(nrm-1) > 1e-8 {
+			t.Fatalf("eigenvector %d has norm² %v", j, nrm)
 		}
 	}
 }

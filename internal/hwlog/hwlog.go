@@ -124,17 +124,6 @@ func (l *Log) sorted() {
 	sort.SliceStable(l.Events, func(a, b int) bool { return l.Events[a].Time < l.Events[b].Time })
 }
 
-// InWindow returns events with Time in [t0, t1).
-func (l *Log) InWindow(t0, t1 float64) []Event {
-	var out []Event
-	for _, e := range l.Events {
-		if e.Time >= t0 && e.Time < t1 {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // CountByNode tallies events of a category per node over [t0, t1).
 func (l *Log) CountByNode(cat Category, t0, t1 float64) map[int]int {
 	out := map[int]int{}

@@ -53,18 +53,6 @@ func TestEventsSorted(t *testing.T) {
 	}
 }
 
-func TestInWindow(t *testing.T) {
-	log := &Log{Events: []Event{
-		{Time: 1, Node: 0, Cat: LinkError},
-		{Time: 5, Node: 1, Cat: LinkError},
-		{Time: 9, Node: 2, Cat: LinkError},
-	}}
-	got := log.InWindow(2, 9)
-	if len(got) != 1 || got[0].Node != 1 {
-		t.Fatalf("InWindow = %+v", got)
-	}
-}
-
 func TestCategorySeverityStrings(t *testing.T) {
 	for c := MemCorrectable; c < numCategories; c++ {
 		s := c.String()

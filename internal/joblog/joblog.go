@@ -78,28 +78,6 @@ func (s *Schedule) BusyAt(node int, t float64) (*Job, bool) {
 	return nil, false
 }
 
-// NodesOf returns the union of nodes used by jobs of the given projects.
-func (s *Schedule) NodesOf(projects ...string) []int {
-	want := map[string]bool{}
-	for _, p := range projects {
-		want[p] = true
-	}
-	seen := map[int]bool{}
-	for i := range s.Jobs {
-		if want[s.Jobs[i].Project] {
-			for _, n := range s.Jobs[i].Nodes {
-				seen[n] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Utilization returns the fraction of node-seconds busy over [t0, t1).
 func (s *Schedule) Utilization(t0, t1 float64) float64 {
 	if t1 <= t0 || s.NumNodes == 0 {

@@ -65,29 +65,6 @@ func TestBusyAtOutOfRange(t *testing.T) {
 	}
 }
 
-func TestNodesOfProjects(t *testing.T) {
-	s := simSmall(4)
-	// Union over all projects covers every allocated node exactly.
-	projects := map[string]bool{}
-	for i := range s.Jobs {
-		projects[s.Jobs[i].Project] = true
-	}
-	var names []string
-	for p := range projects {
-		names = append(names, p)
-	}
-	all := s.NodesOf(names...)
-	seen := map[int]bool{}
-	for i := range s.Jobs {
-		for _, n := range s.Jobs[i].Nodes {
-			seen[n] = true
-		}
-	}
-	if len(all) != len(seen) {
-		t.Fatalf("NodesOf union returned %d nodes, want %d", len(all), len(seen))
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	s := simSmall(5)
 	var buf bytes.Buffer

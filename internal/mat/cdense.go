@@ -62,30 +62,18 @@ type CLU struct {
 }
 
 // CLUFactorInPlace factors a in place: a's storage becomes the packed LU
-// and must not be used as a matrix afterwards. Singular pivots are
-// replaced by a tiny value so inverse iteration (which deliberately
-// shifts close to an eigenvalue) stays finite.
+// and must not be used as a matrix afterwards. A zero pivot is replaced by
+// a tiny value, so an exactly singular system still solves to a finite
+// (if huge) x. Its one caller, the amplitude fit, solves a semidefinite
+// system plus a small diagonal jitter, so the guard is a backstop against
+// a degenerate system, not a path that fit is known to take.
 func CLUFactorInPlace(a *CDense) *CLU {
-	f := &CLU{}
-	f.FactorInPlace(a)
-	return f
-}
-
-// FactorInPlace (re)factors a in place into f, reusing f's pivot storage
-// when capacities allow. Repeated factorizations of equal-size systems —
-// inverse iteration's per-eigenvalue solves — allocate nothing.
-func (f *CLU) FactorInPlace(a *CDense) {
 	if a.R != a.C {
 		panic("mat: CLU requires a square matrix")
 	}
 	n := a.R
 	lu := a
-	if cap(f.Piv) >= n {
-		f.Piv = f.Piv[:n]
-	} else {
-		f.Piv = make([]int, n)
-	}
-	piv := f.Piv
+	piv := make([]int, n)
 	for i := range piv {
 		piv[i] = i
 	}
@@ -124,21 +112,16 @@ func (f *CLU) FactorInPlace(a *CDense) {
 			}
 		}
 	}
-	f.LU, f.Sign = lu, sign
+	return &CLU{LU: lu, Piv: piv, Sign: sign}
 }
 
 // Solve solves A x = b using the factorization.
 func (f *CLU) Solve(b []complex128) []complex128 {
-	return f.SolveInto(make([]complex128, f.LU.R), b)
-}
-
-// SolveInto solves A x = b into the provided x (len n, distinct from b)
-// and returns it, allocating nothing.
-func (f *CLU) SolveInto(x, b []complex128) []complex128 {
 	n := f.LU.R
-	if len(b) != n || len(x) != n {
+	if len(b) != n {
 		panic("mat: CLU.Solve dimension mismatch")
 	}
+	x := make([]complex128, n)
 	for i := 0; i < n; i++ {
 		x[i] = b[f.Piv[i]]
 	}

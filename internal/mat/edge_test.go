@@ -160,8 +160,8 @@ func TestGramEmptyAndSingle(t *testing.T) {
 }
 
 func TestCLUSingularStaysFinite(t *testing.T) {
-	// Exactly singular: the guarded pivot keeps solves finite (inverse
-	// iteration relies on this).
+	// Exactly singular: the guarded pivot keeps solves finite (the
+	// amplitude fit's semidefinite system relies on this).
 	a := NewCDense(2, 2)
 	a.Set(0, 0, 1)
 	a.Set(0, 1, 1)

@@ -18,9 +18,8 @@ import (
 // bit-identically.
 
 // Dense32 is a row-major, tightly packed float32 matrix: the storage
-// format of the cold tier. It carries no arithmetic; Widen (or a
-// TieredCols window) converts it back to float64 before any kernel
-// touches it.
+// format of the cold tier. It carries no arithmetic; a TieredCols window
+// converts it back to float64 before any kernel touches it.
 type Dense32 struct {
 	R, C int
 	Data []float32 // row-major: element (i,j) at Data[i*C+j]
@@ -355,18 +354,6 @@ func Narrow(m *Dense) *Dense32 {
 		src, dst := m.Row(i), out.Row(i)
 		for j, v := range src {
 			dst[j] = float32(v)
-		}
-	}
-	return out
-}
-
-// Widen converts m to float64 exactly (every float32 is representable).
-func Widen(m *Dense32) *Dense {
-	out := NewDense(m.R, m.C)
-	for i := 0; i < m.R; i++ {
-		src, dst := m.Row(i), out.Row(i)
-		for j, v := range src {
-			dst[j] = float64(v)
 		}
 	}
 	return out

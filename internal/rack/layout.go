@@ -42,10 +42,6 @@ func (a Align) valid() bool {
 	return false
 }
 
-// Reversed reports whether the alignment enumerates against the natural
-// (left-to-right / top-to-bottom) direction.
-func (a Align) Reversed() bool { return a == RightToLeft || a == BottomToTop }
-
 // Level is one tier of the hierarchy with its index range (inclusive) and
 // alignment pair.
 type Level struct {

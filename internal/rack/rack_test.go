@@ -201,12 +201,3 @@ func TestParseRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAlignHelpers(t *testing.T) {
-	if !RightToLeft.Reversed() || !BottomToTop.Reversed() {
-		t.Fatal("reversed alignments misreported")
-	}
-	if LeftToRight.Reversed() || TopToBottom.Reversed() {
-		t.Fatal("forward alignments misreported")
-	}
-}

@@ -125,17 +125,6 @@ func Quantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[idx]
 }
 
-// TotalPartial returns the summed partial-fit time.
-func (s *PumpStats) TotalPartial() time.Duration { return s.PartialTotal }
-
-// MeanPartial returns the average partial-fit latency.
-func (s *PumpStats) MeanPartial() time.Duration {
-	if s.Batches == 0 {
-		return 0
-	}
-	return s.PartialTotal / time.Duration(s.Batches)
-}
-
 // Feeder is the push-based counterpart of Pump: batches arrive one call
 // at a time (an ingest endpoint, a message consumer) instead of being
 // pulled from a Source. Columns accumulate until the requested seed width

@@ -107,9 +107,6 @@ func TestPumpDrivesIncremental(t *testing.T) {
 	if stats.Batches != 3 {
 		t.Fatalf("Batches = %d want 3 (one per streamed block)", stats.Batches)
 	}
-	if stats.MeanPartial() < 0 || stats.MeanPartial() != stats.TotalPartial()/time.Duration(stats.Batches) {
-		t.Fatal("timing accounting inconsistent")
-	}
 }
 
 // TestPumpSpillHandling: initial columns not aligned to batch size — the

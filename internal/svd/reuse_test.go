@@ -120,7 +120,7 @@ func TestSVHTRankWithPoolsScratch(t *testing.T) {
 		}
 	}
 	ws := compute.NewWorkspace()
-	want := SVHTRank(s, 200, 41)
+	want := SVHTRankWith(nil, s, 200, 41)
 	if got := SVHTRankWith(ws, s, 200, 41); got != want {
 		t.Fatalf("pooled SVHT rank %d, allocating path %d", got, want)
 	}

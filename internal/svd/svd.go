@@ -358,18 +358,13 @@ func scaleColsInv(m *mat.Dense, s []float64) {
 	}
 }
 
-// SVHTRank returns the number of singular values that survive the
+// SVHTRankWith returns the number of singular values that survive the
 // Gavish–Donoho optimal hard threshold τ = ω(β)·median(σ) for a matrix
 // with aspect ratio β = min(m,n)/max(m,n) and unknown noise level, using
-// the standard cubic approximation of ω.
-func SVHTRank(s []float64, m, n int) int {
-	return SVHTRankWith(nil, s, m, n)
-}
-
-// SVHTRankWith is SVHTRank with the median's sort scratch borrowed from ws
-// (nil ws allocates). The threshold runs inside every window fit and every
-// PartialFit refresh, so the hot caller (dmd.FromSVD) passes its
-// workspace to keep the decision allocation-free.
+// the standard cubic approximation of ω. The median's sort scratch is
+// borrowed from ws (nil ws allocates): the threshold runs inside every
+// window fit and every PartialFit refresh, so the hot caller (dmd.fit)
+// passes its workspace to keep the decision allocation-free.
 func SVHTRankWith(ws *compute.Workspace, s []float64, m, n int) int {
 	if len(s) == 0 {
 		return 0

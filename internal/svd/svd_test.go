@@ -256,17 +256,17 @@ func TestSVHTRankKeepsSignalDropsNoise(t *testing.T) {
 		a.Data[i] += 0.1 * rng.NormFloat64()
 	}
 	r := Compute(a)
-	k := SVHTRank(r.S, m, n)
+	k := SVHTRankWith(nil, r.S, m, n)
 	if k < 2 || k > 6 {
 		t.Fatalf("SVHT rank = %d, want to keep ≈2 signal directions", k)
 	}
 }
 
 func TestSVHTRankAtLeastOne(t *testing.T) {
-	if k := SVHTRank([]float64{1e-30}, 10, 10); k != 1 {
+	if k := SVHTRankWith(nil, []float64{1e-30}, 10, 10); k != 1 {
 		t.Fatalf("SVHT must keep at least one direction, got %d", k)
 	}
-	if k := SVHTRank(nil, 10, 10); k != 0 {
+	if k := SVHTRankWith(nil, nil, 10, 10); k != 0 {
 		t.Fatalf("empty spectrum should give 0, got %d", k)
 	}
 }

@@ -265,22 +265,3 @@ func hashNoise(seed int64, step int) float64 {
 	// Irwin–Hall(4): mean 2, variance 4/12 → standardize.
 	return (sum - 2) / math.Sqrt(4.0/12.0)
 }
-
-// Baselines returns the indices of nodes whose time-mean over steps
-// [t0, t1) lies within [lo, hi] — the paper's baseline selection rule
-// ("baselines are chosen so that they lie between 46°C−57°C").
-func (g *Generator) Baselines(t0, t1 int, lo, hi float64) []int {
-	m := g.Matrix(t0, t1)
-	var out []int
-	for i := 0; i < m.R; i++ {
-		var s float64
-		for _, v := range m.Row(i) {
-			s += v
-		}
-		mean := s / float64(m.C)
-		if mean >= lo && mean <= hi {
-			out = append(out, i)
-		}
-	}
-	return out
-}

@@ -160,21 +160,3 @@ func TestHashNoiseMoments(t *testing.T) {
 		t.Fatalf("noise std %g not ≈1", std)
 	}
 }
-
-func TestBaselinesSelection(t *testing.T) {
-	g := NewGenerator(ThetaEnv(), 50, 9)
-	g.Anomalies = []Anomaly{{Kind: HotNode, Node: 3, Start: 0, End: 1e9, Magnitude: 40}}
-	idx := g.Baselines(0, 200, 30, 70)
-	found3 := false
-	for _, i := range idx {
-		if i == 3 {
-			found3 = true
-		}
-	}
-	if found3 {
-		t.Fatal("a +40°C node should not qualify as baseline in 30–70")
-	}
-	if len(idx) < 40 {
-		t.Fatalf("only %d of 50 nodes qualify as baseline, expected most", len(idx))
-	}
-}
