@@ -17,8 +17,8 @@ import (
 // to here. slow is the norm of the old slow part on the same grid.
 func directDrift(p int, old, cur []dmd.Mode, times []float64) (drift, slow float64) {
 	a, b := mat.NewDense(p, len(times)), mat.NewDense(p, len(times))
-	dmd.ReconstructModesIntoWith(nil, nil, a, old, times)
-	dmd.ReconstructModesIntoWith(nil, nil, b, cur, times)
+	dmd.AddReconstructionWith(nil, nil, a, old, times)
+	dmd.AddReconstructionWith(nil, nil, b, cur, times)
 	var s float64
 	for i, v := range a.Data {
 		d := v - b.Data[i]

@@ -399,36 +399,16 @@ func (inc *Incremental) refreshLevel1() error {
 
 // residualOf returns history columns [lo, hi) minus the level-1 slow
 // reconstruction over that window, in a workspace-borrowed matrix the
-// caller must PutDense back.
+// caller must PutDense back. The slow part is subtracted in place by the
+// accumulate-mode mode sum, as every subtree window's is.
 func (inc *Incremental) residualOf(lo, hi int) *mat.Dense {
-	if len(inc.level1.Modes) == 0 {
-		// Copy, not view: subtree consumers mutate the residual in place.
-		return inc.hist.CopyWindow(inc.ws, lo, hi)
-	}
+	// Copy, not view: subtree consumers mutate the residual in place.
+	resid := inc.hist.CopyWindow(inc.ws, lo, hi)
 	times := inc.ws.GetF64(hi - lo)
 	for k := range times {
 		times[k] = float64(lo+k) * inc.opts.DT
 	}
-	// Evaluate the reconstruction, then flip it into the residual in the
-	// same buffer: one raw-window read and one write instead of a window
-	// copy plus a separate read-modify-write subtraction pass. The raw
-	// side is read one history chunk at a time, so hot spans are zero-copy
-	// views and only cold chunks widen through a borrowed copy.
-	resid := mat.GetDenseRaw(inc.ws, inc.p, hi-lo)
-	dmd.ReconstructModesIntoWith(inc.eng, inc.ws, resid, inc.level1.Modes, times)
-	for a := lo; a < hi; {
-		b := min(hi, (a/mat.TieredChunkCols+1)*mat.TieredChunkCols)
-		win := inc.hist.Window(inc.ws, a, b)
-		for i := 0; i < inc.p; i++ {
-			raw := win.Row(i)
-			row := resid.Row(i)[a-lo : b-lo]
-			for k := range row {
-				row[k] = raw[k] - row[k]
-			}
-		}
-		mat.PutDense(inc.ws, win)
-		a = b
-	}
+	dmd.SubReconstructionWith(inc.eng, inc.ws, resid, inc.level1.Modes, times)
 	inc.ws.PutF64(times)
 	return resid
 }

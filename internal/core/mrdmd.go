@@ -473,47 +473,25 @@ func modeMagnitudes(nodes []*Node, p int, band FreqBand) []float64 {
 // baselines, blue = much lower). Restricting the band reproduces the
 // paper's frequency-isolation step (e.g. 0–60 Hz in case study 1).
 func (t *Tree) ReadingLevels(band FreqBand) []float64 {
-	return readingLevels(t.Nodes, t.P, t.Opts.DT, band, 0, t.T)
+	return readingLevels(t.Nodes, t.P, t.T, t.Opts.DT, band)
 }
 
-// ReadingLevelsRange restricts the time-mean to columns [lo, hi) — the
-// recency window online monitoring evaluates against.
-func (t *Tree) ReadingLevelsRange(band FreqBand, lo, hi int) []float64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > t.T {
-		hi = t.T
-	}
-	if hi <= lo {
-		return make([]float64, t.P)
-	}
-	return readingLevels(t.Nodes, t.P, t.Opts.DT, band, lo, hi)
-}
-
-func readingLevels(nodes []*Node, p int, dt float64, band FreqBand, lo, hi int) []float64 {
+func readingLevels(nodes []*Node, p, t int, dt float64, band FreqBand) []float64 {
 	acc := make([]float64, p)
 	for _, nd := range nodes {
-		// Intersect the node's window with the evaluation range.
-		kLo, kHi := nd.Start, nd.End
-		if kLo < lo {
-			kLo = lo
-		}
-		if kHi > hi {
-			kHi = hi
-		}
-		if kHi <= kLo {
+		end := min(nd.End, t)
+		if end <= nd.Start {
 			continue
 		}
 		for _, m := range nd.Modes {
 			if m.Freq < band.Lo || m.Freq > band.Hi {
 				continue
 			}
-			// S = Σ e^{ψ·(k−Start)Δt} over the intersected window; the
-			// mode's contribution to sensor i's time-sum is Re(φᵢ·b·S).
+			// S = Σ e^{ψ·(k−Start)Δt} over the node's window; the mode's
+			// contribution to sensor i's time-sum is Re(φᵢ·b·S).
 			var s complex128
-			for k := kLo; k < kHi; k++ {
-				s += expPsiTC(m.Psi, float64(k-nd.Start)*dt)
+			for k := nd.Start; k < end; k++ {
+				s += dmd.ExpPsiT(m.Psi, float64(k-nd.Start)*dt)
 			}
 			bs := m.Amp * s
 			if bs == 0 {
@@ -524,21 +502,9 @@ func readingLevels(nodes []*Node, p int, dt float64, band FreqBand, lo, hi int) 
 			}
 		}
 	}
-	inv := 1 / float64(hi-lo)
+	inv := 1 / float64(t)
 	for i := range acc {
 		acc[i] *= inv
 	}
 	return acc
-}
-
-// expPsiTC mirrors dmd's clamped exponential for use in level sums.
-func expPsiTC(psi complex128, t float64) complex128 {
-	re := real(psi) * t
-	if re > 700 {
-		re = 700
-	}
-	if re < -700 {
-		return 0
-	}
-	return cmplx.Exp(complex(re, imag(psi)*t))
 }

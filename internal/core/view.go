@@ -114,7 +114,7 @@ func (inc *Incremental) ReadingLevels(band FreqBand) []float64 {
 	if inc.hist != nil {
 		t = inc.hist.Cols()
 	}
-	return readingLevels(inc.liveNodesLocked(), inc.p, inc.opts.DT, band, 0, t)
+	return readingLevels(inc.liveNodesLocked(), inc.p, t, inc.opts.DT, band)
 }
 
 // liveNodesLocked lists the live nodes in Tree order without cloning

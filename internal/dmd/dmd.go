@@ -441,32 +441,6 @@ const ampWindowMassFloor = 0.05
 // plane setup costs more than the loop saves.
 const reconGemmMin = 4096
 
-// ReconstructModesIntoWith evaluates modes at the given times into out
-// (p×len(times)), overwriting its contents, with the evaluation GEMMs
-// routed through engine e and scratch borrowed from ws (both may be
-// nil). For non-trivial mode sets the evaluation runs as two real GEMMs,
-// Re(X̂) = Re(Φ)·Re(W) − Im(Φ)·Im(W) with W[j,k] = e^{ψⱼtₖ}bⱼ — X is
-// real, so the planes never mix — which lands on the tall-skinny kernel
-// tier for the streaming residual shapes (p×r times r×t with r small).
-func ReconstructModesIntoWith(e *compute.Engine, ws *compute.Workspace, out *mat.Dense, modes []Mode, times []float64) {
-	if out.C != len(times) {
-		panic("dmd: reconstruction shape mismatch")
-	}
-	p, t := out.R, len(times)
-	if len(modes)*t*p >= reconGemmMin {
-		reconstructGemm(e, ws, out, modes, times)
-		return
-	}
-	s := out.RowStride()
-	for i := 0; i < p; i++ {
-		row := out.Data[i*s : i*s+t]
-		for k := range row {
-			row[k] = 0
-		}
-	}
-	accumScalar(out, modes, times, 1)
-}
-
 // reconPlanes splits Φ and the time-weight matrix W[j,k] = e^{ψⱼtₖ}bⱼ
 // into real/imaginary plane matrices for the GEMM evaluation forms.
 func reconPlanes(ws *compute.Workspace, p int, modes []Mode, times []float64) (phiRe, phiIm, wRe, wIm *mat.Dense) {
@@ -486,7 +460,7 @@ func reconPlanes(ws *compute.Workspace, p int, modes []Mode, times []float64) (p
 		m := &modes[j]
 		wre, wim := wRe.Row(j), wIm.Row(j)
 		for k, tk := range times {
-			w := expPsiT(m.Psi, tk) * m.Amp
+			w := ExpPsiT(m.Psi, tk) * m.Amp
 			wre[k], wim[k] = real(w), imag(w)
 		}
 	}
@@ -554,7 +528,7 @@ func DriftWith(e *compute.Engine, ws *compute.Workspace, old, cur []Mode, times 
 		}
 		re, im := m.Row(2*q), m.Row(2*q+1)
 		for c, tc := range times {
-			w := expPsiT(md.Psi, tc) * md.Amp
+			w := ExpPsiT(md.Psi, tc) * md.Amp
 			re[c], im[c] = sign*real(w), -sign*imag(w)
 		}
 	}
@@ -583,17 +557,6 @@ func sameMode(a, b *Mode) bool {
 		}
 	}
 	return true
-}
-
-// reconstructGemm evaluates the mode sum as two real GEMMs over the
-// real/imaginary planes of Φ and the time-weight matrix W.
-func reconstructGemm(e *compute.Engine, ws *compute.Workspace, out *mat.Dense, modes []Mode, times []float64) {
-	phiRe, phiIm, wRe, wIm := reconPlanes(ws, out.R, modes, times)
-	mat.MulIntoWith(e, out, phiRe, wRe)
-	tmp := mat.MulWith(e, ws, phiIm, wIm)
-	mat.SubInPlace(out, tmp)
-	mat.PutDense(ws, tmp)
-	putReconPlanes(ws, phiRe, phiIm, wRe, wIm)
 }
 
 // AddReconstructionWith accumulates the mode-sum evaluation into dst
@@ -643,7 +606,7 @@ func accumScalar(dst *mat.Dense, modes []Mode, times []float64, sign float64) {
 	for j := range modes {
 		m := &modes[j]
 		for k, tk := range times {
-			w := expPsiT(m.Psi, tk) * m.Amp * complex(sign, 0)
+			w := ExpPsiT(m.Psi, tk) * m.Amp * complex(sign, 0)
 			if w == 0 {
 				continue
 			}
@@ -654,9 +617,9 @@ func accumScalar(dst *mat.Dense, modes []Mode, times []float64, sign float64) {
 	}
 }
 
-// expPsiT computes e^{ψt} with the real exponent clamped so growing modes
+// ExpPsiT computes e^{ψt} with the real exponent clamped so growing modes
 // cannot overflow to +Inf when extrapolated across a long window.
-func expPsiT(psi complex128, t float64) complex128 {
+func ExpPsiT(psi complex128, t float64) complex128 {
 	re := real(psi) * t
 	if re > 700 {
 		re = 700

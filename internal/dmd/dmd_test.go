@@ -243,11 +243,11 @@ func TestSpectrumQuantities(t *testing.T) {
 }
 
 func TestExpPsiTOverflowClamped(t *testing.T) {
-	w := expPsiT(complex(1000, 0), 10)
+	w := ExpPsiT(complex(1000, 0), 10)
 	if math.IsInf(real(w), 0) || math.IsNaN(real(w)) {
 		t.Fatal("growth clamp failed")
 	}
-	if z := expPsiT(complex(-1e6, 0), 10); z != 0 {
+	if z := ExpPsiT(complex(-1e6, 0), 10); z != 0 {
 		t.Fatal("strong decay should underflow to exactly 0")
 	}
 }

@@ -81,7 +81,12 @@ func TestNonsymmetricEigenpairResidual(t *testing.T) {
 			for i := 0; i < n; i++ {
 				v[i] = vecs.At(i, j)
 			}
-			av := mat.CMulVec(ac, v)
+			av := make([]complex128, n)
+			for i := range av {
+				for k, x := range ac.Row(i) {
+					av[i] += x * v[k]
+				}
+			}
 			var res float64
 			for i := 0; i < n; i++ {
 				d := av[i] - lam*v[i]

@@ -96,7 +96,7 @@ func TestOptimalAmplitudesBeatSingleSnapshot(t *testing.T) {
 	for i := 0; i < p; i++ {
 		x1[i] = complex(data.At(i, 0), 0)
 	}
-	b1 := mat.CLstSq(phi, x1)
+	b1 := cLstSq(phi, x1)
 	single := make([]Mode, len(dec.Modes))
 	copy(single, dec.Modes)
 	for j := range single {
@@ -143,6 +143,110 @@ func TestComputeConstantSignal(t *testing.T) {
 			if math.Abs(recon.At(i, k)-42) > 1e-6 {
 				t.Fatalf("constant reconstruction %g want 42", recon.At(i, k))
 			}
+		}
+	}
+}
+
+// cLstSq solves min ‖Ax − b‖₂ for complex A (rows ≥ cols) by modified
+// Gram–Schmidt QR with re-orthogonalization: the plain least-squares
+// reference the amplitude tests compare the fitted amplitudes against.
+func cLstSq(a *mat.CDense, b []complex128) []complex128 {
+	m, n := a.R, a.C
+	if m < n {
+		panic("dmd: cLstSq requires rows >= cols")
+	}
+	if len(b) != m {
+		panic("dmd: cLstSq dimension mismatch")
+	}
+	q := a.Clone()
+	r := mat.NewCDense(n, n)
+	for j := 0; j < n; j++ {
+		for pass := 0; pass < 2; pass++ {
+			for i := 0; i < j; i++ {
+				var dot complex128
+				for k := 0; k < m; k++ {
+					row := q.Data[k*n:]
+					dot += cmplx.Conj(row[i]) * row[j]
+				}
+				r.Data[i*n+j] += dot
+				for k := 0; k < m; k++ {
+					row := q.Data[k*n:]
+					row[j] -= dot * row[i]
+				}
+			}
+		}
+		var nrm float64
+		for k := 0; k < m; k++ {
+			v := q.Data[k*n+j]
+			nrm += real(v)*real(v) + imag(v)*imag(v)
+		}
+		nrm = math.Sqrt(nrm)
+		r.Data[j*n+j] = complex(nrm, 0)
+		if nrm > 0 {
+			inv := complex(1/nrm, 0)
+			for k := 0; k < m; k++ {
+				q.Data[k*n+j] *= inv
+			}
+		}
+	}
+	// qtb = Qᴴ b
+	qtb := make([]complex128, n)
+	for j := 0; j < n; j++ {
+		var s complex128
+		for i := 0; i < m; i++ {
+			s += cmplx.Conj(q.Data[i*n+j]) * b[i]
+		}
+		qtb[j] = s
+	}
+	// Back substitution on R.
+	x := make([]complex128, n)
+	tol := 1e-13 * maxAbsC(r)
+	for i := n - 1; i >= 0; i-- {
+		s := qtb[i]
+		row := r.Row(i)
+		for j := i + 1; j < n; j++ {
+			s -= row[j] * x[j]
+		}
+		if cmplx.Abs(row[i]) <= tol {
+			x[i] = 0
+			continue
+		}
+		x[i] = s / row[i]
+	}
+	return x
+}
+
+func maxAbsC(m *mat.CDense) float64 {
+	var s float64
+	for _, v := range m.Data {
+		if a := cmplx.Abs(v); a > s {
+			s = a
+		}
+	}
+	return s
+}
+
+func TestCLstSqExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	m, n := 12, 5
+	a := mat.NewCDense(m, n)
+	for i := range a.Data {
+		a.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	xTrue := make([]complex128, n)
+	for i := range xTrue {
+		xTrue[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	b := make([]complex128, m)
+	for i := range b {
+		for j, v := range a.Row(i) {
+			b[i] += v * xTrue[j]
+		}
+	}
+	x := cLstSq(a, b)
+	for i := range x {
+		if d := x[i] - xTrue[i]; math.Hypot(real(d), imag(d)) > 1e-8 {
+			t.Fatalf("cLstSq wrong at %d: %v vs %v", i, x[i], xTrue[i])
 		}
 	}
 }

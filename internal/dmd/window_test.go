@@ -100,10 +100,13 @@ func TestAmplitudeWindowZeroesDecayedModes(t *testing.T) {
 	}
 }
 
-// TestReconFormsAgree: ReconstructModesIntoWith picks the two-GEMM plane
-// form at volumes r·t·p ≥ reconGemmMin and the scalar loop below it. On
-// either side of the threshold its output must agree with the scalar
-// loop to roundoff.
+// TestReconFormsAgree: AddReconstructionWith and SubReconstructionWith
+// run the two-GEMM plane form in accumulate mode at volumes
+// r·t·p ≥ reconGemmMin and the scalar loop below it. On either side of
+// the threshold, onto a nonzero destination, both must agree with the
+// scalar loop to roundoff; the last case writes into a column view of a
+// wider matrix (the shape the subtree, residual and grid callers pass)
+// and must leave the columns outside the view bit for bit unchanged.
 func TestReconFormsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	dt := 0.05
@@ -118,27 +121,55 @@ func TestReconFormsAgree(t *testing.T) {
 	if below < 1 {
 		t.Fatalf("test lost its shape: %d modes × %d rows reach the GEMM volume at one column", r, p)
 	}
-	for _, n := range []int{below, above, 96} {
-		times := make([]float64, n)
+	const pad = 5 // columns either side of the view case's window
+	for _, c := range []struct {
+		n    int
+		view bool
+	}{{below, false}, {above, false}, {96, false}, {96, true}} {
+		times := make([]float64, c.n)
 		for k := range times {
 			times[k] = float64(k) * dt
 		}
-		got := mat.NewDense(p, n)
-		ReconstructModesIntoWith(nil, nil, got, dec.Modes, times)
-		want := mat.NewDense(p, n)
-		accumScalar(want, dec.Modes, times, 1)
-		var maxDiff, scale float64
-		for i := range want.Data {
-			if d := math.Abs(got.Data[i] - want.Data[i]); d > maxDiff {
-				maxDiff = d
+		for _, sign := range []float64{1, -1} {
+			lo, hi := 0, c.n
+			if c.view {
+				lo, hi = pad, pad+c.n
 			}
-			if a := math.Abs(want.Data[i]); a > scale {
-				scale = a
+			base := mat.NewDense(p, hi+lo)
+			for i := range base.Data {
+				base.Data[i] = rng.NormFloat64()
 			}
-		}
-		if maxDiff > 1e-9*(scale+1) {
-			t.Fatalf("%d columns (volume %d, GEMM from %d): forms disagree beyond roundoff: %g (scale %g)",
-				n, r*n*p, reconGemmMin, maxDiff, scale)
+			got := base.Clone()
+			dst := got
+			if c.view {
+				dst = mat.ColsView(got, lo, hi)
+			}
+			if sign > 0 {
+				AddReconstructionWith(nil, nil, dst, dec.Modes, times)
+			} else {
+				SubReconstructionWith(nil, nil, dst, dec.Modes, times)
+			}
+			want := mat.NewDense(p, c.n)
+			accumScalar(want, dec.Modes, times, sign)
+			var maxDiff, scale float64
+			for i := 0; i < p; i++ {
+				grow, brow := got.Row(i), base.Row(i)
+				for j := range grow {
+					if j < lo || j >= hi {
+						if grow[j] != brow[j] {
+							t.Fatalf("%d columns, sign %v: column %d outside the view changed", c.n, sign, j)
+						}
+						continue
+					}
+					w := want.At(i, j-lo)
+					maxDiff = math.Max(maxDiff, math.Abs(grow[j]-brow[j]-w))
+					scale = math.Max(scale, math.Abs(w))
+				}
+			}
+			if maxDiff > 1e-9*(scale+1) {
+				t.Fatalf("%d columns (volume %d, GEMM from %d, view %v), sign %v: forms disagree beyond roundoff: %g (scale %g)",
+					c.n, r*c.n*p, reconGemmMin, c.view, sign, maxDiff, scale)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 )
 
@@ -34,23 +33,6 @@ func (m *CDense) Clone() *CDense {
 	d := make([]complex128, len(m.Data))
 	copy(d, m.Data)
 	return &CDense{R: m.R, C: m.C, Data: d}
-}
-
-// CMulVec returns a*x.
-func CMulVec(a *CDense, x []complex128) []complex128 {
-	if len(x) != a.C {
-		panic("mat: CMulVec dimension mismatch")
-	}
-	out := make([]complex128, a.R)
-	for i := 0; i < a.R; i++ {
-		row := a.Row(i)
-		var s complex128
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // CLU is an LU factorization with partial pivoting of a square complex
@@ -144,82 +126,4 @@ func (f *CLU) Solve(b []complex128) []complex128 {
 		x[i] = s / row[i]
 	}
 	return x
-}
-
-// CLstSq solves min ‖Ax − b‖₂ for complex A (rows ≥ cols) by modified
-// Gram–Schmidt QR with re-orthogonalization.
-func CLstSq(a *CDense, b []complex128) []complex128 {
-	m, n := a.R, a.C
-	if m < n {
-		panic("mat: CLstSq requires rows >= cols")
-	}
-	if len(b) != m {
-		panic("mat: CLstSq dimension mismatch")
-	}
-	q := a.Clone()
-	r := NewCDense(n, n)
-	for j := 0; j < n; j++ {
-		for pass := 0; pass < 2; pass++ {
-			for i := 0; i < j; i++ {
-				var dot complex128
-				for k := 0; k < m; k++ {
-					row := q.Data[k*n:]
-					dot += cmplx.Conj(row[i]) * row[j]
-				}
-				r.Data[i*n+j] += dot
-				for k := 0; k < m; k++ {
-					row := q.Data[k*n:]
-					row[j] -= dot * row[i]
-				}
-			}
-		}
-		var nrm float64
-		for k := 0; k < m; k++ {
-			v := q.Data[k*n+j]
-			nrm += real(v)*real(v) + imag(v)*imag(v)
-		}
-		nrm = math.Sqrt(nrm)
-		r.Data[j*n+j] = complex(nrm, 0)
-		if nrm > 0 {
-			inv := complex(1/nrm, 0)
-			for k := 0; k < m; k++ {
-				q.Data[k*n+j] *= inv
-			}
-		}
-	}
-	// qtb = Qᴴ b
-	qtb := make([]complex128, n)
-	for j := 0; j < n; j++ {
-		var s complex128
-		for i := 0; i < m; i++ {
-			s += cmplx.Conj(q.Data[i*n+j]) * b[i]
-		}
-		qtb[j] = s
-	}
-	// Back substitution on R.
-	x := make([]complex128, n)
-	tol := 1e-13 * maxAbsC(r)
-	for i := n - 1; i >= 0; i-- {
-		s := qtb[i]
-		row := r.Row(i)
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
-		}
-		if cmplx.Abs(row[i]) <= tol {
-			x[i] = 0
-			continue
-		}
-		x[i] = s / row[i]
-	}
-	return x
-}
-
-func maxAbsC(m *CDense) float64 {
-	var s float64
-	for _, v := range m.Data {
-		if a := cmplx.Abs(v); a > s {
-			s = a
-		}
-	}
-	return s
 }

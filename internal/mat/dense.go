@@ -249,17 +249,6 @@ func Sub(a, b *Dense) *Dense {
 	return out
 }
 
-// SubInPlace subtracts b from a in place.
-func SubInPlace(a, b *Dense) {
-	checkSameShape("SubInPlace", a, b)
-	for i := 0; i < a.R; i++ {
-		arow, brow := a.Row(i), b.Row(i)
-		for j := range arow {
-			arow[j] -= brow[j]
-		}
-	}
-}
-
 // Scale returns s*a.
 func Scale(s float64, a *Dense) *Dense {
 	out := NewDense(a.R, a.C)

@@ -303,32 +303,17 @@ func TestCLUSolve(t *testing.T) {
 	for i := range xTrue {
 		xTrue[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	b := CMulVec(a, xTrue)
+	b := make([]complex128, n)
+	for i := range b {
+		for j, v := range a.Row(i) {
+			b[i] += v * xTrue[j]
+		}
+	}
 	lu := CLUFactorInPlace(a)
 	x := lu.Solve(b)
 	for i := range x {
 		if d := x[i] - xTrue[i]; math.Hypot(real(d), imag(d)) > 1e-9 {
 			t.Fatalf("CLU solve wrong at %d: %v vs %v", i, x[i], xTrue[i])
-		}
-	}
-}
-
-func TestCLstSqExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	m, n := 12, 5
-	a := NewCDense(m, n)
-	for i := range a.Data {
-		a.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	xTrue := make([]complex128, n)
-	for i := range xTrue {
-		xTrue[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	b := CMulVec(a, xTrue)
-	x := CLstSq(a, b)
-	for i := range x {
-		if d := x[i] - xTrue[i]; math.Hypot(real(d), imag(d)) > 1e-8 {
-			t.Fatalf("CLstSq wrong at %d: %v vs %v", i, x[i], xTrue[i])
 		}
 	}
 }
@@ -355,11 +340,6 @@ func TestScaleAddSub(t *testing.T) {
 	}
 	if got := Scale(2, a).Data[1]; got != 4 {
 		t.Fatalf("Scale = %v", got)
-	}
-	c := a.Clone()
-	SubInPlace(c, a)
-	if c.FrobNorm() != 0 {
-		t.Fatal("SubInPlace wrong")
 	}
 }
 

@@ -206,25 +206,9 @@ func (t *TieredCols) Demote(horizon int) int {
 	return moved
 }
 
-// Window returns columns [lo, hi) as a float64 matrix: a zero-copy view
-// when the range lies inside one hot chunk (PutDense is then a no-op, and
-// the data is valid only until the next Grow/Demote/AddRows), or a
-// ws-borrowed copy — at most P×(hi−lo) — with cold values widened exactly
-// otherwise. Callers PutDense the result either way.
-func (t *TieredCols) Window(ws *compute.Workspace, lo, hi int) *Dense {
-	if lo < 0 || hi > t.n || lo > hi {
-		panic(fmt.Sprintf("mat: TieredCols.Window [%d,%d) out of range for %d cols", lo, hi, t.n))
-	}
-	const w = TieredChunkCols
-	if q := lo / w; lo < hi && q >= len(t.cold) && q == (hi-1)/w {
-		return ColsView(t.hot[q-len(t.cold)], lo%w, lo%w+hi-lo)
-	}
-	return t.CopyWindow(ws, lo, hi)
-}
-
 // CopyWindow returns columns [lo, hi) as a ws-borrowed packed float64
-// copy regardless of tier — the safe-to-hold form for callers that
-// release the guarding lock before reading.
+// copy, cold values widened exactly. The copy is the caller's to mutate
+// and holds after the guarding lock is released; PutDense it when done.
 func (t *TieredCols) CopyWindow(ws *compute.Workspace, lo, hi int) *Dense {
 	if lo < 0 || hi > t.n || lo > hi {
 		panic(fmt.Sprintf("mat: TieredCols.CopyWindow [%d,%d) out of range for %d cols", lo, hi, t.n))

@@ -100,24 +100,18 @@ func TestTieredWindowAndGather(t *testing.T) {
 	spans := [][2]int{{0, total}, {0, 100}, {200, 300}, {500, 700}, {512, 700}, {600, 600}}
 	for _, sp := range spans {
 		lo, hi := sp[0], sp[1]
-		w := tc.Window(ws, lo, hi)
 		cw := tc.CopyWindow(ws, lo, hi)
-		if w.R != p || w.C != hi-lo || cw.R != p || cw.C != hi-lo {
+		if cw.R != p || cw.C != hi-lo {
 			t.Fatalf("window [%d,%d) wrong shape", lo, hi)
 		}
 		for i := 0; i < p; i++ {
 			for j := lo; j < hi; j++ {
-				want := tc.At(i, j)
-				if got := w.At(i, j-lo); got != want {
-					t.Fatalf("Window(%d,%d) at (%d,%d): %v != %v", lo, hi, i, j, got, want)
-				}
-				if got := cw.At(i, j-lo); got != want {
+				if got, want := cw.At(i, j-lo), tc.At(i, j); got != want {
 					t.Fatalf("CopyWindow(%d,%d) at (%d,%d): %v != %v", lo, hi, i, j, got, want)
 				}
 			}
 		}
 		PutDense(ws, cw)
-		PutDense(ws, w)
 	}
 
 	idxs := []int{0, 3, 255, 256, 511, 512, 513, 699}
@@ -390,11 +384,10 @@ func TestTieredModelChecked(t *testing.T) {
 		if n := tc.Cols(); n > 0 {
 			lo := rng.Intn(n)
 			hi := lo + rng.Intn(min(n-lo, 2*w)+1)
-			win, cw := tc.Window(ws, lo, hi), tc.CopyWindow(ws, lo, hi)
-			if !tieredEqual(tc, ref, win, lo, hi) || !tieredEqual(tc, ref, cw, lo, hi) {
+			cw := tc.CopyWindow(ws, lo, hi)
+			if !tieredEqual(tc, ref, cw, lo, hi) {
 				t.Fatalf("step %d: window [%d,%d) disagrees with the reference", step, lo, hi)
 			}
-			PutDense(ws, win)
 			PutDense(ws, cw)
 			idxs := make([]int, 1+rng.Intn(8))
 			for k := range idxs {

@@ -14,8 +14,8 @@ func GetDense(ws *compute.Workspace, r, c int) *Dense {
 }
 
 // GetDenseRaw borrows an r×c matrix whose contents are unspecified — for
-// callers that overwrite every element before reading (e.g. feeding
-// dmd.ReconstructModesIntoWith, which zeroes its output itself).
+// callers that overwrite every element before reading (e.g. an
+// overwrite-mode product or a TieredCols.CopyWindow fill).
 func GetDenseRaw(ws *compute.Workspace, r, c int) *Dense {
 	return &Dense{R: r, C: c, Data: ws.GetF64(r * c)}
 }

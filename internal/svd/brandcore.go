@@ -12,8 +12,8 @@ import (
 //	K = | diag(s)  L |
 //	    |   0      R |
 //
-// with L q×k and R k×k upper triangular (AddRows factors the transpose
-// of its core, which has the same shape). K is diagonal plus k dense
+// with L q×k and R k×k upper triangular (AddRows reaches it through the
+// column update on swapped factors). K is diagonal plus k dense
 // columns, so it is never handed to the dense Jacobi: brandCore appends
 // one column at a time, and each step is the SVD of a broken arrowhead,
 // solved by its secular equation (Brand, Linear Algebra Appl. 415, 2006;

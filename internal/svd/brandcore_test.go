@@ -142,8 +142,9 @@ func checkFactors(t *testing.T, ctx string, kk, u *mat.Dense, sig []float64, v *
 }
 
 // TestBrandCoreOracle checks the secular-equation core against the dense
-// Jacobi SVD and against K itself, over every structured form, for the
-// column update's shape and for AddRows' transposed one.
+// Jacobi SVD and against K itself, over every structured form, and
+// checks that the swapped factors reproduce Kᵀ, the identity AddRows'
+// swap rests on.
 func TestBrandCoreOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	ws := compute.NewWorkspace()
@@ -184,7 +185,7 @@ func TestBrandCoreOracle(t *testing.T) {
 				}
 				got.Release(ws)
 
-				// AddRows' core [Σ 0; L Rhᵀ] is Kᵀ: the same factors swapped.
+				// Kᵀ = V Σ Uᵀ: the same factors swapped.
 				kt := kk.T()
 				u, sig, v = brandCoreFull(ws, c.s, c.l, c.r)
 				checkFactors(t, ctx+" transposed", kt, v, sig, u)

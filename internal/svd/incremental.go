@@ -115,7 +115,10 @@ func (inc *Incremental) UpdateBlock(c *mat.Dense, w int) {
 	if c.R != inc.U.R {
 		panic(fmt.Sprintf("svd: Incremental.Update row mismatch %d vs %d", c.R, inc.U.R))
 	}
-	eachUpdateBlock(c, w, inc.U.R, inc.update)
+	eachUpdateBlock(c, w, inc.U.R, func(blk *mat.Dense) {
+		inc.update(blk)
+		inc.tick()
+	})
 }
 
 // eachUpdateBlock partitions c into the block schedule UpdateBlock
@@ -150,6 +153,8 @@ func (inc *Incremental) Update(c *mat.Dense) {
 	inc.UpdateBlock(c, 0)
 }
 
+// update is one Brand step: it absorbs the block c (m×k) into the
+// factors. AddRows runs it on the swapped factors.
 func (inc *Incremental) update(c *mat.Dense) {
 	q := inc.Rank()
 	k := c.C
@@ -201,7 +206,11 @@ func (inc *Incremental) update(c *mat.Dense) {
 
 	inc.replaceFactors(newU, core.S, newV)
 	inc.truncate()
+}
 
+// tick counts one absorbed block and runs the periodic
+// re-orthogonalization of U on every reorthEvery-th.
+func (inc *Incremental) tick() {
 	inc.updates++
 	if inc.reorthEvery > 0 && inc.updates%inc.reorthEvery == 0 {
 		inc.reorthogonalize()
@@ -216,8 +225,7 @@ func (inc *Incremental) replaceFactors(u *mat.Dense, s []float64, v *mat.Dense) 
 	inc.U, inc.S, inc.V = u, s, v
 }
 
-// truncate applies MaxRank and DropTol (the truncRank rule AddRows also
-// decides by).
+// truncate applies MaxRank and DropTol.
 func (inc *Incremental) truncate() {
 	rank := truncRank(inc.S, inc.MaxRank, inc.DropTol)
 	if rank == len(inc.S) {
