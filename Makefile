@@ -5,15 +5,20 @@
 GO ?= go
 VETTOOL := bin/imrdmd-vet
 
-.PHONY: all build test lint vettool vet-custom vet-asmdecl checkptr clean
+.PHONY: all build test bench-vet lint vettool vet-custom vet-asmdecl checkptr clean
 
 all: build
 
 build:
 	$(GO) build ./...
 
-test:
+test: bench-vet
 	$(GO) test ./...
+
+# The benchmark is its own module, so ./... never builds it; vet and test
+# it against the tree it compiles with.
+bench-vet:
+	$(GO) -C cmd/imrdmd-bench vet . && $(GO) -C cmd/imrdmd-bench test -count=1 .
 
 # vettool rebuilds whenever the framework, an analyzer, or the driver
 # changes — the same inputs the CI cache key hashes.

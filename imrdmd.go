@@ -5,153 +5,37 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"imrdmd/internal/baseline"
 	"imrdmd/internal/core"
+	"imrdmd/internal/dmd"
 	"imrdmd/internal/rack"
 	"imrdmd/internal/viz"
 )
 
-// Options configures an Analyzer. The zero value gets sensible defaults
-// (DT=1, MaxLevels=6, MaxCycles=2, 4× Nyquist sampling).
-type Options struct {
-	// DT is the sampling interval between columns (any consistent time
-	// unit; output frequencies are cycles per that unit).
-	DT float64
-	// MaxLevels bounds the multiresolution recursion depth.
-	MaxLevels int
-	// MaxCycles is the slow-mode threshold per window (paper default 2).
-	MaxCycles int
-	// NyquistFactor oversamples each window relative to Nyquist (paper
-	// uses 4).
-	NyquistFactor int
-	// Rank fixes the SVD truncation rank; 0 defers to SVHT.
-	Rank int
-	// UseSVHT enables Gavish–Donoho optimal hard thresholding
-	// (do_svht=True in the paper's Fig. 9 configuration).
-	UseSVHT bool
-	// MinWindow stops recursion below this many columns.
-	MinWindow int
-	// Parallel decomposes sibling windows concurrently on the analyzer's
-	// compute engine.
-	Parallel bool
-	// Workers sizes the analyzer's compute-engine worker pool — matrix
-	// kernels, sibling-window recursion and drift recomputations all run
-	// on one long-lived pool of Workers−1 goroutines, with each calling
-	// goroutine contributing its own lane. 0 uses a GOMAXPROCS-sized
-	// pool. The pool is process-wide per Workers value: analyzers
-	// configured with the same count share the same pool workers (each
-	// concurrent caller still adds its one inline lane). Each distinct
-	// Workers value pins one permanent pool for the process lifetime, so
-	// prefer a few fixed sizes over per-request values. See DESIGN.md §2.
-	Workers int
-	// BlockColumns chunks the incremental level-1 SVD's absorption of
-	// newly sampled columns: each chunk of BlockColumns columns costs one
-	// residual QR plus one small core SVD, so larger blocks amortize the
-	// factorization cost of sustained streams (1 = column at a time;
-	// 8 is a good streaming default). 0 keeps the pre-knob behavior of
-	// absorbing each PartialFit's samples as one block. Any setting
-	// yields the same subspace up to rank truncation — reconstruction
-	// error is test-pinned to match within 1e-8. See DESIGN.md §5.
-	BlockColumns int
-	// DriftWindow bounds the drift measurement — the per-update comparison
-	// of old versus new level-1 slow reconstructions — to the trailing
-	// DriftWindow level-1 grid columns, so UpdateStats.Drift measures
-	// recent change instead of diluting it across the whole timeline.
-	// 0 (the default) measures over the full grid. Pairs naturally with
-	// DriftThreshold. See DESIGN.md §10.
-	DriftWindow int
-	// AmplitudeWindow bounds the level-1 amplitude refit (the Jovanović
-	// least-squares fit re-run every PartialFit) to the trailing
-	// AmplitudeWindow level-1 grid columns. Amplitudes stay referenced to
-	// t=0; modes that decayed away before the window opens are reported
-	// with amplitude 0 (the window carries no information about them).
-	// 0 (the default) fits over the full grid, bit-identical to prior
-	// releases. See DESIGN.md §10 for the agreement tolerances.
-	AmplitudeWindow int
-	// ColdHorizon, when positive, demotes absorbed raw columns older than
-	// this many steps from float64 to float32 chunk storage — roughly
-	// halving resident history bytes for long streams. The trailing
-	// ColdHorizon columns (and everything the update pipeline fits
-	// against) stay exact f64; only full-resolution raw reads (Raw,
-	// ReconstructionError, snapshots) and DriftThreshold recomputes of
-	// windows older than the horizon observe the ≤2⁻²⁴ relative rounding
-	// on cold columns. 0 (the default) keeps all history in float64.
-	// See DESIGN.md §10.
-	ColdHorizon int
+// Options configures an Analyzer; see core.Options for each field. The
+// zero value gets sensible defaults (DT=1, MaxLevels=6, MaxCycles=2, 4×
+// Nyquist sampling).
+type Options = core.Options
 
-	// DriftThreshold, when positive, recomputes previously fitted levels
-	// when the level-1 slow-mode drift exceeds it (Algorithm 1's
-	// user-defined threshold). The recompute runs inside the PartialFit
-	// that measured the drift, so its result is in place when the call
-	// returns. 0 (the default) never recomputes; a negative, NaN or
-	// infinite value is invalid.
-	DriftThreshold float64
-}
-
-func (o Options) toCore() core.Options {
-	return core.Options{
-		DT:              o.DT,
-		MaxLevels:       o.MaxLevels,
-		MaxCycles:       o.MaxCycles,
-		NyquistFactor:   o.NyquistFactor,
-		Rank:            o.Rank,
-		UseSVHT:         o.UseSVHT,
-		MinWindow:       o.MinWindow,
-		Parallel:        o.Parallel,
-		Workers:         o.Workers,
-		BlockColumns:    o.BlockColumns,
-		DriftWindow:     o.DriftWindow,
-		AmplitudeWindow: o.AmplitudeWindow,
-		ColdHorizon:     o.ColdHorizon,
-		DriftThreshold:  o.DriftThreshold,
-	}
-}
-
-// Validate rejects option values that would otherwise be accepted
-// silently and misbehave later (negative Workers, BlockColumns or window
-// sizes, a negative or non-finite DriftThreshold). The zero value of
-// every field is valid; defaults are filled at fit time. The rules live
-// in core.Options.Validate — this wrapper only re-homes the error
-// prefix.
-func (o Options) Validate() error {
-	if err := o.toCore().Validate(); err != nil {
-		return fmt.Errorf("imrdmd: %s", strings.TrimPrefix(err.Error(), "core: "))
-	}
-	return nil
-}
-
-// UpdateStats reports one PartialFit (see core.UpdateStats).
-type UpdateStats struct {
-	// Drift is the Frobenius norm of the level-1 slow-mode change over
-	// the previously fitted window's level-1 sample grid (its trailing
-	// DriftWindow columns when that is set); see core.UpdateStats.
-	Drift float64
-	// Recomputed reports whether older levels were recomputed.
-	Recomputed bool
-	// NewColumns is the number of absorbed time steps.
-	NewColumns int
-}
+// UpdateStats reports one PartialFit; see core.UpdateStats.
+type UpdateStats = core.UpdateStats
 
 // SpectrumPoint is one mode in the mrDMD power spectrum: frequency
 // (Eq. 9), power ‖φ‖² (Eq. 10), amplitude |b|, growth rate Re ψ, and the
 // tree level the mode came from.
-type SpectrumPoint struct {
-	Freq  float64
-	Power float64
-	Amp   float64
-	Grow  float64
-	Level int
-}
+type SpectrumPoint = dmd.SpectrumPoint
+
+// MemStats is the analyzer's resident history footprint by storage tier
+// (see Options.ColdHorizon).
+type MemStats = core.MemStats
 
 // Analyzer is the public I-mrDMD pipeline: initial fit, streamed partial
 // fits, reconstruction, spectrum and baseline z-scores. Before InitialFit
 // its readers return empty results (an empty spectrum, a 0×0
 // reconstruction, zero counts) and ZScores an error.
 type Analyzer struct {
-	opts Options
-	inc  *core.Incremental
+	inc *core.Incremental
 }
 
 // New creates an Analyzer. It returns a descriptive error when opts holds
@@ -160,9 +44,9 @@ type Analyzer struct {
 // it.
 func New(opts Options) (*Analyzer, error) {
 	if err := opts.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("imrdmd: %w", err)
 	}
-	return &Analyzer{opts: opts, inc: core.NewIncremental(opts.toCore())}, nil
+	return &Analyzer{inc: core.NewIncremental(opts)}, nil
 }
 
 // Snapshot serializes the analyzer's complete incremental state — the
@@ -187,24 +71,7 @@ func Restore(r io.Reader) (*Analyzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("imrdmd: restore: %w", err)
 	}
-	co := inc.Options()
-	opts := Options{
-		DT:              co.DT,
-		MaxLevels:       co.MaxLevels,
-		MaxCycles:       co.MaxCycles,
-		NyquistFactor:   co.NyquistFactor,
-		Rank:            co.Rank,
-		UseSVHT:         co.UseSVHT,
-		MinWindow:       co.MinWindow,
-		Parallel:        co.Parallel,
-		Workers:         co.Workers,
-		BlockColumns:    co.BlockColumns,
-		DriftWindow:     co.DriftWindow,
-		AmplitudeWindow: co.AmplitudeWindow,
-		ColdHorizon:     co.ColdHorizon,
-		DriftThreshold:  co.DriftThreshold,
-	}
-	return &Analyzer{opts: opts, inc: inc}, nil
+	return &Analyzer{inc: inc}, nil
 }
 
 // errNilSeries is returned by the fitting calls when handed a nil Series.
@@ -224,8 +91,7 @@ func (a *Analyzer) PartialFit(s *Series) (UpdateStats, error) {
 	if s == nil {
 		return UpdateStats{}, errNilSeries
 	}
-	st, err := a.inc.PartialFit(s.dense())
-	return UpdateStats{Drift: st.Drift, Recomputed: st.Recomputed, NewColumns: st.NewColumns}, err
+	return a.inc.PartialFit(s.dense())
 }
 
 // Steps returns the number of absorbed time steps.
@@ -239,23 +105,9 @@ func (a *Analyzer) Updates() int { return a.inc.Updates() }
 // entries (1024) are retained.
 func (a *Analyzer) DriftLog() []float64 { return a.inc.DriftLog() }
 
-// MemStats is the analyzer's resident history footprint by storage tier
-// (see Options.ColdHorizon).
-type MemStats struct {
-	// HotBytes / ColdBytes are the resident bytes of the exact float64
-	// tail and the float32 cold chunks.
-	HotBytes, ColdBytes int64
-	// Steps counts all absorbed time steps; ColdSteps how many of them
-	// live in the cold tier.
-	Steps, ColdSteps int
-}
-
 // MemStats reports the history-tier memory accounting — flat in stream
 // length for the hot part, halved for everything past ColdHorizon.
-func (a *Analyzer) MemStats() MemStats {
-	ms := a.inc.MemStats()
-	return MemStats{HotBytes: ms.HotBytes, ColdBytes: ms.ColdBytes, Steps: ms.Cols, ColdSteps: ms.ColdCols}
-}
+func (a *Analyzer) MemStats() MemStats { return a.inc.MemStats() }
 
 // Reconstruction returns the mrDMD approximation of everything absorbed —
 // the denoised signal of Fig. 3.
@@ -268,14 +120,7 @@ func (a *Analyzer) Reconstruction() *Series {
 func (a *Analyzer) ReconstructionError() float64 { return a.inc.ReconError() }
 
 // Spectrum returns every retained mode's spectrum point (Figs. 5/7).
-func (a *Analyzer) Spectrum() []SpectrumPoint {
-	pts := a.inc.Spectrum()
-	out := make([]SpectrumPoint, len(pts))
-	for i, p := range pts {
-		out[i] = SpectrumPoint{Freq: p.Freq, Power: p.Power, Amp: p.Amp, Grow: p.Grow, Level: p.Level}
-	}
-	return out
-}
+func (a *Analyzer) Spectrum() []SpectrumPoint { return a.inc.Spectrum() }
 
 // NumModes returns the total retained mode count.
 func (a *Analyzer) NumModes() int { return a.inc.NumModes() }

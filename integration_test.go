@@ -44,17 +44,21 @@ func TestFullPipelineIntegration(t *testing.T) {
 		Bursts: []hwlog.Burst{{Node: hotNode, Cat: hwlog.MachineCheck, Start: 0, End: horizon, Count: 12}},
 	})
 
-	// Stream through the pump in 128-column batches.
+	// Stream through a feeder in 128-column batches.
 	inc := core.NewIncremental(core.Options{
 		DT: prof.SampleInterval, MaxLevels: 5, MaxCycles: 2, UseSVHT: true, Parallel: true,
 	})
-	src := stream.FromFunc(gen.Matrix, nodes, steps, 128)
-	stats, err := stream.Pump(inc, src, 512)
+	feeder, err := stream.NewFeeder(inc, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Columns != steps || stats.Batches != 4 {
-		t.Fatalf("pump stats %+v", stats)
+	for t0 := 0; t0 < steps; t0 += 128 {
+		if err := feeder.Push(gen.Matrix(t0, t0+128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if inc.Cols() != steps || inc.Updates() != 4 {
+		t.Fatalf("streamed %d columns in %d updates, want %d in 4", inc.Cols(), inc.Updates(), steps)
 	}
 
 	// Reconstruction is faithful.

@@ -15,7 +15,8 @@
 //     exactly the bug this analyzer exists to catch.
 //
 // Everything else — field assignments, element stores into a result's
-// slices (directly or through a one-level alias) — is a finding.
+// slices (directly or through a one-level alias), and the same writes
+// into a struct the result holds (p.View.Spectrum[i]) — is a finding.
 package cowpublish
 
 import (
@@ -155,10 +156,19 @@ func classifyWrite(pass *analysis.Pass, facts *funcFacts, lhs ast.Expr) (ast.Nod
 	return nil, ""
 }
 
-// isResultField reports whether sel selects a field of PublishedResult.
+// isResultField reports whether sel selects a field of PublishedResult,
+// directly or through fields of a struct the result holds (p.View.X).
 func isResultField(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
-	t := pass.Info.Types[sel.X].Type
-	return t != nil && analysis.IsNamed(t, "server", typeName)
+	for {
+		if t := pass.Info.Types[sel.X].Type; t != nil && analysis.IsNamed(t, "server", typeName) {
+			return true
+		}
+		inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		sel = inner
+	}
 }
 
 func isOnceDo(pass *analysis.Pass, call *ast.CallExpr) bool {

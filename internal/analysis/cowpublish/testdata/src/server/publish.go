@@ -5,9 +5,15 @@ import (
 	"sync/atomic"
 )
 
+type View struct {
+	Spectrum []float64
+	Drift    float64
+}
+
 type PublishedResult struct {
 	Version  uint64
 	Spectrum []float64
+	View     View
 	body     []byte
 	once     sync.Once
 }
@@ -30,6 +36,25 @@ func badAfterStore(t *tenant, spectrum []float64) {
 	p.Version = 2     // want `field write to PublishedResult after the atomic Store`
 	p.Spectrum[0] = 1 // want `element store into a slice of PublishedResult after the atomic Store`
 	_ = spectrum
+}
+
+// Publishing a view hands its slices to the result; nothing is written.
+func okPublishView(t *tenant, view View) {
+	t.pub.Store(&PublishedResult{Version: 1, View: view})
+}
+
+// Writes into a struct the result holds are writes into the result.
+func badNestedWrites(t *tenant, view View) {
+	p := &PublishedResult{Version: 1, View: view}
+	p.View.Drift = 1 // before the Store: still the constructor
+	t.pub.Store(p)
+	p.View.Drift = 2       // want `field write to PublishedResult after the atomic Store`
+	p.View.Spectrum[0] = 1 // want `element store into a slice of PublishedResult after the atomic Store`
+}
+
+func badNestedAlias(p *PublishedResult) {
+	s := p.View.Spectrum
+	s[0] = 1 // want `element store \(through an alias\) into a slice of PublishedResult outside its constructor`
 }
 
 // Any write outside a constructor mutates a potentially-published value.

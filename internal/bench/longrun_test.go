@@ -79,24 +79,24 @@ func TestLongrunFlatHorizon(t *testing.T) {
 		stats[i].bytes = float64(m1.TotalAlloc-m0.TotalAlloc) / measured
 		st := stats[i]
 		t.Logf("T=%d: %.0f allocs/batch, %.0f B/batch, resident %d B (%d of %d columns cold)",
-			st.mem.Cols, st.allocs, st.bytes, st.mem.HotBytes+st.mem.ColdBytes, st.mem.ColdCols, st.mem.Cols)
+			st.mem.Steps, st.allocs, st.bytes, st.mem.HotBytes+st.mem.ColdBytes, st.mem.ColdSteps, st.mem.Steps)
 	}
 
 	first, last := stats[0], stats[len(stats)-1]
 	if r := last.allocs / first.allocs; r > flatBound {
-		t.Errorf("allocs/batch grew %.3f× from T=%d to T=%d (bound %.2f×)", r, first.mem.Cols, last.mem.Cols, flatBound)
+		t.Errorf("allocs/batch grew %.3f× from T=%d to T=%d (bound %.2f×)", r, first.mem.Steps, last.mem.Steps, flatBound)
 	}
 	if r := last.bytes / first.bytes; r > flatBound {
-		t.Errorf("bytes/batch grew %.3f× from T=%d to T=%d (bound %.2f×)", r, first.mem.Cols, last.mem.Cols, flatBound)
+		t.Errorf("bytes/batch grew %.3f× from T=%d to T=%d (bound %.2f×)", r, first.mem.Steps, last.mem.Steps, flatBound)
 	}
 	for i := 1; i < len(stats); i++ {
 		a, b := stats[i-1].mem, stats[i].mem
 		grown := float64(b.HotBytes + b.ColdBytes - a.HotBytes - a.ColdBytes)
-		perReading := grown / float64((b.Cols-a.Cols)*sensors)
-		t.Logf("T=%d→%d: %.3f resident bytes per absorbed reading", a.Cols, b.Cols, perReading)
+		perReading := grown / float64((b.Steps-a.Steps)*sensors)
+		t.Logf("T=%d→%d: %.3f resident bytes per absorbed reading", a.Steps, b.Steps, perReading)
 		if perReading > maxBytesPerReading {
 			t.Errorf("T=%d→%d: %.3f resident bytes per absorbed reading, want ≤ %.1f (f32 cold tier)",
-				a.Cols, b.Cols, perReading, maxBytesPerReading)
+				a.Steps, b.Steps, perReading, maxBytesPerReading)
 		}
 	}
 }

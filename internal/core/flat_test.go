@@ -241,24 +241,24 @@ func TestColdTierSpectrumUnchanged(t *testing.T) {
 	treesEqual(t, cold, warm)
 
 	ms := cold.MemStats()
-	if ms.ColdCols == 0 {
+	if ms.ColdSteps == 0 {
 		t.Fatal("no columns demoted — cold tier never engaged")
 	}
-	if ms.Cols != data.C {
-		t.Fatalf("MemStats.Cols = %d, want %d", ms.Cols, data.C)
+	if ms.Steps != data.C {
+		t.Fatalf("MemStats.Steps = %d, want %d", ms.Steps, data.C)
 	}
 	if ms.ColdBytes == 0 || ms.HotBytes == 0 {
 		t.Fatalf("tier byte accounting empty: hot=%d cold=%d", ms.HotBytes, ms.ColdBytes)
 	}
 	wms := warm.MemStats()
-	if wms.ColdCols != 0 || wms.ColdBytes != 0 {
+	if wms.ColdSteps != 0 || wms.ColdBytes != 0 {
 		t.Fatalf("warm analyzer reports cold state: %+v", wms)
 	}
 
 	// Raw() must round-trip: hot columns exact, cold columns within one
 	// f32 rounding of the ingested values.
 	raw := cold.Raw()
-	coldCols := ms.ColdCols
+	coldCols := ms.ColdSteps
 	for i := 0; i < data.R; i++ {
 		for k := 0; k < data.C; k++ {
 			x, got := data.At(i, k), raw.At(i, k)
@@ -293,7 +293,7 @@ func testColdTierDriftRecompute(t *testing.T) {
 		t.Fatalf("Recomputes: cold %d, warm %d (want equal and > 0)", cold.Recomputes(), warm.Recomputes())
 	}
 	modesEqual(t, "level 1", cold.level1, warm.level1)
-	coldCols := cold.MemStats().ColdCols
+	coldCols := cold.MemStats().ColdSteps
 	if coldCols == 0 {
 		t.Fatal("no columns demoted — cold tier never engaged")
 	}

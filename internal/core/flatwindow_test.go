@@ -224,7 +224,7 @@ func TestTieredRecomputeConcurrentReaders(t *testing.T) {
 		t.Fatalf("absorbed %d cols, want %d", inc.Cols(), sc.data.C)
 	}
 	ms := inc.MemStats()
-	if ms.ColdCols == 0 {
+	if ms.ColdSteps == 0 {
 		t.Fatal("cold tier never engaged under the concurrent stream")
 	}
 	if r := inc.Recomputes(); r == 0 {

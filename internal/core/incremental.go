@@ -107,7 +107,7 @@ func NewIncremental(opts Options) *Incremental {
 	opts = opts.withDefaults()
 	return &Incremental{
 		opts: opts,
-		eng:  opts.engine(),
+		eng:  compute.Shared(opts.Workers),
 		ws:   compute.NewWorkspace(),
 	}
 }
@@ -560,13 +560,16 @@ func (inc *Incremental) Raw() *mat.Dense {
 }
 
 // MemStats reports the resident bytes of the absorbed history by tier —
-// the per-tenant memory accounting behind the server's /stats.
+// the memory accounting behind the server's /stats and the public
+// Analyzer.MemStats: flat in stream length for the hot part, halved for
+// everything past Options.ColdHorizon.
 type MemStats struct {
 	// HotBytes / ColdBytes are the resident history bytes of the f64 hot
 	// chunks and the f32 cold chunks.
 	HotBytes, ColdBytes int64
-	// Cols / ColdCols count absorbed columns and how many are cold.
-	Cols, ColdCols int
+	// Steps counts all absorbed time steps; ColdSteps how many of them
+	// live in the cold tier.
+	Steps, ColdSteps int
 }
 
 // MemStats returns the history-tier memory accounting.
@@ -579,8 +582,8 @@ func (inc *Incremental) MemStats() MemStats {
 	return MemStats{
 		HotBytes:  inc.hist.HotBytes(),
 		ColdBytes: inc.hist.ColdBytes(),
-		Cols:      inc.hist.Cols(),
-		ColdCols:  inc.hist.ColdCols(),
+		Steps:     inc.hist.Cols(),
+		ColdSteps: inc.hist.ColdCols(),
 	}
 }
 

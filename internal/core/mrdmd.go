@@ -21,16 +21,21 @@ import (
 	"imrdmd/internal/mat"
 )
 
-// Options configures an mrDMD / I-mrDMD analysis.
+// Options configures an mrDMD / I-mrDMD analysis. The public package
+// and the server name this declaration (imrdmd.Options is an alias). The
+// zero value of every field is valid; withDefaults fills DT=1,
+// MaxLevels=6, MaxCycles=2, NyquistFactor=4 and MinWindow=8 at fit time.
 type Options struct {
-	// DT is the sampling interval of the input columns (seconds, or any
+	// DT is the sampling interval between input columns (seconds, or any
 	// consistent unit; frequencies come out in cycles per that unit).
 	DT float64
-	// MaxLevels bounds the recursion depth (level 1 = whole window).
+	// MaxLevels bounds the multiresolution recursion depth (level 1 =
+	// whole window).
 	MaxLevels int
-	// MaxCycles is the slow-mode threshold: a mode is "slow" for a window
-	// of duration D when |ψ|/2π ≤ MaxCycles/D, i.e. it completes at most
-	// MaxCycles oscillations across the window.
+	// MaxCycles is the slow-mode threshold per window (paper default 2):
+	// a mode is "slow" for a window of duration D when |ψ|/2π ≤
+	// MaxCycles/D, i.e. it completes at most MaxCycles oscillations
+	// across the window.
 	MaxCycles int
 	// NyquistFactor oversamples the slow band: each window is subsampled
 	// to about NyquistFactor·2·MaxCycles columns before DMD. The paper
@@ -39,7 +44,8 @@ type Options struct {
 	// Rank fixes SVD truncation; 0 defers to SVHT when UseSVHT is set,
 	// otherwise full numerical rank.
 	Rank int
-	// UseSVHT enables the Gavish–Donoho optimal hard threshold.
+	// UseSVHT enables the Gavish–Donoho optimal hard threshold
+	// (do_svht=True in the paper's Fig. 9 configuration).
 	UseSVHT bool
 	// MinWindow stops recursion when a window has fewer columns.
 	MinWindow int
@@ -47,86 +53,90 @@ type Options struct {
 	// compute engine; the recursion is embarrassingly parallel, as the
 	// paper notes.
 	Parallel bool
-	// Workers bounds the engine lane count for everything this analysis
-	// runs — matrix kernels, sibling windows, drift recomputes. 0 uses
-	// the GOMAXPROCS-sized shared pool.
+	// Workers sizes the compute engine everything this analysis runs on —
+	// matrix kernels, sibling windows and drift recomputes share one
+	// long-lived pool of Workers−1 goroutines, with each calling goroutine
+	// contributing its own lane. 0 uses a GOMAXPROCS-sized pool. The pool
+	// is process-wide per Workers value (compute.Shared): analyzers with
+	// the same count share its workers, each concurrent caller still
+	// adding its one inline lane. Each distinct value pins one permanent
+	// pool for the process lifetime, so prefer a few fixed sizes over
+	// per-request values. See DESIGN.md §2.
 	Workers int
 	// BlockColumns chunks the incremental SVD's absorption of newly
 	// sampled level-1 columns: each chunk of BlockColumns columns pays
 	// one residual QR plus one small core SVD, so larger values mean
-	// fewer factorizations per absorbed column. 1 absorbs column by
-	// column; 0 (the default) absorbs each PartialFit's new samples as a
-	// single block, preserving the pre-knob semantics. The absorbed
-	// subspace is identical up to rank truncation for every setting
-	// (blockcolumns_test.go pins BlockColumns=8 against column-at-a-time
-	// within 1e-8 reconstruction error).
+	// fewer factorizations per absorbed column (1 absorbs column by
+	// column; 8 is a good streaming default). 0 (the default) absorbs
+	// each PartialFit's new samples as a single block, preserving the
+	// pre-knob semantics. The absorbed subspace is identical up to rank
+	// truncation for every setting (blockcolumns_test.go pins
+	// BlockColumns=8 against column-at-a-time within 1e-8 reconstruction
+	// error). See DESIGN.md §5.
 	BlockColumns int
-	// DriftThreshold triggers recomputation of pre-existing subtrees when
-	// the level-1 slow-mode drift (UpdateStats.Drift) exceeds it
-	// (Algorithm 1's user-defined threshold). Zero disables
-	// recomputation; a negative, NaN or infinite value is invalid.
+	// DriftThreshold, when positive, recomputes previously fitted
+	// subtrees when the level-1 slow-mode drift (UpdateStats.Drift)
+	// exceeds it (Algorithm 1's user-defined threshold). The recompute
+	// runs inside the PartialFit that measured the drift, so its result
+	// is in place when the call returns. Zero disables recomputation; a
+	// negative, NaN or infinite value is invalid.
 	DriftThreshold float64
 	// DriftWindow bounds PartialFit's drift measurement — the comparison
 	// of old vs new level-1 slow reconstructions — to the trailing
-	// DriftWindow level-1 grid columns, so the drift reflects recent
-	// history only: recomputation triggers on changes visible inside the
-	// window rather than on ones diluted across the whole timeline. The
+	// DriftWindow level-1 grid columns, so UpdateStats.Drift reflects
+	// recent change instead of diluting it across the whole timeline:
+	// recomputation triggers on changes visible inside the window. The
 	// drift is measured in reduced form (see dmd.DriftWith), where the
 	// window only bounds a K²·window term beside the P·K² Gram. 0 (the
-	// default) measures over the full grid.
+	// default) measures over the full grid. Pairs naturally with
+	// DriftThreshold. See DESIGN.md §10.
 	DriftWindow int
 	// AmplitudeWindow bounds the level-1 amplitude refit (the Jovanović
-	// normal equations inside every PartialFit) to the trailing
+	// least-squares fit re-run inside every PartialFit) to the trailing
 	// AmplitudeWindow level-1 grid columns — the last O(T) term of the
-	// per-batch cost. Modes that decayed to nothing before the window
-	// opens get amplitude 0 (the window carries no information about
-	// them); persistent modes agree with the full-width fit to roundoff
-	// on stationary signals (test-pinned). 0 (the default) fits the full
-	// grid, bit-identical to prior releases.
+	// per-batch cost. Amplitudes stay referenced to t=0; modes that
+	// decayed away before the window opens get amplitude 0 (the window
+	// carries no information about them); persistent modes agree with
+	// the full-width fit to roundoff on stationary signals (test-pinned).
+	// 0 (the default) fits the full grid, bit-identical to prior
+	// releases. See DESIGN.md §10 for the agreement tolerances.
 	AmplitudeWindow int
-	// ColdHorizon demotes absorbed raw columns older than this many steps
-	// from float64 to float32 chunk storage, halving resident bytes for
-	// long histories. The trailing ColdHorizon columns always stay exact;
-	// demoted history is widened back on demand (segment recompute,
-	// ReconError, snapshot) carrying one f32 rounding (rel ≤ 2⁻²⁴ per
-	// element). 0 (the default) keeps everything in float64, bit-stable
-	// with prior releases. See DESIGN.md §10.
+	// ColdHorizon, when positive, demotes absorbed raw columns older than
+	// this many steps from float64 to float32 chunk storage, roughly
+	// halving resident history bytes for long streams. The trailing
+	// ColdHorizon columns, and everything the update pipeline fits
+	// against, stay exact float64. Only full-resolution raw reads (Raw,
+	// ReconError, snapshots) and DriftThreshold recomputes of windows
+	// older than the horizon see the one f32 rounding (relative ≤ 2⁻²⁴
+	// per element) on cold columns. 0 (the default) keeps all history in
+	// float64, bit-stable with prior releases. See DESIGN.md §10.
 	ColdHorizon int
-	// Engine overrides the worker pool directly (advanced; takes
-	// precedence over Workers). Shared across calls, never closed here.
-	Engine *compute.Engine
-}
-
-// engine resolves the configured compute engine.
-func (o Options) engine() *compute.Engine {
-	if o.Engine != nil {
-		return o.Engine
-	}
-	return compute.Shared(o.Workers)
 }
 
 // Validate rejects option values that would otherwise be accepted
 // silently and misbehave later: negative worker, block-column or window
 // counts, and a drift threshold that is negative, NaN or infinite. The
-// zero value of every field is valid.
+// zero value of every field is valid. Errors name the field
+// ("Options.Workers …") and carry no package prefix; imrdmd.New adds its
+// own.
 func (o Options) Validate() error {
 	if o.Workers < 0 {
-		return fmt.Errorf("core: Options.Workers must be >= 0, got %d", o.Workers)
+		return fmt.Errorf("Options.Workers must be >= 0, got %d", o.Workers)
 	}
 	if o.BlockColumns < 0 {
-		return fmt.Errorf("core: Options.BlockColumns must be >= 0, got %d", o.BlockColumns)
+		return fmt.Errorf("Options.BlockColumns must be >= 0, got %d", o.BlockColumns)
 	}
 	if o.DriftWindow < 0 {
-		return fmt.Errorf("core: Options.DriftWindow must be >= 0, got %d (0 = full grid)", o.DriftWindow)
+		return fmt.Errorf("Options.DriftWindow must be >= 0, got %d (0 = full grid)", o.DriftWindow)
 	}
 	if o.AmplitudeWindow < 0 {
-		return fmt.Errorf("core: Options.AmplitudeWindow must be >= 0, got %d (0 = full grid)", o.AmplitudeWindow)
+		return fmt.Errorf("Options.AmplitudeWindow must be >= 0, got %d (0 = full grid)", o.AmplitudeWindow)
 	}
 	if o.ColdHorizon < 0 {
-		return fmt.Errorf("core: Options.ColdHorizon must be >= 0, got %d (0 = no cold tier)", o.ColdHorizon)
+		return fmt.Errorf("Options.ColdHorizon must be >= 0, got %d (0 = no cold tier)", o.ColdHorizon)
 	}
 	if !(o.DriftThreshold >= 0) || math.IsInf(o.DriftThreshold, 1) {
-		return fmt.Errorf("core: Options.DriftThreshold must be finite and >= 0, got %g (0 = never recompute)", o.DriftThreshold)
+		return fmt.Errorf("Options.DriftThreshold must be finite and >= 0, got %g (0 = never recompute)", o.DriftThreshold)
 	}
 	return nil
 }
@@ -188,7 +198,7 @@ func Decompose(data *mat.Dense, opts Options) (*Tree, error) {
 	}
 	p, t := data.Dims()
 	work := data.Clone()
-	nodes, err := decompose(work, 1, 0, opts, opts.engine(), compute.NewWorkspace())
+	nodes, err := decompose(work, 1, 0, opts, compute.Shared(opts.Workers), compute.NewWorkspace())
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +377,7 @@ func (t *Tree) ReconstructLevels(maxLevel int) *mat.Dense {
 // ReconError streams window by window.
 func reconstructNodes(nodes []*Node, p, t int, opts Options) *mat.Dense {
 	out := mat.NewDense(p, t)
-	eng, ws := opts.engine(), compute.NewWorkspace()
+	eng, ws := compute.Shared(opts.Workers), compute.NewWorkspace()
 	for _, nd := range nodes {
 		addNodeWindow(eng, ws, out, nd, 0, t, opts.DT)
 	}

@@ -156,7 +156,7 @@ func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, erro
 	}
 	opts = opts.withDefaults()
 	if eng == nil {
-		eng = opts.engine()
+		eng = compute.Shared(opts.Workers)
 	}
 	ws := compute.NewWorkspace()
 
@@ -269,15 +269,22 @@ func (inc *Incremental) validateDecodedNode(n *Node) error {
 }
 
 // Options returns the analyzer's (default-filled) configuration — what a
-// restored public Analyzer re-wraps.
+// restored server tenant reports as its options.
 func (inc *Incremental) Options() Options {
 	return inc.opts
 }
 
-// encodeOptions writes every persistent Options field. The runtime-only
-// Engine override is deliberately not serialized: a snapshot restored in
-// another process resolves its pool from Workers (or the restorer's
-// explicit engine).
+// Engine returns the compute engine the analyzer runs on:
+// compute.Shared(Options.Workers), or the engine DecodeIncrementalWith
+// was given.
+func (inc *Incremental) Engine() *compute.Engine {
+	return inc.eng
+}
+
+// encodeOptions writes every persistent Options field. Workers records
+// the lane count the analyzer was configured with; a snapshot restored
+// in another process resolves its pool from it, unless the restorer
+// passes its own engine (DecodeIncrementalWith).
 //
 // The retired precision slot always carries "float64", the value every
 // default-filled analyzer wrote before the float32 tier was removed, so

@@ -633,12 +633,15 @@ func ExpPsiT(psi complex128, t float64) complex128 {
 
 // SpectrumPoint is one (frequency, power, amplitude) sample of the DMD /
 // mrDMD spectrum used for frequency isolation (paper §III-A2, Fig. 5/7).
+// The public imrdmd.SpectrumPoint and the server's wire form are aliases
+// of it. It stays a comparable value type on purpose: the server's
+// spectrum deltas are multiset differences over these values.
 type SpectrumPoint struct {
-	Freq  float64 // cycles per unit time (Eq. 9)
-	Power float64 // ‖φ‖² (Eq. 10)
-	Amp   float64 // |b|, the plotted "mode amplitude"
-	Grow  float64 // Re ψ: positive = growing, negative = decaying
-	Level int     // mrDMD level the mode came from (0 for plain DMD)
+	Freq  float64 `json:"freq"`  // cycles per unit time (Eq. 9)
+	Power float64 `json:"power"` // ‖φ‖² (Eq. 10)
+	Amp   float64 `json:"amp"`   // |b|, the plotted "mode amplitude"
+	Grow  float64 `json:"grow"`  // Re ψ: positive = growing, negative = decaying
+	Level int     `json:"level"` // mrDMD level the mode came from (0 for plain DMD)
 }
 
 // Spectrum returns the spectrum points of a decomposition.

@@ -9,7 +9,7 @@ import (
 
 func BenchmarkPublishLocked(b *testing.B) {
 	data := bench.SCLogData(200, 4000, 1)
-	t, err := newTenant("b", TenantOptions{DT: 20, MaxLevels: 6, MaxCycles: 2, UseSVHT: true, Parallel: true, BlockColumns: 8, InitialCols: 2000}, nil, 256)
+	t, err := newTenant("b", TenantOptions{DT: 20, MaxLevels: 6, MaxCycles: 2, UseSVHT: true, Parallel: true, BlockColumns: 8, InitialCols: 2000}, 0, 256)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func BenchmarkPublishLocked(b *testing.B) {
 	})
 	t.mu.Lock()
 	view := t.inc.View()
-	st := t.statusLocked()
+	st := t.statusLocked(view)
 	t.mu.Unlock()
 	b.Run("freeze", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

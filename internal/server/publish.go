@@ -44,20 +44,13 @@ type PublishedResult struct {
 	// pre-publish query gate, frozen into the result.
 	Seeded bool
 
-	// Spectrum is the published mode set, retained un-marshaled for
-	// delta computation (?since and SSE events diff two results).
-	Spectrum []SpectrumPoint
+	// View is the analyzer summary the result was built from. Its
+	// Spectrum (a fresh slice per core.View call, so nothing else holds
+	// it) is the published mode set, retained un-marshaled for delta
+	// computation (?since and SSE events diff two results).
+	View core.View
 	// Status is the stats summary frozen at publish time.
 	Status TenantStatus
-	// Drift and ReconError mirror the analyzer view: the most recent
-	// PartialFit drift and the grid-restricted reconstruction error.
-	Drift      float64
-	ReconError float64
-	GridCols   int
-	Modes      int
-	Levels     int
-	Nodes      int
-	Steps      int
 
 	// Response bodies and their strong ETags (quoted FNV-64a of the
 	// body) are rendered lazily, once per published version, by the
@@ -89,7 +82,7 @@ type PublishedResult struct {
 // ETag, rendering them on first call. Safe for concurrent use.
 func (p *PublishedResult) ModesBody() (body []byte, etag string) {
 	p.modesOnce.Do(func() {
-		p.modesJSON = mustJSON(modesPayload{Modes: p.Modes, Levels: p.Levels, Nodes: p.Nodes, Steps: p.Steps})
+		p.modesJSON = mustJSON(modesPayload{Modes: p.View.NumModes, Levels: p.View.MaxLevel, Nodes: p.View.Nodes, Steps: p.View.Steps})
 		p.modesETag = strongETag(p.modesJSON)
 	})
 	return p.modesJSON, p.modesETag
@@ -99,7 +92,7 @@ func (p *PublishedResult) ModesBody() (body []byte, etag string) {
 // ETag, rendering them on first call. Safe for concurrent use.
 func (p *PublishedResult) ErrorBody() (body []byte, etag string) {
 	p.errorOnce.Do(func() {
-		p.errorJSON = mustJSON(errorPayload{ReconError: p.ReconError, Steps: p.Steps, GridCols: p.GridCols, Drift: p.Drift})
+		p.errorJSON = mustJSON(errorPayload{ReconError: p.View.GridError, Steps: p.View.Steps, GridCols: p.View.GridCols, Drift: p.View.LastDrift})
 		p.errorETag = strongETag(p.errorJSON)
 	})
 	return p.errorJSON, p.errorETag
@@ -119,7 +112,7 @@ func (p *PublishedResult) StatusBody() (body []byte, etag string) {
 // ETag, rendering them on first call. Safe for concurrent use.
 func (p *PublishedResult) SpectrumBody() (body []byte, etag string) {
 	p.spectrumOnce.Do(func() {
-		p.spectrumJSON = appendSpectrumJSON(make([]byte, 0, 2+72*len(p.Spectrum)), p.Spectrum)
+		p.spectrumJSON = appendSpectrumJSON(make([]byte, 0, 2+72*len(p.View.Spectrum)), p.View.Spectrum)
 		p.spectrumETag = strongETag(p.spectrumJSON)
 	})
 	return p.spectrumJSON, p.spectrumETag
@@ -204,25 +197,10 @@ func appendJSONFloat(buf []byte, f float64) []byte {
 }
 
 // newPublishedResult freezes a view + status pair into the immutable
-// wire-ready form.
+// wire-ready form. The view is taken as is: core.View builds a fresh
+// spectrum slice on every call, so the result owns it.
 func newPublishedResult(version uint64, seeded bool, view core.View, st TenantStatus) *PublishedResult {
-	spectrum := make([]SpectrumPoint, len(view.Spectrum))
-	for i, p := range view.Spectrum {
-		spectrum[i] = SpectrumPoint{Freq: p.Freq, Power: p.Power, Amp: p.Amp, Grow: p.Grow, Level: p.Level}
-	}
-	return &PublishedResult{
-		Version:    version,
-		Seeded:     seeded,
-		Spectrum:   spectrum,
-		Status:     st,
-		Drift:      view.LastDrift,
-		ReconError: view.GridError,
-		GridCols:   view.GridCols,
-		Modes:      view.NumModes,
-		Levels:     view.MaxLevel,
-		Nodes:      view.Nodes,
-		Steps:      view.Steps,
-	}
+	return &PublishedResult{Version: version, Seeded: seeded, View: view, Status: st}
 }
 
 // spectrumDelta computes the multiset difference between two published

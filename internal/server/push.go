@@ -173,7 +173,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if lei := r.Header.Get("Last-Event-ID"); lei != "" {
 		if v, perr := strconv.ParseUint(lei, 10, 64); perr == nil {
 			if old := t.lookupPublished(v); old != nil {
-				last, lastSpectrum = old.Version, old.Spectrum
+				last, lastSpectrum = old.Version, old.View.Spectrum
 			}
 		}
 	}
@@ -183,7 +183,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if writeSSE(w, fl, pub, last, lastSpectrum, sub.dropped.Load()) != nil {
 			return
 		}
-		last, lastSpectrum = pub.Version, pub.Spectrum
+		last, lastSpectrum = pub.Version, pub.View.Spectrum
 	}
 	ctx := r.Context()
 	for {
@@ -200,7 +200,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if writeSSE(w, fl, pub, last, lastSpectrum, sub.dropped.Load()) != nil {
 				return
 			}
-			last, lastSpectrum = pub.Version, pub.Spectrum
+			last, lastSpectrum = pub.Version, pub.View.Spectrum
 		}
 	}
 }
@@ -214,17 +214,17 @@ func writeSSE(w http.ResponseWriter, fl http.Flusher, pub *PublishedResult, sinc
 		Seeded:     pub.Seeded,
 		Steps:      pub.Status.Steps,
 		Pending:    pub.Status.Pending,
-		Modes:      pub.Modes,
-		Levels:     pub.Levels,
-		Drift:      pub.Drift,
-		ReconError: pub.ReconError,
+		Modes:      pub.View.NumModes,
+		Levels:     pub.View.MaxLevel,
+		Drift:      pub.View.LastDrift,
+		ReconError: pub.View.GridError,
 		Dropped:    dropped,
 	}
 	if sinceVersion == 0 {
 		ev.Reset = true
-		ev.Spectrum = pub.Spectrum
+		ev.Spectrum = pub.View.Spectrum
 	} else {
-		ev.Added, ev.Removed = spectrumDelta(sinceSpectrum, pub.Spectrum)
+		ev.Added, ev.Removed = spectrumDelta(sinceSpectrum, pub.View.Spectrum)
 	}
 	if _, err := fmt.Fprintf(w, "event: publish\nid: %d\ndata: %s\n\n", pub.Version, mustJSON(ev)); err != nil {
 		return err

@@ -49,6 +49,7 @@ import (
 	"sync"
 
 	"imrdmd/internal/compute"
+	"imrdmd/internal/dmd"
 	"imrdmd/internal/mat"
 	"imrdmd/internal/stream"
 )
@@ -80,6 +81,10 @@ func New(cfg Config) *Server {
 	if cfg.DefaultInitialCols == 0 {
 		cfg.DefaultInitialCols = 256
 	}
+	// compute.Shared reads a negative count as 0 (GOMAXPROCS lanes);
+	// tenants take Workers from here and core.Options rejects negatives,
+	// so normalize once to keep them on the server's pool.
+	cfg.Workers = max(cfg.Workers, 0)
 	return &Server{
 		cfg:     cfg,
 		eng:     compute.Shared(cfg.Workers),
@@ -270,7 +275,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	t, err := newTenant(id, opts, s.eng, s.cfg.DefaultInitialCols)
+	t, err := newTenant(id, opts, s.cfg.Workers, s.cfg.DefaultInitialCols)
 	if err != nil {
 		writeErr(w, fail(http.StatusBadRequest, err))
 		return
@@ -569,13 +574,7 @@ func (s *Server) handleModes(w http.ResponseWriter, r *http.Request) {
 // SpectrumPoint is the wire form of one retained mode. A comparable
 // value type on purpose: spectrum deltas are multiset differences over
 // these values.
-type SpectrumPoint struct {
-	Freq  float64 `json:"freq"`
-	Power float64 `json:"power"`
-	Amp   float64 `json:"amp"`
-	Grow  float64 `json:"grow"`
-	Level int     `json:"level"`
-}
+type SpectrumPoint = dmd.SpectrumPoint
 
 func (s *Server) handleSpectrum(w http.ResponseWriter, r *http.Request) {
 	t, pub, err := s.seededPublished(r)
@@ -612,10 +611,10 @@ func (s *Server) serveSpectrumDelta(w http.ResponseWriter, r *http.Request, t *t
 	resp := spectrumDeltaResponse{Version: pub.Version, Since: since}
 	if old := t.lookupPublished(since); old != nil && since < pub.Version {
 		resp.Delta = true
-		resp.Added, resp.Removed = spectrumDelta(old.Spectrum, pub.Spectrum)
+		resp.Added, resp.Removed = spectrumDelta(old.View.Spectrum, pub.View.Spectrum)
 	} else {
 		// Aged out of the ring (or a bogus future version): full resync.
-		resp.Spectrum = pub.Spectrum
+		resp.Spectrum = pub.View.Spectrum
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -95,8 +95,7 @@ func jsonBody(t *testing.T, data *mat.Dense, lo, hi int) []byte {
 // HTTP, directly against a core analyzer.
 func referenceAnalyzer(t *testing.T, data *mat.Dense, opts TenantOptions, seedCols, step, until int) *core.Incremental {
 	t.Helper()
-	copts := opts.toCore(nil)
-	copts.Workers = 4
+	copts := opts.toCore(4)
 	inc := core.NewIncremental(copts)
 	if err := inc.InitialFit(data.ColSlice(0, seedCols)); err != nil {
 		t.Fatal(err)

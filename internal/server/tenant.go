@@ -17,10 +17,10 @@ import (
 )
 
 // TenantOptions is the JSON configuration a tenant is created with — the
-// per-tenant knobs of the analyzer plus the seed width. Workers is
-// deliberately absent: every tenant's kernels run on the server's one
-// bounded engine, which is what keeps N tenants from spawning N worker
-// pools.
+// per-tenant knobs of core.Options plus the seed width. Workers is
+// deliberately absent: every tenant runs with the server's
+// Config.Workers, so all tenants share one bounded engine, which is what
+// keeps N tenants from spawning N worker pools.
 type TenantOptions struct {
 	DT             float64 `json:"dt,omitempty"`
 	MaxLevels      int     `json:"max_levels,omitempty"`
@@ -43,9 +43,10 @@ type TenantOptions struct {
 	InitialCols int `json:"initial_cols,omitempty"`
 }
 
-// toCore maps the wire options onto the analyzer configuration, pinning
-// the engine to the server's shared pool.
-func (o TenantOptions) toCore(eng *compute.Engine) core.Options {
+// toCore maps the wire options onto the analyzer configuration with the
+// server's lane count: compute.Shared keeps one engine per count, so the
+// tenant runs on the server's pool.
+func (o TenantOptions) toCore(workers int) core.Options {
 	return core.Options{
 		DT:              o.DT,
 		MaxLevels:       o.MaxLevels,
@@ -55,12 +56,12 @@ func (o TenantOptions) toCore(eng *compute.Engine) core.Options {
 		UseSVHT:         o.UseSVHT,
 		MinWindow:       o.MinWindow,
 		Parallel:        o.Parallel,
+		Workers:         workers,
 		BlockColumns:    o.BlockColumns,
 		DriftWindow:     o.DriftWindow,
 		AmplitudeWindow: o.AmplitudeWindow,
 		ColdHorizon:     o.ColdHorizon,
 		DriftThreshold:  o.DriftThreshold,
-		Engine:          eng,
 	}
 }
 
@@ -103,15 +104,15 @@ type tenant struct {
 }
 
 // newTenant validates opts (through the core Options.Validate path) and
-// builds an unseeded tenant on the server's engine.
-func newTenant(id string, opts TenantOptions, eng *compute.Engine, defaultInitialCols int) (*tenant, error) {
+// builds an unseeded tenant on the server's engine, compute.Shared(workers).
+func newTenant(id string, opts TenantOptions, workers, defaultInitialCols int) (*tenant, error) {
 	if opts.InitialCols == 0 {
 		opts.InitialCols = defaultInitialCols
 	}
 	if opts.InitialCols > maxInitialCols {
 		return nil, fmt.Errorf("initial_cols %d is over the %d-column bound", opts.InitialCols, maxInitialCols)
 	}
-	copts := opts.toCore(eng)
+	copts := opts.toCore(workers)
 	if err := copts.Validate(); err != nil {
 		return nil, err
 	}
@@ -205,7 +206,8 @@ func (t *tenant) publishLocked() *PublishedResult {
 	if seeded {
 		t.seeded.Store(true)
 	}
-	pub := newPublishedResult(t.version, seeded, t.inc.View(), t.statusLocked())
+	view := t.inc.View()
+	pub := newPublishedResult(t.version, seeded, view, t.statusLocked(view))
 	t.pub.Store(pub)
 	old := t.history.Load()
 	var hist []*PublishedResult
@@ -296,31 +298,31 @@ type TenantStatus struct {
 	Options TenantOptions `json:"options"`
 }
 
-// statusLocked snapshots the tenant summary for publication. Requires
-// t.mu (it reads the ingest accounting); query traffic reads the frozen
-// copy inside the published result instead of calling this.
-func (t *tenant) statusLocked() TenantStatus {
+// statusLocked snapshots the tenant summary for publication, taking the
+// analyzer counts from the View the publish already built. Requires t.mu
+// (it reads the ingest accounting); query traffic reads the frozen copy
+// inside the published result instead of calling this.
+func (t *tenant) statusLocked(view core.View) TenantStatus {
 	p50, p99 := t.latencyQuantiles()
-	st := TenantStatus{
-		ID:      t.id,
-		Version: t.version,
-		Created: t.created.UTC().Format(time.RFC3339),
-		Seeded:  t.feeder.Seeded(),
-		Pending: t.feeder.Pending(),
-		Steps:   t.inc.Cols(),
-		Sensors: t.inc.Sensors(),
-		Updates: t.inc.Updates(),
-		Ingests: t.ingests,
-		Batches: t.batches,
-		P50Ms:   float64(p50) / float64(time.Millisecond),
-		P99Ms:   float64(p99) / float64(time.Millisecond),
-		Options: t.opts,
-	}
 	ms := t.inc.MemStats()
-	st.ResidentBytes = ms.HotBytes + ms.ColdBytes
-	st.RawColdCols = ms.ColdCols
-	st.Recomputes = t.inc.Recomputes()
-	return st
+	return TenantStatus{
+		ID:            t.id,
+		Version:       t.version,
+		Created:       t.created.UTC().Format(time.RFC3339),
+		Seeded:        t.feeder.Seeded(),
+		Pending:       t.feeder.Pending(),
+		Steps:         view.Steps,
+		Sensors:       view.Sensors,
+		Updates:       view.Updates,
+		Ingests:       t.ingests,
+		Batches:       t.batches,
+		P50Ms:         float64(p50) / float64(time.Millisecond),
+		P99Ms:         float64(p99) / float64(time.Millisecond),
+		ResidentBytes: ms.HotBytes + ms.ColdBytes,
+		RawColdCols:   ms.ColdSteps,
+		Recomputes:    view.Recomputes,
+		Options:       t.opts,
+	}
 }
 
 // snapshot serializes the analyzer into a memory buffer and returns the

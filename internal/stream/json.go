@@ -25,7 +25,7 @@ type JSONBatch struct {
 // RFC 8259 grammar, converted with strconv.ParseFloat and written
 // row-major into the slice that backs its batch, so a batch costs one
 // allocation for its values and none per row. Decode errors latch and
-// end the stream; check Err after exhaustion (Pump does this itself).
+// end the stream; check Err (or SourceErr) after exhaustion.
 //
 // The accepted input is what encoding/json unmarshals into a JSONBatch,
 // bit for bit, with one deliberate difference: a null row or value is an

@@ -1,8 +1,7 @@
 // Package stream provides the online-analysis plumbing: batched column
-// sources (from a matrix, a generator function, or CSV) and a pump that
-// drives an I-mrDMD analyzer from a source while recording per-batch
-// latencies — the "simulated streaming environment" of the paper's
-// evaluation (§IV, §V).
+// sources (from a matrix, CSV or JSON) and a Feeder that seeds and then
+// streams an I-mrDMD analyzer one pushed batch at a time — the
+// "simulated streaming environment" of the paper's evaluation (§IV, §V).
 package stream
 
 import (
@@ -57,56 +56,6 @@ func (s *matrixSource) Next() (*mat.Dense, bool) {
 	return out, true
 }
 
-// genSource materializes batches on demand from a column-range generator.
-type genSource struct {
-	gen   func(t0, t1 int) *mat.Dense
-	rows  int
-	total int
-	batch int
-	pos   int
-}
-
-// FromFunc wraps a deterministic column-range generator (such as
-// telemetry.Generator.Matrix) as a Source of `total` columns.
-func FromFunc(gen func(t0, t1 int) *mat.Dense, rows, total, batch int) Source {
-	if batch <= 0 {
-		batch = 1
-	}
-	return &genSource{gen: gen, rows: rows, total: total, batch: batch}
-}
-
-func (s *genSource) Rows() int { return s.rows }
-
-func (s *genSource) Next() (*mat.Dense, bool) {
-	if s.pos >= s.total {
-		return nil, false
-	}
-	hi := s.pos + s.batch
-	if hi > s.total {
-		hi = s.total
-	}
-	out := s.gen(s.pos, hi)
-	s.pos = hi
-	return out, true
-}
-
-// PumpStats records the timing of a streaming run.
-type PumpStats struct {
-	InitialColumns int
-	InitialFit     time.Duration
-	// PartialTotal is the summed partial-fit latency over all batches.
-	PartialTotal time.Duration
-	// Batches is the number of partial-fit batches processed.
-	Batches int
-	// Columns is the total column count absorbed (initial + streamed).
-	Columns int
-	// ShortSeed reports that the source exhausted before the requested
-	// initial column count, so InitialFit ran on fewer columns than asked
-	// for (InitialColumns says how many). The fit is still valid — it just
-	// resolves a shorter level-1 window than the caller planned.
-	ShortSeed bool
-}
-
 // Quantile picks the nearest-rank quantile q ∈ [0,1] of an ascending
 // sorted latency slice (zero when empty) — the helper behind the served
 // and benchmarked p50/p99 ingest numbers, shared so the two can never
@@ -125,25 +74,24 @@ func Quantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[idx]
 }
 
-// Feeder is the push-based counterpart of Pump: batches arrive one call
-// at a time (an ingest endpoint, a message consumer) instead of being
-// pulled from a Source. Columns accumulate until the requested seed width
-// is reached, at which point exactly initialCols columns go to InitialFit
-// and the overflow becomes the first PartialFit; every later Push is one
-// PartialFit per batch. A Feeder is not safe for concurrent Push calls —
+// Feeder drives an analyzer from batches that arrive one call at a time
+// (an ingest endpoint, a message consumer, a loop over a Source).
+// Columns accumulate until the requested seed width is reached, at which
+// point exactly initialCols columns go to InitialFit and the overflow
+// becomes the first PartialFit; every later Push is one PartialFit per
+// batch. A Feeder is not safe for concurrent Push calls —
 // callers serialize (the server holds a per-tenant lock).
 type Feeder struct {
 	inc         *core.Incremental
 	initialCols int
 	pending     *mat.Dense
-	stats       PumpStats
 	seeded      bool
 }
 
 // NewFeeder prepares a feeder that seeds inc with exactly initialCols
 // columns. initialCols below 2 is rejected up front: InitialFit needs at
 // least two columns, and silently seeding with "whatever accumulated"
-// (the old Pump behavior) hides a misconfigured seed width.
+// hides a misconfigured seed width.
 func NewFeeder(inc *core.Incremental, initialCols int) (*Feeder, error) {
 	if initialCols < 2 {
 		return nil, fmt.Errorf("stream: initialCols must be >= 2, got %d", initialCols)
@@ -155,13 +103,7 @@ func NewFeeder(inc *core.Incremental, initialCols int) (*Feeder, error) {
 // restored from a snapshot): the feeder starts in the seeded state and
 // every Push is a PartialFit.
 func ResumeFeeder(inc *core.Incremental) *Feeder {
-	cols := inc.Cols()
-	return &Feeder{
-		inc:         inc,
-		initialCols: cols,
-		seeded:      true,
-		stats:       PumpStats{InitialColumns: cols, Columns: cols},
-	}
+	return &Feeder{inc: inc, seeded: true}
 }
 
 // Seeded reports whether InitialFit has run.
@@ -175,9 +117,6 @@ func (f *Feeder) Pending() int {
 	return f.pending.C
 }
 
-// Stats snapshots the accumulated timing record.
-func (f *Feeder) Stats() PumpStats { return f.stats }
-
 // Push absorbs one batch of columns: buffered until the seed width is
 // reached, a PartialFit afterwards. Empty or nil batches are no-ops; a
 // batch whose row count disagrees with what is already buffered is an
@@ -187,7 +126,8 @@ func (f *Feeder) Push(b *mat.Dense) error {
 		return nil
 	}
 	if f.seeded {
-		return f.feed(b)
+		_, err := f.inc.PartialFit(b)
+		return err
 	}
 	if f.pending == nil {
 		f.pending = b.Clone() // the caller may recycle its batch buffer
@@ -202,85 +142,27 @@ func (f *Feeder) Push(b *mat.Dense) error {
 	if f.pending.C < f.initialCols {
 		return nil
 	}
-	return f.seed(f.initialCols)
+	return f.seed()
 }
 
-// Finish seeds from whatever has accumulated when the stream ends before
-// initialCols columns arrived — the short-seed case, surfaced in
-// Stats().ShortSeed instead of silently absorbed. Finishing an already
-// seeded feeder is a no-op; fewer than two buffered columns is an error.
-func (f *Feeder) Finish() error {
-	if f.seeded {
-		return nil
-	}
-	if f.Pending() < 2 {
-		return fmt.Errorf("stream: source yielded %d initial columns, need at least 2", f.Pending())
-	}
-	f.stats.ShortSeed = true
-	return f.seed(f.pending.C)
-}
-
-// seed runs InitialFit on the first cols pending columns and feeds any
-// overflow as the first partial fit.
-func (f *Feeder) seed(cols int) error {
+// seed runs InitialFit on the first initialCols pending columns and
+// feeds any overflow as the first partial fit.
+func (f *Feeder) seed() error {
 	first, rest := f.pending, (*mat.Dense)(nil)
-	if first.C > cols {
-		rest = first.ColSlice(cols, first.C)
-		first = first.ColSlice(0, cols)
+	if first.C > f.initialCols {
+		rest = first.ColSlice(f.initialCols, first.C)
+		first = first.ColSlice(0, f.initialCols)
 	}
-	start := time.Now()
 	if err := f.inc.InitialFit(first); err != nil {
 		return err
 	}
-	f.stats.InitialFit = time.Since(start)
-	f.stats.InitialColumns = first.C
-	f.stats.Columns = first.C
 	f.seeded = true
 	f.pending = nil
 	if rest != nil {
-		return f.feed(rest)
-	}
-	return nil
-}
-
-func (f *Feeder) feed(b *mat.Dense) error {
-	t0 := time.Now()
-	if _, err := f.inc.PartialFit(b); err != nil {
+		_, err := f.inc.PartialFit(rest)
 		return err
 	}
-	f.stats.PartialTotal += time.Since(t0)
-	f.stats.Batches++
-	f.stats.Columns += b.C
 	return nil
-}
-
-// Pump drives an I-mrDMD analyzer from a source: the first initialCols
-// columns (accumulated across batches as needed) seed InitialFit, and
-// every subsequent batch becomes one PartialFit. initialCols must be at
-// least 2; when the source exhausts first, the accumulated columns (if at
-// least two) seed a shorter initial window and the returned stats carry
-// ShortSeed — check it when the seed width matters.
-func Pump(inc *core.Incremental, src Source, initialCols int) (*PumpStats, error) {
-	f, err := NewFeeder(inc, initialCols)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		b, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := f.Push(b); err != nil {
-			return nil, err
-		}
-	}
-	if err := SourceErr(src); err != nil {
-		return nil, err
-	}
-	if err := f.Finish(); err != nil {
-		return nil, err
-	}
-	return &f.stats, nil
 }
 
 // SourceErr surfaces the terminal error of sources that can fail

@@ -69,70 +69,6 @@ func TestFromMatrixExhausted(t *testing.T) {
 	}
 }
 
-func TestFromFuncMatchesMatrix(t *testing.T) {
-	data := randMatrix(3, 5, 20)
-	gen := func(t0, t1 int) *mat.Dense { return data.ColSlice(t0, t1) }
-	src := FromFunc(gen, 5, 20, 7)
-	var all *mat.Dense
-	for {
-		b, ok := src.Next()
-		if !ok {
-			break
-		}
-		if all == nil {
-			all = b
-		} else {
-			all = mat.HStack(all, b)
-		}
-	}
-	if d := mat.Sub(all, data).FrobNorm(); d != 0 {
-		t.Fatal("FromFunc batches do not reassemble the matrix")
-	}
-}
-
-func TestPumpDrivesIncremental(t *testing.T) {
-	data := randMatrix(4, 8, 640)
-	inc := core.NewIncremental(core.Options{DT: 1, MaxLevels: 4, MaxCycles: 2, UseSVHT: true})
-	src := FromMatrix(data, 128)
-	stats, err := Pump(inc, src, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.InitialColumns != 256 {
-		t.Fatalf("InitialColumns = %d want 256", stats.InitialColumns)
-	}
-	if stats.Columns != 640 || inc.Cols() != 640 {
-		t.Fatalf("Columns = %d / %d want 640", stats.Columns, inc.Cols())
-	}
-	if stats.Batches != 3 {
-		t.Fatalf("Batches = %d want 3 (one per streamed block)", stats.Batches)
-	}
-}
-
-// TestPumpSpillHandling: initial columns not aligned to batch size — the
-// overflow must become the first partial fit.
-func TestPumpSpillHandling(t *testing.T) {
-	data := randMatrix(5, 8, 500)
-	inc := core.NewIncremental(core.Options{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true})
-	stats, err := Pump(inc, FromMatrix(data, 200), 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.InitialColumns != 150 {
-		t.Fatalf("InitialColumns = %d want 150", stats.InitialColumns)
-	}
-	if stats.Columns != 500 {
-		t.Fatalf("Columns = %d want 500", stats.Columns)
-	}
-}
-
-func TestPumpTooFewColumns(t *testing.T) {
-	inc := core.NewIncremental(core.Options{DT: 1})
-	if _, err := Pump(inc, FromMatrix(mat.NewDense(3, 1), 1), 4); err == nil {
-		t.Fatal("want error for starved source")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	data := randMatrix(6, 7, 13)
 	var buf bytes.Buffer
@@ -158,15 +94,13 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-// TestPumpRejectsTinyInitialCols: the old behavior silently seeded
-// InitialFit with every accumulated column when initialCols < 2 (the
-// spill split was skipped); now the misconfiguration is rejected up
-// front.
-func TestPumpRejectsTinyInitialCols(t *testing.T) {
-	data := randMatrix(11, 6, 64)
+// TestFeederRejectsTinyInitialCols: seeding InitialFit with every
+// accumulated column when initialCols < 2 would hide a misconfigured seed
+// width, so NewFeeder rejects it up front.
+func TestFeederRejectsTinyInitialCols(t *testing.T) {
 	for _, ic := range []int{-3, 0, 1} {
 		inc := core.NewIncremental(core.Options{DT: 1})
-		if _, err := Pump(inc, FromMatrix(data, 16), ic); err == nil {
+		if _, err := NewFeeder(inc, ic); err == nil {
 			t.Fatalf("initialCols=%d accepted", ic)
 		} else if !strings.Contains(err.Error(), "initialCols") {
 			t.Fatalf("initialCols=%d: unhelpful error %v", ic, err)
@@ -174,64 +108,138 @@ func TestPumpRejectsTinyInitialCols(t *testing.T) {
 	}
 }
 
-// TestPumpShortSeedSurfaced: a source that exhausts below initialCols
-// still seeds (with what arrived) but the stats say so.
-func TestPumpShortSeedSurfaced(t *testing.T) {
-	data := randMatrix(12, 6, 96)
-	inc := core.NewIncremental(core.Options{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true})
-	stats, err := Pump(inc, FromMatrix(data, 32), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.ShortSeed {
-		t.Fatal("short seed not surfaced")
-	}
-	if stats.InitialColumns != 96 || stats.Batches != 0 {
-		t.Fatalf("short seed absorbed wrong: initial %d, batches %d", stats.InitialColumns, stats.Batches)
-	}
-	// The normal path must not set the flag.
-	inc2 := core.NewIncremental(core.Options{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true})
-	stats2, err := Pump(inc2, FromMatrix(data, 32), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats2.ShortSeed {
-		t.Fatal("full seed flagged short")
+// TestFeederPushSeedsAndStreams: push-based ingestion buffers until the
+// seed width, seeds InitialFit with exactly that many columns, absorbs
+// the overflow of the seeding push as the first PartialFit, and streams
+// one PartialFit per later push. The fitted state must equal an analyzer
+// driven by hand on that schedule, with or without overflow.
+func TestFeederPushSeedsAndStreams(t *testing.T) {
+	opts := core.Options{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true}
+	for _, c := range []struct{ cols, seed, batch int }{
+		{400, 150, 100}, // 50 columns spill from the second push
+		{500, 150, 200}, // 50 spill from the first push; the last is short
+		{640, 256, 128}, // seed aligned with the batches: no spill
+	} {
+		data := randMatrix(13, 8, c.cols)
+		inc := core.NewIncremental(opts)
+		f, err := NewFeeder(inc, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < c.cols; lo += c.batch {
+			hi := min(lo+c.batch, c.cols)
+			if err := f.Push(data.ColSlice(lo, hi)); err != nil {
+				t.Fatal(err)
+			}
+			if hi < c.seed && (f.Seeded() || f.Pending() != hi) {
+				t.Fatalf("%+v after %d cols: seeded=%v pending=%d", c, hi, f.Seeded(), f.Pending())
+			}
+		}
+		if !f.Seeded() || f.Pending() != 0 {
+			t.Fatalf("%+v: seeded=%v pending=%d after the stream", c, f.Seeded(), f.Pending())
+		}
+
+		ref := core.NewIncremental(opts)
+		if err := ref.InitialFit(data.ColSlice(0, c.seed)); err != nil {
+			t.Fatal(err)
+		}
+		seedPush := (c.seed + c.batch - 1) / c.batch * c.batch
+		fits := [][2]int{}
+		if seedPush > c.seed {
+			fits = append(fits, [2]int{c.seed, seedPush})
+		}
+		for lo := seedPush; lo < c.cols; lo += c.batch {
+			fits = append(fits, [2]int{lo, min(lo+c.batch, c.cols)})
+		}
+		for _, w := range fits {
+			if _, err := ref.PartialFit(data.ColSlice(w[0], w[1])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if inc.Cols() != c.cols || inc.Updates() != len(fits) {
+			t.Fatalf("%+v: absorbed %d columns in %d updates, want %d in %d", c, inc.Cols(), inc.Updates(), c.cols, len(fits))
+		}
+		got, want := inc.Spectrum(), ref.Spectrum()
+		if len(got) != len(want) {
+			t.Fatalf("%+v: %d spectrum points, the hand-driven schedule %d", c, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: spectrum point %d is %+v, the hand-driven schedule %+v", c, i, got[i], want[i])
+			}
+		}
 	}
 }
 
-// TestFeederPushSeedsAndStreams: push-based ingestion — buffer, seed at
-// the requested width, stream afterwards.
-func TestFeederPushSeedsAndStreams(t *testing.T) {
-	data := randMatrix(13, 8, 400)
+// pumpAll pushes every remaining batch of src through f and fails the
+// test on a push error or a terminal source error.
+func pumpAll(t *testing.T, f *Feeder, src Source) {
+	t.Helper()
+	for {
+		b, ok := src.Next()
+		if !ok {
+			break
+		}
+		if err := f.Push(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := SourceErr(src); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPumpDrivesIncremental: pumping a batched source through a Feeder
+// with a seed width aligned to the batches seeds on exactly that many
+// columns and then absorbs one PartialFit per streamed block.
+func TestPumpDrivesIncremental(t *testing.T) {
+	data := randMatrix(4, 8, 640)
+	inc := core.NewIncremental(core.Options{DT: 1, MaxLevels: 4, MaxCycles: 2, UseSVHT: true})
+	f, err := NewFeeder(inc, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := FromMatrix(data, 128)
+	for seen := 0; seen < 256; seen += 128 {
+		b, _ := src.Next()
+		if err := f.Push(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !f.Seeded() || inc.Cols() != 256 || inc.Updates() != 0 {
+		t.Fatalf("after the seed: seeded=%v cols=%d updates=%d, want seeded on 256 with no updates", f.Seeded(), inc.Cols(), inc.Updates())
+	}
+	pumpAll(t, f, src)
+	if inc.Cols() != 640 {
+		t.Fatalf("Columns = %d want 640", inc.Cols())
+	}
+	if inc.Updates() != 3 {
+		t.Fatalf("Updates = %d want 3 (one per streamed block)", inc.Updates())
+	}
+}
+
+// TestPumpSpillHandling: when the seeding batch overshoots the seed width,
+// the seed takes exactly initialCols columns and the overflow is absorbed
+// rather than dropped.
+func TestPumpSpillHandling(t *testing.T) {
+	data := randMatrix(5, 8, 500)
 	inc := core.NewIncremental(core.Options{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true})
 	f, err := NewFeeder(inc, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFeeder(inc, 1); err == nil {
-		t.Fatal("initialCols=1 accepted")
-	}
-	for c := 0; c < data.C; c += 100 {
-		if err := f.Push(data.ColSlice(c, c+100)); err != nil {
-			t.Fatal(err)
-		}
-		if c == 0 && (f.Seeded() || f.Pending() != 100) {
-			t.Fatalf("after 100 cols: seeded=%v pending=%d", f.Seeded(), f.Pending())
-		}
-	}
-	if err := f.Finish(); err != nil {
+	src := FromMatrix(data, 200)
+	b, _ := src.Next()
+	if err := f.Push(b); err != nil {
 		t.Fatal(err)
 	}
-	st := f.Stats()
-	if st.InitialColumns != 150 || st.Columns != 400 || inc.Cols() != 400 {
-		t.Fatalf("feeder accounting: initial %d, columns %d, absorbed %d", st.InitialColumns, st.Columns, inc.Cols())
+	if !f.Seeded() || f.Pending() != 0 || inc.Cols() != 200 || inc.Updates() != 1 {
+		t.Fatalf("after the first batch: seeded=%v pending=%d cols=%d updates=%d, want a 150-column seed plus one 50-column update",
+			f.Seeded(), f.Pending(), inc.Cols(), inc.Updates())
 	}
-	if st.Batches != 3 { // 50 spill + 100 + 100
-		t.Fatalf("Batches = %d want 3", st.Batches)
-	}
-	if st.ShortSeed {
-		t.Fatal("full seed flagged short")
+	pumpAll(t, f, src)
+	if inc.Cols() != 500 {
+		t.Fatalf("Columns = %d want 500", inc.Cols())
 	}
 }
 
@@ -291,8 +299,8 @@ func TestResumeFeeder(t *testing.T) {
 	if err := f.Push(data.ColSlice(200, 300)); err != nil {
 		t.Fatal(err)
 	}
-	if st := f.Stats(); st.Columns != 300 || st.Batches != 1 {
-		t.Fatalf("resume accounting: %+v", st)
+	if inc.Cols() != 300 || inc.Updates() != 1 {
+		t.Fatalf("resume absorbed %d columns in %d updates, want 300 in 1", inc.Cols(), inc.Updates())
 	}
 }
 

@@ -69,7 +69,7 @@ func TestPublicSnapshotRestore(t *testing.T) {
 	}
 	// Restored options come back default-filled (DT and windows
 	// resolved); every knob that was set must survive.
-	ro := restored.opts
+	ro := restored.inc.Options()
 	if ro.DT != 1 || ro.MaxLevels != 4 || ro.MaxCycles != 2 || !ro.UseSVHT ||
 		ro.BlockColumns != 8 {
 		t.Fatalf("restored options lost knobs: %+v", ro)

@@ -1,12 +1,15 @@
 package imrdmd
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"imrdmd/internal/compute"
 )
 
 // workersTestSeries builds a multiscale synthetic signal large enough
@@ -124,5 +127,32 @@ func TestWorkersEquivalence(t *testing.T) {
 	}
 	if math.Abs(err1-err4) > 1e-9*(1+err1) {
 		t.Fatalf("reconstruction error differs: %v vs %v", err1, err4)
+	}
+}
+
+// TestAnalyzerEngineFollowsWorkers: a library analyzer runs on the
+// process-wide pool for its Workers value, compute.Shared(Workers), and a
+// restored one on the pool its snapshot's Workers names.
+func TestAnalyzerEngineFollowsWorkers(t *testing.T) {
+	series := workersTestSeries(16, 96, 4)
+	for _, workers := range []int{0, 2} {
+		a := mustNew(t, Options{DT: 1, MaxLevels: 3, Workers: workers})
+		if got := a.inc.Engine(); got != compute.Shared(workers) {
+			t.Fatalf("Workers %d: analyzer runs on a %d-lane engine, not compute.Shared(%d)", workers, got.Workers(), workers)
+		}
+		if err := a.InitialFit(series); err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := a.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Restore(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := back.inc.Engine(); got != compute.Shared(workers) {
+			t.Fatalf("Workers %d: restored analyzer runs on a %d-lane engine, not compute.Shared(%d)", workers, got.Workers(), workers)
+		}
 	}
 }
