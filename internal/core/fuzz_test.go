@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"imrdmd/internal/codec"
-	"imrdmd/internal/compute"
 	"imrdmd/internal/mat"
 )
 
@@ -92,23 +91,22 @@ func FuzzDecodeIncremental(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	eng := compute.Shared(1)
 	for _, raw := range [][]byte{cur.Bytes(), encodeV1(f, inc), legacy, mixed} {
 		version, body := unframeSnapshot(f, raw)
-		if _, err := DecodeIncrementalWith(bytes.NewReader(frameSnapshot(fuzzVersion(version), body)), eng); err != nil {
+		if _, err := DecodeIncrementalOn(bytes.NewReader(frameSnapshot(fuzzVersion(version), body)), 1); err != nil {
 			f.Fatalf("seed (version %d) does not decode: %v", version, err)
 		}
 		f.Add(version, body)
 	}
 	unknown := withPrecisionSlot(f, cur.Bytes(), "float64", "float16")
-	if _, err := DecodeIncrementalWith(bytes.NewReader(unknown), eng); !errors.Is(err, codec.ErrCorrupt) {
+	if _, err := DecodeIncrementalOn(bytes.NewReader(unknown), 1); !errors.Is(err, codec.ErrCorrupt) {
 		f.Fatalf("float16 precision slot: want ErrCorrupt, got %v", err)
 	}
 	version, body := unframeSnapshot(f, unknown)
 	f.Add(version, body)
 
 	f.Fuzz(func(t *testing.T, version uint8, body []byte) {
-		got, err := DecodeIncrementalWith(bytes.NewReader(frameSnapshot(fuzzVersion(version), body)), eng)
+		got, err := DecodeIncrementalOn(bytes.NewReader(frameSnapshot(fuzzVersion(version), body)), 1)
 		if err != nil {
 			return
 		}

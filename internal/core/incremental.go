@@ -603,6 +603,21 @@ func (inc *Incremental) Cols() int {
 	return inc.hist.Cols()
 }
 
+// SeedCols returns how many columns InitialFit absorbed: the end of the
+// first segment (0 before InitialFit; a decoded snapshot without
+// segments reports its absorbed columns).
+func (inc *Incremental) SeedCols() int {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	switch {
+	case inc.hist == nil:
+		return 0
+	case len(inc.segments) == 0:
+		return inc.hist.Cols()
+	}
+	return inc.segments[0].end
+}
+
 // Updates returns how many PartialFits have been applied.
 func (inc *Incremental) Updates() int {
 	inc.mu.Lock()

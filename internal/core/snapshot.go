@@ -80,14 +80,21 @@ func (inc *Incremental) Snapshot(w io.Writer) error {
 // DecodeIncremental reconstructs an analyzer written by Snapshot,
 // resolving the compute engine from the snapshot's own Workers option.
 func DecodeIncremental(r io.Reader) (*Incremental, error) {
-	return DecodeIncrementalWith(r, nil)
+	return decodeIncremental(r, nil)
 }
 
-// DecodeIncrementalWith is DecodeIncremental with an explicit engine —
+// DecodeIncrementalOn is DecodeIncremental with the lane count replaced:
+// the analyzer runs on compute.Shared(workers) and records workers in
+// its Options, as one built by NewIncremental with that Workers does —
 // the hook a multi-tenant server uses to land every restored analyzer on
 // its one bounded pool regardless of what the snapshot was running on.
-// nil eng defers to the snapshot's options.
-func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, error) {
+func DecodeIncrementalOn(r io.Reader, workers int) (*Incremental, error) {
+	return decodeIncremental(r, &workers)
+}
+
+// decodeIncremental decodes a snapshot; a non-nil workers replaces the
+// snapshot's Workers option.
+func decodeIncremental(r io.Reader, workers *int) (*Incremental, error) {
 	dec, err := codec.NewReader(r)
 	if err != nil {
 		return nil, err
@@ -151,13 +158,14 @@ func DecodeIncrementalWith(r io.Reader, eng *compute.Engine) (*Incremental, erro
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
+	if workers != nil {
+		opts.Workers = *workers
+	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	if eng == nil {
-		eng = compute.Shared(opts.Workers)
-	}
+	eng := compute.Shared(opts.Workers)
 	ws := compute.NewWorkspace()
 
 	inc := &Incremental{
@@ -275,8 +283,7 @@ func (inc *Incremental) Options() Options {
 }
 
 // Engine returns the compute engine the analyzer runs on:
-// compute.Shared(Options.Workers), or the engine DecodeIncrementalWith
-// was given.
+// compute.Shared(Options.Workers).
 func (inc *Incremental) Engine() *compute.Engine {
 	return inc.eng
 }
@@ -284,7 +291,7 @@ func (inc *Incremental) Engine() *compute.Engine {
 // encodeOptions writes every persistent Options field. Workers records
 // the lane count the analyzer was configured with; a snapshot restored
 // in another process resolves its pool from it, unless the restorer
-// passes its own engine (DecodeIncrementalWith).
+// passes its own lane count (DecodeIncrementalOn).
 //
 // The retired precision slot always carries "float64", the value every
 // default-filled analyzer wrote before the float32 tier was removed, so

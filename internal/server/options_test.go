@@ -63,12 +63,13 @@ func TestTenantOptionsMirrorCore(t *testing.T) {
 		return st.Options
 	}
 
-	// A snapshot taken at the seed width restores with the same
-	// InitialCols (a restored tenant reports its absorbed steps there).
-	data := bench.SCLogData(48, opts.InitialCols, 7)
+	// The snapshot is taken past the seed, so a restore that reported
+	// its absorbed steps as InitialCols would show.
+	data := bench.SCLogData(48, opts.InitialCols+96, 7)
 	c := newTestClient(t, New(Config{Workers: 2}))
 	c.must("POST", "/v1/tenants/m", "application/json", body, http.StatusCreated)
-	c.must("POST", "/v1/tenants/m/ingest", "text/csv", csvBody(t, data, 0, data.C), http.StatusOK)
+	c.must("POST", "/v1/tenants/m/ingest", "text/csv", csvBody(t, data, 0, opts.InitialCols), http.StatusOK)
+	c.must("POST", "/v1/tenants/m/ingest", "text/csv", csvBody(t, data, opts.InitialCols, data.C), http.StatusOK)
 	if got := statusOptions(c); got != opts {
 		t.Fatalf("created tenant reports options %+v, want %+v", got, opts)
 	}
@@ -81,8 +82,9 @@ func TestTenantOptionsMirrorCore(t *testing.T) {
 }
 
 // TestTenantEnginePinned: a tenant runs on its server's pool,
-// compute.Shared(Config.Workers) — created or restored, and whatever
-// lane count the snapshot recorded. A negative Config.Workers means the
+// compute.Shared(Config.Workers), and records Config.Workers in its
+// snapshot — created or restored, and whatever lane count the snapshot
+// it was restored from recorded. A negative Config.Workers means the
 // GOMAXPROCS pool, as it does for the server's own engine.
 func TestTenantEnginePinned(t *testing.T) {
 	data := bench.SCLogData(24, 96, 11)
@@ -123,6 +125,15 @@ func TestTenantEnginePinned(t *testing.T) {
 		c2.must("POST", "/v1/tenants/e/ingest", "text/csv", csvBody(t, data, 64, 96), http.StatusOK)
 		if got := seeded(s2, "e").inc.Engine(); got != compute.Shared(other) {
 			t.Fatalf("Workers %d: tenant restored on a %d-worker server runs on a %d-lane engine, not compute.Shared(%d)", workers, other, got.Workers(), other)
+		}
+		// And it records that server's lane count, as a tenant created
+		// there does, so its next snapshot restores onto the same pool.
+		back, err := core.DecodeIncremental(bytes.NewReader(c2.must("GET", "/v1/tenants/e/snapshot", "", nil, http.StatusOK)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := back.Options().Workers; got != other {
+			t.Fatalf("Workers %d: tenant restored on a %d-worker server re-snapshots %d lanes", workers, other, got)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"imrdmd/internal/core"
@@ -15,7 +16,7 @@ import (
 func TestPublishRendersLazily(t *testing.T) {
 	view := core.View{NumModes: 3, MaxLevel: 2, Nodes: 5, Steps: 400, GridCols: 40, LastDrift: 0.25, GridError: 1.5}
 	st := TenantStatus{Updates: 7}
-	pub := newPublishedResult(9, true, view, st)
+	pub := newPublishedResult(9, true, view, st, new(atomic.Pointer[spectrumFrags]))
 
 	if pub.modesJSON != nil || pub.errorJSON != nil || pub.statusJSON != nil || pub.spectrumJSON != nil {
 		t.Fatal("newPublishedResult pre-rendered a body; publish runs under the tenant mutex and must stay marshal-free")
@@ -64,7 +65,7 @@ func TestPublishRendersLazily(t *testing.T) {
 // any once-less mutation visible.
 func TestPublishBodyConcurrentReaders(t *testing.T) {
 	view := core.View{NumModes: 2, MaxLevel: 1, Nodes: 1, Steps: 10}
-	pub := newPublishedResult(1, true, view, TenantStatus{})
+	pub := newPublishedResult(1, true, view, TenantStatus{}, new(atomic.Pointer[spectrumFrags]))
 	var wg sync.WaitGroup
 	bodies := make([][]byte, 16)
 	for i := range bodies {

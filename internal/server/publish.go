@@ -18,10 +18,12 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"imrdmd/internal/core"
 )
@@ -52,8 +54,8 @@ type PublishedResult struct {
 	// Status is the stats summary frozen at publish time.
 	Status TenantStatus
 
-	// Response bodies and their strong ETags (quoted FNV-64a of the
-	// body) are rendered lazily, once per published version, by the
+	// Response bodies and their strong ETags (see strongETag) are
+	// rendered lazily, once per published version, by the
 	// first reader that needs each one. Ingest publishes a result per
 	// absorbed request whether or not anyone is watching; rendering on
 	// first read keeps every marshal off the ingest latency tail (the
@@ -76,6 +78,12 @@ type PublishedResult struct {
 	spectrumOnce sync.Once
 	spectrumJSON []byte
 	spectrumETag string
+	// frags holds the tenant's fragment dictionary of its last spectrum
+	// render (empty: render from scratch). The spectrum render copies the
+	// JSON of every point it finds there and stores its own dictionary
+	// in its place, so a version formats only the points that are new
+	// since the last render: the level-1 modes and the newest segment's.
+	frags *atomic.Pointer[spectrumFrags]
 }
 
 // ModesBody returns the frozen GET /modes response body and its strong
@@ -109,11 +117,15 @@ func (p *PublishedResult) StatusBody() (body []byte, etag string) {
 }
 
 // SpectrumBody returns the frozen spectrum response body and its strong
-// ETag, rendering them on first call. Safe for concurrent use.
+// ETag, rendering them on first call. Safe for concurrent use: two
+// versions rendering at once each read a complete dictionary and store
+// their own, and either one serves the next render.
 func (p *PublishedResult) SpectrumBody() (body []byte, etag string) {
 	p.spectrumOnce.Do(func() {
-		p.spectrumJSON = appendSpectrumJSON(make([]byte, 0, 2+72*len(p.View.Spectrum)), p.View.Spectrum)
+		var next *spectrumFrags
+		p.spectrumJSON, next = p.frags.Load().render(p.View.Spectrum)
 		p.spectrumETag = strongETag(p.spectrumJSON)
+		p.frags.Store(next)
 	})
 	return p.spectrumJSON, p.spectrumETag
 }
@@ -138,14 +150,17 @@ type errorPayload struct {
 	Drift      float64 `json:"drift"`
 }
 
-// strongETag renders the quoted FNV-64a hash of a payload. Content-keyed
-// (not version-keyed) on purpose: a publish that leaves a body unchanged
-// (pre-seed ingests, a stats-only change while the spectrum holds still)
-// keeps its ETag, so pollers keep getting 304s.
+// strongETag renders a quoted 64-bit tag of a payload: its CRC-32C in
+// the high half and its CRC-32 (IEEE) in the low half. crc32 runs both
+// on the CPU's CRC instructions where it has them: they tag a 64 KB
+// body in 7.6 µs where byte-wise FNV-64a took 102 µs (2-vCPU AVX-512
+// Xeon). MakeTable returns crc32's own table, built on first use.
+// Content-keyed (not version-keyed) on purpose: a publish that leaves a
+// body unchanged (pre-seed ingests, a stats-only change while the
+// spectrum holds still) keeps its ETag, so pollers keep getting 304s.
 func strongETag(body []byte) string {
-	h := fnv.New64a()
-	h.Write(body)
-	return `"` + strconv.FormatUint(h.Sum64(), 16) + `"`
+	tag := uint64(crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))<<32 | uint64(crc32.ChecksumIEEE(body))
+	return `"` + strconv.FormatUint(tag, 16) + `"`
 }
 
 // mustJSON marshals a value that cannot fail (structs of numbers and
@@ -158,34 +173,104 @@ func mustJSON(v any) []byte {
 	return b
 }
 
-// appendSpectrumJSON renders the spectrum array directly with
-// strconv.AppendFloat instead of encoding/json's reflective encoder —
-// hundreds of points, five numbers each, rebuilt once per published
-// version. Shortest-roundtrip formatting, so the bytes parse back to
-// the identical float64s.
-func appendSpectrumJSON(buf []byte, pts []SpectrumPoint) []byte {
+// spectrumFrags is one spectrum render's fragment dictionary. For each
+// point of that render it maps the bit patterns of (freq, power, amp,
+// grow) to the byte range of the point's `{"freq":…,"grow":…,"level":`
+// prefix in the render's frozen body. Keys are bit patterns, not float
+// values, so a -0 fragment is never served for +0. The index is an
+// open-addressed table, at most half full, of positions in frags: with
+// a Go map in its place the sclog_stream benchmark's raw read p50 was
+// 13% higher (0.457 → 0.517 ms, worse in 10 of 10 alternating pairs).
+// Immutable once stored; a nil dictionary holds nothing.
+type spectrumFrags struct {
+	body  []byte
+	frags []frag   // one per distinct key, in render order
+	slots []uint32 // 1 + index into frags, 0 when empty; power-of-two length
+	shift uint     // 64 − log2(len(slots)): the hash's top bits pick the slot
+}
+
+type frag struct {
+	key    [4]uint64
+	lo, hi int
+}
+
+// render writes the spectrum array as JSON with strconv.AppendFloat
+// instead of encoding/json's reflective encoder: shortest-roundtrip
+// floats, so the bytes parse back to the identical float64s. A point
+// whose four floats appear in f keeps its prefix bytes from f's body;
+// between two versions only the level-1 modes and the new segment's
+// points miss, since every older point keeps its floats bit for bit and
+// only its level moves. The bytes are the same whatever f holds. render
+// returns the body and its own dictionary.
+func (f *spectrumFrags) render(pts []SpectrumPoint) ([]byte, *spectrumFrags) {
 	if len(pts) == 0 {
-		return append(buf, '[', ']')
+		return []byte("[]"), nil
 	}
+	lg := bits.Len(uint(2 * len(pts)))
+	next := &spectrumFrags{frags: make([]frag, 0, len(pts)), slots: make([]uint32, 1<<lg), shift: 64 - uint(lg)}
+	buf := make([]byte, 0, 2+72*len(pts))
 	for i, p := range pts {
 		if i == 0 {
 			buf = append(buf, '[')
 		} else {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, `{"freq":`...)
-		buf = appendJSONFloat(buf, p.Freq)
-		buf = append(buf, `,"power":`...)
-		buf = appendJSONFloat(buf, p.Power)
-		buf = append(buf, `,"amp":`...)
-		buf = appendJSONFloat(buf, p.Amp)
-		buf = append(buf, `,"grow":`...)
-		buf = appendJSONFloat(buf, p.Grow)
-		buf = append(buf, `,"level":`...)
+		key := [4]uint64{math.Float64bits(p.Freq), math.Float64bits(p.Power), math.Float64bits(p.Amp), math.Float64bits(p.Grow)}
+		h := fragHash(key)
+		lo := len(buf)
+		if fr := f.lookup(key, h); fr != nil {
+			buf = append(buf, f.body[fr.lo:fr.hi]...)
+		} else {
+			buf = append(buf, `{"freq":`...)
+			buf = appendJSONFloat(buf, p.Freq)
+			buf = append(buf, `,"power":`...)
+			buf = appendJSONFloat(buf, p.Power)
+			buf = append(buf, `,"amp":`...)
+			buf = appendJSONFloat(buf, p.Amp)
+			buf = append(buf, `,"grow":`...)
+			buf = appendJSONFloat(buf, p.Grow)
+			buf = append(buf, `,"level":`...)
+		}
+		if s := next.slot(key, h); *s == 0 {
+			next.frags = append(next.frags, frag{key, lo, len(buf)})
+			*s = uint32(len(next.frags))
+		}
 		buf = strconv.AppendInt(buf, int64(p.Level), 10)
 		buf = append(buf, '}')
 	}
-	return append(buf, ']')
+	buf = append(buf, ']')
+	next.body = buf
+	return buf, next
+}
+
+// fragHash mixes a key's four words by multiply-xor; its top bits pick
+// a slot. Collisions cost a probe, never a wrong fragment: slot compares
+// whole keys.
+func fragHash(k [4]uint64) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	return (((k[0]*m^k[1])*m^k[2])*m ^ k[3]) * m
+}
+
+// slot returns the slot that holds key, or the empty slot where it goes.
+// The table is never more than half full, so the probe ends.
+func (f *spectrumFrags) slot(key [4]uint64, h uint64) *uint32 {
+	mask := uint64(len(f.slots) - 1)
+	for i := h >> f.shift; ; i = (i + 1) & mask {
+		if s := &f.slots[i]; *s == 0 || f.frags[*s-1].key == key {
+			return s
+		}
+	}
+}
+
+// lookup returns key's fragment, or nil when f does not hold it.
+func (f *spectrumFrags) lookup(key [4]uint64, h uint64) *frag {
+	if f == nil {
+		return nil
+	}
+	if s := *f.slot(key, h); s != 0 {
+		return &f.frags[s-1]
+	}
+	return nil
 }
 
 func appendJSONFloat(buf []byte, f float64) []byte {
@@ -198,9 +283,10 @@ func appendJSONFloat(buf []byte, f float64) []byte {
 
 // newPublishedResult freezes a view + status pair into the immutable
 // wire-ready form. The view is taken as is: core.View builds a fresh
-// spectrum slice on every call, so the result owns it.
-func newPublishedResult(version uint64, seeded bool, view core.View, st TenantStatus) *PublishedResult {
-	return &PublishedResult{Version: version, Seeded: seeded, View: view, Status: st}
+// spectrum slice on every call, so the result owns it. frags is the
+// tenant's spectrum fragment dictionary (see PublishedResult.frags).
+func newPublishedResult(version uint64, seeded bool, view core.View, st TenantStatus, frags *atomic.Pointer[spectrumFrags]) *PublishedResult {
+	return &PublishedResult{Version: version, Seeded: seeded, View: view, Status: st, frags: frags}
 }
 
 // spectrumDelta computes the multiset difference between two published

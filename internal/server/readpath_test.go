@@ -122,7 +122,7 @@ func TestAppendSpectrumJSON(t *testing.T) {
 		{},
 	}
 	var got []SpectrumPoint
-	if err := json.Unmarshal(appendSpectrumJSON(nil, pts), &got); err != nil {
+	if err := json.Unmarshal(renderFull(pts), &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(pts) {
@@ -133,9 +133,15 @@ func TestAppendSpectrumJSON(t *testing.T) {
 			t.Fatalf("point %d: %+v round-tripped to %+v", i, pts[i], got[i])
 		}
 	}
-	if string(appendSpectrumJSON(nil, nil)) != "[]" {
-		t.Fatalf("empty spectrum rendered %q", appendSpectrumJSON(nil, nil))
+	if string(renderFull(nil)) != "[]" {
+		t.Fatalf("empty spectrum rendered %q", renderFull(nil))
 	}
+}
+
+// renderFull renders a spectrum with no fragments to reuse.
+func renderFull(pts []SpectrumPoint) []byte {
+	body, _ := (*spectrumFrags)(nil).render(pts)
+	return body
 }
 
 // TestHubDropSlowest pins the backpressure contract: a subscriber that

@@ -311,7 +311,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	t, err := decodeTenant(w, r, id, s.eng, maxRestoreBody)
+	t, err := decodeTenant(w, r, id, s.cfg.Workers, maxRestoreBody)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -328,12 +328,12 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 // snapshot with 400. The body is read unbuffered: the codec reads slices
 // and matrices a 64 KiB chunk at a time, and buffering the remaining
 // scalar fields measured no faster (DESIGN.md §8).
-func decodeTenant(w http.ResponseWriter, r *http.Request, id string, eng *compute.Engine, limit int64) (*tenant, error) {
+func decodeTenant(w http.ResponseWriter, r *http.Request, id string, workers int, limit int64) (*tenant, error) {
 	body, err := limitBody(w, r, limit, "snapshot")
 	if err != nil {
 		return nil, err
 	}
-	t, err := restoreTenant(id, body, eng)
+	t, err := restoreTenant(id, body, workers)
 	if err != nil {
 		return nil, bodyErr(fmt.Errorf("restore: %w", err), "snapshot", limit)
 	}
@@ -729,7 +729,7 @@ func (s *Server) RestoreDir(dir string) ([]string, error) {
 		// The codec moves bulk fields 64 KiB at a time but reads scalar
 		// fields one by one; the buffer turns those into memory copies
 		// instead of a system call each.
-		t, err := restoreTenant(id, bufio.NewReader(f), s.eng)
+		t, err := restoreTenant(id, bufio.NewReader(f), s.cfg.Workers)
 		f.Close()
 		if err != nil {
 			errs = append(errs, fmt.Errorf("tenant %q: %w", id, err))

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"imrdmd/internal/bench"
@@ -211,7 +212,7 @@ func TestServerDriftRecomputePublished(t *testing.T) {
 		spectrum := c.must("GET", "/v1/tenants/drift/spectrum", "", nil, http.StatusOK)
 
 		view := tn.inc.View()
-		want := newPublishedResult(0, true, view, TenantStatus{})
+		want := newPublishedResult(0, true, view, TenantStatus{}, new(atomic.Pointer[spectrumFrags]))
 		if st.Recomputes != view.Recomputes || st.Updates != view.Updates {
 			t.Fatalf("after cols [%d,%d): /stats counts %d recomputes over %d updates, the analyzer %d over %d",
 				lo, lo+64, st.Recomputes, st.Updates, view.Recomputes, view.Updates)
@@ -740,7 +741,7 @@ func TestRestoreBodyBound(t *testing.T) {
 	for _, limit := range []int64{int64(len(snap)) / 2, int64(len(snap)) - 1, int64(len(snap))} {
 		req := httptest.NewRequest("PUT", "/v1/tenants/dst", bytes.NewReader(snap))
 		req.ContentLength = -1
-		_, err := decodeTenant(httptest.NewRecorder(), req, "dst", s.eng, limit)
+		_, err := decodeTenant(httptest.NewRecorder(), req, "dst", s.cfg.Workers, limit)
 		var he *httpError
 		switch over := limit < int64(len(snap)); {
 		case over && (!errors.As(err, &he) || he.code != http.StatusRequestEntityTooLarge):

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"imrdmd/internal/compute"
 	"imrdmd/internal/core"
 	"imrdmd/internal/mat"
 	"imrdmd/internal/stream"
@@ -90,6 +89,10 @@ type tenant struct {
 	pub     atomic.Pointer[PublishedResult]
 	history atomic.Pointer[[]*PublishedResult]
 	hub     pubHub
+	// frags is the fragment dictionary of the last spectrum render,
+	// written only inside a result's SpectrumBody render (see
+	// PublishedResult.frags).
+	frags atomic.Pointer[spectrumFrags]
 
 	mu         sync.Mutex
 	version    uint64 // publish counter; monotone under mu
@@ -129,10 +132,11 @@ func newTenant(id string, opts TenantOptions, workers, defaultInitialCols int) (
 }
 
 // restoreTenant rebuilds a tenant from a snapshot stream, landing the
-// decoded analyzer on the server's engine. The restored feeder starts
-// seeded: snapshots only exist for fitted analyzers.
-func restoreTenant(id string, r io.Reader, eng *compute.Engine) (*tenant, error) {
-	inc, err := core.DecodeIncrementalWith(r, eng)
+// decoded analyzer on the server's engine, compute.Shared(workers), with
+// the Options a tenant created on this server has. The restored feeder
+// starts seeded: snapshots only exist for fitted analyzers.
+func restoreTenant(id string, r io.Reader, workers int) (*tenant, error) {
+	inc, err := core.DecodeIncrementalOn(r, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +155,7 @@ func restoreTenant(id string, r io.Reader, eng *compute.Engine) (*tenant, error)
 		AmplitudeWindow: copts.AmplitudeWindow,
 		ColdHorizon:     copts.ColdHorizon,
 		DriftThreshold:  copts.DriftThreshold,
-		InitialCols:     inc.Cols(),
+		InitialCols:     inc.SeedCols(),
 	}
 	t := &tenant{id: id, created: time.Now(), opts: opts, inc: inc, feeder: stream.ResumeFeeder(inc)}
 	t.mu.Lock()
@@ -207,7 +211,7 @@ func (t *tenant) publishLocked() *PublishedResult {
 		t.seeded.Store(true)
 	}
 	view := t.inc.View()
-	pub := newPublishedResult(t.version, seeded, view, t.statusLocked(view))
+	pub := newPublishedResult(t.version, seeded, view, t.statusLocked(view), &t.frags)
 	t.pub.Store(pub)
 	old := t.history.Load()
 	var hist []*PublishedResult
