@@ -317,15 +317,20 @@ func TestEigenOrthogonalSimilarity(t *testing.T) {
 		}
 		return 1e-12
 	})
-	// The two near-repeated eigenvectors are independent.
+	// The two near-repeated eigenvectors are independent. The pair is
+	// picked by its closed-form values, which checkClosedForm has held
+	// every λ to within 1e-14·‖A‖_F, imaginary part included: the complex
+	// QR owes no exactly real eigenvalues, and on the FMA tiers this pair
+	// comes out with imaginary parts of ±3.2e-24.
 	var pair []int
-	for j, lam := range vals {
-		if math.Abs(real(lam)-near) < 1e-7 && imag(lam) == 0 {
-			pair = append(pair, j)
+	for _, w := range []complex128{near, near + 1e-8} {
+		best := 0
+		for j, lam := range vals {
+			if cmplx.Abs(lam-w) < cmplx.Abs(vals[best]-w) {
+				best = j
+			}
 		}
-	}
-	if len(pair) != 2 {
-		t.Fatalf("want 2 eigenvalues near %v, got %v", near, vals)
+		pair = append(pair, best)
 	}
 	var dot complex128
 	for i := range n {

@@ -26,18 +26,30 @@ func BenchmarkMul(b *testing.B) {
 	}
 }
 
+// BenchmarkMulInto times square products and the small m×k×n products
+// of the streaming pipeline (residual updates, rotations, narrow
+// projections, tiny cores), all of which run on the pack-free or packed
+// kernels.
 func BenchmarkMulInto(b *testing.B) {
-	for _, n := range []int{64, 256, 512, 1024} {
-		b.Run(benchSize(n), func(b *testing.B) {
-			a := benchDense(n, n, 1)
-			c := benchDense(n, n, 2)
-			dst := NewDense(n, n)
+	run := func(name string, m, k, n int) {
+		b.Run(name, func(b *testing.B) {
+			a := benchDense(m, k, 1)
+			c := benchDense(k, n, 2)
+			dst := NewDense(m, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MulInto(dst, a, c)
 			}
 		})
+	}
+	for _, n := range []int{64, 256, 512, 1024} {
+		run(benchSize(n), n, n, n)
+	}
+	for _, s := range []struct{ m, k, n int }{
+		{200, 20, 3}, {200, 3, 20}, {48, 20, 2}, {4392, 3, 1}, {8, 8, 8}, {4, 4, 4}, {2, 2, 2},
+	} {
+		run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), s.m, s.k, s.n)
 	}
 }
 
@@ -70,10 +82,10 @@ func benchSize(n int) string {
 }
 
 // BenchmarkQRFactor times QRFactorOn (serial) at the workload shapes and
-// at a tall three-column one, next to the two routines it chooses
-// between, cholQR and qrMGS2.
+// at the narrow shapes either side of qrMGS2MaxCols, next to the
+// two routines it chooses between, cholQR and qrMGS2.
 func BenchmarkQRFactor(b *testing.B) {
-	for _, c := range append([]struct{ m, n int }{{4392, 3}}, qrShapes...) {
+	for _, c := range append([]struct{ m, n int }{{4392, 3}, {4392, 4}, {4392, 5}, {200, 4}, {200, 5}, {48, 5}}, qrShapes...) {
 		a := benchDense(c.m, c.n, 3)
 		ws := compute.NewWorkspace()
 		for _, r := range []struct {

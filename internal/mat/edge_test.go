@@ -40,15 +40,6 @@ func TestMulTShapePanics(t *testing.T) {
 	MulT(NewDense(3, 2), NewDense(4, 2))
 }
 
-func TestMulVecPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for length mismatch")
-		}
-	}()
-	MulVec(NewDense(2, 3), []float64{1, 2})
-}
-
 func TestVStackMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

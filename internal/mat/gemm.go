@@ -4,7 +4,8 @@ import "imrdmd/internal/compute"
 
 // This file is the packed, register-blocked GEMM that backs every dense
 // multiply in the package (Mul/MulInto/MulT/Gram, and through them every
-// CholeskyQR pass). The layout follows the classic Goto/BLIS decomposition:
+// CholeskyQR pass) that the pack-free tier (skinny.go) does not take.
+// The layout follows the classic Goto/BLIS decomposition:
 //
 //	for jc over N by NC:                (B panel column block)
 //	  for pc over K by KC:              (depth block)
@@ -35,14 +36,6 @@ import "imrdmd/internal/compute"
 const (
 	mrMax = 8  // tallest micro-kernel tile (AVX-512 tiers)
 	nrMax = 16 // widest micro-kernel tile (AVX-512 tiers)
-
-	// gemmMinFlops is the m·k·n product below which the naive loops win:
-	// packing two operands costs O(m·k + k·n) copies, which only pays for
-	// itself once every packed element is reused a few times. Revalidated
-	// for the asm pack routines (PR 7): the measured crossover on both the
-	// AVX2 and AVX-512 tiers sits just under this boundary
-	// (threshold_test.go pins the routing decision).
-	gemmMinFlops = 1 << 14
 )
 
 // Micro-kernel output modes.
@@ -134,8 +127,8 @@ func gemmView(e *compute.Engine, dst view, a view, aT bool, b view, bT bool, mod
 	parallel := panels > 1 && wantParallel
 
 	// Pack buffers are sized for the problem at hand, not the blocking
-	// maxima, so small multiplies after an autotuned NC/KC widening do not
-	// borrow multi-megabyte size classes they never touch.
+	// maxima, so a product narrower or shallower than one NC×KC panel
+	// borrows only the size class it touches.
 	kcMax := min(p.kc, k)
 	bp := packPool.GetF64(((min(p.nc, n) + nr - 1) / nr) * nr * kcMax)
 	for jc := 0; jc < n; jc += p.nc {

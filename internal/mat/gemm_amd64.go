@@ -17,8 +17,8 @@ package mat
 // cleanly. IMRDMD_GEMM_KERNEL can cap the tier (tune.go).
 //
 // The FMA kernels contract each a·b+c without intermediate rounding, so
-// packed products differ from the naive loops in the last bits — all
-// equivalence tests against the naive reference are tolerance-based,
+// products differ from the tests' naive reference loop in the last bits —
+// all equivalence tests against it are tolerance-based,
 // while serial-vs-parallel equivalence stays exact because both run the
 // same kernel in the same per-element order. Both asm tiers run the same
 // KC, so they also agree bit for bit with each other: both accumulate

@@ -151,14 +151,6 @@ func TestMulTMatchesExplicitTranspose(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	got := MulVec(a, []float64{5, 6})
-	if got[0] != 17 || got[1] != 39 {
-		t.Fatalf("MulVec = %v want [17 39]", got)
-	}
-}
-
 func TestGramMatchesMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randDense(rng, 30, 12)

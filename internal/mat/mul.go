@@ -19,17 +19,11 @@ func fanOut(e *compute.Engine, flops int) bool {
 	return flops > parallelThreshold && e.Workers() > 1
 }
 
-// usePacked reports whether an m×k by k×n multiply should route through
-// the packed GEMM rather than the naive loops. The boundary is inclusive
-// (threshold_test.go pins it from both sides).
-func usePacked(m, k, n int) bool {
-	return m*k*n >= gemmMinFlops
-}
-
-// Mul returns a*b. Problems of at least gemmMinFlops run through the
-// packed register-blocked GEMM (see gemm.go), fanned out over row panels
-// on the shared compute engine when large enough; smaller ones use a
-// serial i-k-j loop.
+// Mul returns a*b on the pack-free kernels (skinny.go) or the packed
+// register-blocked GEMM (gemm.go), fanned out over row panels on the
+// shared compute engine when large enough. Both compute every element
+// with the same accumulation chain, so the bits do not depend on which
+// one a shape takes.
 func Mul(a, b *Dense) *Dense {
 	return MulWith(compute.Default(), nil, a, b)
 }
@@ -42,7 +36,7 @@ func MulWith(e *compute.Engine, ws *compute.Workspace, a, b *Dense) *Dense {
 		panic("mat: Mul inner dimension mismatch")
 	}
 	out := GetDenseRaw(ws, a.R, b.C)
-	mulIntoWith(e, out, a, b)
+	mulView(e, denseView(out), denseView(a), false, denseView(b), gemmSet)
 	return out
 }
 
@@ -57,31 +51,24 @@ func MulInto(dst, a, b *Dense) {
 // zeroing pass — so dst may come straight from a workspace. dst must not
 // alias a or b.
 func MulIntoWith(e *compute.Engine, dst, a, b *Dense) {
-	if a.C != b.R {
-		panic("mat: MulInto inner dimension mismatch")
-	}
-	if dst.R != a.R || dst.C != b.C {
-		panic("mat: MulInto output shape mismatch")
-	}
-	if overlaps(dst.Data, a.Data) || overlaps(dst.Data, b.Data) {
-		panic("mat: MulInto destination aliases an operand")
-	}
-	mulIntoWith(e, dst, a, b)
+	mulIntoMode(e, dst, a, b, gemmSet)
 }
 
 // MulAddIntoWith computes dst += a*b through the same kernel routing as
 // MulIntoWith: existing dst contents are kept and the product accumulates
 // on top, so residual flips need no intermediate product matrix.
 func MulAddIntoWith(e *compute.Engine, dst, a, b *Dense) {
-	mulAccIntoWith(e, dst, a, b, gemmAdd)
+	mulIntoMode(e, dst, a, b, gemmAdd)
 }
 
 // MulSubIntoWith computes dst -= a*b; see MulAddIntoWith.
 func MulSubIntoWith(e *compute.Engine, dst, a, b *Dense) {
-	mulAccIntoWith(e, dst, a, b, gemmSub)
+	mulIntoMode(e, dst, a, b, gemmSub)
 }
 
-func mulAccIntoWith(e *compute.Engine, dst, a, b *Dense, md int) {
+// mulIntoMode checks dst's shape and aliasing, then computes dst = a*b,
+// dst += a*b or dst −= a*b (mode md).
+func mulIntoMode(e *compute.Engine, dst, a, b *Dense, md int) {
 	if a.C != b.R {
 		panic("mat: MulInto inner dimension mismatch")
 	}
@@ -91,41 +78,22 @@ func mulAccIntoWith(e *compute.Engine, dst, a, b *Dense, md int) {
 	if overlaps(dst.Data, a.Data) || overlaps(dst.Data, b.Data) {
 		panic("mat: MulInto destination aliases an operand")
 	}
-	if usePacked(a.R, a.C, b.C) {
-		if skinnyShape(a.R, a.C, b.C) {
-			skinnyGemm(e, denseView(dst), denseView(a), false, denseView(b), md)
-			return
-		}
-		gemmView(e, denseView(dst), denseView(a), false, denseView(b), false, md)
-		return
-	}
-	mulRangeAcc(dst, a, b, 0, a.R, md)
+	mulView(e, denseView(dst), denseView(a), false, denseView(b), md)
 }
 
-// mulRangeAcc is mulRange without the zeroing pass: rows of a*b accumulate
-// into (gemmAdd) or subtract from (gemmSub) the existing out rows.
-func mulRangeAcc(out, a, b *Dense, lo, hi, md int) {
-	n := b.C
-	bs := b.RowStride()
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Data[k*bs : k*bs+n]
-			if md == gemmSub {
-				for j, bkj := range brow {
-					orow[j] -= aik * bkj
-				}
-			} else {
-				for j, bkj := range brow {
-					orow[j] += aik * bkj
-				}
-			}
-		}
+// mulView computes dst = A·B, dst += A·B or dst −= A·B (mode md), where
+// A is a (or aᵀ when aT) and B is b: on the pack-free tier when
+// skinnyShape takes the shape, else on the packed GEMM.
+func mulView(e *compute.Engine, dst, a view, aT bool, b view, md int) {
+	m, k := a.r, a.c
+	if aT {
+		m, k = k, m
 	}
+	if skinnyShape(m, k, b.c) {
+		skinnyGemm(e, dst, a, aT, b, md)
+		return
+	}
+	gemmView(e, dst, a, aT, b, false, md)
 }
 
 // overlaps reports whether the backing arrays of x and y share memory.
@@ -140,44 +108,6 @@ func overlaps(x, y []float64) bool {
 	return x0 < y1 && y0 < x1
 }
 
-func mulIntoWith(e *compute.Engine, out, a, b *Dense) {
-	if usePacked(a.R, a.C, b.C) {
-		if skinnyShape(a.R, a.C, b.C) {
-			skinnyGemm(e, denseView(out), denseView(a), false, denseView(b), gemmSet)
-			return
-		}
-		gemmView(e, denseView(out), denseView(a), false, denseView(b), false, gemmSet)
-		return
-	}
-	// Below gemmMinFlops the problem is far under parallelThreshold too,
-	// so the naive kernel always runs serially on the caller.
-	mulRange(out, a, b, 0, a.R)
-}
-
-// mulRange computes rows [lo,hi) of out = a*b with an ikj loop order so
-// the inner loop streams through contiguous rows of b and out. Each output
-// row is zeroed just before accumulation, so out need not be pre-zeroed.
-func mulRange(out, a, b *Dense, lo, hi int) {
-	n := b.C
-	bs := b.RowStride()
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := range orow {
-			orow[j] = 0
-		}
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Data[k*bs : k*bs+n]
-			for j, bkj := range brow {
-				orow[j] += aik * bkj
-			}
-		}
-	}
-}
-
 // MulT returns aᵀ*b without materializing the transpose.
 func MulT(a, b *Dense) *Dense {
 	return MulTWith(compute.Default(), nil, a, b)
@@ -190,7 +120,7 @@ func MulTWith(e *compute.Engine, ws *compute.Workspace, a, b *Dense) *Dense {
 		panic("mat: MulT dimension mismatch")
 	}
 	out := GetDenseRaw(ws, a.C, b.C)
-	mulTIntoWith(e, out, a, b)
+	mulView(e, denseView(out), denseView(a), true, denseView(b), gemmSet)
 	return out
 }
 
@@ -208,68 +138,12 @@ func MulTIntoWith(e *compute.Engine, dst, a, b *Dense) {
 	if overlaps(dst.Data, a.Data) || overlaps(dst.Data, b.Data) {
 		panic("mat: MulTInto destination aliases an operand")
 	}
-	mulTIntoWith(e, dst, a, b)
-}
-
-func mulTIntoWith(e *compute.Engine, out, a, b *Dense) {
-	if usePacked(a.C, a.R, b.C) {
-		if skinnyShape(a.C, a.R, b.C) {
-			skinnyGemm(e, denseView(out), denseView(a), true, denseView(b), gemmSet)
-			return
-		}
-		gemmView(e, denseView(out), denseView(a), true, denseView(b), false, gemmSet)
-		return
-	}
-	mulTRange(out, a, b, 0, a.C)
-}
-
-// mulTRange computes rows [lo,hi) of out = aᵀb. Row i of the output is
-// Σ_k a[k][i] * b[k][:], streaming both a and b row-wise. The band's
-// output rows are zeroed up front, so out need not be pre-zeroed.
-func mulTRange(out, a, b *Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	for k := 0; k < a.R; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i := lo; i < hi; i++ {
-			aki := arow[i]
-			if aki == 0 {
-				continue
-			}
-			orow := out.Row(i)
-			for j, bkj := range brow {
-				orow[j] += aki * bkj
-			}
-		}
-	}
-}
-
-// MulVec returns a*x for a vector x of length a.C.
-func MulVec(a *Dense, x []float64) []float64 {
-	if len(x) != a.C {
-		panic("mat: MulVec dimension mismatch")
-	}
-	out := make([]float64, a.R)
-	for i := 0; i < a.R; i++ {
-		row := a.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
+	mulView(e, denseView(dst), denseView(a), true, denseView(b), gemmSet)
 }
 
 // Gram returns mᵀm (C×C) if byCols, else m mᵀ (R×R). The result is
 // symmetric positive semidefinite, with exact symmetry pinned by
-// mirroring the upper triangle (the small-input paths compute only that
-// triangle; the packed-GEMM path computes both and re-mirrors).
+// mirroring the upper triangle over the lower.
 func Gram(m *Dense, byCols bool) *Dense {
 	return GramWith(compute.Default(), nil, m, byCols)
 }
@@ -309,67 +183,18 @@ func GramIntoWith(e *compute.Engine, dst *Dense, m *Dense, byCols bool) {
 }
 
 func gramRowsInto(e *compute.Engine, out *Dense, m *Dense) {
-	n := m.R
-	if usePacked(n, m.C, n) {
-		// m·mᵀ through the packed kernel; the transpose is absorbed by
-		// the B-packing read. The product is symmetric by construction
-		// (identical per-element accumulation order for (i,j) and (j,i)),
-		// but the upper triangle is mirrored anyway to pin the exact
-		// symmetry the eigensolver relies on.
-		gemmView(e, denseView(out), denseView(m), false, denseView(m), true, gemmSet)
-	} else {
-		gramRowsRange(out, m, 0, n)
-	}
+	// m·mᵀ through the packed kernel, whose B-packing read absorbs the
+	// transpose (the pack-free tier takes no transposed B). The product
+	// is symmetric by construction (identical per-element accumulation
+	// order for (i,j) and (j,i)), but the upper triangle is mirrored
+	// anyway to pin the exact symmetry the eigensolver relies on.
+	gemmView(e, denseView(out), denseView(m), false, denseView(m), true, gemmSet)
 	mirrorUpperToLower(out)
 }
 
-func gramRowsRange(out, m *Dense, lo, hi int) {
-	n := m.R
-	for i := lo; i < hi; i++ {
-		ri := m.Row(i)
-		for j := i; j < n; j++ {
-			rj := m.Row(j)
-			var s float64
-			for k, v := range ri {
-				s += v * rj[k]
-			}
-			out.Data[i*n+j] = s
-		}
-	}
-}
-
 func gramColsInto(e *compute.Engine, out *Dense, m *Dense) {
-	// mᵀm through the skinny or packed kernel when large; the rank-1
-	// accumulation below handles small inputs without packing overhead.
-	n := m.C
-	if usePacked(n, m.R, n) {
-		if skinnyShape(n, m.R, n) {
-			skinnyGemm(e, denseView(out), denseView(m), true, denseView(m), gemmSet)
-		} else {
-			gemmView(e, denseView(out), denseView(m), true, denseView(m), false, gemmSet)
-		}
-		mirrorUpperToLower(out)
-		return
-	}
-	for i := 0; i < n; i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	for k := 0; k < m.R; k++ {
-		row := m.Row(k)
-		for i := 0; i < n; i++ {
-			ri := row[i]
-			if ri == 0 {
-				continue
-			}
-			orow := out.Row(i)
-			for j := i; j < n; j++ {
-				orow[j] += ri * row[j]
-			}
-		}
-	}
+	mv := denseView(m)
+	mulView(e, denseView(out), mv, true, mv, gemmSet)
 	mirrorUpperToLower(out)
 }
 

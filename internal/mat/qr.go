@@ -18,8 +18,8 @@ type QR struct {
 // AᵀA and Q = A·R⁻¹, run twice so the second pass repairs the first's
 // loss of orthogonality. Both Grams and both multiplies go through the
 // GEMM kernels; an ill-conditioned input gets a shifted first pass, and
-// small shapes and exactly rank-deficient or zero inputs use column MGS2
-// (see QRFactorOn). Q stays explicit, which the incremental-SVD layer
+// narrow shapes (n ≤ 4) and exactly rank-deficient or zero inputs use
+// column MGS2 (see QRFactorOn). Q stays explicit, which the incremental-SVD layer
 // needs.
 func QRFactor(a *Dense) *QR {
 	return QRFactorOn(compute.Default(), nil, a)
@@ -47,14 +47,14 @@ func QRFactor(a *Dense) *QR {
 //   - MGS2: a zero or non-finite trace, a Cholesky breakdown in the
 //     shifted sequence or a rejected last pass means the input is
 //     exactly rank-deficient, zero, or too ill-conditioned for the shift
-//     (κ(A) near u⁻¹); column MGS2 factors it. Shapes below qrUseMGS2's
-//     bound go to MGS2 directly.
+//     (κ(A) near u⁻¹); column MGS2 factors it. Inputs at most
+//     qrMGS2MaxCols wide go to MGS2 directly.
 func QRFactorOn(e *compute.Engine, ws *compute.Workspace, a *Dense) *QR {
 	m, n := a.R, a.C
 	if m < n {
 		panic("mat: QRFactor requires rows >= cols")
 	}
-	if !qrUseMGS2(m, n) {
+	if n > qrMGS2MaxCols {
 		if qr := cholQR(e, ws, a); qr != nil {
 			return qr
 		}
@@ -62,17 +62,13 @@ func QRFactorOn(e *compute.Engine, ws *compute.Workspace, a *Dense) *QR {
 	return qrMGS2(ws, a)
 }
 
-// qrUseMGS2 reports whether an m×n factorization is small or narrow
-// enough that column MGS2 beats CholeskyQR2 (BenchmarkQRFactor):
-//
-//   - below m·n² = gemmMinFlops the Grams run on the naive loops rather
-//     than the GEMM kernels, and MGS2 measured faster at every such
-//     workload shape (200×8, 48×8, 48×4) and slower at every one above;
-//   - at n ≤ 3 CholeskyQR's kernels are mostly per-tile overhead, and
-//     MGS2 measured faster at any height (4392×3: 81 vs 133 µs).
-func qrUseMGS2(m, n int) bool {
-	return n <= 3 || m*n*n < gemmMinFlops
-}
+// qrMGS2MaxCols is the widest factorization that goes straight to column
+// MGS2 (BenchmarkQRFactor). At n ≤ 4 CholeskyQR's four GEMMs are mostly
+// per-tile overhead: MGS2 measured faster at the workload shapes 48×4
+// and 4392×3, and level with CholeskyQR2 within run-to-run noise at
+// 200×4 and 4392×4. From n = 5 on CholeskyQR2 measured faster at 200
+// and 4392 rows and level at 48. The height does not enter the rule.
+const qrMGS2MaxCols = 4
 
 // Release returns both factors' storage to ws.
 func (qr *QR) Release(ws *compute.Workspace) {
@@ -154,7 +150,7 @@ func cholPass(e *compute.Engine, g, rinv, r, y, x *Dense, shift float64, first b
 		return false
 	}
 	invUpper(rinv, g)
-	mulIntoWith(e, y, x, rinv)
+	mulView(e, denseView(y), denseView(x), false, denseView(rinv), gemmSet)
 	if first {
 		for i := 0; i < n; i++ {
 			row := r.Data[i*n : i*n+n]
@@ -246,8 +242,8 @@ func gramDev(g *Dense) float64 {
 }
 
 // qrMGS2 factors a by two-pass modified Gram–Schmidt directly on the
-// columns of one working copy. It serves the shapes below qrUseMGS2's
-// bound and the inputs CholeskyQR cannot factor (exactly rank-deficient
+// columns of one working copy. It serves inputs at most qrMGS2MaxCols
+// wide and the inputs CholeskyQR cannot factor (exactly rank-deficient
 // or zero): a column whose residual vanishes gets a zero Q column and a
 // zero R diagonal instead of NaNs.
 func qrMGS2(ws *compute.Workspace, a *Dense) *QR {

@@ -31,8 +31,8 @@ import "imrdmd/internal/compute"
 // the packed ones on every tier (skinny_test.go pins this).
 
 // skinnyShape reports whether an m×k by k×n multiply (B untransposed)
-// that already cleared gemmMinFlops should take the pack-free tier.
-// The predicates mirror the shapes above; n ≤ NR also catches every
+// should take the pack-free tier rather than the packed GEMM. The
+// predicates mirror the shapes above; n ≤ NR also catches every
 // multiply whose packed route would pad B's single strip to NR columns.
 func skinnyShape(m, k, n int) bool {
 	p := bp64

@@ -168,9 +168,8 @@ func TestSkinnyStridedOperands(t *testing.T) {
 }
 
 // TestSkinnyRoutingBoundary pins the classifier against the active
-// blocking: the hot-path shapes must take the pack-free tier, bulk
-// shapes must not, and gemmMinFlops still gates the naive path below —
-// the skinny tier slots between the two without moving either boundary.
+// blocking: the hot-path shapes must take the pack-free tier and bulk
+// shapes must not.
 func TestSkinnyRoutingBoundary(t *testing.T) {
 	p := bp64
 	// Wide enough to clear both the n ≤ NR and the 64-column small-panel
@@ -199,26 +198,18 @@ func TestSkinnyRoutingBoundary(t *testing.T) {
 			t.Errorf("%s: skinnyShape(%d,%d,%d) = %v, want %v", c.name, c.m, c.k, c.n, got, c.want)
 		}
 	}
-	// The naive-path gate is untouched: shapes under gemmMinFlops never
-	// reach the classifier (threshold_test.go pins the exact boundary).
-	if usePacked(8, 16, 16) {
-		t.Errorf("usePacked(8,16,16) = true; gemmMinFlops gate moved")
-	}
-	if !usePacked(64, 64, 64) {
-		t.Errorf("usePacked(64,64,64) = false; gemmMinFlops gate moved")
-	}
 }
 
 // TestMulAccIntoMatchesReference checks the accumulate-mode entry points
 // (MulAddIntoWith / MulSubIntoWith) against Mul plus an explicit
-// elementwise pass, across shapes that route through the packed tier,
-// the skinny tier, and the tiny serial fallback — including a strided
+// elementwise pass, across shapes that route through the packed tier
+// and the skinny tier, tiny ones included — including a strided
 // column-view destination, which is how the mrDMD residual flip calls
 // them.
 func TestMulAccIntoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	shapes := []struct{ m, k, n int }{
-		{3, 4, 5},     // below parallel/packed thresholds: serial loop
+		{3, 4, 5},     // tiny: one skinny edge tile
 		{200, 64, 8},  // skinny-B class
 		{48, 4096, 8}, // inner-product class
 		{96, 96, 96},  // packed blocked path

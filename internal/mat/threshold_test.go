@@ -33,23 +33,6 @@ func TestParallelThresholdBoundary(t *testing.T) {
 	}
 }
 
-// TestPackedRoutingBoundary pins the naive-vs-packed routing decision at
-// exactly gemmMinFlops. The constant was revalidated after the pack
-// routines moved to assembly (PR 7): cheaper packing moves the measured
-// crossover down, not up, so the inclusive boundary stays correct — a
-// problem of exactly gemmMinFlops flops must take the packed route.
-func TestPackedRoutingBoundary(t *testing.T) {
-	if 16*32*32 != gemmMinFlops {
-		t.Fatalf("test assumes 16·32·32 == gemmMinFlops (%d)", gemmMinFlops)
-	}
-	if !usePacked(16, 32, 32) {
-		t.Fatal("a problem of exactly gemmMinFlops must route to the packed GEMM")
-	}
-	if usePacked(16, 32, 31) {
-		t.Fatal("a problem below gemmMinFlops must stay on the naive loops")
-	}
-}
-
 // TestThresholdBoundaryBitIdentical runs the three routed kernels at
 // exactly the threshold size on a multi-lane engine and requires
 // bit-for-bit agreement with the serial path: at the boundary both must

@@ -237,7 +237,7 @@ func TestBrandCoreDriftLongStream(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		return mat.NewDenseData(m, 1, mat.MulVec(basis, x))
+		return mat.Mul(basis, mat.NewDenseData(m, 1, x))
 	}
 	first := mat.NewDense(m, m)
 	for j := 0; j < m; j++ {
