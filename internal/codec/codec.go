@@ -304,6 +304,17 @@ type Reader struct {
 	err     error
 }
 
+// Word64 returns the eight bytes at b[i:] as a little-endian uint64, and
+// false when fewer than eight remain: the word-at-a-time load of the
+// ingest bodies' number scanner, kept here with the rest of the
+// package's encoding/binary use.
+func Word64(b []byte, i int) (uint64, bool) {
+	if i < 0 || len(b)-i < 8 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(b[i:]), true
+}
+
 // NewReader opens a snapshot stream, validating the magic and version
 // header before returning. Every version from 1 through Version is
 // accepted; decoders branch on Version() for layouts that changed.

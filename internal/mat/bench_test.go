@@ -28,8 +28,9 @@ func BenchmarkMul(b *testing.B) {
 
 // BenchmarkMulInto times square products and the small m×k×n products
 // of the streaming pipeline (residual updates, rotations, narrow
-// projections, tiny cores), all of which run on the pack-free or packed
-// kernels.
+// projections, tiny cores, and window products at Theta's height on
+// either side of the tall-panel class's bounds), all of which run on the
+// pack-free or packed kernels.
 func BenchmarkMulInto(b *testing.B) {
 	run := func(name string, m, k, n int) {
 		b.Run(name, func(b *testing.B) {
@@ -48,6 +49,7 @@ func BenchmarkMulInto(b *testing.B) {
 	}
 	for _, s := range []struct{ m, k, n int }{
 		{200, 20, 3}, {200, 3, 20}, {48, 20, 2}, {4392, 3, 1}, {8, 8, 8}, {4, 4, 4}, {2, 2, 2},
+		{4392, 20, 20}, {4392, 40, 40}, {4392, 48, 40}, {4392, 64, 40}, {4392, 64, 64}, {200, 64, 64},
 	} {
 		run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), s.m, s.k, s.n)
 	}

@@ -90,7 +90,7 @@ func mulView(e *compute.Engine, dst, a view, aT bool, b view, md int) {
 		m, k = k, m
 	}
 	if skinnyShape(m, k, b.c) {
-		skinnyGemm(e, dst, a, aT, b, md)
+		skinnyGemm(e, dst, a, aT, b, md, false)
 		return
 	}
 	gemmView(e, dst, a, aT, b, false, md)
@@ -192,9 +192,16 @@ func gramRowsInto(e *compute.Engine, out *Dense, m *Dense) {
 	mirrorUpperToLower(out)
 }
 
+// gramColsInto computes mᵀm on mulView's route, except that the
+// pack-free tier skips the tiles wholly below the diagonal, which the
+// mirror overwrites.
 func gramColsInto(e *compute.Engine, out *Dense, m *Dense) {
 	mv := denseView(m)
-	mulView(e, denseView(out), mv, true, mv, gemmSet)
+	if skinnyShape(m.C, m.R, m.C) {
+		skinnyGemm(e, denseView(out), mv, true, mv, gemmSet, true)
+	} else {
+		gemmView(e, denseView(out), mv, true, mv, false, gemmSet)
+	}
 	mirrorUpperToLower(out)
 }
 

@@ -15,6 +15,10 @@ import "imrdmd/internal/compute"
 //	outer-product   k ≤ NR      rank-w updates: every A element is used
 //	                m large     at most w times
 //	small panel     m, n ≤ 64   reorth's q×q collectives
+//	tall panel      k ≤ 64      window products at sensor height:
+//	                n ≤ 40      every A row is read once, and B
+//	                            stays in cache; from 48 columns on
+//	                            the packed path is faster again
 //
 // For these the driver below reads A and B in place. One micro-kernel
 // per tier serves all shapes through a unified addressing scheme:
@@ -36,7 +40,7 @@ import "imrdmd/internal/compute"
 // multiply whose packed route would pad B's single strip to NR columns.
 func skinnyShape(m, k, n int) bool {
 	p := bp64
-	return n <= p.nr || m < p.mr || k <= p.nr || (m <= 64 && n <= 64)
+	return n <= p.nr || m < p.mr || k <= p.nr || (m <= 64 && n <= 64) || (k <= 64 && n <= 40)
 }
 
 // skinnyTile returns the register-tile geometry on the active tier: tr
@@ -52,7 +56,10 @@ func skinnyTile() (tr, lanes int) {
 
 // skinnyGemm computes dst = A·B (mode gemmSet), dst += A·B (gemmAdd) or
 // dst −= A·B (gemmSub) without packing, where A is a (or aᵀ when aT)
-// and B is b, never transposed (the classifier excludes bT shapes). The
+// and B is b, never transposed (the classifier excludes bT shapes).
+// With upper set it skips the register tiles that lie wholly below the
+// diagonal, leaving those elements of dst as they were: a Gram whose
+// lower triangle the caller mirrors from the upper one. The
 // loop nest is row tiles → lane-wide column chunks → KC depth chunks,
 // so an inner-product shape streams each A row strip exactly once and a
 // rank-w update keeps its tiny B block register-resident; an edge tile
@@ -60,7 +67,7 @@ func skinnyTile() (tr, lanes int) {
 // depth chunk. Fan-out splits the row tiles across engine workers; every
 // output element is owned by one worker with the serial accumulation
 // order, so engine and serial runs agree bit for bit.
-func skinnyGemm(e *compute.Engine, dst view, a view, aT bool, b view, mode int) {
+func skinnyGemm(e *compute.Engine, dst view, a view, aT bool, b view, mode int, upper bool) {
 	m, n := dst.r, dst.c
 	k := a.c
 	aOff, aStep := a.stride, 1
@@ -87,7 +94,7 @@ func skinnyGemm(e *compute.Engine, dst view, a view, aT bool, b view, mode int) 
 	}
 	tr, _ := skinnyTile()
 	tiles := (m + tr - 1) / tr
-	job := skinnyJob{dst: dst, a: a, b: b, aT: aT, mode: mode, k: k, aOff: aOff, aStep: aStep}
+	job := skinnyJob{dst: dst, a: a, b: b, aT: aT, upper: upper, mode: mode, k: k, aOff: aOff, aStep: aStep}
 	if fanOut(e, m*k*n) && tiles > 1 {
 		e.ParallelFor(tiles, job.run)
 	} else {
@@ -100,7 +107,7 @@ func skinnyGemm(e *compute.Engine, dst view, a view, aT bool, b view, mode int) 
 // calls it without allocating a closure.
 type skinnyJob struct {
 	dst, a, b            view
-	aT                   bool
+	aT, upper            bool
 	mode, k, aOff, aStep int
 }
 
@@ -122,8 +129,12 @@ func (j skinnyJob) run(lo, hi int) {
 	for ti := lo; ti < hi; ti++ {
 		i0 := ti * tr
 		rows := min(tr, m-i0)
+		jc0 := 0 // the first column chunk to compute
+		if j.upper {
+			jc0 = i0 / lanes * lanes // every chunk before it ends left of column i0
+		}
 		if rows == tr || gemmTier == tierGeneric {
-			for jc := 0; jc < n; jc += lanes {
+			for jc := jc0; jc < n; jc += lanes {
 				w := min(lanes, n-jc)
 				ci := i0*dst.stride + jc
 				for pc := 0; pc < k; pc += p.kc {
@@ -171,7 +182,7 @@ func (j skinnyJob) run(lo, hi int) {
 					copy(ascratch[r*kcMax:r*kcMax+kc], a.data[src:src+kc])
 				}
 			}
-			for jc := 0; jc < n; jc += lanes {
+			for jc := jc0; jc < n; jc += lanes {
 				w := min(lanes, n-jc)
 				ci := i0*dst.stride + jc
 				for i := range ctile[:tr*lanes] {

@@ -30,12 +30,16 @@ var skinnyShapes = []struct {
 	{"smallpanel", 48, 200, 48},      // reorth's q×q collective; also Gram of 200×48 (aT)
 	{"smallpanel_edge", 63, 129, 61}, // ragged small panel
 	{"smallpanel_mulT", 48, 200, 64}, // MulT of 200×48 with 200×64 (aT)
+	{"gram_edge", 23, 515, 23},       // Gram of 515×23 (aT): an edge row tile on the diagonal
+	{"tallpanel", 4392, 20, 20},      // window product at Theta's height
+	{"tallpanel_edge", 301, 48, 40},  // ragged rows, two depth-and-width panels
 }
 
 // TestSkinnyMatchesPackedBitwise runs every skinny shape through both
 // the pack-free driver and the packed gemmView under every reachable
 // tier and all three store modes, and requires the
-// outputs to agree bit for bit.
+// outputs to agree bit for bit. A square aᵀb also runs with upper set,
+// as a Gram does, and must agree on and above the diagonal.
 func TestSkinnyMatchesPackedBitwise(t *testing.T) {
 	for _, tier := range hostTiers() {
 		t.Run(tier.String(), func(t *testing.T) {
@@ -53,11 +57,24 @@ func TestSkinnyMatchesPackedBitwise(t *testing.T) {
 						packed := randDense(rng, c.m, c.n)
 						free := packed.Clone()
 						gemmView(nil, denseView(packed), denseView(a), aT, denseView(b), false, mode)
-						skinnyGemm(nil, denseView(free), denseView(a), aT, denseView(b), mode)
+						upper := free.Clone()
+						skinnyGemm(nil, denseView(free), denseView(a), aT, denseView(b), mode, false)
 						for i := range packed.Data {
 							if packed.Data[i] != free.Data[i] {
 								t.Fatalf("f64 %s aT=%v mode=%d: element %d: packed %v vs skinny %v",
 									c.name, aT, mode, i, packed.Data[i], free.Data[i])
+							}
+						}
+						if !aT || c.m != c.n {
+							continue
+						}
+						skinnyGemm(nil, denseView(upper), denseView(a), aT, denseView(b), mode, true)
+						for i := 0; i < c.m; i++ {
+							for j := i; j < c.n; j++ {
+								if packed.At(i, j) != upper.At(i, j) {
+									t.Fatalf("f64 %s mode=%d upper: element (%d,%d): packed %v vs skinny %v",
+										c.name, mode, i, j, packed.At(i, j), upper.At(i, j))
+								}
 							}
 						}
 					}
@@ -114,7 +131,7 @@ func TestSkinnyWidthSweep(t *testing.T) {
 					a := randDense(rng, m, 300)
 					b := randDense(rng, 300, w)
 					got := NewDense(m, w)
-					skinnyGemm(nil, denseView(got), denseView(a), false, denseView(b), gemmSet)
+					skinnyGemm(nil, denseView(got), denseView(a), false, denseView(b), gemmSet, false)
 					want := refMul(denseView(a), false, denseView(b), false)
 					assertClose(t, "f64", want, got, 1e-11)
 				}
@@ -138,9 +155,9 @@ func TestSkinnyParallelBitIdentical(t *testing.T) {
 		a := randDense(rng, c.m, c.k)
 		b := randDense(rng, c.k, c.n)
 		serial := NewDense(c.m, c.n)
-		skinnyGemm(nil, denseView(serial), denseView(a), false, denseView(b), gemmSet)
+		skinnyGemm(nil, denseView(serial), denseView(a), false, denseView(b), gemmSet, false)
 		parallel := NewDense(c.m, c.n)
-		skinnyGemm(eng, denseView(parallel), denseView(a), false, denseView(b), gemmSet)
+		skinnyGemm(eng, denseView(parallel), denseView(a), false, denseView(b), gemmSet, false)
 		for i := range serial.Data {
 			if serial.Data[i] != parallel.Data[i] {
 				t.Fatalf("%dx%dx%d: element %d differs bitwise", c.m, c.k, c.n, i)
@@ -192,6 +209,12 @@ func TestSkinnyRoutingBoundary(t *testing.T) {
 		{"small panel", 64, 10000, 64, true},
 		{"panel too wide", 64, 10000, 65, false},
 		{"panel too tall", 65, 10000, 65, false},
+		{"tall panel", 4392, 20, 20, true},
+		{"tall panel at its bounds", 4392, 64, 40, true},
+		{"tall panel too deep", 4392, 65, 40, false},
+		{"tall panel too wide", 4392, 64, 41, false},
+		{"tall 64-wide panel", 4392, 64, 64, false},
+		{"short 64-wide panel", 200, 64, 64, false},
 	}
 	for _, c := range cases {
 		if got := skinnyShape(c.m, c.k, c.n); got != c.want {

@@ -425,17 +425,17 @@ func bodySource(w http.ResponseWriter, r *http.Request, limit int64) (stream.Sou
 	return src, nil
 }
 
-// decodeBody decodes an ingest body by content type: a JSON body is read
+// decodeBody decodes an ingest body by content type. Either kind is read
 // into one buffer, sized from the Content-Length when the request has
-// one (size >= 0) up to stream.FromJSON's 1 MiB preallocation cap, and
-// scanned batch by batch; a CSV body parses to one matrix fed as a
-// single batch.
+// one (size >= 0) up to the stream package's 1 MiB preallocation cap: a
+// JSON body is then scanned batch by batch, and a CSV body parses to one
+// matrix fed as a single batch.
 func decodeBody(ct string, body io.Reader, size int64) (stream.Source, error) {
+	if size >= 0 {
+		body = sizedBody{body, int(size)}
+	}
 	switch {
 	case strings.Contains(ct, "json"):
-		if size >= 0 {
-			body = sizedBody{body, int(size)}
-		}
 		return stream.FromJSON(body)
 	case ct == "" || strings.Contains(ct, "csv") || strings.Contains(ct, "text/plain"):
 		m, err := stream.ReadCSV(body)
@@ -452,8 +452,8 @@ func decodeBody(ct string, body io.Reader, size int64) (stream.Source, error) {
 }
 
 // sizedBody is a request body with a known Content-Length, exposed as
-// the Len method stream.FromJSON sizes its buffer by (it asks once,
-// before reading).
+// the Len method stream.FromJSON and stream.ReadCSV size their buffer by
+// (each asks once, before reading).
 type sizedBody struct {
 	io.Reader
 	n int

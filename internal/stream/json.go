@@ -22,10 +22,10 @@ type JSONBatch struct {
 // JSONSource adapts a stream of JSONBatch objects to the Source
 // interface. The body is read once into one buffer and scanned in place,
 // one batch object per Next: every number is checked against the
-// RFC 8259 grammar, converted with strconv.ParseFloat and written
-// row-major into the slice that backs its batch, so a batch costs one
-// allocation for its values and none per row. Decode errors latch and
-// end the stream; check Err (or SourceErr) after exhaustion.
+// RFC 8259 grammar and converted in the same pass (parseNumber), then
+// written row-major into the slice that backs its batch, so a batch
+// costs one allocation for its values and none per row. Decode errors
+// latch and end the stream; check Err (or SourceErr) after exhaustion.
 //
 // The accepted input is what encoding/json unmarshals into a JSONBatch,
 // bit for bit, with one deliberate difference: a null row or value is an
@@ -71,7 +71,8 @@ const maxPrealloc = 1 << 20
 
 // readAll is io.ReadAll with the first buffer sized from r's Len, when it
 // has one, up to maxPrealloc, so a body of known length under the cap is
-// read with one allocation.
+// read with one allocation; past it the buffer doubles as bytes arrive.
+// On a read error it returns the bytes read before it.
 func readAll(r io.Reader) ([]byte, error) {
 	n := 512
 	if l, ok := r.(interface{ Len() int }); ok {
@@ -85,10 +86,10 @@ func readAll(r io.Reader) ([]byte, error) {
 			return b, nil
 		}
 		if err != nil {
-			return nil, err
+			return b, err
 		}
 		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
+			b = append(make([]byte, 0, 2*cap(b)), b...)
 		}
 	}
 }
@@ -214,13 +215,12 @@ func (d *jsonData) value(sc *jsonScanner, col int) error {
 	switch c := sc.peek(); {
 	case c == '-' || '0' <= c && c <= '9':
 		start := sc.i
-		if err := sc.number(); err != nil {
+		v, err := sc.number()
+		if err != nil {
+			if errors.Is(err, strconv.ErrRange) {
+				return fmt.Errorf("stream: JSON batch row %d col %d: value %s is out of float64 range", d.rows, col, sc.b[start:sc.i])
+			}
 			return err
-		}
-		tok := sc.b[start:sc.i]
-		v, err := strconv.ParseFloat(string(tok), 64)
-		if err != nil { // the grammar is checked, so only ErrRange is left
-			return fmt.Errorf("stream: JSON batch row %d col %d: value %s is out of float64 range", d.rows, col, tok)
 		}
 		d.vals = append(d.vals, v)
 		return nil
@@ -409,7 +409,12 @@ func (sc *jsonScanner) skip(depth int) error {
 	case c == '"':
 		return sc.str()
 	case c == '-' || '0' <= c && c <= '9':
-		return sc.number()
+		// A value under another key is only validated: encoding/json
+		// skips it unconverted, so being out of range is no error.
+		if _, err := sc.number(); !errors.Is(err, strconv.ErrRange) {
+			return err
+		}
+		return nil
 	case c == 't':
 		return sc.literal("true")
 	case c == 'f':
@@ -431,52 +436,17 @@ func (sc *jsonScanner) literal(lit string) error {
 	return nil
 }
 
-// number steps over a number at the scan position, checking the RFC 8259
-// grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
-func (sc *jsonScanner) number() error {
-	b, i := sc.b, sc.i
-	if b[i] == '-' {
-		i++
+// number reads and converts the number at the scan position (see
+// parseNumber). A token that breaks the RFC 8259 grammar is a syntax
+// error at the byte at fault; one beyond the float64 range returns
+// strconv's range error with the scan position past the token.
+func (sc *jsonScanner) number() (float64, error) {
+	v, n, err := parseNumber(sc.b[sc.i:])
+	sc.i += n
+	if ctx, ok := err.(numberSyntax); ok {
+		return 0, sc.syntaxErr(string(ctx))
 	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
-	default:
-		sc.i = i
-		return sc.syntaxErr("in numeric literal")
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
-			sc.i = j
-			return sc.syntaxErr("after decimal point in numeric literal")
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := digits(b, i)
-		if j == i {
-			sc.i = i
-			return sc.syntaxErr("in exponent of numeric literal")
-		}
-		i = j
-	}
-	sc.i = i
-	return nil
-}
-
-// digits returns the offset of the first non-digit at or after i.
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
+	return v, err
 }
 
 // str steps over a string whose opening quote is at the scan position:

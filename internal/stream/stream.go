@@ -5,6 +5,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"strconv"
 	"time"
 
+	"imrdmd/internal/compute"
 	"imrdmd/internal/core"
 	"imrdmd/internal/mat"
 )
@@ -223,7 +225,138 @@ func WriteCSV(w io.Writer, data *mat.Dense) error {
 // Empty input and the "#shape" header round-trip the degenerate shapes;
 // non-finite values ("NaN", "Inf") are rejected with a clear error — the
 // CSV ingest path must never hand the analyzer data it will choke on.
+//
+// The body is read once (sized by r's Len, as FromJSON sizes a JSON
+// body). A body in the plain form WriteCSV emits for a non-degenerate
+// matrix is parsed in place, in record-aligned bands on the shared
+// compute engine (readPlainCSV); any other body goes whole to
+// encoding/csv and strconv.ParseFloat, which define what ReadCSV accepts
+// and every error it reports. Both read every value to the same bits.
 func ReadCSV(r io.Reader) (*mat.Dense, error) {
+	body, err := readAll(r)
+	if err != nil {
+		// Replay what arrived, then the error, so that the records before
+		// it parse (or fail) as they would have read straight from r.
+		return readCSVRecords(io.MultiReader(bytes.NewReader(body), errReader{err}))
+	}
+	if m := readPlainCSV(compute.Default(), body); m != nil {
+		return m, nil
+	}
+	return readCSVRecords(bytes.NewReader(body))
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// readPlainCSV parses a body in the plain form: one or more records of
+// the same number of fields, each field an RFC 8259 number (parseNumber)
+// within float64 range, fields separated by ',' and records ended by
+// '\n' or "\r\n", the last one optionally by the end of the body. It
+// returns nil for any other body, which may still be valid CSV (quotes,
+// blank lines, "#shape", "+1", "Inf", ...) or invalid, and is left to
+// readCSVRecords. On a plain body encoding/csv splits the same records
+// and fields and strconv.ParseFloat reads the same bits, so the two
+// readers agree wherever this one answers.
+//
+// The row count is the body's newline count, plus one when the last
+// record ends the body. The body is cut into record-aligned bands, at
+// most one per lane of e, parsed concurrently, each into its own rows of
+// the result.
+func readPlainCSV(e *compute.Engine, b []byte) *mat.Dense {
+	first := bytes.IndexByte(b, '\n')
+	if first < 0 {
+		first = len(b)
+	}
+	if first == 0 {
+		return nil // empty body or blank first line
+	}
+	c := bytes.Count(b[:first], []byte{','}) + 1
+	edges := bandEdges(b, e.Workers())
+	rowAt := make([]int, len(edges)) // first row of each band, then the total
+	for k := 1; k < len(edges); k++ {
+		rowAt[k] = rowAt[k-1] + bytes.Count(b[edges[k-1]:edges[k]], []byte{'\n'})
+	}
+	if b[len(b)-1] != '\n' {
+		rowAt[len(rowAt)-1]++
+	}
+	rows := rowAt[len(rowAt)-1]
+	// Every value takes a digit and a separator (the body's last value
+	// may lack the separator), so a plain body has at least 2·rows·c−1
+	// bytes. Checking that before allocating caps the result at four
+	// times the body's size, whatever its first line claims.
+	if 2*rows*c-1 > len(b) {
+		return nil
+	}
+	out := mat.NewDense(rows, c)
+	ok := make([]bool, len(edges)-1)
+	e.ParallelFor(len(ok), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			ok[k] = parsePlainRows(b[edges[k]:edges[k+1]], out.Data[rowAt[k]*c:rowAt[k+1]*c], c)
+		}
+	})
+	for _, bandOK := range ok {
+		if !bandOK {
+			return nil
+		}
+	}
+	return out
+}
+
+// bandEdges cuts b into at most n bands that start at the start of b or
+// just past a newline, returning the band boundaries from 0 to len(b).
+func bandEdges(b []byte, n int) []int {
+	edges := make([]int, 1, n+1)
+	for k := 1; k < n; k++ {
+		// The band ends past the first newline at or after byte at−1, so
+		// a record that starts at the even cut starts the band.
+		at := max(k*len(b)/n, edges[len(edges)-1]+1)
+		j := bytes.IndexByte(b[at-1:], '\n')
+		if j < 0 || at+j == len(b) {
+			break
+		}
+		edges = append(edges, at+j)
+	}
+	return append(edges, len(b))
+}
+
+// parsePlainRows parses the plain-form records of b into dst, c values a
+// row, reporting whether b held exactly len(dst)/c such records.
+func parsePlainRows(b []byte, dst []float64, c int) bool {
+	i := 0
+	for r := 0; r < len(dst); r += c {
+		row := dst[r : r+c]
+		for j := range row {
+			v, n, err := parseNumber(b[i:])
+			if err != nil {
+				return false
+			}
+			row[j] = v
+			i += n
+			switch {
+			case j < c-1:
+				if i == len(b) || b[i] != ',' {
+					return false
+				}
+				i++
+			case i == len(b): // the body's last record
+			case b[i] == '\n':
+				i++
+			case b[i] == '\r' && i+1 < len(b) && b[i+1] == '\n':
+				i += 2
+			default:
+				return false
+			}
+		}
+	}
+	return i == len(b)
+}
+
+// readCSVRecords reads a CSV body with encoding/csv and converts its
+// fields with strconv.ParseFloat: the reference reader that defines what
+// ReadCSV accepts.
+func readCSVRecords(r io.Reader) (*mat.Dense, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // shape checked below with a clearer error
 	rows, err := cr.ReadAll()

@@ -2,16 +2,22 @@ package stream
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"imrdmd/internal/bench"
+	"imrdmd/internal/compute"
 	"imrdmd/internal/core"
 	"imrdmd/internal/mat"
 )
@@ -91,6 +97,22 @@ func TestReadCSVErrors(t *testing.T) {
 	got, err := ReadCSV(strings.NewReader(""))
 	if err != nil || got.R != 0 {
 		t.Fatal("empty CSV should give empty matrix")
+	}
+}
+
+// TestReadCSVReadError: a body that fails mid-read fails as it did when
+// encoding/csv read it straight from the reader. Records before the
+// error still parse first, so a malformed one is reported instead, and
+// the read error stays matchable with errors.Is.
+func TestReadCSVReadError(t *testing.T) {
+	errCut := errors.New("connection reset")
+	for _, prefix := range []string{"", "1,2\n3,4\n", "1,2\n3", "1,\"2\n", "1,2\n3\n", "1,a\"b\n2,3\n"} {
+		r := func() io.Reader { return io.MultiReader(strings.NewReader(prefix), iotest.ErrReader(errCut)) }
+		_, err := ReadCSV(r())
+		_, want := readCSVRecords(r())
+		if err == nil || want == nil || err.Error() != want.Error() || errors.Is(err, errCut) != errors.Is(want, errCut) {
+			t.Errorf("prefix %q: ReadCSV err = %v, encoding/csv on the reader: %v", prefix, err, want)
+		}
 	}
 }
 
@@ -712,10 +734,70 @@ func BenchmarkFromJSON(b *testing.B) {
 	}
 }
 
-// FuzzReadCSV: ReadCSV either rejects its input, or returns a matrix of
-// finite values that WriteCSV writes and ReadCSV reads back with the same
-// shape and the same Float64bits. Seeds come from the CSV tests above,
-// the #shape header cases among them.
+// refCSV is the reader ReadCSV's plain-form fast path stands beside —
+// encoding/csv, then strconv.ParseFloat on every field — kept as the
+// reference FuzzReadCSV holds ReadCSV to.
+func refCSV(body []byte) (*mat.Dense, error) {
+	cr := csv.NewReader(bytes.NewReader(body))
+	cr.FieldsPerRecord = -1
+	rows, err := cr.ReadAll()
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
+	}
+	if len(rows) == 0 {
+		return mat.NewDense(0, 0), nil
+	}
+	if rows[0][0] == shapeTag {
+		if len(rows[0]) != 3 || len(rows) != 1 {
+			return nil, errors.New("stream: malformed #shape header")
+		}
+		pr, err1 := strconv.Atoi(rows[0][1])
+		pc, err2 := strconv.Atoi(rows[0][2])
+		if err1 != nil || err2 != nil || pr < 0 || pc < 0 || (pr != 0 && pc != 0) {
+			return nil, fmt.Errorf("stream: #shape header %v is not a degenerate shape", rows[0][1:])
+		}
+		return mat.NewDense(pr, pc), nil
+	}
+	out := mat.NewDense(len(rows), len(rows[0]))
+	for i, rec := range rows {
+		if len(rec) != out.C {
+			return nil, fmt.Errorf("stream: ragged CSV: row %d has %d fields, want %d", i, len(rec), out.C)
+		}
+		for j, f := range rec {
+			v, err := strconv.ParseFloat(f, 64)
+			if err != nil {
+				return nil, fmt.Errorf("stream: row %d col %d: %w", i, j, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("stream: row %d col %d: non-finite value %q", i, j, f)
+			}
+			out.Set(i, j, v)
+		}
+	}
+	return out, nil
+}
+
+// sameMatrix reports whether a and b have the same shape and the same
+// Float64bits everywhere.
+func sameMatrix(a, b *mat.Dense) bool {
+	if a.R != b.R || a.C != b.C {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzReadCSV holds ReadCSV to refCSV: both accept or both reject every
+// body, with the same error text, and an accepted body reads to the same
+// shape and Float64bits. An accepted matrix also survives a WriteCSV →
+// ReadCSV round trip bit for bit. The seeds cover the plain form the fast
+// path takes (LF, CRLF, no final newline, -0, 1E5, 20 digits) and each
+// way out of it (a blank line, +1, a leading space, quotes, 0123, 1.,
+// .5, hex, 1e400, a ragged last record, the #shape headers).
 func FuzzReadCSV(f *testing.F) {
 	var rt, extreme bytes.Buffer
 	if err := WriteCSV(&rt, randMatrix(13, 3, 4)); err != nil {
@@ -726,8 +808,11 @@ func FuzzReadCSV(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, body := range []string{
-		rt.String(), extreme.String(),
-		"", "1,2\n3,nope\n", "1,2\n3\n", `"1","2"` + "\n",
+		rt.String(), extreme.String(), strings.ReplaceAll(rt.String(), "\n", "\r\n"),
+		strings.TrimSuffix(rt.String(), "\n"), "1,2\n\n3,4\n", "1,2\r\n3,4", "1,2\n3,4\r",
+		"", "1,2\n3,nope\n", "1,2\n3\n", "1,2\n3,4,5\n", `"1","2"` + "\n", `1,"2"` + "\n",
+		"+1,2\n", " 1,2\n", "0123,1\n", "1.,2\n", ".5,1\n", "1E5,-0\n", "0x1p3,1\n",
+		"12345678901234567890,1\n", "0.12345678901234567890123e-5,1\n", "1e-400,2\n",
 		"#shape,0,0\n", "#shape,5,0\n", "#shape,0,7\n",
 		"#shape,1,1\n", "#shape,3\n", "#shape,-1,0\n", "#shape,0,0\n1,2\n",
 		"1,NaN\n2,3\n", "1,2\n+Inf,3\n", "1,2\n3,-inf\n", "1e400,1\n",
@@ -736,8 +821,15 @@ func FuzzReadCSV(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		m, err := ReadCSV(bytes.NewReader(body))
+		want, werr := refCSV(body)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("ReadCSV(%q) err = %v, reference err = %v", body, err, werr)
+		}
 		if err != nil {
 			return
+		}
+		if !sameMatrix(m, want) {
+			t.Fatalf("ReadCSV(%q) = %d×%d %v, reference %d×%d %v", body, m.R, m.C, m.Data, want.R, want.C, want.Data)
 		}
 		if m.HasNaN() {
 			t.Fatalf("ReadCSV returned a non-finite value from %q", body)
@@ -750,13 +842,66 @@ func FuzzReadCSV(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ReadCSV of WriteCSV output %q: %v", buf.Bytes(), err)
 		}
-		if back.R != m.R || back.C != m.C {
-			t.Fatalf("round trip %d×%d → %d×%d", m.R, m.C, back.R, back.C)
-		}
-		for i := range m.Data {
-			if math.Float64bits(back.Data[i]) != math.Float64bits(m.Data[i]) {
-				t.Fatalf("element %d: %v round-tripped to %v", i, m.Data[i], back.Data[i])
-			}
+		if !sameMatrix(back, m) {
+			t.Fatalf("round trip of %q: %d×%d → %d×%d", body, m.R, m.C, back.R, back.C)
 		}
 	})
+}
+
+// TestReadPlainCSVBands parses small plain bodies cut into 1 to 4 bands,
+// one per lane of engines of 1 to 4 lanes (and serially, on a nil
+// engine): with four records of equal length and four bands every
+// record boundary is a band edge, and every cut must read to refCSV's
+// bits. A body that leaves the plain form in any band is refused whole.
+func TestReadPlainCSVBands(t *testing.T) {
+	m := mat.NewDenseData(4, 3, []float64{10, 11.5, -12, 20, 21.5, -22, 30, 31.5, -32, 40, 41.5, -42})
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	lf := buf.String()
+	engines := []*compute.Engine{nil}
+	for lanes := 1; lanes <= 4; lanes++ {
+		e := compute.NewEngine(lanes)
+		defer e.Close()
+		engines = append(engines, e)
+	}
+	for _, body := range []string{lf, strings.ReplaceAll(lf, "\n", "\r\n"), strings.TrimSuffix(lf, "\n")} {
+		if got, want := bandEdges([]byte(body), 4), []int{0, len(body) / 4, len(body) / 2, 3 * len(body) / 4, len(body)}; strings.HasSuffix(body, "\n") && !slices.Equal(got, want) {
+			t.Fatalf("bandEdges(%q, 4) = %v, want every record boundary %v", body, got, want)
+		}
+		for _, e := range engines {
+			got := readPlainCSV(e, []byte(body))
+			if want, err := refCSV([]byte(body)); err != nil || got == nil || !sameMatrix(got, want) {
+				t.Fatalf("%q in %d bands: %v, reference %v, %v", body, e.Workers(), got, want, err)
+			}
+		}
+	}
+	for _, body := range []string{lf + "\n", lf + "50,51\n", strings.Replace(lf, "40", "+40", 1), strings.Replace(lf, "21.5", `"21.5"`, 1)} {
+		for _, e := range engines {
+			if got := readPlainCSV(e, []byte(body)); got != nil {
+				t.Fatalf("%q in %d bands read as plain: %v", body, e.Workers(), got.Data)
+			}
+		}
+	}
+}
+
+// BenchmarkReadCSV reads one tenant seed body of the repository
+// benchmark's form, the SC-Log series at 200 sensors × 2000 columns: the
+// stream.csv_decode layer on its own.
+func BenchmarkReadCSV(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, bench.SCLogData(200, 2000, 1)); err != nil {
+		b.Fatal(err)
+	}
+	body := buf.Bytes()
+	r := bytes.NewReader(body)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		r.Reset(body)
+		if m, err := ReadCSV(r); err != nil || m.R != 200 || m.C != 2000 {
+			b.Fatal("wrong seed", err)
+		}
+	}
 }
