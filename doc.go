@@ -31,10 +31,11 @@
 // Analyzer.Snapshot serializes the complete incremental state as a
 // versioned binary stream and Restore reconstructs it; the restored
 // analyzer continues PartialFit streams bit-compatibly with the
-// uninterrupted one. Snapshots from releases that could row-shard the
-// level-1 decomposition, or screen windows in float32, restore into the
-// same single float64 update path. This is what lets a long-running deployment
-// survive restarts or migrate a stream between hosts:
+// uninterrupted one. Restore reads the one current format (version 2);
+// a stream of any other version, or holding a retired row-sharded or
+// mixed-precision payload, fails with an error. This is what lets a
+// long-running deployment survive restarts or migrate a stream between
+// hosts:
 //
 //	var buf bytes.Buffer
 //	if err := a.Snapshot(&buf); err != nil { ... }

@@ -7,8 +7,8 @@
 // The format is deliberately dumb — field-sequential, no schema — because
 // every producer/consumer pair lives in this repository and the version
 // header gates compatibility: a Reader refuses a stream whose version it
-// does not know, so format changes bump Version and (when needed) branch
-// on it during decode. The trailer CRC turns truncation and bit rot into
+// does not know, so a format change bumps Version and the decoder reads
+// exactly the new layout. The trailer CRC turns truncation and bit rot into
 // clean errors instead of silently corrupt analyzers. See DESIGN.md §8.
 package codec
 
@@ -33,7 +33,10 @@ import (
 //	1 — initial format (PR 4..8): all-f64 raw history, unbounded driftLog.
 //	2 — flat-horizon streaming (PR 9): tiered raw history (f32 cold
 //	    chunks + f64 hot tail), windowed-pipeline options, bounded
-//	    driftLog. Readers still decode version-1 streams.
+//	    driftLog.
+//
+// Readers accept only Version: a stream stamped with any other version
+// fails at the header with ErrVersion (DESIGN.md §8, restore policy).
 const Version = 2
 
 // magic identifies an imrdmd snapshot stream.
@@ -81,17 +84,9 @@ type Writer struct {
 // NewWriter starts a snapshot stream on w at the current Version, writing
 // the magic/version header immediately.
 func NewWriter(w io.Writer) *Writer {
-	return NewWriterVersion(w, Version)
-}
-
-// NewWriterVersion starts a snapshot stream at an explicit format version
-// — the hook compatibility tests use to produce historical streams. It
-// only stamps the header; the caller must emit the field layout that
-// version defines.
-func NewWriterVersion(w io.Writer, version uint32) *Writer {
 	e := &Writer{w: w, crc: crc32.NewIEEE()}
 	e.raw([]byte(magic))
-	e.U32(version)
+	e.U32(Version)
 	return e
 }
 
@@ -282,8 +277,8 @@ func (e *Writer) DenseSegments(r, c int, segs []*mat.Dense) {
 }
 
 // Dense32 writes a float32 matrix as its shape followed by the row-major
-// payload of 32-bit patterns — the cold-tier history sections of format
-// version ≥ 2.
+// payload of 32-bit patterns — the cold-tier history sections of a
+// snapshot.
 func (e *Writer) Dense32(m *mat.Dense32) {
 	e.Int(m.R)
 	e.Int(m.C)
@@ -296,12 +291,11 @@ func (e *Writer) Dense32(m *mat.Dense32) {
 // callers decode whole sections and check Err (or Close) once. A short
 // read surfaces as io.ErrUnexpectedEOF — the truncated-snapshot error.
 type Reader struct {
-	r       io.Reader
-	crc     hash.Hash32
-	buf     [8]byte
-	chunk   []byte // bulk scratch, chunkLen bytes once allocated
-	version uint32
-	err     error
+	r     io.Reader
+	crc   hash.Hash32
+	buf   [8]byte
+	chunk []byte // bulk scratch, chunkLen bytes once allocated
+	err   error
 }
 
 // Word64 returns the eight bytes at b[i:] as a little-endian uint64, and
@@ -316,8 +310,7 @@ func Word64(b []byte, i int) (uint64, bool) {
 }
 
 // NewReader opens a snapshot stream, validating the magic and version
-// header before returning. Every version from 1 through Version is
-// accepted; decoders branch on Version() for layouts that changed.
+// header before returning. Only the current Version is accepted.
 func NewReader(r io.Reader) (*Reader, error) {
 	d := &Reader{r: r, crc: crc32.NewIEEE()}
 	var hdr [len(magic)]byte
@@ -332,16 +325,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrVersion, d.err)
 	}
-	if v < 1 || v > Version {
-		return nil, fmt.Errorf("%w: got %d, can read 1..%d", ErrVersion, v, Version)
+	if v != Version {
+		return nil, fmt.Errorf("%w: got %d, can read %d", ErrVersion, v, Version)
 	}
-	d.version = v
 	return d, nil
 }
-
-// Version reports the format version stamped in the stream header; decode
-// paths branch on it for sections whose layout changed across versions.
-func (d *Reader) Version() uint32 { return d.version }
 
 // Err returns the first error encountered, if any.
 func (d *Reader) Err() error { return d.err }

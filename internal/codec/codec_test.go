@@ -110,8 +110,10 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
+// TestVersionMismatch: a reader accepts only the current Version; the
+// retired version 1 fails at the header like any unknown one.
 func TestVersionMismatch(t *testing.T) {
-	for _, bad := range []uint32{0, Version + 7} {
+	for _, bad := range []uint32{0, 1, Version + 1, Version + 7} {
 		var buf bytes.Buffer
 		buf.WriteString(magic)
 		var v [4]byte
@@ -119,32 +121,6 @@ func TestVersionMismatch(t *testing.T) {
 		buf.Write(v[:])
 		if _, err := NewReader(&buf); !errors.Is(err, ErrVersion) {
 			t.Fatalf("version %d: want ErrVersion, got %v", bad, err)
-		}
-	}
-}
-
-// TestOlderVersionAccepted: every historical version opens, and the
-// stream's stamped version is surfaced for decode-time branching.
-func TestOlderVersionAccepted(t *testing.T) {
-	for v := uint32(1); v <= Version; v++ {
-		var buf bytes.Buffer
-		w := NewWriterVersion(&buf, v)
-		w.Int(99)
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("version %d rejected: %v", v, err)
-		}
-		if r.Version() != v {
-			t.Fatalf("Version() = %d, want %d", r.Version(), v)
-		}
-		if got := r.Int(); got != 99 {
-			t.Fatalf("payload at version %d = %d", v, got)
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

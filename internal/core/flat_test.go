@@ -365,55 +365,12 @@ func TestStreamedReconErrorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestV1SnapshotRestores: a version-1 stream — flat f64 history, no
-// windowing options, unbounded drift log — must decode into a working
-// analyzer whose continued updates match the live original bit for bit.
-func TestV1SnapshotRestores(t *testing.T) {
-	rng := rand.New(rand.NewSource(94))
-	data, _ := multiscale(rng, 8, 768, 1, 0.1)
-	inc := NewIncremental(defaultOpts())
-	if err := inc.InitialFit(data.ColSlice(0, 512)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inc.PartialFit(data.ColSlice(512, 640)); err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := DecodeIncremental(bytes.NewReader(encodeV1(t, inc)))
-	if err != nil {
-		t.Fatalf("v1 stream rejected: %v", err)
-	}
-	if restored.Cols() != inc.Cols() || restored.Updates() != inc.Updates() {
-		t.Fatalf("restored state mismatch: %d/%d cols, %d/%d updates",
-			restored.Cols(), inc.Cols(), restored.Updates(), inc.Updates())
-	}
-	treesEqual(t, restored, inc)
-
-	// Both continue the stream identically: the restored analyzer's first
-	// update takes the fresh-evaluation fallback, which is bit-identical
-	// to the live analyzer's cached path.
-	blk := data.ColSlice(640, 768)
-	sa, err := inc.PartialFit(blk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := restored.PartialFit(blk.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa.Drift != sb.Drift {
-		t.Fatalf("post-restore drift %v != live %v (must be bit-identical)", sb.Drift, sa.Drift)
-	}
-	treesEqual(t, restored, inc)
-}
-
 // TestAsyncSlotRestoresInline: snapshots from releases that could run
 // drift recomputes in the background carry that flag, set, in the bool
 // slot after DriftThreshold. The decoder ignores the slot. Restored from
-// a version-1 stream or a current one with the slot set, the analyzer
-// snapshots byte-identically to the live analyzer (the slot written
-// clear), then recomputes inline and continues the stream bit-identically
-// to it.
+// a snapshot with the slot set, the analyzer snapshots byte-identically
+// to the live analyzer (the slot written clear), then recomputes inline
+// and continues the stream bit-identically to it.
 func TestAsyncSlotRestoresInline(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	data, _ := multiscale(rng, 8, 896, 1, 0.1)
@@ -436,36 +393,28 @@ func TestAsyncSlotRestoresInline(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	for _, v := range []struct {
-		name   string
-		encode func(*Incremental) []byte
-	}{
-		{"v1", func(inc *Incremental) []byte { return encodeV1(t, inc) }},
-		{"current", func(inc *Incremental) []byte { return withAsyncSlot(t, inc, current(inc)) }},
-	} {
-		inc := live()
-		restored, err := DecodeIncremental(bytes.NewReader(v.encode(inc)))
+	inc := live()
+	restored, err := DecodeIncremental(bytes.NewReader(withAsyncSlot(t, inc, current(inc))))
+	if err != nil {
+		t.Fatalf("snapshot with the async slot set rejected: %v", err)
+	}
+	if !bytes.Equal(current(restored), current(inc)) {
+		t.Fatal("snapshot of the restored analyzer differs from the live one's")
+	}
+	for lo := 640; lo < data.C; lo += 128 {
+		blk := data.ColSlice(lo, lo+128)
+		sa, err := inc.PartialFit(blk)
 		if err != nil {
-			t.Fatalf("%s: snapshot with the async slot set rejected: %v", v.name, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(current(restored), current(inc)) {
-			t.Fatalf("%s: snapshot of the restored analyzer differs from the live one's", v.name)
+		sb, err := restored.PartialFit(blk.Clone())
+		if err != nil {
+			t.Fatal(err)
 		}
-		for lo := 640; lo < data.C; lo += 128 {
-			blk := data.ColSlice(lo, lo+128)
-			sa, err := inc.PartialFit(blk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb, err := restored.PartialFit(blk.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sb.Recomputed || sa != sb {
-				t.Fatalf("%s: update at %d: restored %+v, live %+v (want an inline recompute, bit-identical)", v.name, lo, sb, sa)
-			}
-			treesEqual(t, restored, inc)
+		if !sb.Recomputed || sa != sb {
+			t.Fatalf("update at %d: restored %+v, live %+v (want an inline recompute, bit-identical)", lo, sb, sa)
 		}
+		treesEqual(t, restored, inc)
 	}
 }
 
@@ -484,13 +433,13 @@ func thresholdSlot(inc *Incremental) int {
 func withAsyncSlot(t *testing.T, inc *Incremental, raw []byte) []byte {
 	t.Helper()
 	at := thresholdSlot(inc) + 8
-	version, body := unframeSnapshot(t, raw)
+	body := unframeSnapshot(t, raw)
 	if body[at] != 0 {
 		t.Fatalf("async slot holds %d, want 0", body[at])
 	}
 	body = append([]byte(nil), body...)
 	body[at] = 1
-	return frameSnapshot(uint32(version), body)
+	return frameSnapshot(body)
 }
 
 // withThreshold returns raw, a current-layout snapshot of inc, with its
@@ -498,13 +447,13 @@ func withAsyncSlot(t *testing.T, inc *Incremental, raw []byte) []byte {
 func withThreshold(t *testing.T, inc *Incremental, raw []byte, v float64) []byte {
 	t.Helper()
 	at := thresholdSlot(inc)
-	version, body := unframeSnapshot(t, raw)
+	body := unframeSnapshot(t, raw)
 	if got := math.Float64frombits(binary.LittleEndian.Uint64(body[at:])); got != inc.opts.DriftThreshold {
 		t.Fatalf("threshold slot holds %v, want %v", got, inc.opts.DriftThreshold)
 	}
 	body = append([]byte(nil), body...)
 	binary.LittleEndian.PutUint64(body[at:], math.Float64bits(v))
-	return frameSnapshot(uint32(version), body)
+	return frameSnapshot(body)
 }
 
 // TestStoredDriftThresholdRestores: the snapshot keeps the drift
@@ -548,52 +497,4 @@ func TestStoredDriftThresholdRestores(t *testing.T) {
 			t.Fatalf("stored threshold %v: snapshot of the restored analyzer differs", v)
 		}
 	}
-}
-
-// encodeV1 hand-encodes inc's live state in the version-1 layout (PR 8):
-// one flat f64 history matrix, no windowing options, the unsharded
-// level-1 payload.
-func encodeV1(t testing.TB, inc *Incremental) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := codec.NewWriterVersion(&buf, 1)
-	o := inc.opts
-	enc.Float(o.DT)
-	enc.Int(o.MaxLevels)
-	enc.Int(o.MaxCycles)
-	enc.Int(o.NyquistFactor)
-	enc.Int(o.Rank)
-	enc.Bool(o.UseSVHT)
-	enc.Int(o.MinWindow)
-	enc.Bool(o.Parallel)
-	enc.Int(o.Workers)
-	enc.Int(o.BlockColumns)
-	enc.String("float64") // precision tier
-	enc.Int(1)            // shard count
-	enc.Float(inc.opts.DriftThreshold)
-	enc.Bool(true) // retired async-recompute slot, set: decoders ignore it
-	enc.Int(inc.p)
-	enc.Dense(inc.hist.Promote()) // v1: one flat f64 history matrix
-	enc.Int(inc.stride1)
-	enc.Dense(inc.sub1)
-	enc.Int(inc.nextSample)
-	encodeNode(enc, inc.level1)
-	enc.Int(len(inc.segments))
-	for _, seg := range inc.segments {
-		enc.Int(seg.start)
-		enc.Int(seg.end)
-		enc.Int(len(seg.nodes))
-		for _, nd := range seg.nodes {
-			encodeNode(enc, nd)
-		}
-	}
-	enc.Int(inc.updates)
-	enc.Int(inc.recomputes)
-	enc.Floats(inc.driftLogChrono())
-	enc.Int(isvdUnsharded)
-	inc.isvd.Encode(enc)
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }

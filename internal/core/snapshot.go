@@ -22,13 +22,10 @@ import (
 // makes long-running tenants restartable and migratable (see DESIGN.md
 // §8).
 
-// isvd kind tags written before the level-1 SVD payload. Snapshot always
-// writes isvdUnsharded; isvdSharded streams come from releases that could
-// row-shard the level-1 SVD and decode into the same svd.Incremental.
-const (
-	isvdUnsharded = 0
-	isvdSharded   = 1
-)
+// isvdKind is the level-1 SVD kind tag written before its payload. The
+// one layout is kind 0; the tag stays so snapshot bytes keep their
+// layout, and any other value marks the stream corrupt (DESIGN.md §8).
+const isvdKind = 0
 
 // Snapshot serializes the analyzer's full state to w, holding the state
 // lock for the duration of the write. Snapshot before InitialFit is an
@@ -42,12 +39,11 @@ func (inc *Incremental) Snapshot(w io.Writer) error {
 	enc := codec.NewWriter(w)
 	encodeOptions(enc, inc.opts)
 	enc.Float(inc.opts.DriftThreshold) // its slot predates the Options field
-	// Retired async-recompute flag: the slot stays so snapshot bytes and
-	// old streams keep their layout; recomputes always run inline.
+	// Retired async-recompute flag: the slot stays so snapshot bytes keep
+	// their layout; recomputes always run inline.
 	enc.Bool(false)
 	enc.Int(inc.p)
-	// History, tier-structured (format v2): cold f32 chunks then the hot
-	// f64 tail. A v1 stream holds the same columns as one f64 matrix.
+	// History, tier-structured: cold f32 chunks then the hot f64 tail.
 	// The hot tier is one Dense section however many chunks hold it.
 	enc.Int(mat.TieredChunkCols)
 	cold := inc.hist.ColdChunks()
@@ -72,7 +68,7 @@ func (inc *Incremental) Snapshot(w io.Writer) error {
 	enc.Int(inc.updates)
 	enc.Int(inc.recomputes)
 	enc.Floats(inc.driftLogChrono())
-	enc.Int(isvdUnsharded)
+	enc.Int(isvdKind)
 	inc.isvd.Encode(enc)
 	return enc.Close()
 }
@@ -112,19 +108,15 @@ func decodeIncremental(r io.Reader, workers *int) (*Incremental, error) {
 	}
 	dec.Bool() // retired async-recompute flag, ignored (see Snapshot)
 	p := dec.Len()
-	// History: v2 streams hold cold f32 chunks, then the hot f64 tail as
-	// one Dense section; v1 streams hold all of it as that one section.
-	// The section decodes straight into the store's column chunks. Every
-	// release wrote TieredChunkCols as the chunk width; cold chunks of
-	// any other width fail TieredFromParts' shape check.
-	var cold []*mat.Dense32
-	if dec.Version() >= 2 {
-		dec.Int() // chunk width
-		nCold := dec.Len()
-		cold = make([]*mat.Dense32, 0, minCap(nCold, 64))
-		for i := 0; i < nCold && dec.Err() == nil; i++ {
-			cold = append(cold, dec.Dense32())
-		}
+	// History: cold f32 chunks, then the hot f64 tail as one Dense
+	// section, which decodes straight into the store's column chunks.
+	// Every release wrote TieredChunkCols as the chunk width; cold chunks
+	// of any other width fail TieredFromParts' shape check.
+	dec.Int() // chunk width
+	nCold := dec.Len()
+	cold := make([]*mat.Dense32, 0, minCap(nCold, 64))
+	for i := 0; i < nCold && dec.Err() == nil; i++ {
+		cold = append(cold, dec.Dense32())
 	}
 	var hist *mat.TieredCols
 	if hr, hc, hot := dec.DenseSegments(mat.TieredChunkCols); dec.Err() == nil {
@@ -150,13 +142,17 @@ func decodeIncremental(r io.Reader, workers *int) (*Incremental, error) {
 	updates := dec.Int()
 	recomputes := dec.Int()
 	driftLog := dec.Floats()
-	// v1 streams carry the full unbounded log; keep the trailing window
-	// the ring would have retained.
-	if len(driftLog) > driftLogCap {
-		driftLog = driftLog[len(driftLog)-driftLogCap:]
-	}
+	kind := dec.Int()
 	if err := dec.Err(); err != nil {
 		return nil, err
+	}
+	// Snapshot writes at most the ring's driftLogCap entries and always
+	// the kind-0 level-1 payload; anything else is not a stream it wrote.
+	if len(driftLog) > driftLogCap {
+		return nil, fmt.Errorf("%w: drift log of %d entries exceeds %d", codec.ErrCorrupt, len(driftLog), driftLogCap)
+	}
+	if kind != isvdKind {
+		return nil, fmt.Errorf("%w: unknown level-1 SVD kind %d", codec.ErrCorrupt, kind)
 	}
 	if workers != nil {
 		opts.Workers = *workers
@@ -185,18 +181,7 @@ func decodeIncremental(r io.Reader, workers *int) (*Incremental, error) {
 		driftPos:   len(driftLog) % driftLogCap,
 	}
 
-	switch kind := dec.Int(); kind {
-	case isvdUnsharded:
-		inc.isvd, err = svd.DecodeIncrementalState(dec, eng, ws)
-	case isvdSharded:
-		inc.isvd, err = svd.DecodeLegacyShardedState(dec, eng, ws)
-	default:
-		if err := dec.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: unknown level-1 SVD kind %d", codec.ErrCorrupt, kind)
-	}
-	if err != nil {
+	if inc.isvd, err = svd.DecodeIncrementalState(dec, eng, ws); err != nil {
 		return nil, err
 	}
 	if err := dec.Close(); err != nil {
@@ -308,17 +293,15 @@ func encodeOptions(w *codec.Writer, o Options) {
 	w.Int(o.Workers)
 	w.Int(o.BlockColumns)
 	w.String("float64") // retired precision slot (see above)
-	w.Int(1)            // retired shard-count slot: 1 keeps older readers on the unsharded path
+	w.Int(1)            // retired shard-count slot: 1, the unsharded value
 	w.Int(o.DriftWindow)
 	w.Int(o.AmplitudeWindow)
 	w.Int(o.ColdHorizon)
 }
 
 // decodeOptions reads the persistent Options fields. The retired
-// precision slot must name a tier some release wrote — "" or "float64",
-// or "mixed" from releases with the float32 screening tier, whose
-// snapshots restore into the float64 analyzer — and is otherwise
-// ignored; anything else marks the stream corrupt.
+// precision slot must hold "float64", the one value encodeOptions
+// writes; anything else marks the stream corrupt.
 func decodeOptions(r *codec.Reader) (Options, error) {
 	o := Options{
 		DT:            r.Float(),
@@ -332,17 +315,13 @@ func decodeOptions(r *codec.Reader) (Options, error) {
 		Workers:       r.Int(),
 		BlockColumns:  r.Int(),
 	}
-	switch prec := r.String(); prec {
-	case "", "float64", "mixed":
-	default:
+	if prec := r.String(); prec != "float64" && r.Err() == nil {
 		return Options{}, fmt.Errorf("%w: unknown precision %q in options", codec.ErrCorrupt, prec)
 	}
 	r.Int() // retired shard-count slot (see encodeOptions), ignored
-	if r.Version() >= 2 {
-		o.DriftWindow = r.Int()
-		o.AmplitudeWindow = r.Int()
-		o.ColdHorizon = r.Int()
-	}
+	o.DriftWindow = r.Int()
+	o.AmplitudeWindow = r.Int()
+	o.ColdHorizon = r.Int()
 	return o, nil
 }
 

@@ -2,19 +2,23 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"imrdmd/internal/codec"
 	"imrdmd/internal/mat"
 )
 
-// TestSnapshotPrecisionSlot: the retired precision slot restores every
-// tier a release wrote — "", "float64" and "mixed" — into the one float64
-// analyzer, whose own snapshot then carries "float64" again, and rejects
-// any other value as a corrupt stream.
+// TestSnapshotPrecisionSlot: the retired precision slot restores only
+// "float64", the value Snapshot writes, and the restored analyzer's own
+// snapshot carries it again byte for byte. Any other value — "" and
+// "mixed", which releases before the float32 tier's removal wrote,
+// included — marks the stream corrupt.
 func TestSnapshotPrecisionSlot(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data, _ := multiscale(rng, 6, 96, 1, 0.1)
@@ -30,9 +34,9 @@ func TestSnapshotPrecisionSlot(t *testing.T) {
 		prec string
 		ok   bool
 	}{
-		{"", true},
+		{"", false},
 		{"float64", true},
-		{"mixed", true},
+		{"mixed", false},
 		{"float16", false},
 		{"Mixed", false},
 	} {
@@ -53,6 +57,108 @@ func TestSnapshotPrecisionSlot(t *testing.T) {
 		}
 		if !bytes.Equal(again.Bytes(), want.Bytes()) {
 			t.Fatalf("precision %q: re-snapshot differs from the float64 original", c.prec)
+		}
+	}
+}
+
+// goldenSnapshot is the committed snapshot TestGoldenSnapshotRestores
+// pins; the tests below mutate its bytes.
+const goldenSnapshot = "testdata/current_v2.snap"
+
+func readGolden(tb testing.TB) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(goldenSnapshot)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// editableSnapshot decodes raw and returns the analyzer with a copy of
+// the stream's body, ready for a slot to be rewritten.
+func editableSnapshot(tb testing.TB, raw []byte) (*Incremental, []byte) {
+	tb.Helper()
+	inc, err := DecodeIncremental(bytes.NewReader(raw))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return inc, append([]byte(nil), unframeSnapshot(tb, raw)...)
+}
+
+// level1KindAt returns the offset in body, a snapshot of inc, of the
+// level-1 kind tag: the word right before the level-1 SVD payload, which
+// ends the body.
+func level1KindAt(tb testing.TB, inc *Incremental, body []byte) int {
+	tb.Helper()
+	var payload bytes.Buffer
+	enc := codec.NewWriter(&payload)
+	inc.isvd.Encode(enc)
+	if err := enc.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	at := len(body) - (payload.Len() - snapshotHeaderLen - 4) - 8
+	if tag := binary.LittleEndian.Uint64(body[at:]); tag != isvdKind {
+		tb.Fatalf("level-1 kind tag at %d holds %d, want %d", at, tag, isvdKind)
+	}
+	return at
+}
+
+// withKindTag returns raw with its level-1 kind tag set to tag, re-framed
+// so its checksum stays valid.
+func withKindTag(tb testing.TB, raw []byte, tag uint64) []byte {
+	tb.Helper()
+	inc, body := editableSnapshot(tb, raw)
+	binary.LittleEndian.PutUint64(body[level1KindAt(tb, inc, body):], tag)
+	return frameSnapshot(body)
+}
+
+// withDriftLog returns raw with its drift log — the Floats section right
+// before the level-1 kind tag — replaced by one of n entries, re-framed
+// so its checksum stays valid.
+func withDriftLog(tb testing.TB, raw []byte, n int) []byte {
+	tb.Helper()
+	inc, body := editableSnapshot(tb, raw)
+	end := level1KindAt(tb, inc, body)
+	at := end - 8*len(inc.driftLog) - 8
+	if got := binary.LittleEndian.Uint64(body[at:]); got != uint64(len(inc.driftLog)) {
+		tb.Fatalf("drift log length word at %d holds %d, want %d", at, got, len(inc.driftLog))
+	}
+	log := binary.LittleEndian.AppendUint64(nil, uint64(n))
+	for i := range n {
+		log = binary.LittleEndian.AppendUint64(log, math.Float64bits(1e-3*float64(i)))
+	}
+	return frameSnapshot(append(append(append([]byte(nil), body[:at]...), log...), body[end:]...))
+}
+
+// TestSnapshotRejectsRetiredLayouts: the decoder reads only the layout
+// Snapshot writes (format version 2, level-1 kind 0, precision slot
+// "float64", at most driftLogCap drift entries). Each retired or invalid
+// variant of the golden fixture fails with its sentinel error; the
+// fixture itself and a drift log at exactly driftLogCap entries restore.
+func TestSnapshotRejectsRetiredLayouts(t *testing.T) {
+	golden := readGolden(t)
+	v1 := append([]byte(nil), golden...)
+	binary.LittleEndian.PutUint32(v1[len("IMRDSNAP"):], 1)
+	binary.LittleEndian.PutUint32(v1[len(v1)-4:], crc32.ChecksumIEEE(v1[:len(v1)-4]))
+	for _, c := range []struct {
+		name string
+		raw  []byte
+		want error // nil: must restore
+	}{
+		{"fixture", golden, nil},
+		{"version-1 header", v1, codec.ErrVersion},
+		{"level-1 kind 1", withKindTag(t, golden, 1), codec.ErrCorrupt},
+		{"precision \"\"", withPrecisionSlot(t, golden, "float64", ""), codec.ErrCorrupt},
+		{"precision \"mixed\"", withPrecisionSlot(t, golden, "float64", "mixed"), codec.ErrCorrupt},
+		{"drift log of driftLogCap entries", withDriftLog(t, golden, driftLogCap), nil},
+		{"drift log of driftLogCap+1 entries", withDriftLog(t, golden, driftLogCap+1), codec.ErrCorrupt},
+	} {
+		_, err := DecodeIncremental(bytes.NewReader(c.raw))
+		if c.want == nil && err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if c.want != nil && !errors.Is(err, c.want) {
+			t.Errorf("%s: want %v, got %v", c.name, c.want, err)
 		}
 	}
 }

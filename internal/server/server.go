@@ -299,7 +299,14 @@ func decodeOptions(w http.ResponseWriter, r *http.Request) (TenantOptions, error
 	}
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&opts); err != nil && !errors.Is(err, io.EOF) {
+	err = dec.Decode(&opts)
+	if err == nil {
+		// One JSON value per body: only whitespace may follow it.
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("data after the options object")
+		}
+	}
+	if err != nil && !errors.Is(err, io.EOF) {
 		return opts, bodyErr(fmt.Errorf("invalid options body: %w", err), "options", maxCreateBody)
 	}
 	return opts, nil
@@ -654,11 +661,10 @@ const snapshotExt = ".imrdmd"
 
 // SnapshotAll writes every seeded tenant's snapshot into dir as
 // <id>.imrdmd — the graceful-shutdown path of cmd/imrdmd-serve. Unseeded
-// tenants are skipped (they have no incremental state). Each file is
-// written to a temp name and renamed into place only when complete, so
-// an interrupted shutdown (crash, disk full, kill mid-write) can never
-// clobber the previous good snapshot with a truncated one. Returns the
-// number of snapshots written.
+// tenants are skipped (they have no incremental state). Each file goes
+// through writeDurable, so an interrupted shutdown or a power loss
+// leaves either the previous good snapshot or the new one, never a
+// truncated or empty file. Returns the number of snapshots written.
 func (s *Server) SnapshotAll(dir string) (int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
@@ -678,19 +684,47 @@ func (s *Server) SnapshotAll(dir string) (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("snapshot tenant %q: %w", t.id, err)
 		}
-		final := filepath.Join(dir, t.id+snapshotExt)
-		tmp := final + ".tmp"
-		if err := os.WriteFile(tmp, snap, 0o644); err != nil {
-			os.Remove(tmp)
-			return n, fmt.Errorf("snapshot tenant %q: %w", t.id, err)
-		}
-		if err := os.Rename(tmp, final); err != nil {
-			os.Remove(tmp)
+		if err := writeDurable(dir, t.id+snapshotExt, snap); err != nil {
 			return n, fmt.Errorf("snapshot tenant %q: %w", t.id, err)
 		}
 		n++
 	}
 	return n, nil
+}
+
+// writeDurable replaces dir/name with data: it writes a temp file,
+// fsyncs it, renames it into place and fsyncs dir, so the rename reaches
+// the disk only after the bytes it names and itself survives a crash.
+func writeDurable(dir, name string, data []byte) error {
+	final := filepath.Join(dir, name)
+	tmp := final + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // RestoreDir loads every <id>.imrdmd snapshot in dir into the registry —

@@ -295,6 +295,10 @@ func TestServerRejects(t *testing.T) {
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"shards":2}`), http.StatusBadRequest)
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"precision":"mixed"}`), http.StatusBadRequest)
 	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"async_recompute":true}`), http.StatusBadRequest)
+	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"dt":20} {"max_levels":3}`), http.StatusBadRequest)
+	c.must("POST", "/v1/tenants/bad", "application/json", []byte(`{"dt":20}]`), http.StatusBadRequest)
+	c.must("POST", "/v1/tenants/ok", "application/json", []byte("{\"dt\":20}\n\t "), http.StatusCreated)
+	c.must("DELETE", "/v1/tenants/ok", "", nil, http.StatusNoContent)
 
 	c.must("POST", "/v1/tenants/a", "application/json", nil, http.StatusCreated)
 	c.must("POST", "/v1/tenants/a", "application/json", nil, http.StatusConflict)
@@ -306,6 +310,9 @@ func TestServerRejects(t *testing.T) {
 	c.must("POST", "/v1/tenants/a/ingest", "application/json", []byte(`{"data":[[1,2],[3]]}`), http.StatusBadRequest)
 	c.must("POST", "/v1/tenants/a/ingest", "application/pdf", []byte("x"), http.StatusBadRequest)
 	c.must("PUT", "/v1/tenants/x", "application/octet-stream", []byte("not a snapshot"), http.StatusBadRequest)
+	// A version-1 header: the retired format fails at the codec's version
+	// check, as a bad request.
+	c.must("PUT", "/v1/tenants/x", "application/octet-stream", []byte("IMRDSNAP\x01\x00\x00\x00"), http.StatusBadRequest)
 }
 
 // TestServerConcurrentTenantsSnapshotRestore is the PR's server
