@@ -41,6 +41,10 @@
 //	if err := a.Snapshot(&buf); err != nil { ... }
 //	b, err := imrdmd.Restore(&buf)          // picks up exactly where a left off
 //
+// Restore reads its source a 64 KiB block at a time and may read up to
+// one block past the snapshot's trailer, so the reader it gets should
+// hold that one snapshot and nothing the caller still needs after it.
+//
 // # Serving streams
 //
 // cmd/imrdmd-serve wraps the analyzer in a long-running HTTP service:

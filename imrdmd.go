@@ -65,7 +65,9 @@ func (a *Analyzer) Snapshot(w io.Writer) error {
 // analyzer carries the snapshot's Options (including Workers) and is
 // immediately ready for PartialFit. Streams from an
 // unknown format version, truncated or corrupted input fail with a
-// descriptive error.
+// descriptive error. Restore reads r in 64 KiB blocks and may read up
+// to one block past the snapshot's trailer: r should hold the one
+// snapshot, or the caller must not need the bytes after it.
 func Restore(r io.Reader) (*Analyzer, error) {
 	inc, err := core.DecodeIncremental(r)
 	if err != nil {

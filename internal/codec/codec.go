@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -43,17 +42,25 @@ const Version = 2
 const magic = "IMRDSNAP"
 
 // maxLen bounds every decoded length/dimension (element count sanity
-// check). chunkLen is the unit of bulk I/O: slices and matrices move
-// through a chunkLen-byte scratch, one underlying Read or Write and one
-// CRC pass per chunk, because hash/crc32 takes its CLMUL path only for
-// updates of at least 64 bytes and checksums shorter ones a byte at a
-// time (DESIGN.md §8). chunkLen also bounds what a decode allocates
-// ahead of the data actually read: a corrupt or hostile stream claiming
-// a huge length dies at io.ErrUnexpectedEOF after at most one chunk.
+// check). chunkLen is the block both sides of the codec move bytes
+// through: the Writer encodes every field into a chunkLen-byte block and
+// hands each full block to the underlying Write and to the CRC in one
+// call; the Reader fills its block with one Read per refill and serves
+// every field out of it, checksumming each consumed run once. hash/crc32
+// takes its CLMUL path only for updates of at least 64 bytes and
+// checksums shorter ones a byte at a time, so per-field updates would
+// cost more than the decode (DESIGN.md §8). chunkLen also bounds what a
+// decode allocates ahead of the data actually read: a corrupt or hostile
+// stream claiming a huge length dies at io.ErrUnexpectedEOF after at
+// most one block.
 const (
 	maxLen   = 1 << 30
 	chunkLen = 1 << 16
 )
+
+// maxEmptyReads is how many consecutive (0, nil) reads a refill accepts
+// from its source before failing with io.ErrNoProgress.
+const maxEmptyReads = 100
 
 // Sentinel errors, matchable with errors.Is through the wrapped errors
 // the Reader returns.
@@ -69,87 +76,86 @@ var (
 	ErrCorrupt = errors.New("codec: corrupt snapshot field")
 )
 
-// Writer serializes primitives to an underlying io.Writer. Errors latch:
-// after the first write error every call is a no-op and Close returns it.
-// Callers therefore write whole sections unchecked and test once.
+// Writer serializes primitives to an underlying io.Writer through a
+// chunkLen-byte block: the underlying writer sees one Write per full
+// block and the rest at Close. Errors latch: after the first write error
+// every call is a no-op and Close returns it. Callers therefore write
+// whole sections unchecked and test once.
 type Writer struct {
 	w     io.Writer
-	crc   hash.Hash32
-	buf   [8]byte
-	chunk []byte // bulk scratch, chunkLen bytes once allocated
-	fill  int    // bytes of chunk not yet written
+	crc   uint32 // IEEE CRC of every flushed byte
+	chunk []byte // the block, chunkLen bytes; chunk[:fill] not yet written
+	fill  int
 	err   error
 }
 
-// NewWriter starts a snapshot stream on w at the current Version, writing
-// the magic/version header immediately.
+// NewWriter starts a snapshot stream on w at the current Version. The
+// magic/version header goes into the block first and reaches w with it.
 func NewWriter(w io.Writer) *Writer {
-	e := &Writer{w: w, crc: crc32.NewIEEE()}
-	e.raw([]byte(magic))
+	e := &Writer{w: w, chunk: make([]byte, chunkLen)}
+	e.fill = copy(e.chunk, magic)
 	e.U32(Version)
 	return e
 }
 
-// Err returns the first error encountered, if any.
+// Err returns the first error encountered, if any. A write error shows
+// once the block that hits it is flushed, at the latest at Close.
 func (e *Writer) Err() error { return e.err }
 
-// Close writes the CRC-32 trailer over everything emitted so far and
-// returns the latched error state. It does not close the underlying
-// writer.
+// Close writes out the buffered block, then the CRC-32 trailer over
+// everything emitted before it, and returns the latched error state. It
+// does not close the underlying writer.
 func (e *Writer) Close() error {
-	if e.err != nil {
-		return e.err
-	}
-	sum := e.crc.Sum32()
-	binary.LittleEndian.PutUint32(e.buf[:4], sum)
-	if _, err := e.w.Write(e.buf[:4]); err != nil {
-		e.err = err
+	e.flush()
+	if e.err == nil {
+		binary.LittleEndian.PutUint32(e.chunk, e.crc)
+		_, e.err = e.w.Write(e.chunk[:4])
 	}
 	return e.err
 }
 
-// raw writes b to the stream and folds it into the running CRC.
-func (e *Writer) raw(b []byte) {
-	if e.err != nil {
-		return
+// flush writes the buffered part of the block and folds it into the
+// running CRC.
+func (e *Writer) flush() {
+	if e.err == nil && e.fill > 0 {
+		e.crc = crc32.Update(e.crc, crc32.IEEETable, e.chunk[:e.fill])
+		_, e.err = e.w.Write(e.chunk[:e.fill])
 	}
-	if _, err := e.w.Write(b); err != nil {
-		e.err = err
-		return
+	e.fill = 0
+}
+
+// put reserves the next n bytes of the block for a scalar field,
+// flushing the block first when they do not fit.
+func (e *Writer) put(n int) []byte {
+	if chunkLen-e.fill < n {
+		e.flush()
 	}
-	e.crc.Write(b)
+	b := e.chunk[e.fill : e.fill+n : e.fill+n]
+	e.fill += n
+	return b
 }
 
 // U32 writes a fixed 32-bit unsigned value.
-func (e *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(e.buf[:4], v)
-	e.raw(e.buf[:4])
-}
+func (e *Writer) U32(v uint32) { binary.LittleEndian.PutUint32(e.put(4), v) }
 
 // Int writes an int as a signed 64-bit value.
 func (e *Writer) Int(v int) { e.I64(int64(v)) }
 
 // I64 writes a signed 64-bit value.
-func (e *Writer) I64(v int64) {
-	binary.LittleEndian.PutUint64(e.buf[:8], uint64(v))
-	e.raw(e.buf[:8])
-}
+func (e *Writer) I64(v int64) { binary.LittleEndian.PutUint64(e.put(8), uint64(v)) }
 
 // Bool writes a boolean as one byte.
 func (e *Writer) Bool(v bool) {
-	e.buf[0] = 0
+	b := e.put(1)
+	b[0] = 0
 	if v {
-		e.buf[0] = 1
+		b[0] = 1
 	}
-	e.raw(e.buf[:1])
 }
 
 // Float writes a float64 by bit pattern (NaN payloads and signed zeros
 // survive the round trip exactly).
-func (e *Writer) Float(v float64) {
-	binary.LittleEndian.PutUint64(e.buf[:8], math.Float64bits(v))
-	e.raw(e.buf[:8])
-}
+func (e *Writer) Float(v float64) { binary.LittleEndian.PutUint64(e.put(8), math.Float64bits(v)) }
 
 // Complex writes a complex128 as its real and imaginary parts.
 func (e *Writer) Complex(v complex128) {
@@ -160,18 +166,15 @@ func (e *Writer) Complex(v complex128) {
 // String writes a length-prefixed UTF-8 string.
 func (e *Writer) String(s string) {
 	e.Int(len(s))
-	e.raw([]byte(s))
+	putSlice(e, []byte(s), 1, func(dst, src []byte) { copy(dst, src) })
 }
 
-// putSlice encodes v into the chunk scratch, elemSize bytes per element,
-// writing each chunk as it fills; encode fills dst from src, with
-// len(dst) == elemSize*len(src). The last partial chunk stays buffered
-// until flush, so a matrix's rows pack into whole chunks however short
-// they are.
+// putSlice encodes v into the block, elemSize bytes per element,
+// flushing each block as it fills; encode fills dst from src, with
+// len(dst) == elemSize*len(src). Whatever does not fill a block stays
+// buffered with the scalars around it, so a matrix's rows pack into
+// whole blocks however short they are.
 func putSlice[T any](e *Writer, v []T, elemSize int, encode func(dst []byte, src []T)) {
-	if e.chunk == nil {
-		e.chunk = make([]byte, chunkLen)
-	}
 	for len(v) > 0 {
 		if e.fill+elemSize > chunkLen {
 			e.flush()
@@ -183,33 +186,40 @@ func putSlice[T any](e *Writer, v []T, elemSize int, encode func(dst []byte, src
 	}
 }
 
-// flush writes the buffered part of the chunk scratch.
-func (e *Writer) flush() {
-	if e.fill > 0 {
-		e.raw(e.chunk[:e.fill])
-		e.fill = 0
-	}
-}
-
 func putInts(dst []byte, src []int) {
 	for i, x := range src {
 		binary.LittleEndian.PutUint64(dst[8*i:], uint64(x))
 	}
 }
 
+// putFloats, putFloat32s and putComplexes are one memmove on a
+// little-endian host, whose memory layout is the wire format, else a
+// per-element encode.
 func putFloats(dst []byte, src []float64) {
+	if nativeLE {
+		copy(dst, asBytes(src))
+		return
+	}
 	for i, x := range src {
 		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
 	}
 }
 
 func putFloat32s(dst []byte, src []float32) {
+	if nativeLE {
+		copy(dst, asBytes(src))
+		return
+	}
 	for i, x := range src {
 		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(x))
 	}
 }
 
 func putComplexes(dst []byte, src []complex128) {
+	if nativeLE {
+		copy(dst, asBytes(src))
+		return
+	}
 	for i, x := range src {
 		binary.LittleEndian.PutUint64(dst[16*i:], math.Float64bits(real(x)))
 		binary.LittleEndian.PutUint64(dst[16*i+8:], math.Float64bits(imag(x)))
@@ -220,21 +230,18 @@ func putComplexes(dst []byte, src []complex128) {
 func (e *Writer) Ints(v []int) {
 	e.Int(len(v))
 	putSlice(e, v, 8, putInts)
-	e.flush()
 }
 
 // Floats writes a length-prefixed []float64.
 func (e *Writer) Floats(v []float64) {
 	e.Int(len(v))
 	putSlice(e, v, 8, putFloats)
-	e.flush()
 }
 
 // Complexes writes a length-prefixed []complex128.
 func (e *Writer) Complexes(v []complex128) {
 	e.Int(len(v))
 	putSlice(e, v, 16, putComplexes)
-	e.flush()
 }
 
 // Dense writes a matrix as its shape followed by the row-major payload.
@@ -273,7 +280,6 @@ func (e *Writer) DenseSegments(r, c int, segs []*mat.Dense) {
 			}
 		}
 	}
-	e.flush()
 }
 
 // Dense32 writes a float32 matrix as its shape followed by the row-major
@@ -283,19 +289,29 @@ func (e *Writer) Dense32(m *mat.Dense32) {
 	e.Int(m.R)
 	e.Int(m.C)
 	putSlice(e, m.Data[:m.R*m.C], 4, putFloat32s)
-	e.flush()
 }
 
 // Reader deserializes a stream written by Writer. Like the Writer, errors
 // latch: after the first failure every getter returns a zero value, so
 // callers decode whole sections and check Err (or Close) once. A short
 // read surfaces as io.ErrUnexpectedEOF — the truncated-snapshot error.
+//
+// The Reader fills a chunkLen-byte block from its source, one Read per
+// refill, and serves every field out of it: scalars, headers and bulk
+// payloads alike, the bulk ones decoded straight from the block. So it
+// may read up to one block past the trailer; a caller that needs the
+// bytes after a snapshot must frame the snapshot itself.
 type Reader struct {
-	r     io.Reader
-	crc   hash.Hash32
-	buf   [8]byte
-	chunk []byte // bulk scratch, chunkLen bytes once allocated
-	err   error
+	r   io.Reader
+	lr  interface{ Len() int } // r, when it reports its unread length
+	blk []byte                 // the block: blk[:pos] consumed, blk[pos:end] unread
+	pos int
+	end int
+	crc uint32 // IEEE CRC of the consumed bytes before blk[:pos]
+	// srcErr is the error the source returned with its latest bytes,
+	// reported once the block runs short of them.
+	srcErr error
+	err    error
 }
 
 // Word64 returns the eight bytes at b[i:] as a little-endian uint64, and
@@ -312,13 +328,13 @@ func Word64(b []byte, i int) (uint64, bool) {
 // NewReader opens a snapshot stream, validating the magic and version
 // header before returning. Only the current Version is accepted.
 func NewReader(r io.Reader) (*Reader, error) {
-	d := &Reader{r: r, crc: crc32.NewIEEE()}
-	var hdr [len(magic)]byte
-	d.raw(hdr[:])
+	d := &Reader{r: r, blk: make([]byte, chunkLen)}
+	d.lr, _ = r.(interface{ Len() int })
+	hdr := d.next(len(magic))
 	if d.err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrMagic, d.err)
 	}
-	if string(hdr[:]) != magic {
+	if string(hdr) != magic {
 		return nil, ErrMagic
 	}
 	v := d.U32()
@@ -334,11 +350,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Err returns the first error encountered, if any.
 func (d *Reader) Err() error { return d.err }
 
-// fail latches err (once) and returns the zero-value-producing state.
+// fail latches err (once) and empties the block, so every later getter
+// finds it short, sees the error in ensure and returns a zero value.
 func (d *Reader) fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
+	d.end = d.pos
 }
 
 // Close reads and verifies the CRC-32 trailer, returning the latched
@@ -347,27 +365,51 @@ func (d *Reader) Close() error {
 	if d.err != nil {
 		return d.err
 	}
-	want := d.crc.Sum32() // snapshot before the trailer bytes perturb it
-	if _, err := io.ReadFull(d.r, d.buf[:4]); err != nil {
-		d.fail(fmt.Errorf("%w: %w", ErrChecksum, noEOF(err)))
-		return d.err
+	if d.end-d.pos < 4 {
+		if err := d.refill(4); err != nil {
+			d.fail(fmt.Errorf("%w: %w", ErrChecksum, err))
+			return d.err
+		}
 	}
-	if got := binary.LittleEndian.Uint32(d.buf[:4]); got != want {
+	want := crc32.Update(d.crc, crc32.IEEETable, d.blk[:d.pos])
+	got := binary.LittleEndian.Uint32(d.blk[d.pos:])
+	d.pos += 4
+	if got != want {
 		d.fail(fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, got, want))
 	}
 	return d.err
 }
 
-// raw fills b from the stream and folds it into the running CRC.
-func (d *Reader) raw(b []byte) {
-	if d.err != nil {
-		return
+// refill makes at least need ≤ chunkLen bytes available at blk[pos:]. It
+// folds the consumed run blk[:pos] into the CRC, moves the unread rest
+// to the front of the block and reads into the space behind it: one
+// Read, more only while the block holds fewer than need bytes. A source
+// error that came with the last bytes is returned once they run short;
+// an io.EOF then means the snapshot was truncated.
+func (d *Reader) refill(need int) error {
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, d.blk[:d.pos])
+	d.end = copy(d.blk, d.blk[d.pos:d.end])
+	d.pos = 0
+	for empty := 0; d.end < need; {
+		if d.srcErr != nil {
+			return noEOF(d.srcErr)
+		}
+		n, err := d.r.Read(d.blk[d.end:])
+		if n < 0 || n > len(d.blk)-d.end {
+			return fmt.Errorf("codec: source returned %d bytes for a %d-byte read", n, len(d.blk)-d.end)
+		}
+		d.end += n
+		d.srcErr = err
+		switch {
+		case n > 0:
+			empty = 0
+		case err == nil:
+			if empty++; empty == maxEmptyReads {
+				return io.ErrNoProgress
+			}
+		}
 	}
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.fail(noEOF(err))
-		return
-	}
-	d.crc.Write(b)
+	return nil
 }
 
 // noEOF normalizes a mid-field io.EOF to io.ErrUnexpectedEOF: any EOF
@@ -379,22 +421,50 @@ func noEOF(err error) error {
 	return err
 }
 
+// ensure makes at least n ≤ chunkLen bytes available in the block,
+// refilling it when it holds fewer, and reports false once the reader
+// has failed.
+func (d *Reader) ensure(n int) bool {
+	if d.end-d.pos >= n {
+		return true
+	}
+	if d.err != nil {
+		return false
+	}
+	if err := d.refill(n); err != nil {
+		d.fail(err)
+		return false
+	}
+	return true
+}
+
+// next consumes the next n ≤ chunkLen bytes and returns them, or nil
+// once the reader has failed. The bytes stay valid until the next call.
+func (d *Reader) next(n int) []byte {
+	if d.end-d.pos < n && !d.ensure(n) {
+		return nil
+	}
+	b := d.blk[d.pos : d.pos+n : d.pos+n]
+	d.pos += n
+	return b
+}
+
 // U32 reads a fixed 32-bit unsigned value.
 func (d *Reader) U32() uint32 {
-	d.raw(d.buf[:4])
-	if d.err != nil {
+	b := d.next(4)
+	if b == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(d.buf[:4])
+	return binary.LittleEndian.Uint32(b)
 }
 
 // I64 reads a signed 64-bit value.
 func (d *Reader) I64() int64 {
-	d.raw(d.buf[:8])
-	if d.err != nil {
+	b := d.next(8)
+	if b == nil {
 		return 0
 	}
-	return int64(binary.LittleEndian.Uint64(d.buf[:8]))
+	return int64(binary.LittleEndian.Uint64(b))
 }
 
 // Int reads an int, rejecting values outside the sane length range.
@@ -428,24 +498,28 @@ func (d *Reader) Len() int {
 
 // Bool reads a boolean.
 func (d *Reader) Bool() bool {
-	d.raw(d.buf[:1])
-	return d.err == nil && d.buf[0] != 0
+	b := d.next(1)
+	return b != nil && b[0] != 0
 }
 
 // Float reads a float64.
 func (d *Reader) Float() float64 {
-	d.raw(d.buf[:8])
-	if d.err != nil {
+	b := d.next(8)
+	if b == nil {
 		return 0
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(d.buf[:8]))
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
 // Complex reads a complex128.
 func (d *Reader) Complex() complex128 {
-	re := d.Float()
-	im := d.Float()
-	return complex(re, im)
+	b := d.next(16)
+	if b == nil {
+		return 0
+	}
+	return complex(
+		math.Float64frombits(binary.LittleEndian.Uint64(b)),
+		math.Float64frombits(binary.LittleEndian.Uint64(b[8:])))
 }
 
 // String reads a length-prefixed string.
@@ -454,50 +528,52 @@ func (d *Reader) String() string {
 	return string(decodeSlice(d, n, 1, func(dst, src []byte) { copy(dst, src) }))
 }
 
-// scratch returns the reader's chunkLen-byte bulk buffer.
-func (d *Reader) scratch() []byte {
-	if d.chunk == nil {
-		d.chunk = make([]byte, chunkLen)
+// inMemory returns how many unread stream bytes are already in memory:
+// what the block holds, plus the source's unread length when it reports
+// one (Len() int, as bytes.Reader does — the sniff net/http makes for
+// ContentLength).
+func (d *Reader) inMemory() int {
+	n := d.end - d.pos
+	if d.lr != nil {
+		n += d.lr.Len()
 	}
-	return d.chunk
+	return n
 }
 
-// decodeSlice reads n elements of elemSize bytes each, a chunk at a
-// time: one raw read (one io.ReadFull, one CRC pass) per chunk, then
-// decode fills the chunk's elements dst from its bytes src. The result
-// grows only after a chunk's bytes have arrived, by doubling capped at n,
-// so its capacity stays within about twice the consumed elements plus
-// one chunk — a lying length fails at io.ErrUnexpectedEOF before it can
-// drive a large allocation. When the source reports its unread length
-// (Len() int, as bytes.Reader does — the sniff net/http makes for
-// ContentLength) and the n elements fit in it, they are allocated up
-// front instead: the bytes are already in memory, so a lying length
-// still cannot allocate more than they take. decode may latch an error
-// through d; the chunk it occurs in is the last one read.
+// decodeSlice reads n elements of elemSize bytes each straight out of
+// the block: decode fills a run of elements dst from the bytes src the
+// block holds for them, and the block is refilled when it holds less
+// than one element. The result grows only after a run's bytes have
+// arrived, by doubling capped at n, so its capacity stays within about
+// twice the consumed elements plus one block — a lying length fails at
+// io.ErrUnexpectedEOF before it can drive a large allocation. When the n
+// elements fit in the bytes already in memory (inMemory) they are
+// allocated up front instead: a lying length still cannot allocate more
+// than those bytes take. decode may latch an error through d; the run
+// it occurs in is the last one read.
 func decodeSlice[T any](d *Reader, n, elemSize int, decode func(dst []T, src []byte)) []T {
 	if d.err != nil {
 		return nil
 	}
-	buf := d.scratch()
-	per := chunkLen / elemSize
 	var v []T
-	if l, ok := d.r.(interface{ Len() int }); ok && n <= l.Len()/elemSize {
+	if n <= d.inMemory()/elemSize {
 		v = make([]T, 0, n)
 	} else {
-		v = make([]T, 0, min(n, per))
+		v = make([]T, 0, min(n, chunkLen/elemSize))
 	}
 	for len(v) < n {
-		k := min(n-len(v), per)
-		d.raw(buf[:k*elemSize])
-		if d.err != nil {
+		if !d.ensure(elemSize) {
 			return nil
 		}
+		k := min(n-len(v), (d.end-d.pos)/elemSize)
 		if len(v)+k > cap(v) {
 			grown := make([]T, len(v), min(n, max(2*cap(v), len(v)+k)))
 			copy(grown, v)
 			v = grown
 		}
-		decode(v[len(v):len(v)+k], buf)
+		src := d.blk[d.pos : d.pos+k*elemSize]
+		d.pos += len(src)
+		decode(v[len(v):len(v)+k], src)
 		if d.err != nil {
 			return nil
 		}
@@ -506,13 +582,45 @@ func decodeSlice[T any](d *Reader, n, elemSize int, decode func(dst []T, src []b
 	return v
 }
 
+// nativeLE reports whether this host lays a float64, a float32 and a
+// complex128 out in memory as their little-endian wire bytes. A variable
+// so tests can take the portable path.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// asBytes returns the memory of v as bytes, for the nativeLE paths.
+func asBytes[T float32 | float64 | complex128](v []T) []byte {
+	var z T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(z)))
+}
+
+// decodeFloats, getFloat32s and getComplexes fill dst from the wire
+// bytes src: one memmove on a little-endian host, else the per-element
+// decode. Every float section decodes through one of them.
+func decodeFloats(dst []float64, src []byte) {
+	if nativeLE {
+		copy(asBytes(dst), src)
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
 func getFloat32s(dst []float32, src []byte) {
+	if nativeLE {
+		copy(asBytes(dst), src)
+		return
+	}
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 }
 
 func getComplexes(dst []complex128, src []byte) {
+	if nativeLE {
+		copy(asBytes(dst), src)
+		return
+	}
 	for i := range dst {
 		dst[i] = complex(
 			math.Float64frombits(binary.LittleEndian.Uint64(src[16*i:])),
@@ -558,9 +666,9 @@ func (d *Reader) Dense() *mat.Dense {
 // packed r×min(w, c−k·w) matrix holding columns [k·w, k·w+segs[k].C), so
 // the segments together allocate exactly the r×c elements and nothing
 // is copied after decode. Allocation follows decodeSlice: up front when
-// the source reports an unread length the r×c elements fit in, else a
-// segment is opened when its first element arrives and all of them grow
-// their rows by doubling, so a lying shape fails at io.ErrUnexpectedEOF
+// the r×c elements fit in the bytes already in memory, else a segment
+// is opened when its first element arrives and all of them grow their
+// rows by doubling, so a lying shape fails at io.ErrUnexpectedEOF
 // having allocated a small multiple of what it carried. A matrix with no
 // elements yields no segments.
 func (d *Reader) DenseSegments(w int) (r, c int, segs []*mat.Dense) {
@@ -576,23 +684,22 @@ func (d *Reader) DenseSegments(w int) (r, c int, segs []*mat.Dense) {
 		segs = append(segs, &mat.Dense{R: r, C: width, Data: make([]float64, rows*width)})
 	}
 	rows := 1 // rows every open segment has room for
-	if l, ok := d.r.(interface{ Len() int }); ok && r*c <= l.Len()/8 {
+	if r*c <= d.inMemory()/8 {
 		rows = r
 		for k := 0; k*w < c; k++ {
 			open(k, rows)
 		}
 	}
-	// The payload arrives a chunk at a time and each chunk scatters into
-	// row runs of the segments it spans.
-	buf := d.scratch()
-	const per = chunkLen / 8
+	// Each run of the payload the block holds scatters into the row runs
+	// of the segments it spans.
 	for e, total := 0, r*c; e < total; {
-		k := min(total-e, per)
-		d.raw(buf[:8*k])
-		if d.err != nil {
+		if !d.ensure(8) {
 			return 0, 0, nil
 		}
-		for src := buf[:8*k]; len(src) > 0; {
+		k := min(total-e, (d.end-d.pos)/8)
+		src := d.blk[d.pos : d.pos+8*k]
+		d.pos += len(src)
+		for len(src) > 0 {
 			i, j := e/c, e%c
 			q, c0 := j/w, j%w
 			if i >= rows {
@@ -614,25 +721,6 @@ func (d *Reader) DenseSegments(w int) (r, c int, segs []*mat.Dense) {
 		}
 	}
 	return r, c, segs
-}
-
-// nativeLE reports whether this host lays a float64 out in memory as
-// its little-endian wire bytes. A variable so tests can take the
-// portable path.
-var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
-
-// decodeFloats fills dst from the wire bytes src: one memmove on a
-// little-endian host, whose memory layout is the wire format, else the
-// per-element decode. Every float64 section (Floats, Dense and
-// DenseSegments) decodes through it.
-func decodeFloats(dst []float64, src []byte) {
-	if nativeLE {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*len(dst)), src)
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
 }
 
 // Dense32 reads a float32 matrix written by Writer.Dense32.

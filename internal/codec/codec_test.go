@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"imrdmd/internal/mat"
 )
@@ -125,20 +127,34 @@ func TestVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestTruncated: every proper prefix of the sample stream fails — at
+// the header with ErrMagic or ErrVersion, in a field with
+// io.ErrUnexpectedEOF, in the trailer with ErrChecksum — from a source
+// that reports its length, one that does not, and one that hands out a
+// byte per read. None decodes, none panics.
 func TestTruncated(t *testing.T) {
 	full := encodeSample(t)
-	// Every proper prefix must fail cleanly — either a field read hits
-	// ErrUnexpectedEOF or the trailer check fails; never a silent success.
-	for _, cut := range []int{len(full) / 4, len(full) / 2, len(full) - 3} {
-		r, err := NewReader(bytes.NewReader(full[:cut]))
-		if err != nil {
-			continue // header itself truncated: already an error
-		}
-		drain(r)
-		if err := r.Close(); err == nil {
-			t.Fatalf("truncation at %d/%d bytes not detected", cut, len(full))
-		} else if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncation at %d: unexpected error %v", cut, err)
+	for cut := 0; cut < len(full); cut++ {
+		for k, src := range []io.Reader{
+			bytes.NewReader(full[:cut]),
+			onlyReader{bytes.NewReader(full[:cut])},
+			iotest.OneByteReader(bytes.NewReader(full[:cut])),
+		} {
+			r, err := NewReader(src)
+			if err != nil {
+				if cut >= len(magic)+4 || !(errors.Is(err, ErrMagic) || errors.Is(err, ErrVersion)) {
+					t.Fatalf("cut %d source %d: header error %v", cut, k, err)
+				}
+				continue
+			}
+			_, err = sampleValues(r)
+			if err == nil {
+				t.Fatalf("cut %d/%d source %d: truncated stream decoded", cut, len(full), k)
+			}
+			inTrailer := cut >= len(full)-4
+			if !errors.Is(err, io.ErrUnexpectedEOF) || inTrailer != errors.Is(err, ErrChecksum) {
+				t.Fatalf("cut %d source %d: %v, want io.ErrUnexpectedEOF (wrapped in ErrChecksum inside the trailer)", cut, k, err)
+			}
 		}
 	}
 }
@@ -154,29 +170,49 @@ func TestCorruption(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		drain(r)
-		if err := r.Close(); err == nil {
+		if _, err := sampleValues(r); err == nil {
 			t.Fatalf("bit flip at %d not detected", i)
 		}
 	}
 }
 
-// drain reads the sample stream's fields, ignoring values (errors latch).
-func drain(r *Reader) {
-	r.Int()
-	r.I64()
-	r.Bool()
-	r.Bool()
-	r.Float()
-	r.Float()
-	r.Complex()
-	_ = r.String()
-	r.Ints()
-	r.Floats()
-	r.Complexes()
-	r.Dense()
-	r.Dense()
-	r.Dense32()
+// sampleValues decodes the stream encodeSample writes and renders every
+// value it holds, floats by bit pattern, checking the trailer last.
+func sampleValues(r *Reader) (string, error) {
+	var b bytes.Buffer
+	bits := func(v ...float64) {
+		for _, x := range v {
+			fmt.Fprintf(&b, "%x ", math.Float64bits(x))
+		}
+	}
+	fmt.Fprint(&b, r.Int(), r.I64(), r.Bool(), r.Bool(), " ")
+	bits(r.Float(), r.Float())
+	c := r.Complex()
+	bits(real(c), imag(c))
+	fmt.Fprint(&b, r.String(), r.Ints(), " ")
+	bits(r.Floats()...)
+	for _, c := range r.Complexes() {
+		bits(real(c), imag(c))
+	}
+	for _, m := range []*mat.Dense{r.Dense(), r.Dense()} {
+		if m != nil {
+			fmt.Fprint(&b, m.R, m.C, " ")
+			bits(m.Data...)
+		}
+	}
+	if m := r.Dense32(); m != nil {
+		fmt.Fprint(&b, m.R, m.C, m.Data)
+	}
+	return b.String(), r.Close()
+}
+
+func mustReader(t *testing.T, src io.Reader) *Reader {
+	t.Helper()
+	r, err := NewReader(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestWriterErrLatches(t *testing.T) {

@@ -420,11 +420,16 @@ func TestAsyncSlotRestoresInline(t *testing.T) {
 
 // thresholdSlot returns the body offset of the drift threshold, the
 // float64 slot right after the options in a current-layout snapshot of
-// inc.
-func thresholdSlot(inc *Incremental) int {
+// inc. The Writer buffers until Close, which appends the 4-byte trailer.
+func thresholdSlot(t *testing.T, inc *Incremental) int {
+	t.Helper()
 	var opts bytes.Buffer
-	encodeOptions(codec.NewWriter(&opts), inc.opts)
-	return opts.Len() - snapshotHeaderLen
+	enc := codec.NewWriter(&opts)
+	encodeOptions(enc, inc.opts)
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return opts.Len() - snapshotHeaderLen - 4
 }
 
 // withAsyncSlot returns raw, a current-layout snapshot of inc, with the
@@ -432,7 +437,7 @@ func thresholdSlot(inc *Incremental) int {
 // DriftThreshold — set, re-framed so its checksum stays valid.
 func withAsyncSlot(t *testing.T, inc *Incremental, raw []byte) []byte {
 	t.Helper()
-	at := thresholdSlot(inc) + 8
+	at := thresholdSlot(t, inc) + 8
 	body := unframeSnapshot(t, raw)
 	if body[at] != 0 {
 		t.Fatalf("async slot holds %d, want 0", body[at])
@@ -446,7 +451,7 @@ func withAsyncSlot(t *testing.T, inc *Incremental, raw []byte) []byte {
 // drift threshold slot holding v, re-framed so its checksum stays valid.
 func withThreshold(t *testing.T, inc *Incremental, raw []byte, v float64) []byte {
 	t.Helper()
-	at := thresholdSlot(inc)
+	at := thresholdSlot(t, inc)
 	body := unframeSnapshot(t, raw)
 	if got := math.Float64frombits(binary.LittleEndian.Uint64(body[at:])); got != inc.opts.DriftThreshold {
 		t.Fatalf("threshold slot holds %v, want %v", got, inc.opts.DriftThreshold)

@@ -75,6 +75,10 @@ func (inc *Incremental) Snapshot(w io.Writer) error {
 
 // DecodeIncremental reconstructs an analyzer written by Snapshot,
 // resolving the compute engine from the snapshot's own Workers option.
+// The codec reads r in 64 KiB blocks, so it may read up to one block
+// past the snapshot's trailer; r should hold the one snapshot, as the
+// reader of every caller in this repository does (a file, a request
+// body, a bytes.Reader).
 func DecodeIncremental(r io.Reader) (*Incremental, error) {
 	return decodeIncremental(r, nil)
 }
@@ -84,6 +88,7 @@ func DecodeIncremental(r io.Reader) (*Incremental, error) {
 // its Options, as one built by NewIncremental with that Workers does —
 // the hook a multi-tenant server uses to land every restored analyzer on
 // its one bounded pool regardless of what the snapshot was running on.
+// Like DecodeIncremental, it may read up to 64 KiB past the trailer.
 func DecodeIncrementalOn(r io.Reader, workers int) (*Incremental, error) {
 	return decodeIncremental(r, &workers)
 }

@@ -35,7 +35,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -332,9 +331,11 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 
 // decodeTenant restores tenant id from a snapshot request body, at most
 // limit bytes of it. A body over the limit fails with 413, any other bad
-// snapshot with 400. The body is read unbuffered: the codec reads slices
-// and matrices a 64 KiB chunk at a time, and buffering the remaining
-// scalar fields measured no faster (DESIGN.md §8).
+// snapshot with 400. The body needs no bufio.Reader in front of it: the
+// codec's Reader is itself buffered, filling a 64 KiB block with one
+// body Read per refill and serving every field from it (DESIGN.md §8).
+// It may read past the snapshot's trailer, which a request body holding
+// one snapshot makes harmless.
 func decodeTenant(w http.ResponseWriter, r *http.Request, id string, workers int, limit int64) (*tenant, error) {
 	body, err := limitBody(w, r, limit, "snapshot")
 	if err != nil {
@@ -760,10 +761,9 @@ func (s *Server) RestoreDir(dir string) ([]string, error) {
 			errs = append(errs, fmt.Errorf("tenant %q: %w", id, err))
 			continue
 		}
-		// The codec moves bulk fields 64 KiB at a time but reads scalar
-		// fields one by one; the buffer turns those into memory copies
-		// instead of a system call each.
-		t, err := restoreTenant(id, bufio.NewReader(f), s.cfg.Workers)
+		// The codec's Reader buffers the file itself, one read system
+		// call per 64 KiB block.
+		t, err := restoreTenant(id, f, s.cfg.Workers)
 		f.Close()
 		if err != nil {
 			errs = append(errs, fmt.Errorf("tenant %q: %w", id, err))
