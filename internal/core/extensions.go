@@ -62,9 +62,7 @@ func (inc *Incremental) AddSensors(rows *mat.Dense) error {
 	if err := inc.refreshLevel1(); err != nil {
 		return err
 	}
-	for _, seg := range inc.segments {
-		inc.recomputeSegmentLocked(seg)
-	}
+	inc.recomputeSegmentsLocked(inc.segments)
 	return nil
 }
 

@@ -52,6 +52,19 @@ type Incremental struct {
 	level1   *Node
 	segments []*segment
 
+	// spec holds the spectrum points of every segment's nodes, segment
+	// after segment in Tree order, each point's Level relative to the
+	// Level of its segment's first node. A fitted segment's points change
+	// only in level, and PartialFit demotes all of a segment's nodes
+	// together, so Spectrum and View serve the segments with one copy of
+	// spec plus per-segment offsets (see spectrumLocked). A new segment
+	// appends its points once; freezeSpectrumLocked rebuilds spec (and
+	// segNodes, the live node count over all segments) wherever
+	// segments or their nodes are replaced. Derived state, never
+	// serialized.
+	spec     []dmd.SpectrumPoint
+	segNodes int
+
 	// gridSeg caches, on the level-1 grid (P × up to sub1.C), the summed
 	// reconstruction of every node of segments[:gridFolded] — the part
 	// of View's grid error that never changes once a segment is fitted
@@ -82,6 +95,10 @@ const driftLogCap = 1024
 type segment struct {
 	start, end int
 	nodes      []*Node
+	// points is how many of Incremental.spec belong to nodes, and depth
+	// the deepest node's level relative to nodes[0]; both are set when
+	// the segment's points are frozen.
+	points, depth int
 }
 
 // UpdateStats summarizes one PartialFit.
@@ -155,6 +172,7 @@ func (inc *Incremental) InitialFit(data *mat.Dense) error {
 		return err
 	}
 	inc.segments = []*segment{{start: 0, end: t, nodes: nodes}}
+	inc.freezeSpectrumLocked()
 	inc.demoteLocked()
 	return nil
 }
@@ -283,15 +301,15 @@ func (inc *Incremental) PartialFit(newData *mat.Dense) (UpdateStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	inc.segments = append(inc.segments, &segment{start: oldT, end: newT, nodes: nodes})
+	seg := &segment{start: oldT, end: newT, nodes: nodes}
+	inc.segments = append(inc.segments, seg)
+	inc.freezeSegmentLocked(seg)
 	inc.updates++
 
 	if thr := inc.opts.DriftThreshold; thr > 0 && stats.Drift > thr {
 		stats.Recomputed = true
 		inc.recomputes++
-		for _, seg := range inc.segments[:len(inc.segments)-1] {
-			inc.recomputeSegmentLocked(seg)
-		}
+		inc.recomputeSegmentsLocked(inc.segments[:len(inc.segments)-1])
 	}
 	inc.demoteLocked()
 	return stats, nil
@@ -328,8 +346,17 @@ func (inc *Incremental) driftLogChrono() []float64 {
 	return append(out, inc.driftLog[:inc.driftPos]...)
 }
 
+// recomputeSegmentsLocked re-derives each of segs' subtrees against the
+// current level-1 slow part, then rebuilds the frozen spectrum once.
+func (inc *Incremental) recomputeSegmentsLocked(segs []*segment) {
+	for _, seg := range segs {
+		inc.recomputeSegmentLocked(seg)
+	}
+	inc.freezeSpectrumLocked()
+}
+
 // recomputeSegmentLocked re-derives a segment's subtree against the
-// current level-1 slow part.
+// current level-1 slow part; the caller rebuilds the frozen spectrum.
 func (inc *Incremental) recomputeSegmentLocked(seg *segment) {
 	inc.invalidateGridSeg()
 	resid := inc.residualOf(seg.start, seg.end)

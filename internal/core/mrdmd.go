@@ -390,22 +390,31 @@ func (t *Tree) Spectrum() []dmd.SpectrumPoint {
 }
 
 // spectrumOf flattens the modes of nodes, numModes of them in all, into
-// one slice sized once; no modes gives nil.
+// one slice sized once; no modes gives nil. It walks every node and
+// mode: the reference the Incremental's frozen spectrum (Spectrum,
+// View) must equal bit for bit.
 func spectrumOf(nodes []*Node, numModes int) []dmd.SpectrumPoint {
 	if numModes == 0 {
 		return nil
 	}
 	pts := make([]dmd.SpectrumPoint, 0, numModes)
 	for _, nd := range nodes {
-		for _, m := range nd.Modes {
-			pts = append(pts, dmd.SpectrumPoint{
-				Freq:  m.Freq,
-				Power: m.Power,
-				Amp:   cmplx.Abs(m.Amp),
-				Grow:  real(m.Psi),
-				Level: nd.Level,
-			})
-		}
+		pts = appendNodePoints(pts, nd, nd.Level)
+	}
+	return pts
+}
+
+// appendNodePoints appends one spectrum point per mode of nd, labelled
+// with level.
+func appendNodePoints(pts []dmd.SpectrumPoint, nd *Node, level int) []dmd.SpectrumPoint {
+	for _, m := range nd.Modes {
+		pts = append(pts, dmd.SpectrumPoint{
+			Freq:  m.Freq,
+			Power: m.Power,
+			Amp:   cmplx.Abs(m.Amp),
+			Grow:  real(m.Psi),
+			Level: level,
+		})
 	}
 	return pts
 }

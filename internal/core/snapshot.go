@@ -195,6 +195,7 @@ func decodeIncremental(r io.Reader, workers *int) (*Incremental, error) {
 	if err := inc.validateDecoded(); err != nil {
 		return nil, err
 	}
+	inc.freezeSpectrumLocked()
 	return inc, nil
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // View is the cheap read-side summary of an Incremental: everything a
-// query surface publishes after an update, assembled in one pass under
-// the analyzer lock without cloning the tree or re-walking it per field.
-// The spectrum points match Tree().Spectrum() exactly (same node order);
+// query surface publishes after an update, assembled under the analyzer
+// lock without cloning or walking the tree. The spectrum points match
+// Tree().Spectrum() exactly (same node order, same bits);
 // the error is measured on the level-1 sample grid (see GridError) so
 // assembling a View after every absorbed block costs O(modes·P·grid)
 // instead of the O(P·T) of a full-resolution reconstruction — the same
@@ -49,8 +49,10 @@ type View struct {
 
 // View assembles the published summary. Callers polling at high rates
 // should prefer this over separate Tree()/ReconError() calls: one lock
-// acquisition, no per-node mode cloning, and the grid-restricted error
-// instead of a full-resolution reconstruction.
+// acquisition, no node walk or mode cloning — the spectrum is the
+// level-1 points plus one copy of the frozen segment points (see
+// Spectrum), and the counts come from per-segment totals — and the
+// grid-restricted error instead of a full-resolution reconstruction.
 func (inc *Incremental) View() View {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -63,40 +65,43 @@ func (inc *Incremental) View() View {
 	v.Updates = inc.updates
 	v.Recomputes = inc.recomputes
 	v.LastDrift = inc.lastDriftLocked()
-	nodes := inc.liveNodesLocked()
-	v.Nodes = len(nodes)
-	v.NumModes = numModes(nodes)
-	v.MaxLevel = maxLevel(nodes)
-	v.Spectrum = spectrumOf(nodes, v.NumModes)
+	v.Nodes = 1 + inc.segNodes
+	v.Spectrum = inc.spectrumLocked()
+	v.NumModes = len(v.Spectrum)
+	v.MaxLevel = inc.maxLevelLocked()
 	v.GridError, v.GridCols = inc.gridErrorLocked()
 	return v
 }
 
-// Spectrum returns Tree().Spectrum() — the same points in the same order
-// — read off the live nodes under the lock instead of from a clone of
-// every node and mode array, so a read allocates only its result. Before
-// InitialFit it is nil. NumModes, MaxLevel, ModeMagnitudes and
-// ReadingLevels read the live nodes the same way and equal the Tree
-// methods of the same names.
+// Spectrum returns Tree().Spectrum() — the same points in the same order,
+// bit for bit — without cloning or walking the nodes: the level-1 node's
+// points, then one copy of the segments' frozen points with each
+// segment's level offset added, so a read allocates only its result and
+// costs O(points + segments). Before InitialFit it is nil. NumModes and
+// MaxLevel come from the same per-segment totals; ModeMagnitudes and
+// ReadingLevels read the live nodes. All equal the Tree methods of the
+// same names.
 func (inc *Incremental) Spectrum() []dmd.SpectrumPoint {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	nodes := inc.liveNodesLocked()
-	return spectrumOf(nodes, numModes(nodes))
+	return inc.spectrumLocked()
 }
 
 // NumModes returns Tree().NumModes() without the clone.
 func (inc *Incremental) NumModes() int {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	return numModes(inc.liveNodesLocked())
+	if inc.hist == nil {
+		return 0
+	}
+	return len(inc.level1.Modes) + len(inc.spec)
 }
 
 // MaxLevel returns Tree().MaxLevel() without the clone.
 func (inc *Incremental) MaxLevel() int {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	return maxLevel(inc.liveNodesLocked())
+	return inc.maxLevelLocked()
 }
 
 // ModeMagnitudes returns Tree().ModeMagnitudes(band) without the clone.
@@ -124,16 +129,87 @@ func (inc *Incremental) liveNodesLocked() []*Node {
 	if inc.hist == nil {
 		return nil
 	}
-	n := 1
-	for _, seg := range inc.segments {
-		n += len(seg.nodes)
-	}
-	nodes := make([]*Node, 0, n)
+	nodes := make([]*Node, 0, 1+inc.segNodes)
 	nodes = append(nodes, inc.level1)
 	for _, seg := range inc.segments {
 		nodes = append(nodes, seg.nodes...)
 	}
 	return nodes
+}
+
+// freezeSpectrumLocked rebuilds spec and segNodes from every segment.
+// Called wherever segments or their nodes are replaced: InitialFit, a
+// drift recompute or AddSensors (recomputeSegmentsLocked) and decode.
+func (inc *Incremental) freezeSpectrumLocked() {
+	n := 0
+	for _, seg := range inc.segments {
+		n += numModes(seg.nodes)
+	}
+	inc.spec, inc.segNodes = make([]dmd.SpectrumPoint, 0, n), 0
+	for _, seg := range inc.segments {
+		inc.freezeSegmentLocked(seg)
+	}
+}
+
+// freezeSegmentLocked appends seg's points to spec, each at its node's
+// level relative to seg.nodes[0], and counts its nodes.
+func (inc *Incremental) freezeSegmentLocked(seg *segment) {
+	seg.points, seg.depth = 0, 0
+	inc.segNodes += len(seg.nodes)
+	if len(seg.nodes) == 0 {
+		return
+	}
+	base, n := seg.nodes[0].Level, len(inc.spec)
+	for _, nd := range seg.nodes {
+		rel := nd.Level - base
+		seg.depth = max(seg.depth, rel)
+		inc.spec = appendNodePoints(inc.spec, nd, rel)
+	}
+	seg.points = len(inc.spec) - n
+}
+
+// spectrumLocked assembles the spectrum Spectrum and View serve. A
+// segment's offset is read from the current Level of its own first node,
+// so the points carry whatever levels the nodes carry — including after
+// a PartialFit that demoted every node and then failed.
+func (inc *Incremental) spectrumLocked() []dmd.SpectrumPoint {
+	if inc.hist == nil {
+		return nil
+	}
+	n1 := len(inc.level1.Modes)
+	if n1+len(inc.spec) == 0 {
+		return nil
+	}
+	pts := make([]dmd.SpectrumPoint, 0, n1+len(inc.spec))
+	pts = appendNodePoints(pts, inc.level1, inc.level1.Level)
+	pts = append(pts, inc.spec...)
+	run := pts[n1:]
+	for _, seg := range inc.segments {
+		if seg.points == 0 {
+			continue
+		}
+		off := seg.nodes[0].Level
+		for i := range run[:seg.points] {
+			run[i].Level += off
+		}
+		run = run[seg.points:]
+	}
+	return pts
+}
+
+// maxLevelLocked is maxLevel over the live nodes, from each segment's
+// first node and frozen depth.
+func (inc *Incremental) maxLevelLocked() int {
+	if inc.hist == nil {
+		return 0
+	}
+	m := max(0, inc.level1.Level)
+	for _, seg := range inc.segments {
+		if len(seg.nodes) > 0 {
+			m = max(m, seg.nodes[0].Level+seg.depth)
+		}
+	}
+	return m
 }
 
 // gridErrorLocked evaluates ‖raw − recon‖_F over the level-1 sample grid:

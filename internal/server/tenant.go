@@ -104,6 +104,10 @@ type tenant struct {
 	latencies  []time.Duration // ring of the last latencyWindow batch latencies
 	latPos     int
 	latScratch []time.Duration // reusable sort buffer for the quantiles
+	// snapLen and snapCols are the length of the last snapshot and the
+	// absorbed column count it was taken at; they size the next
+	// snapshot's buffer.
+	snapLen, snapCols int
 }
 
 // newTenant validates opts (through the core Options.Validate path) and
@@ -343,10 +347,21 @@ func (t *tenant) snapshot() ([]byte, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var buf bytes.Buffer
-	if err := t.inc.Snapshot(&buf); err != nil {
+	// A snapshot grows about linearly in the absorbed columns, so the
+	// last one's length scaled to today's columns sizes the buffer once;
+	// left to grow by doubling from empty, a 13 MB snapshot would
+	// allocate and copy about 32 MB under the lock. The first snapshot
+	// has nothing to scale and grows as before.
+	cols := t.inc.Cols()
+	hint := 0
+	if t.snapCols > 0 {
+		hint = t.snapLen * cols / t.snapCols
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, hint))
+	if err := t.inc.Snapshot(buf); err != nil {
 		return nil, err
 	}
+	t.snapLen, t.snapCols = buf.Len(), cols
 	return buf.Bytes(), nil
 }
 

@@ -69,14 +69,24 @@ func FromJSON(r io.Reader) (*JSONSource, error) {
 // much memory; past the cap the buffer grows only as bytes are read.
 const maxPrealloc = 1 << 20
 
-// readAll is io.ReadAll with the first buffer sized from r's Len, when it
-// has one, up to maxPrealloc, so a body of known length under the cap is
-// read with one allocation; past it the buffer doubles as bytes arrive.
-// On a read error it returns the bytes read before it.
+// maxGrowth bounds each growth of the body buffer past maxPrealloc: a
+// full buffer of n bytes grows to at most maxGrowth·n, so what a body
+// allocates stays within a fixed multiple of the bytes it has sent,
+// whatever length it declared.
+const maxGrowth = 8
+
+// readAll is io.ReadAll with the buffer sized from r's Len, when it has
+// one. The first buffer takes the hint up to maxPrealloc, so a body of
+// known length under the cap is read with one allocation. Past it a full
+// buffer grows toward the hint, by at most maxGrowth times the bytes read
+// (the 7.2 MB CSV seed takes a 1 MiB buffer, then its own size), and
+// doubles once the hint is reached or when there is none. On a read
+// error it returns the bytes read before it.
 func readAll(r io.Reader) ([]byte, error) {
-	n := 512
+	n, hint := 512, 0
 	if l, ok := r.(interface{ Len() int }); ok {
-		n = min(max(l.Len(), 0), maxPrealloc) + 1 // room for the read that reports EOF
+		hint = max(l.Len(), 0) + 1 // room for the read that reports EOF
+		n = min(hint, maxPrealloc+1)
 	}
 	b := make([]byte, 0, n)
 	for {
@@ -89,7 +99,11 @@ func readAll(r io.Reader) ([]byte, error) {
 			return b, err
 		}
 		if len(b) == cap(b) {
-			b = append(make([]byte, 0, 2*cap(b)), b...)
+			c := 2 * cap(b)
+			if hint > c {
+				c = min(hint, maxGrowth*len(b))
+			}
+			b = append(make([]byte, 0, c), b...)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -658,6 +659,47 @@ func TestReadAllCapsPrealloc(t *testing.T) {
 	if err != nil || !bytes.Equal(b, big[:100]) || cap(b) != 101 {
 		t.Fatalf("readAll of a 100-byte bytes.Reader: %d bytes in %d, %v", len(b), cap(b), err)
 	}
+}
+
+// TestReadAllGrowsTowardHint: past maxPrealloc a body of known length
+// grows straight to its declared size, allocating about the cap plus its
+// own length, while a body that declares far more than it sends gets a
+// buffer of at most maxGrowth times what it sent.
+func TestReadAllGrowsTowardHint(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789"), 7*maxPrealloc/10)
+	var b []byte
+	var err error
+	n := allocatedBy(func() { b, err = readAll(lenReader{bytes.NewReader(big), len(big)}) })
+	if err != nil || !bytes.Equal(b, big) {
+		t.Fatalf("readAll of %d bytes returned %d bytes, %v", len(big), len(b), err)
+	}
+	if cap(b) != len(big)+1 {
+		t.Fatalf("a %d-byte body declared at its length ended in a %d-byte buffer", len(big), cap(b))
+	}
+	// Each large allocation rounds up to whole 8 KiB pages.
+	if limit := uint64(maxPrealloc + len(big) + 16<<10); n > limit {
+		t.Fatalf("readAll of %d declared bytes allocated %d bytes, over %d", len(big), n, limit)
+	}
+	for _, sent := range []int{maxPrealloc + 1, 3 * maxPrealloc, 20 * maxPrealloc} {
+		body := bytes.Repeat([]byte{'7'}, sent)
+		n := allocatedBy(func() { b, err = readAll(lenReader{bytes.NewReader(body), 128 << 20}) })
+		if err != nil || !bytes.Equal(b, body) {
+			t.Fatalf("readAll of %d bytes declared at 128 MiB: %d bytes, %v", sent, len(b), err)
+		}
+		if cap(b) > maxGrowth*len(b) || n > uint64(2*maxGrowth*len(b)) {
+			t.Fatalf("%d bytes declared at 128 MiB got a %d-byte buffer and %d bytes allocated", sent, cap(b), n)
+		}
+	}
+}
+
+// allocatedBy returns the heap bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // FuzzFromJSON holds FromJSON to refJSON: on every input both accept or
