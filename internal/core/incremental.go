@@ -391,7 +391,7 @@ func (inc *Incremental) subtree(resid *mat.Dense, start int) ([]*Node, error) {
 	if inc.opts.MaxLevels < 2 || resid.C < 2*inc.opts.MinWindow {
 		return nil, nil
 	}
-	return splitDecompose(resid, 2, start, inc.opts, inc.eng, inc.ws)
+	return recursion{opts: &inc.opts, eng: inc.eng, ws: inc.ws}.splitDecompose(resid, 2, start)
 }
 
 // refreshLevel1 recomputes the level-1 DMD and slow modes from the
@@ -429,7 +429,8 @@ func (inc *Incremental) refreshLevel1() error {
 // caller must PutDense back. The slow part is subtracted in place by the
 // accumulate-mode mode sum, as every subtree window's is.
 func (inc *Incremental) residualOf(lo, hi int) *mat.Dense {
-	// Copy, not view: subtree consumers mutate the residual in place.
+	// Copy, not view: the level-1 slow part below is subtracted in
+	// place, and the history keeps its raw columns.
 	resid := inc.hist.CopyWindow(inc.ws, lo, hi)
 	times := inc.ws.GetF64(hi - lo)
 	for k := range times {

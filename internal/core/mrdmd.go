@@ -19,6 +19,7 @@ import (
 	"imrdmd/internal/compute"
 	"imrdmd/internal/dmd"
 	"imrdmd/internal/mat"
+	"imrdmd/internal/svd"
 )
 
 // Options configures an mrDMD / I-mrDMD analysis. The public package
@@ -198,7 +199,8 @@ func Decompose(data *mat.Dense, opts Options) (*Tree, error) {
 	}
 	p, t := data.Dims()
 	work := data.Clone()
-	nodes, err := decompose(work, 1, 0, opts, compute.Shared(opts.Workers), compute.NewWorkspace())
+	rc := recursion{opts: &opts, eng: compute.Shared(opts.Workers), ws: compute.NewWorkspace()}
+	nodes, err := rc.decompose(work, 1, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -236,52 +238,93 @@ func checkShape(data *mat.Dense) error {
 	return nil
 }
 
+// recursion is what every window of one mrDMD recursion shares. It is
+// small enough for the sibling closures to capture by value, which keeps
+// a split allocation-free.
+type recursion struct {
+	opts *Options
+	eng  *compute.Engine
+	ws   *compute.Workspace
+	// rows is 0 until the recursion reaches its first narrow residual,
+	// which decides the route of its whole subtree (splitDecompose).
+	// From there on it is the P the windows stand for (dmd.Options.Rows):
+	// their own row count in P space, and the residual's on the factor
+	// route, whose windows are n-row coordinates of it.
+	rows int
+}
+
 // decompose processes one window (data is the residual for this window and
-// will be mutated by slow-mode subtraction), returning the flattened nodes
+// may be mutated by slow-mode subtraction), returning the flattened nodes
 // of the subtree. start is the window's global column offset, level its
 // 1-based depth. Sibling subtrees run concurrently on the engine when
 // opts.Parallel is set; the workspace is shared (it is concurrency-safe)
 // so every branch draws scratch from one pool.
-func decompose(data *mat.Dense, level, start int, opts Options, eng *compute.Engine, ws *compute.Workspace) ([]*Node, error) {
-	node, residual, err := processWindow(data, level, start, opts, eng, ws)
+func (rc recursion) decompose(data *mat.Dense, level, start int) ([]*Node, error) {
+	n := data.C
+	leaf := level >= rc.opts.MaxLevels || n < 2*rc.opts.MinWindow
+	// A leaf's residual is read by no one, so its slow part is not
+	// subtracted.
+	node, err := rc.processWindow(data, level, start, !leaf)
 	if err != nil {
 		return nil, err
 	}
 	nodes := []*Node{node}
-	n := residual.C
-	if level >= opts.MaxLevels || n < 2*opts.MinWindow {
+	if leaf {
 		return nodes, nil
 	}
-	children, err := splitDecompose(residual, level+1, start, opts, eng, ws)
+	children, err := rc.splitDecompose(data, level+1, start)
 	if err != nil {
 		return nil, err
 	}
 	return append(nodes, children...), nil
 }
 
+// Bounds of the factor route (DESIGN §5, "One factor per narrow
+// subtree"). factorMaxCols caps the residual width, so the n×n factor
+// work (Cholesky, inverse, κ test and the n-row window fits) stays small
+// beside the P-sized passes it replaces while every streamed 40-column
+// batch qualifies. factorMaxCond bounds κ₁(R₁): the Gram route's error
+// grows with u·κ², which stays below 1.1e-10 under it, where the P-space
+// route's grows with u·κ.
+const (
+	factorMaxCols = 64
+	factorMaxCond = 1e3
+)
+
 // splitDecompose halves resid and decomposes both halves at the given
-// level — concurrently on the engine when opts.Parallel is set. Used by
-// the batch recursion and by the incremental subtree fit.
-func splitDecompose(resid *mat.Dense, level, start int, opts Options, eng *compute.Engine, ws *compute.Workspace) ([]*Node, error) {
+// level; resid may be mutated. Used by the batch recursion and by every
+// incremental subtree fit. The first residual of a recursion with at
+// most factorMaxCols columns decides its subtree's route once: the
+// factor route (factorSubtree) when it is tall enough for it and its
+// Gram factor passes the conditioning test, otherwise P space all the
+// way down, bit for bit the recursion without the factor route.
+func (rc recursion) splitDecompose(resid *mat.Dense, level, start int) ([]*Node, error) {
+	if rc.rows == 0 && resid.C <= factorMaxCols {
+		if nodes, ok, err := rc.factorSubtree(resid, level, start); ok {
+			return nodes, err
+		}
+		rc.rows = resid.R
+	}
+	return rc.splitHalves(resid, level, start)
+}
+
+// splitHalves decomposes the two column halves of resid in place —
+// concurrently on the engine when opts.Parallel is set. Nothing reads
+// resid after the split, so the halves are views.
+func (rc recursion) splitHalves(resid *mat.Dense, level, start int) ([]*Node, error) {
 	n := resid.C
 	half := n / 2
-	left := mat.ColSliceWith(ws, resid, 0, half)
-	right := mat.ColSliceWith(ws, resid, half, n)
+	left := mat.ColsView(resid, 0, half)
+	right := mat.ColsView(resid, half, n)
 
 	var (
 		lnodes, rnodes    []*Node
 		leftErr, rightErr error
 	)
-	runLeft := func() {
-		lnodes, leftErr = decompose(left, level, start, opts, eng, ws)
-		mat.PutDense(ws, left)
-	}
-	runRight := func() {
-		rnodes, rightErr = decompose(right, level, start+half, opts, eng, ws)
-		mat.PutDense(ws, right)
-	}
-	if opts.Parallel && eng.Workers() > 1 {
-		eng.Do(runLeft, runRight)
+	runLeft := func() { lnodes, leftErr = rc.decompose(left, level, start) }
+	runRight := func() { rnodes, rightErr = rc.decompose(right, level, start+half) }
+	if rc.opts.Parallel && rc.eng.Workers() > 1 {
+		rc.eng.Do(runLeft, runRight)
 	} else {
 		runLeft()
 		runRight()
@@ -295,12 +338,117 @@ func splitDecompose(resid *mat.Dense, level, start int, opts Options, eng *compu
 	return append(lnodes, rnodes...), nil
 }
 
-// processWindow runs the per-window step: subsample, DMD, slow-mode
-// selection, slow-part subtraction. It returns the node and the residual
-// (data minus slow reconstruction; aliases the mutated input).
-func processWindow(data *mat.Dense, level, start int, opts Options, eng *compute.Engine, ws *compute.Workspace) (*Node, *mat.Dense, error) {
+// factorSubtree fits the subtree of a narrow, tall residual on one factor
+// of it. Every window of the subtree lies in the span of resid's n
+// columns, so with resid = Q·R₁ (Q = resid·R₁⁻¹ orthonormal) the whole
+// recursion runs unchanged on the n×n R₁: each window's fit, slow-part
+// subtraction and split act on Q-coordinates, and only the kept modes
+// meet P again, all in one lift φ = resid·(R₁⁻¹·φₙ). R₁ is the Cholesky
+// factor of residᵀ·resid, accepted only when κ₁(R₁) ≤ factorMaxCond. ok
+// reports whether the route was taken; when it is not, resid is
+// untouched and the caller splits it in P space. resid is not mutated
+// either way.
+func (rc recursion) factorSubtree(resid *mat.Dense, level, start int) (nodes []*Node, ok bool, err error) {
+	p, n := resid.Dims()
+	if n > factorMaxCols || p < svd.QRPrecondRatio*n {
+		return nil, false, nil
+	}
+	r, rinv := mat.CholeskyGramWith(rc.eng, rc.ws, resid)
+	if r == nil {
+		return nil, false, nil
+	}
+	if !(norm1(r)*norm1(rinv) <= factorMaxCond) {
+		mat.PutDense(rc.ws, r)
+		mat.PutDense(rc.ws, rinv)
+		return nil, false, nil
+	}
+	inner := rc
+	inner.rows = p
+	nodes, err = inner.splitHalves(r, level, start)
+	mat.PutDense(rc.ws, r)
+	if err == nil {
+		liftNodes(rc.eng, rc.ws, nodes, resid, rinv)
+	}
+	mat.PutDense(rc.ws, rinv)
+	return nodes, true, err
+}
+
+// norm1 returns the 1-norm of m, its largest absolute column sum.
+func norm1(m *mat.Dense) float64 {
+	var mx float64
+	for j := 0; j < m.C; j++ {
+		var s float64
+		for i := 0; i < m.R; i++ {
+			s += math.Abs(m.At(i, j))
+		}
+		mx = math.Max(mx, s)
+	}
+	return mx
+}
+
+// liftNodes maps every kept mode of nodes from the factor's coordinates
+// to P in one GEMM, φ = resid·(R₁⁻¹·φₙ) on the 2K real planes of the K
+// modes, and recomputes each mode's Power (‖φ‖²) from its lifted
+// column. Each node's columns share one allocation, as dmd's own lift
+// does.
+func liftNodes(e *compute.Engine, ws *compute.Workspace, nodes []*Node, resid, rinv *mat.Dense) {
+	k := numModes(nodes)
+	if k == 0 {
+		return
+	}
+	p, n := resid.R, rinv.R
+	// Column pair (2q, 2q+1) holds Re φ and Im φ of the q-th mode in
+	// node order.
+	planes := mat.GetDenseRaw(ws, n, 2*k)
+	q := 0
+	for _, nd := range nodes {
+		for _, m := range nd.Modes {
+			for i, v := range m.Phi {
+				row := planes.Row(i)
+				row[2*q], row[2*q+1] = real(v), imag(v)
+			}
+			q++
+		}
+	}
+	z := mat.MulWith(e, ws, rinv, planes)
+	mat.PutDense(ws, planes)
+	lifted := mat.MulWith(e, ws, resid, z)
+	mat.PutDense(ws, z)
+	cols := make([][]complex128, 0, k)
+	for _, nd := range nodes {
+		phis := make([]complex128, len(nd.Modes)*p)
+		for jj := range nd.Modes {
+			cols = append(cols, phis[jj*p:(jj+1)*p:(jj+1)*p])
+		}
+	}
+	// One sequential sweep of lifted's rows fills every column.
+	pow := ws.GetF64Zero(k)
+	for i := 0; i < p; i++ {
+		row := lifted.Row(i)[:2*k]
+		for q, col := range cols {
+			re, im := row[2*q], row[2*q+1]
+			col[i] = complex(re, im)
+			pow[q] += re*re + im*im
+		}
+	}
+	q = 0
+	for _, nd := range nodes {
+		for jj := range nd.Modes {
+			nd.Modes[jj].Phi, nd.Modes[jj].Power = cols[q], pow[q]
+			q++
+		}
+	}
+	ws.PutF64(pow)
+	mat.PutDense(ws, lifted)
+}
+
+// processWindow runs the per-window step: subsample, DMD and slow-mode
+// selection, then, when subtract is set, the slow-part subtraction that
+// leaves data holding the window's residual.
+func (rc recursion) processWindow(data *mat.Dense, level, start int, subtract bool) (*Node, error) {
+	opts, eng, ws := rc.opts, rc.eng, rc.ws
 	n := data.C
-	stride := windowStride(n, opts)
+	stride := windowStride(n, *opts)
 	// At stride 1 the DMD reads the window itself: nothing mutates data
 	// until the fit below has returned.
 	sub := mat.ColsView(data, 0, n)
@@ -311,12 +459,12 @@ func processWindow(data *mat.Dense, level, start int, opts Options, eng *compute
 	rho := float64(opts.MaxCycles) / (float64(n) * opts.DT)
 
 	dec, err := dmd.ComputeSlow(sub, dmd.Options{
-		DT: dtSub, Rank: opts.Rank, UseSVHT: opts.UseSVHT,
+		DT: dtSub, Rank: opts.Rank, UseSVHT: opts.UseSVHT, Rows: rc.rows,
 		Engine: eng, Ws: ws,
 	}, rho)
 	mat.PutDense(ws, sub) // a no-op for the view
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: level %d window [%d,%d): %w", level, start, start+n, err)
+		return nil, fmt.Errorf("core: level %d window [%d,%d): %w", level, start, start+n, err)
 	}
 	node := &Node{
 		Level:       level,
@@ -326,7 +474,7 @@ func processWindow(data *mat.Dense, level, start int, opts Options, eng *compute
 		Modes:       dec.Modes,
 		NumAllModes: dec.Rank,
 	}
-	if len(dec.Modes) > 0 {
+	if subtract && len(dec.Modes) > 0 {
 		times := ws.GetF64(n)
 		for k := range times {
 			times[k] = float64(k) * opts.DT
@@ -336,7 +484,7 @@ func processWindow(data *mat.Dense, level, start int, opts Options, eng *compute
 		dmd.SubReconstructionWith(eng, ws, data, dec.Modes, times)
 		ws.PutF64(times)
 	}
-	return node, data, nil
+	return node, nil
 }
 
 // windowStride computes the subsample stride so the window keeps about

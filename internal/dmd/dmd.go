@@ -40,6 +40,13 @@ type Options struct {
 	// 0 (the default) fits over the full history — bit-identical to the
 	// pre-windowed pipeline.
 	AmplitudeWindow int
+	// Rows is the row count of the snapshots the data stands for, when
+	// the data is their coordinates in a smaller orthonormal basis
+	// (core's one-factor subtree fit hands ComputeSlow windows of an n×n
+	// factor of a P-row residual). SVHT and Decomposition.P then see
+	// Rows, and the returned Φ columns stay in the basis' coordinates for
+	// the caller to lift. 0 means the data's own row count.
+	Rows int
 	// Engine routes the parallel kernel sections; nil uses the shared
 	// default pool.
 	Engine *compute.Engine
@@ -159,6 +166,9 @@ func fit(s *svd.Result, d, q *mat.Dense, opts Options, rho float64) (*Decomposit
 	p, t := d.Dims()
 	if q != nil {
 		p = q.R
+	}
+	if opts.Rows > 0 {
+		p = opts.Rows
 	}
 	if t < 2 {
 		return nil, ErrTooFewSnapshots

@@ -204,6 +204,29 @@ func cholUpper(g *Dense) bool {
 	return true
 }
 
+// CholeskyGramWith factors the Gram matrix of a's columns, aᵀa = RᵀR,
+// and returns the upper-triangular n×n R and R⁻¹, zero below the
+// diagonal, both borrowed from ws. The Gram is one pass over a on engine
+// e; the factorization and the inverse are n×n and serial. It returns
+// nils, with nothing borrowed, when the factorization meets a pivot that
+// is not positive and finite (a zero, non-finite or numerically
+// rank-deficient a). Unlike QRFactor it makes no orthogonality repair:
+// Q = a·R⁻¹ is orthonormal only to about u·κ(a)².
+func CholeskyGramWith(e *compute.Engine, ws *compute.Workspace, a *Dense) (r, rinv *Dense) {
+	n := a.C
+	r = GramWith(e, ws, a, true)
+	if !cholUpper(r) {
+		PutDense(ws, r)
+		return nil, nil
+	}
+	for i := 1; i < n; i++ {
+		clear(r.Data[i*n : i*n+i])
+	}
+	rinv = GetDenseRaw(ws, n, n)
+	invUpper(rinv, r)
+	return r, rinv
+}
+
 // invUpper writes R⁻¹ of the upper-triangular r (positive diagonal) into
 // dst, column by column by back substitution, with zeros below the
 // diagonal.

@@ -205,3 +205,63 @@ func TestQREngineMatchesSerial(t *testing.T) {
 		assertIdentical(t, "engine R", want.R, got.R)
 	}
 }
+
+// TestCholeskyGramWith: on conditioned inputs at the subtree shapes
+// (one a column view), R is upper triangular with exact zeros below the
+// diagonal, RᵀR reproduces aᵀa, R·R⁻¹ = I, and Q = a·R⁻¹ is orthonormal
+// to about u·κ². A zero column and a NaN entry return nils; a
+// duplicated column returns nils or an R with a vanishing pivot
+// (max|R|·max|R⁻¹| > 1e10), depending on the last bit of its pivot.
+func TestCholeskyGramWith(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	ws := compute.NewWorkspace()
+	for _, c := range []struct {
+		m, n  int
+		kappa float64
+	}{{4392, 40, 1e2}, {200, 40, 1e3}, {96, 40, 10}, {48, 8, 1e2}} {
+		name := fmt.Sprintf("%dx%d κ=%g", c.m, c.n, c.kappa)
+		wide := conditioned(rng, c.m, c.n+3, c.kappa)
+		a := ColsView(wide, 1, c.n+1)
+		r, rinv := CholeskyGramWith(nil, ws, a)
+		if r == nil {
+			t.Fatalf("%s: factorization broke down", name)
+		}
+		for i := 0; i < c.n; i++ {
+			for j := 0; j < i; j++ {
+				if r.At(i, j) != 0 || rinv.At(i, j) != 0 {
+					t.Fatalf("%s: nonzero below the diagonal at (%d,%d)", name, i, j)
+				}
+			}
+		}
+		g := Gram(a, true)
+		if d := Sub(MulT(r, r), g).MaxAbs() / g.MaxAbs(); d > 1e-14 {
+			t.Fatalf("%s: max|RᵀR − aᵀa|/max|aᵀa| = %g", name, d)
+		}
+		if d := Sub(Mul(r, rinv), Eye(c.n)).MaxAbs(); d > 1e-12*c.kappa {
+			t.Fatalf("%s: max|R·R⁻¹ − I| = %g", name, d)
+		}
+		q := Mul(a, rinv)
+		if d := Sub(MulT(q, q), Eye(c.n)).MaxAbs(); d > 1e-14*c.kappa*c.kappa {
+			t.Fatalf("%s: max|QᵀQ − I| = %g", name, d)
+		}
+		PutDense(ws, r)
+		PutDense(ws, rinv)
+	}
+	base := randDense(rng, 200, 10)
+	zero, dup, nan := base.Clone(), base.Clone(), base.Clone()
+	for i := 0; i < base.R; i++ {
+		zero.Set(i, 3, 0)
+		dup.Set(i, 6, dup.At(i, 5))
+	}
+	nan.Set(17, 2, math.NaN())
+	for name, a := range map[string]*Dense{"zero column": zero, "NaN entry": nan} {
+		if r, rinv := CholeskyGramWith(nil, ws, a); r != nil || rinv != nil {
+			t.Fatalf("%s: got factors, want nils", name)
+		}
+	}
+	if r, rinv := CholeskyGramWith(nil, ws, dup); r != nil {
+		if k := r.MaxAbs() * rinv.MaxAbs(); !(k > 1e10) {
+			t.Fatalf("duplicated column: factors with max|R|·max|R⁻¹| = %g", k)
+		}
+	}
+}
