@@ -62,7 +62,7 @@ func (inc *Incremental) AddSensors(rows *mat.Dense) error {
 	if err := inc.refreshLevel1(); err != nil {
 		return err
 	}
-	inc.recomputeSegmentsLocked(inc.segments)
+	inc.recomputeSegmentsLocked(len(inc.segments))
 	return nil
 }
 

@@ -19,11 +19,11 @@ import (
 //  1. The level-1 truncated SVD is updated incrementally (Brand/Kühl) with
 //     the newly sampled columns, and the level-1 DMD — hence the slow
 //     modes over the full [0, T+T₁) timeline — is recomputed from it.
-//  2. All previously computed nodes are demoted one level (Algorithm 1,
-//     lines 7–9): the new level 2 is the timeline split at T.
-//  3. A fresh mrDMD subtree (levels 2…MaxLevels) is fitted to the new
-//     window's residual after subtracting the new level-1 slow part.
-//  4. The Frobenius norm of the drift between old and new level-1 slow
+//  2. A fresh mrDMD subtree (levels 2…MaxLevels) is fitted to the new
+//     window's residual after subtracting the new level-1 slow part and
+//     appended as a segment, which demotes every older node one level
+//     (Algorithm 1, lines 7–9) without writing to it (see segment).
+//  3. The Frobenius norm of the drift between old and new level-1 slow
 //     reconstructions over the old window is measured. If it exceeds
 //     Options.DriftThreshold, the old subtrees are recomputed against the new
 //     slow part inside the same call, before it returns.
@@ -53,15 +53,14 @@ type Incremental struct {
 	segments []*segment
 
 	// spec holds the spectrum points of every segment's nodes, segment
-	// after segment in Tree order, each point's Level relative to the
-	// Level of its segment's first node. A fitted segment's points change
-	// only in level, and PartialFit demotes all of a segment's nodes
-	// together, so Spectrum and View serve the segments with one copy of
-	// spec plus per-segment offsets (see spectrumLocked). A new segment
-	// appends its points once; freezeSpectrumLocked rebuilds spec (and
-	// segNodes, the live node count over all segments) wherever
-	// segments or their nodes are replaced. Derived state, never
-	// serialized.
+	// after segment in Tree order, each point at its node's fit-time
+	// Level. A fitted segment never changes, and its tree level offset
+	// is the count of segments after it, so Spectrum and View serve the
+	// segments with one copy of spec plus per-segment offsets (see
+	// spectrumLocked). A new segment appends its points once;
+	// freezeSpectrumLocked rebuilds spec (and segNodes, the live node
+	// count over all segments) wherever segments are replaced. Derived
+	// state, never serialized.
 	spec     []dmd.SpectrumPoint
 	segNodes int
 
@@ -91,15 +90,26 @@ type Incremental struct {
 const driftLogCap = 1024
 
 // segment is a contiguous window whose subtree (levels ≥ 2) was fitted in
-// one InitialFit or PartialFit.
+// one InitialFit, PartialFit or refit. It is a value: nothing writes to it
+// once newSegment builds it, and a refit swaps in a new one. Its nodes
+// keep their fit-time levels (roots at 2); segment i's sit after(i)
+// levels deeper in the tree.
 type segment struct {
 	start, end int
 	nodes      []*Node
 	// points is how many of Incremental.spec belong to nodes, and depth
-	// the deepest node's level relative to nodes[0]; both are set when
-	// the segment's points are frozen.
+	// the deepest fit-time level (0 without nodes).
 	points, depth int
 }
+
+// newSegment builds the segment of window [start, end) holding nodes.
+func newSegment(start, end int, nodes []*Node) *segment {
+	return &segment{start: start, end: end, nodes: nodes, points: numModes(nodes), depth: maxLevel(nodes)}
+}
+
+// after returns how many segments were appended after segment i: how many
+// levels below their fit-time levels its nodes sit in the tree.
+func (inc *Incremental) after(i int) int { return len(inc.segments) - 1 - i }
 
 // UpdateStats summarizes one PartialFit.
 type UpdateStats struct {
@@ -171,7 +181,7 @@ func (inc *Incremental) InitialFit(data *mat.Dense) error {
 	if err != nil {
 		return err
 	}
-	inc.segments = []*segment{{start: 0, end: t, nodes: nodes}}
+	inc.segments = []*segment{newSegment(0, t, nodes)}
 	inc.freezeSpectrumLocked()
 	inc.demoteLocked()
 	return nil
@@ -286,22 +296,15 @@ func (inc *Incremental) PartialFit(newData *mat.Dense) (UpdateStats, error) {
 	inc.ws.PutF64(times)
 	inc.logDrift(stats.Drift)
 
-	// Demote every pre-existing node one level: the new level 2 is the
-	// timeline split at oldT.
-	for _, seg := range inc.segments {
-		for _, nd := range seg.nodes {
-			nd.Level++
-		}
-	}
-
-	// Fresh subtree over the new window's residual.
+	// Fresh subtree over the new window's residual. Appending it demotes
+	// every older segment one level (see segment).
 	resid := inc.residualOf(oldT, newT)
 	nodes, err := inc.subtree(resid, oldT)
 	mat.PutDense(inc.ws, resid)
 	if err != nil {
 		return stats, err
 	}
-	seg := &segment{start: oldT, end: newT, nodes: nodes}
+	seg := newSegment(oldT, newT, nodes)
 	inc.segments = append(inc.segments, seg)
 	inc.freezeSegmentLocked(seg)
 	inc.updates++
@@ -309,7 +312,7 @@ func (inc *Incremental) PartialFit(newData *mat.Dense) (UpdateStats, error) {
 	if thr := inc.opts.DriftThreshold; thr > 0 && stats.Drift > thr {
 		stats.Recomputed = true
 		inc.recomputes++
-		inc.recomputeSegmentsLocked(inc.segments[:len(inc.segments)-1])
+		inc.recomputeSegmentsLocked(len(inc.segments) - 1)
 	}
 	inc.demoteLocked()
 	return stats, nil
@@ -346,42 +349,29 @@ func (inc *Incremental) driftLogChrono() []float64 {
 	return append(out, inc.driftLog[:inc.driftPos]...)
 }
 
-// recomputeSegmentsLocked re-derives each of segs' subtrees against the
-// current level-1 slow part, then rebuilds the frozen spectrum once.
-func (inc *Incremental) recomputeSegmentsLocked(segs []*segment) {
-	for _, seg := range segs {
-		inc.recomputeSegmentLocked(seg)
+// recomputeSegmentsLocked re-derives the subtrees of the first n segments
+// against the current level-1 slow part, then rebuilds the frozen
+// spectrum once.
+func (inc *Incremental) recomputeSegmentsLocked(n int) {
+	for i := range n {
+		inc.recomputeSegmentLocked(i)
 	}
 	inc.freezeSpectrumLocked()
 }
 
-// recomputeSegmentLocked re-derives a segment's subtree against the
-// current level-1 slow part; the caller rebuilds the frozen spectrum.
-func (inc *Incremental) recomputeSegmentLocked(seg *segment) {
+// recomputeSegmentLocked refits segment i against the current level-1
+// slow part and swaps the new segment in; the caller rebuilds the frozen
+// spectrum.
+func (inc *Incremental) recomputeSegmentLocked(i int) {
 	inc.invalidateGridSeg()
-	resid := inc.residualOf(seg.start, seg.end)
-	nodes, err := inc.subtree(resid, seg.start)
+	old := inc.segments[i]
+	resid := inc.residualOf(old.start, old.end)
+	nodes, err := inc.subtree(resid, old.start)
 	mat.PutDense(inc.ws, resid)
 	if err != nil {
 		return // keep the stale subtree; reconstruction degrades gracefully
 	}
-	// Preserve the demotion depth the segment has accumulated.
-	extra := 0
-	if len(seg.nodes) > 0 {
-		minOld := seg.nodes[0].Level
-		for _, nd := range seg.nodes {
-			if nd.Level < minOld {
-				minOld = nd.Level
-			}
-		}
-		extra = minOld - 2
-	}
-	if extra > 0 {
-		for _, nd := range nodes {
-			nd.Level += extra
-		}
-	}
-	seg.nodes = nodes
+	inc.segments[i] = newSegment(old.start, old.end, nodes)
 }
 
 // subtree fits the levels ≥ 2 mrDMD tree on a residual window: the window
@@ -453,8 +443,10 @@ func (inc *Incremental) Tree() *Tree {
 	return &Tree{Nodes: treeNodesLocked(inc), P: inc.p, T: inc.hist.Cols(), Opts: inc.opts}
 }
 
-func cloneNode(n *Node) *Node {
+// cloneNode copies n, with its own Modes slice, at level.
+func cloneNode(n *Node, level int) *Node {
 	c := *n
+	c.Level = level
 	c.Modes = append([]dmd.Mode(nil), n.Modes...)
 	return &c
 }
@@ -494,12 +486,14 @@ func (inc *Incremental) ReconError() float64 {
 // that the per-window lock hold and scratch stay modest.
 const reconErrWindow = 1024
 
-// treeNodesLocked clones the live nodes, in Tree order, for a caller
-// that uses them after the lock drops.
+// treeNodesLocked clones the live nodes, in Tree order and at their tree
+// levels, for a caller that uses them after the lock drops.
 func treeNodesLocked(inc *Incremental) []*Node {
-	nodes := inc.liveNodesLocked()
-	for i, nd := range nodes {
-		nodes[i] = cloneNode(nd)
+	nodes := append(make([]*Node, 0, 1+inc.segNodes), cloneNode(inc.level1, 1))
+	for i, seg := range inc.segments {
+		for _, nd := range seg.nodes {
+			nodes = append(nodes, cloneNode(nd, nd.Level+inc.after(i)))
+		}
 	}
 	return nodes
 }

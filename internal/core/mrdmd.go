@@ -165,7 +165,9 @@ func (o Options) withDefaults() Options {
 // Node is one window of the multiresolution tree holding the slow modes
 // extracted there.
 type Node struct {
-	Level  int // 1-based; level 1 spans the whole timeline
+	// Level is 1-based (level 1 spans the whole timeline): absolute in a
+	// Tree, the fit-time level inside an Incremental's segment.
+	Level  int
 	Start  int // global column index, inclusive
 	End    int // global column index, exclusive
 	Stride int // subsample stride used for the DMD at this node

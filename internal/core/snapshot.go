@@ -55,14 +55,14 @@ func (inc *Incremental) Snapshot(w io.Writer) error {
 	enc.Int(inc.stride1)
 	enc.Dense(inc.sub1)
 	enc.Int(inc.nextSample)
-	encodeNode(enc, inc.level1)
-	enc.Int(len(inc.segments))
-	for _, seg := range inc.segments {
+	encodeNode(enc, inc.level1, 0)
+	enc.Int(len(inc.segments)) // segment nodes at their tree levels
+	for i, seg := range inc.segments {
 		enc.Int(seg.start)
 		enc.Int(seg.end)
 		enc.Int(len(seg.nodes))
 		for _, nd := range seg.nodes {
-			encodeNode(enc, nd)
+			encodeNode(enc, nd, inc.after(i))
 		}
 	}
 	enc.Int(inc.updates)
@@ -133,16 +133,19 @@ func decodeIncremental(r io.Reader, workers *int) (*Incremental, error) {
 	stride1 := dec.Int()
 	sub1 := dec.Dense()
 	nextSample := dec.Int()
-	level1 := decodeNode(dec)
+	level1 := decodeNode(dec, 0)
+	// Each segment node is stored at its tree level; it is kept at its
+	// fit-time level, the stored one less the segments after its own.
 	var segments []*segment
 	nSeg := dec.Len()
 	for i := 0; i < nSeg && dec.Err() == nil; i++ {
-		seg := &segment{start: dec.Int(), end: dec.Int()}
+		start, end := dec.Int(), dec.Int()
+		var nodes []*Node
 		nNodes := dec.Len()
 		for j := 0; j < nNodes && dec.Err() == nil; j++ {
-			seg.nodes = append(seg.nodes, decodeNode(dec))
+			nodes = append(nodes, decodeNode(dec, nSeg-1-i))
 		}
-		segments = append(segments, seg)
+		segments = append(segments, newSegment(start, end, nodes))
 	}
 	updates := dec.Int()
 	recomputes := dec.Int()
@@ -233,7 +236,7 @@ func (inc *Incremental) validateDecoded() error {
 		return fmt.Errorf("core: decoded level-1 SVD shape %d×%d factors for %d sensors × %d grid columns",
 			res.U.R, res.V.R, inc.p, inc.sub1.C)
 	}
-	if err := inc.validateDecodedNode(inc.level1); err != nil {
+	if err := inc.validateDecodedNode(inc.level1, 1, 1); err != nil {
 		return err
 	}
 	for _, seg := range inc.segments {
@@ -242,7 +245,9 @@ func (inc *Incremental) validateDecoded() error {
 				seg.start, seg.end, inc.hist.Cols())
 		}
 		for _, nd := range seg.nodes {
-			if err := inc.validateDecodedNode(nd); err != nil {
+			// A subtree fit puts its roots at level 2 and stops at
+			// MaxLevels (recursion.decompose).
+			if err := inc.validateDecodedNode(nd, 2, inc.opts.MaxLevels); err != nil {
 				return err
 			}
 		}
@@ -251,12 +256,17 @@ func (inc *Incremental) validateDecoded() error {
 }
 
 // validateDecodedNode checks the per-node invariants reconstruction and
-// spectrum queries index by: the window inside the absorbed history and
-// every mode's spatial vector spanning the sensor dimension.
-func (inc *Incremental) validateDecodedNode(n *Node) error {
+// spectrum queries index by: the window inside the absorbed history,
+// every mode's spatial vector spanning the sensor dimension, and the
+// (fit-time, for a segment node) level in [lo, hi].
+func (inc *Incremental) validateDecodedNode(n *Node, lo, hi int) error {
 	if n.Start < 0 || n.End > inc.hist.Cols() || n.End < n.Start || n.Stride < 1 {
 		return fmt.Errorf("core: decoded node window [%d,%d) stride %d outside the %d absorbed columns",
 			n.Start, n.End, n.Stride, inc.hist.Cols())
+	}
+	if n.Level < lo || n.Level > hi {
+		return fmt.Errorf("core: decoded node [%d,%d) at fit-time level %d outside [%d,%d]",
+			n.Start, n.End, n.Level, lo, hi)
 	}
 	for i := range n.Modes {
 		if len(n.Modes[i].Phi) != inc.p {
@@ -338,9 +348,10 @@ func minCap(n, cap int) int {
 	return cap
 }
 
-// encodeNode writes one tree node with its retained modes.
-func encodeNode(w *codec.Writer, n *Node) {
-	w.Int(n.Level)
+// encodeNode writes one tree node with its retained modes, its level
+// raised by off.
+func encodeNode(w *codec.Writer, n *Node, off int) {
+	w.Int(n.Level + off)
 	w.Int(n.Start)
 	w.Int(n.End)
 	w.Int(n.Stride)
@@ -357,9 +368,10 @@ func encodeNode(w *codec.Writer, n *Node) {
 	}
 }
 
-func decodeNode(r *codec.Reader) *Node {
+// decodeNode reads one node written by encodeNode with the same off.
+func decodeNode(r *codec.Reader, off int) *Node {
 	n := &Node{
-		Level:       r.Int(),
+		Level:       r.Int() - off,
 		Start:       r.Int(),
 		End:         r.Int(),
 		Stride:      r.Int(),

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
 	"imrdmd/internal/codec"
@@ -254,5 +255,86 @@ func TestValidateDecodedNodeInvariants(t *testing.T) {
 	inc.level1.Modes[0].Phi = phi
 	if err := inc.validateDecoded(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Levels: the level-1 node at 1, and every segment node inside the
+	// [2, MaxLevels] = [2, 3] a subtree fit produces.
+	inc.level1.Level = 2
+	if err := inc.validateDecoded(); err == nil {
+		t.Fatal("level-1 node at level 2 accepted")
+	}
+	inc.level1.Level = 1
+	nd := inc.segments[0].nodes[0]
+	for _, lvl := range []int{1, 4, -1} {
+		nd.Level = lvl
+		if err := inc.validateDecoded(); err == nil {
+			t.Fatalf("segment node at fit-time level %d accepted", lvl)
+		}
+	}
+	nd.Level = 2
+	if err := inc.validateDecoded(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeChecksSegmentLevels: a snapshot stores each segment node at
+// its tree level, and decode subtracts the segments after its own before
+// checking it against [2, MaxLevels]. A three-segment stream restores
+// with the live tree's levels; the same stream with the oldest segment's
+// first root stored one level shallower (level 3, fit-time 1) and with
+// the newest segment's deepest node one level deeper (level 4 >
+// MaxLevels 3) does not.
+func TestDecodeChecksSegmentLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	data, _ := multiscale(rng, 6, 128, 1, 0.1)
+	inc := NewIncremental(Options{DT: 1, MaxLevels: 3, MaxCycles: 2, UseSVHT: true})
+	if err := inc.InitialFit(data.ColSlice(0, 64)); err != nil {
+		t.Fatal(err)
+	}
+	for c := 64; c < 128; c += 32 {
+		if _, err := inc.PartialFit(data.ColSlice(c, c+32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip := func() (*Incremental, error) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := inc.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return DecodeIncremental(&buf)
+	}
+	dec, err := roundTrip()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := inc.Tree().Nodes, dec.Tree().Nodes
+	if len(got) != len(want) {
+		t.Fatalf("restored %d nodes, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Level != want[i].Level {
+			t.Fatalf("node %d restored at level %d, want %d", i, got[i].Level, want[i].Level)
+		}
+	}
+
+	if len(inc.segments) != 3 {
+		t.Fatalf("test premise: want 3 segments, got %d", len(inc.segments))
+	}
+	newest := inc.segments[2].nodes
+	for _, c := range []struct {
+		name string
+		nd   *Node
+		lvl  int
+	}{
+		{"oldest root at fit-time level 1", inc.segments[0].nodes[0], 1},
+		{"newest deepest node at level 4", newest[len(newest)-1], 4},
+	} {
+		old := c.nd.Level
+		c.nd.Level = c.lvl
+		if _, err := roundTrip(); err == nil || !strings.Contains(err.Error(), "fit-time level") {
+			t.Errorf("%s: want a fit-time level error, got %v", c.name, err)
+		}
+		c.nd.Level = old
 	}
 }

@@ -124,7 +124,9 @@ func (inc *Incremental) ReadingLevels(band FreqBand) []float64 {
 
 // liveNodesLocked lists the live nodes in Tree order without cloning
 // them; callers only read them, and finish before releasing the lock.
-// Before InitialFit there are none.
+// Segment nodes carry their fit-time levels, not their tree levels (see
+// treeNodesLocked), so callers must not read Level. Before InitialFit
+// there are none.
 func (inc *Incremental) liveNodesLocked() []*Node {
 	if inc.hist == nil {
 		return nil
@@ -138,12 +140,12 @@ func (inc *Incremental) liveNodesLocked() []*Node {
 }
 
 // freezeSpectrumLocked rebuilds spec and segNodes from every segment.
-// Called wherever segments or their nodes are replaced: InitialFit, a
-// drift recompute or AddSensors (recomputeSegmentsLocked) and decode.
+// Called wherever segments are replaced: InitialFit, a drift recompute or
+// AddSensors (recomputeSegmentsLocked) and decode.
 func (inc *Incremental) freezeSpectrumLocked() {
 	n := 0
 	for _, seg := range inc.segments {
-		n += numModes(seg.nodes)
+		n += seg.points
 	}
 	inc.spec, inc.segNodes = make([]dmd.SpectrumPoint, 0, n), 0
 	for _, seg := range inc.segments {
@@ -152,26 +154,16 @@ func (inc *Incremental) freezeSpectrumLocked() {
 }
 
 // freezeSegmentLocked appends seg's points to spec, each at its node's
-// level relative to seg.nodes[0], and counts its nodes.
+// fit-time level, and counts its nodes.
 func (inc *Incremental) freezeSegmentLocked(seg *segment) {
-	seg.points, seg.depth = 0, 0
 	inc.segNodes += len(seg.nodes)
-	if len(seg.nodes) == 0 {
-		return
-	}
-	base, n := seg.nodes[0].Level, len(inc.spec)
 	for _, nd := range seg.nodes {
-		rel := nd.Level - base
-		seg.depth = max(seg.depth, rel)
-		inc.spec = appendNodePoints(inc.spec, nd, rel)
+		inc.spec = appendNodePoints(inc.spec, nd, nd.Level)
 	}
-	seg.points = len(inc.spec) - n
 }
 
-// spectrumLocked assembles the spectrum Spectrum and View serve. A
-// segment's offset is read from the current Level of its own first node,
-// so the points carry whatever levels the nodes carry — including after
-// a PartialFit that demoted every node and then failed.
+// spectrumLocked assembles the spectrum Spectrum and View serve: spec
+// with each segment i's points raised by after(i), 0 for the newest.
 func (inc *Incremental) spectrumLocked() []dmd.SpectrumPoint {
 	if inc.hist == nil {
 		return nil
@@ -184,29 +176,26 @@ func (inc *Incremental) spectrumLocked() []dmd.SpectrumPoint {
 	pts = appendNodePoints(pts, inc.level1, inc.level1.Level)
 	pts = append(pts, inc.spec...)
 	run := pts[n1:]
-	for _, seg := range inc.segments {
-		if seg.points == 0 {
-			continue
-		}
-		off := seg.nodes[0].Level
-		for i := range run[:seg.points] {
-			run[i].Level += off
+	for i, seg := range inc.segments {
+		off := inc.after(i)
+		for j := range run[:seg.points] {
+			run[j].Level += off
 		}
 		run = run[seg.points:]
 	}
 	return pts
 }
 
-// maxLevelLocked is maxLevel over the live nodes, from each segment's
-// first node and frozen depth.
+// maxLevelLocked is maxLevel over the tree's nodes, from each segment's
+// deepest fit-time level.
 func (inc *Incremental) maxLevelLocked() int {
 	if inc.hist == nil {
 		return 0
 	}
-	m := max(0, inc.level1.Level)
-	for _, seg := range inc.segments {
-		if len(seg.nodes) > 0 {
-			m = max(m, seg.nodes[0].Level+seg.depth)
+	m := inc.level1.Level
+	for i, seg := range inc.segments {
+		if seg.depth > 0 {
+			m = max(m, seg.depth+inc.after(i))
 		}
 	}
 	return m
